@@ -22,8 +22,7 @@ for a given ``(experiment, faults, seed)`` triple.
 Entry points: ``repro chaos <experiment> --faults <spec>`` for one
 faulted run, ``repro chaos --matrix`` for the full fault-class ×
 ``--jobs`` grid, and ``repro chaos --smoke`` for the subprocess
-``kill -9``/resume end-to-end check (previously
-``tools/chaos_smoke.py``).  See ``docs/robustness.md``.
+``kill -9``/resume end-to-end check.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations

@@ -17,13 +17,12 @@ The work directory is the *seeded* convention
 ``<base>/smoke-<experiment>-seed<seed>`` — no ``mkdtemp`` wall-clock
 entropy — so two smoke runs with the same arguments touch the same
 paths and a crashed harness leaves evidence in a predictable place.
-``tools/chaos_smoke.py`` is now a thin shim over :func:`main` for the
-existing CI job.
+Run it as ``python -m repro chaos noisy-rig --smoke`` (the CI
+``chaos-smoke`` job).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -226,38 +225,3 @@ def render_smoke(result: SmokeResult) -> str:
     ]
     lines += [f"  - {problem}" for problem in result.problems]
     return "\n".join(lines)
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    """Standalone entry point (kept for the ``tools/`` CI shim)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--experiment", default="noisy-rig")
-    parser.add_argument("--seed", type=int, default=2022)
-    parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument(
-        "--timeout", type=float, default=300.0,
-        help="seconds to wait for the victim to journal its first unit",
-    )
-    parser.add_argument(
-        "--workdir", default="chaos-runs",
-        help="base directory for the seeded smoke workdir",
-    )
-    parser.add_argument(
-        "--keep", action="store_true",
-        help="keep the workdir (journals, fault markers) after the run",
-    )
-    args = parser.parse_args(argv)
-    try:
-        result = run_smoke(
-            experiment=args.experiment,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            workdir_base=args.workdir,
-            keep=args.keep,
-        )
-    except ChaosError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(render_smoke(result), file=sys.stdout if result.passed else sys.stderr)
-    return 0 if result.passed else 1

@@ -30,6 +30,7 @@ from ..rng import from_entropy
 from ..units import ROOM_TEMPERATURE_K, milliseconds
 from .engine import active_engine
 from .leakage import ArrheniusDecay, DRAM_DECAY
+from .manufacture import ManufacturedArray, read_only
 
 
 @dataclass(frozen=True)
@@ -64,13 +65,17 @@ class DramParameters:
             raise CalibrationError("retention spread cannot be negative")
 
 
-class DramArray:
+class DramArray(ManufacturedArray):
     """A flat DRAM bit array with refresh and unpowered decay.
 
     The charge state is tracked as a normalised level in [0, 1]; a cell
     reads as its written value while its level exceeds 0.5 and as its
     ground state (0 for true cells, 1 for anti-cells) once decayed.
+    The anti-cell layout and retention fields are read-only and shared
+    by deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`).
     """
+
+    MANUFACTURED = ("_anticell", "_retention_scale", "_scale32")
 
     def __init__(
         self,
@@ -86,17 +91,17 @@ class DramArray:
         self._rng = rng if rng is not None else from_entropy(0)
         self._n_bits = int(n_bits)
         engine = active_engine()
-        self._anticell = engine.uniform_mask(
+        self._anticell = read_only(engine.uniform_mask(
             self._rng, self._n_bits, self.params.anticell_fraction
-        )
+        ))
         # Per-cell retention multiplier (lognormal around 1.0); float16
         # keeps megabyte-scale modules affordable.
-        self._retention_scale = engine.lognormal_field(
+        self._retention_scale = read_only(engine.lognormal_field(
             self._rng, self._n_bits, self.params.retention_spread
-        )
+        ))
         # float32 widening of the retention field, cached because every
         # decay step divides by it; the field is fixed at manufacture.
-        self._scale32 = self._retention_scale.astype(np.float32)
+        self._scale32 = read_only(self._retention_scale.astype(np.float32))
         # Modules start fully discharged (factory-fresh, unpowered).
         self._bits = self._ground_state()
         self._level = np.zeros(self._n_bits, dtype=np.float16)

@@ -42,6 +42,7 @@ from ..rng import from_entropy
 from ..units import ROOM_TEMPERATURE_K, millivolts
 from .engine import active_engine
 from .leakage import ArrheniusDecay, SRAM_DECAY
+from .manufacture import ManufacturedArray, read_only
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class SramParameters:
             )
 
 
-class SramArray:
+class SramArray(ManufacturedArray):
     """A flat array of 6T SRAM cells addressed as bits or bytes.
 
     The array is always in one of two electrical states:
@@ -100,8 +101,11 @@ class SramArray:
       still above their restore threshold.
 
     Bits are stored little-endian within each byte for the byte-level
-    accessors.
+    accessors.  The process-variation fields are read-only and shared
+    by deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`).
     """
+
+    MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p", "_wake32")
 
     #: Residual flip probability of a strongly-skewed cell at power-up.
     WAKE_SKEW_EPSILON = 0.005
@@ -130,35 +134,35 @@ class SramArray:
         # to keep megabyte-scale macros affordable; sub-millivolt
         # resolution is far below any physical effect modelled here.
         engine = active_engine()
-        self._drv = engine.gaussian_field(
+        self._drv = read_only(engine.gaussian_field(
             self._rng,
             self._n_bits,
             self.params.drv_mean_v,
             self.params.drv_sigma_v,
             0.01,
-        )
-        self._restore_threshold = engine.gaussian_field(
+        ))
+        self._restore_threshold = read_only(engine.gaussian_field(
             self._rng,
             self._n_bits,
             self.params.restore_mean_v,
             self.params.restore_sigma_v,
             0.005,
-        )
+        ))
         # Per-cell wake probability: the chance a cell powers up as 1.
         # Strongly-skewed cells sit near 0 or 1 (the stable PUF bits);
         # metastable cells sit near 0.5 and flip coin-like on every
         # power-up.  Aging (NBTI imprinting) later shifts these values
         # toward whatever the cell spent its life holding (paper §9.2).
-        self._wake_p = engine.wake_field(
+        self._wake_p = read_only(engine.wake_field(
             self._rng,
             self._n_bits,
             self.params.noisy_fraction,
             self.WAKE_SKEW_EPSILON,
-        )
+        ))
         # float32 widening of the wake field, cached because every
         # power-up compares against it; refreshed whenever aging moves
         # the probabilities.
-        self._wake32 = self._wake_p.astype(np.float32)
+        self._wake32 = read_only(self._wake_p.astype(np.float32))
 
         # Electrical state.
         self._bits = np.zeros(self._n_bits, dtype=np.uint8)
@@ -270,14 +274,16 @@ class SramArray:
         if years < 0.0 or not 0.0 <= duty_cycle <= 1.0:
             raise CalibrationError("aging needs years >= 0, duty in [0, 1]")
         self._require_powered("age")
-        self._wake_p = active_engine().age_wake(
+        # Rebinds (never writes) the fields, so copies sharing the
+        # old ones are unaffected.
+        self._wake_p = read_only(active_engine().age_wake(
             self._wake_p,
             self._bits,
             self.AGING_SHIFT_PER_YEAR * years * duty_cycle,
             self.WAKE_SKEW_EPSILON / 2,
             1.0 - self.WAKE_SKEW_EPSILON / 2,
-        )
-        self._wake32 = self._wake_p.astype(np.float32)
+        ))
+        self._wake32 = read_only(self._wake_p.astype(np.float32))
 
     # ------------------------------------------------------------------
     # Power state machine

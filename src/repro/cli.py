@@ -245,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos_mode.add_argument(
         "--smoke", action="store_true",
-        help="subprocess kill -9 / --resume end-to-end check "
-        "(previously tools/chaos_smoke.py)",
+        help="subprocess kill -9 / --resume end-to-end check",
     )
     chaos.add_argument("--seed", type=int, default=2022)
     _add_jobs_flag(chaos)

@@ -32,6 +32,7 @@ from .runtime import (
     CheckpointPolicy,
     Incident,
     SupervisionPolicy,
+    booted_board,
     checkpoint_policy,
     checkpointing,
     clear_incidents,
@@ -57,6 +58,7 @@ __all__ = [
     "SupervisionPolicy",
     "UnitRecord",
     "WorkUnit",
+    "booted_board",
     "checkpoint_policy",
     "checkpointing",
     "clear_incidents",

@@ -53,7 +53,7 @@ from ..errors import (
     WorkerHang,
     failure_class,
 )
-from ..obs import OBS, MetricsRegistry, Tracer
+from ..obs import OBS
 from ..obs.timing import observe_rate, wall_clock
 from . import runtime, supervise
 from .journal import CheckpointJournal, UnitRecord, plan_fingerprint
@@ -98,31 +98,20 @@ def _capture_unit(unit: WorkUnit, capture: bool) -> UnitRecord:
 
     Used by every checkpoint-mode path — the serial loop, the pool
     workers, and serial re-attempts — so a unit's captured
-    observability is identical however it was dispatched.  The live
-    registry/tracer are swapped out for the duration (never reset:
-    the parent keeps its open trace writer and collected state).
+    observability is identical however it was dispatched
+    (:func:`repro.exec.runtime.captured`).
     """
     start = wall_clock()
     if not capture:
         return UnitRecord(index=unit.index, result=runtime.run_unit(unit),
                           wall_s=wall_clock() - start)
-    saved_enabled = OBS.enabled
-    saved_metrics, saved_tracer = OBS.metrics, OBS.tracer
-    OBS.metrics = MetricsRegistry()
-    OBS.tracer = Tracer()
-    OBS.enabled = True
-    try:
+    with runtime.captured() as observed:
         result = runtime.run_unit(unit)
-    finally:
-        metrics = OBS.metrics.dump()
-        spans = [span.to_record() for span in OBS.tracer.finished]
-        OBS.metrics, OBS.tracer = saved_metrics, saved_tracer
-        OBS.enabled = saved_enabled
     return UnitRecord(
         index=unit.index,
         result=result,
-        metrics=metrics,
-        spans=spans,
+        metrics=observed.metrics,
+        spans=observed.spans,
         wall_s=wall_clock() - start,
     )
 

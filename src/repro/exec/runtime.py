@@ -24,19 +24,23 @@ every call back up with its own journal.
 This module is also the engine's **incident ledger**: quarantined
 units and journal degradations are recorded here so the manifest
 layer can attach a structured partial-result section and the CLI can
-honour its ``EXIT_DEGRADED`` exit-code contract.  (This module and the
-``repro.obs.OBS`` singleton are the only whitelisted holders of
-cross-unit process state — see the RL007 lint rule.)
+honour its ``EXIT_DEGRADED`` exit-code contract, and it keeps the
+per-process **booted-board template** that :func:`booted_board` hands
+units copies of.  (This module and the ``repro.obs.OBS`` singleton are
+the only whitelisted holders of cross-unit process state — see the
+RL007 lint rule.)
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from ..errors import CheckpointError
+from ..obs import OBS, MetricsRegistry, Tracer
 from ..resilience.retry import RetryPolicy
 from ..units import milliseconds
 
@@ -197,6 +201,69 @@ def run_unit(unit: Any) -> Any:
     if _injector is not None:
         _injector.on_unit(unit)
     return unit.run()
+
+
+# ----------------------------------------------------------------------
+# Observability capture and booted-board templates
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class Capture:
+    """What :func:`captured` collected: a metrics dump and span records."""
+
+    metrics: dict[str, Any] = field(default_factory=dict)
+    spans: list[dict[str, Any]] = field(default_factory=list)
+
+
+@contextmanager
+def captured() -> Iterator[Capture]:
+    """Run a block against a private, enabled registry and tracer.
+
+    The live registry/tracer are swapped out for the block (never
+    reset: the caller keeps its open trace writer and collected state)
+    and restored after it; the yielded :class:`Capture` is filled in on
+    exit, whether the block raised or not.
+    """
+    capture = Capture()
+    saved = OBS.enabled, OBS.metrics, OBS.tracer
+    OBS.metrics, OBS.tracer, OBS.enabled = MetricsRegistry(), Tracer(), True
+    try:
+        yield capture
+    finally:
+        capture.metrics = OBS.metrics.dump()
+        capture.spans = [span.to_record() for span in OBS.tracer.finished]
+        OBS.enabled, OBS.metrics, OBS.tracer = saved
+
+
+#: The one cached post-boot board: ``(key, board, build metrics dump)``.
+_template: tuple[tuple[Any, ...], Any, dict[str, Any]] | None = None
+
+
+def booted_board(builder: Callable[..., Any], seed: int, media: Any) -> Any:
+    """A private copy of ``builder(seed=seed)`` booted from ``media``.
+
+    The board is built and booted once per process and kept as a
+    template keyed on ``(builder, seed, media)`` (a new key replaces
+    it); every call returns a :func:`copy.deepcopy` of it, which shares
+    the arrays' read-only manufacture fields and copies everything
+    else, RNG streams included — so a copy is indistinguishable from a
+    fresh build and a unit's result cannot depend on which units ran
+    before it.  The build's metrics are captured privately and merged
+    into the live registry on every call, so each unit records exactly
+    what building its own board would have recorded.
+    """
+    global _template
+    key = (builder, seed, media)
+    if _template is None or _template[0] != key:
+        with captured() as build:
+            board = builder(seed=seed)
+            board.boot(media)
+        _template = (key, board, build.metrics)
+    _, template, metrics = _template
+    if OBS.enabled:
+        OBS.metrics.merge(metrics)
+    return copy.deepcopy(template)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ once unprotected and once with the brown-out detector armed — so the
 success maps directly measure detection versus exploitation.
 
 Everything shards through :mod:`repro.exec`: one work unit per grid
-point (its repeats share one freshly built rig) and one per random
+point (its repeats share one copy of the booted rig) and one per random
 sample, with every stochastic draw keyed by
 ``(seed, "glitch", leg, attempt)`` so ``--jobs N`` output is
 byte-identical to serial.
@@ -34,7 +34,7 @@ from ..cpu.core import Core
 from ..cpu.programs import pin_check
 from ..devices import glitch_rig
 from ..errors import CpuFault, GlitchError
-from ..exec import ShardPlan, WorkUnit, shard_unit
+from ..exec import ShardPlan, WorkUnit, booted_board, shard_unit
 from ..obs import OBS
 from ..obs.timing import observe_rate, wall_clock
 from ..rng import generator
@@ -307,13 +307,13 @@ def run_point(
 ) -> list[GlitchAttempt]:
     """One work unit: all repeats of one (leg, pulse) campaign point.
 
-    Builds a fresh rig per unit (repeats share it — residual cache
-    state between repeats is real physics and deterministic within the
-    unit), with per-attempt RNG streams keyed by the point's label so
-    the draws are independent of sharding.
+    Each unit gets its own copy of the one booted rig
+    (:func:`~repro.exec.runtime.booted_board`; repeats share it —
+    residual cache state between repeats is real physics and
+    deterministic within the unit), with per-attempt RNG streams keyed
+    by the point's label so the draws are independent of sharding.
     """
-    board = glitch_rig(seed=seed)
-    board.boot(BootMedia("victim-os"))
+    board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
     machine_code = assemble(
         pin_check(
             FLAG_ADDR, ENTERED_PIN, STORED_PIN, spec.delay_iterations
@@ -398,7 +398,9 @@ def run_os_attempt(
 ) -> tuple[str, int, int, dict[str, int]]:
     """One glitched victim under the toy OS scheduler.
 
-    Boots a rig, starts :class:`~repro.osim.kernel.SimKernel` with
+    Takes a copy of the booted rig
+    (:func:`~repro.exec.runtime.booted_board`), starts
+    :class:`~repro.osim.kernel.SimKernel` with
     kernel cache noise, and runs the PIN-check victim as a
     :class:`~repro.glitch.injector.GlitchedInterpretedProcess`.
     Returns ``(outcome, unlock_flag, instructions, noise_stats)`` —
@@ -408,8 +410,7 @@ def run_os_attempt(
     from ..osim.kernel import SimKernel
     from ..osim.noise import NoiseProfile
 
-    board = glitch_rig(seed=seed)
-    board.boot(BootMedia("victim-os"))
+    board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
     kernel = SimKernel(
         board,
         noise_profile=NoiseProfile(

@@ -9,6 +9,7 @@ property the determinism regression test locks in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,6 +20,31 @@ LabelKey = tuple[tuple[str, str], ...]
 
 def _label_key(labels: dict[str, Any]) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def _fold_exact(partials: list[float], value: float) -> None:
+    """Add ``value`` to a Shewchuk expansion ``partials`` without error.
+
+    The partials are non-overlapping floats whose exact sum is the
+    running total, so ``math.fsum(partials)`` is the correctly rounded
+    sum of every value folded in, whatever the order or grouping.  A
+    non-finite value collapses the expansion to one non-finite entry,
+    as plain summation would.
+    """
+    if not math.isfinite(value) or (partials and not math.isfinite(partials[0])):
+        partials[:] = [sum(partials, value)]
+        return
+    kept = 0
+    for partial in partials:
+        if abs(value) < abs(partial):
+            value, partial = partial, value
+        high = value + partial
+        low = partial - (high - value)
+        if low:
+            partials[kept] = low
+            kept += 1
+        value = high
+    partials[kept:] = [value]
 
 
 def _render_key(name: str, key: LabelKey) -> str:
@@ -56,10 +82,15 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """Running summary statistics of a stream of observations."""
+    """Running summary statistics of a stream of observations.
+
+    The sum is kept exactly, as Shewchuk partials, so a histogram
+    recorded in one piece and one pooled from per-shard :meth:`dump`
+    pieces report bit-identical means.
+    """
 
     count: int = 0
-    total: float = 0.0
+    partials: list[float] = field(default_factory=list)
     minimum: float = field(default=float("inf"))
     maximum: float = field(default=float("-inf"))
 
@@ -67,9 +98,14 @@ class Histogram:
         """Fold one observation into the summary."""
         value = float(value)
         self.count += 1
-        self.total += value
+        _fold_exact(self.partials, value)
         self.minimum = min(self.minimum, value)
         self.maximum = max(self.maximum, value)
+
+    @property
+    def total(self) -> float:
+        """Correctly rounded sum of the observations."""
+        return math.fsum(self.partials)
 
     @property
     def mean(self) -> float:
@@ -138,7 +174,7 @@ class MetricsRegistry:
         """Lossless, picklable view of the registry's raw state.
 
         Unlike :meth:`snapshot` (a flattened human/JSON view), a dump
-        preserves label structure and histogram totals, so a registry
+        preserves label structure and exact histogram sums, so a registry
         collected in a worker process can be folded into the parent's
         with :meth:`merge` — the mechanism ``repro.exec`` uses to merge
         per-shard metrics into one run manifest.
@@ -153,7 +189,7 @@ class MetricsRegistry:
                 for (name, key), g in sorted(self._gauges.items())
             ],
             "histograms": [
-                (name, key, h.count, h.total, h.minimum, h.maximum)
+                (name, key, h.count, list(h.partials), h.minimum, h.maximum)
                 for (name, key), h in sorted(self._histograms.items())
                 if h.count
             ],
@@ -162,8 +198,10 @@ class MetricsRegistry:
     def merge(self, dump: dict[str, Any]) -> None:
         """Fold a :meth:`dump` from another registry into this one.
 
-        Counters add, histograms pool their summaries, and gauges take
-        the dumped value (last-writer-wins, matching ``Gauge.set``).
+        Counters add, histograms pool their summaries (exactly: the
+        result does not depend on how observations were grouped into
+        dumps), and gauges take the dumped value (last-writer-wins,
+        matching ``Gauge.set``).
         """
         for name, key, value in dump.get("counters", ()):
             self._counters.setdefault((name, tuple(key)), Counter()).inc(value)
@@ -171,12 +209,13 @@ class MetricsRegistry:
             gauge = self._gauges.setdefault((name, tuple(key)), Gauge())
             gauge.value = float(value)
             gauge.updates += int(updates)
-        for name, key, count, total, minimum, maximum in dump.get(
+        for name, key, count, partials, minimum, maximum in dump.get(
             "histograms", ()
         ):
             hist = self._histograms.setdefault((name, tuple(key)), Histogram())
             hist.count += int(count)
-            hist.total += float(total)
+            for partial in partials:
+                _fold_exact(hist.partials, float(partial))
             hist.minimum = min(hist.minimum, float(minimum))
             hist.maximum = max(hist.maximum, float(maximum))
 

@@ -114,6 +114,20 @@ class TestManifestEquivalence:
         parallel_fingerprint = obs.OBS.last_manifest.fingerprint()
         assert serial_fingerprint == parallel_fingerprint
 
+    #: The observed glitch-campaign manifest, as recorded at ``--jobs 1``
+    #: when every unit still built its own rig.  Units now copy one
+    #: booted rig per process and replay its build metrics; histogram
+    #: sums are exact, so per-shard pooling cannot move the last ulp.
+    GLITCH_FP = (
+        "e1c592b86357d0ce406178ea8dc455146f0ed318732d252c8a215ecbd82a0398"
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_glitch_campaign_fingerprint_is_pinned(self, jobs):
+        obs.OBS.configure()
+        glitch_campaign.run(seed=41, jobs=jobs, spec=GLITCH_SPEC)
+        assert obs.OBS.last_manifest.fingerprint() == self.GLITCH_FP
+
 
 class TestCliEquivalence:
     def test_cli_jobs_output_is_bit_identical(self, capsys):

@@ -1,5 +1,7 @@
 """Unit tests for the metrics registry."""
 
+import math
+
 import pytest
 
 from repro.errors import ObservabilityError, ReproError
@@ -62,6 +64,38 @@ class TestHistogram:
     def test_empty_summary_is_zeroed(self):
         hist = MetricsRegistry().histogram("empty")
         assert hist.summary() == {"count": 0, "mean": 0.0, "min": 0.0, "max": 0.0}
+
+    #: Plain float summation of these depends on grouping:
+    #: (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3).
+    VALUES = (0.1, 0.2, 0.3, 1e16, 1.0, -1e16, 0.7)
+
+    def test_total_is_the_correctly_rounded_sum(self):
+        hist = MetricsRegistry().histogram("x")
+        for value in self.VALUES:
+            hist.record(value)
+        assert hist.total == math.fsum(self.VALUES)
+
+    @pytest.mark.parametrize("split", range(len(VALUES) + 1))
+    def test_merged_pieces_match_one_piece(self, split):
+        whole = MetricsRegistry()
+        for value in self.VALUES:
+            whole.histogram("x").record(value)
+        pooled = MetricsRegistry()
+        for piece in (self.VALUES[split:], self.VALUES[:split]):
+            shard = MetricsRegistry()
+            for value in piece:
+                shard.histogram("x").record(value)
+            pooled.merge(shard.dump())
+        assert pooled.snapshot() == whole.snapshot()
+        assert pooled.histogram("x").mean == math.fsum(self.VALUES) / 7
+
+    def test_non_finite_values_absorb_like_plain_sums(self):
+        hist = MetricsRegistry().histogram("x")
+        for value in (1.0, math.inf, 2.0):
+            hist.record(value)
+        assert hist.total == math.inf
+        hist.record(-math.inf)
+        assert math.isnan(hist.total)
 
 
 class TestSnapshot:
