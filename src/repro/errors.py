@@ -136,8 +136,8 @@ FAILURE_CLASSES = (
 class WorkerHang(ExecError):
     """A supervised shard worker stopped making heartbeat progress.
 
-    The supervisor SIGKILLs the worker and hands the shard back for a
-    serial re-attempt; this exception is the recorded *cause*.  The
+    The supervisor SIGKILLs the worker and hands the shard back for an
+    in-process re-attempt; this exception is the recorded *cause*.  The
     message is deliberately free of wall-clock readings so it can be
     journalled and compared byte-for-byte across runs.
     """
@@ -156,7 +156,7 @@ class WorkerCrash(ExecError):
 
     Covers ``kill -9``, OOM kills, and hard interpreter crashes; the
     supervisor detects the dead process, drains any result that raced
-    the death, and hands the shard back for a serial re-attempt.
+    the death, and hands the shard back for an in-process re-attempt.
     """
 
     def __init__(self, shard: str, exitcode: int | None) -> None:

@@ -1,40 +1,43 @@
-"""Deterministic parallel dispatch of a :class:`~repro.exec.plan.ShardPlan`.
+"""Deterministic dispatch of a :class:`~repro.exec.plan.ShardPlan`.
 
-:func:`execute` shards a plan's work units over a supervised pool of
-worker processes (:mod:`repro.exec.supervise`) and merges the results
-back **in unit order**, so ``jobs=N`` is byte-identical to ``jobs=1``
-for every experiment (the jobs-equivalence tests assert this).  The
-engine adds:
+:func:`execute` runs a plan's work units and returns their results
+**in unit order**, so ``jobs=N`` is byte-identical to ``jobs=1`` for
+every experiment (the jobs-equivalence tests assert this).  Every call
+takes the same path:
 
-* **per-shard timeout** — a shard that exceeds ``timeout_s`` is
-  SIGKILLed on the pool and re-attempted;
-* **heartbeat hang detection** — a worker that completes no unit
-  within the supervision policy's ``hang_timeout_s`` is killed and
-  re-attempted, instead of stalling the campaign forever;
-* **crash containment** — one worker dying (``kill -9``, OOM) costs
-  only its own shard; the survivors keep running;
-* **bounded retry** — a failed, timed-out, hung, or crashed shard is
-  re-run serially in the parent (where a deterministic unit cannot
-  fail differently twice for transient reasons); each round records a
-  *simulated* exponential backoff (``exec.backoff_s`` — nothing
-  sleeps), and after ``retries`` re-attempts the shard raises
-  :class:`~repro.errors.ShardError` — or, under a quarantine-enabled
-  supervision policy, degrades to per-unit quarantine records so the
-  campaign completes with a structured partial result;
-* **typed failure taxonomy** — every survived failure is classified
-  (:func:`repro.errors.failure_class`) and counted under
-  ``exec.failures{failure_class=...}``;
-* **graceful serial fallback** — if no worker can be spawned at all,
-  the plan runs serially in-process and the run still completes (an
-  ``exec.fallback`` trace event records the downgrade);
-* **per-shard observability** — each worker traces an ``exec.shard``
-  span and collects its own metrics registry; the parent adopts the
-  span records and merges the metric dumps, so a sharded run still
-  produces one schema-versioned run manifest.
+1. **bank** — completed units land as
+   :class:`~repro.exec.journal.UnitRecord`\\ s in one in-memory bank.
+   When a checkpoint policy is installed (:mod:`repro.exec.runtime`)
+   the bank is also journalled to an append-only file, and a resume
+   starts from the units that file already holds;
+2. **dispatch** — the missing units run through one worker function,
+   :func:`_shard_worker`.  They run in-process, one unit per shard,
+   when ``jobs == 1``, when at most one unit is missing, or when no
+   worker can be spawned at all (an ``exec.fallback`` event records the
+   downgrade).  Otherwise chunked shards run on supervised worker
+   processes (:mod:`repro.exec.supervise`), which kill a shard that
+   exceeds ``timeout_s`` or stops its heartbeat, and contain a crashed
+   worker to its own shard;
+3. **settle** — every in-process shard, and every shard the pool lost,
+   goes through one bounded retry/quarantine loop in the parent.  Each
+   failure is classified (:func:`repro.errors.failure_class`) and
+   counted under ``exec.failures{failure_class=...}``; each re-attempt
+   records a *simulated* backoff (``exec.backoff_s`` — nothing sleeps).
+   After ``retries`` re-attempts the shard raises
+   :class:`~repro.errors.ShardError` or, under a quarantine-enabled
+   supervision policy, its units are quarantined so the campaign
+   completes with a structured partial result;
+4. **merge** — results, captured metrics, spans and span-less events
+   fold into the parent in unit order, followed by one ``exec.shard``
+   span and one ``exec.shard_wall_s`` observation per shard, so every
+   dispatch produces the same schema-versioned run manifest.
 
-Workers quarantine the observability state they inherit across the
-process fork (:meth:`~repro.obs.Observability.quarantine_fork`), so a
-parent's open trace file is never written from a child.
+A unit captures its own observability (:func:`repro.exec.runtime.
+captured`) only when the parent is observed or a journal is attached,
+so an unobserved run pays for no instrumentation.  Pool workers
+quarantine the observability state they inherit across the fork
+(:meth:`~repro.obs.Observability.quarantine_fork`), so a parent's open
+trace file is never written from a child.
 """
 
 from __future__ import annotations
@@ -63,109 +66,65 @@ from .runtime import SupervisionPolicy
 
 @dataclass
 class _ShardTask:
-    """What ships to a worker: one shard of units plus capture intent.
-
-    ``per_unit`` switches the worker to checkpoint-grade capture: one
-    metrics dump and span batch *per unit* (instead of per shard), so
-    the parent can journal each unit independently.
-    """
+    """What ships to a worker: one shard of units plus capture intent."""
 
     shard_index: int
     units: tuple[WorkUnit, ...]
     capture: bool
-    per_unit: bool = False
 
     def describe(self) -> str:
-        """Label for errors/events: the shard and its unit labels."""
+        """Label for errors/events; a one-unit shard takes its unit's."""
+        if len(self.units) == 1:
+            return self.units[0].describe()
         inner = ", ".join(unit.describe() for unit in self.units)
         return f"shard[{self.shard_index}]({inner})"
 
 
 @dataclass
 class _ShardOutcome:
-    """What a worker ships back: indexed results plus observability."""
+    """What a worker ships back: one record per unit plus wall time."""
 
     shard_index: int
-    results: list[tuple[int, Any]]
+    records: list[UnitRecord]
     wall_s: float
-    metrics: dict[str, Any] | None = None
-    spans: list[dict[str, Any]] = field(default_factory=list)
-    unit_records: list[UnitRecord] | None = None
-
-
-def _capture_unit(unit: WorkUnit, capture: bool) -> UnitRecord:
-    """Run one unit with its own metrics registry and tracer.
-
-    Used by every checkpoint-mode path — the serial loop, the pool
-    workers, and serial re-attempts — so a unit's captured
-    observability is identical however it was dispatched
-    (:func:`repro.exec.runtime.captured`).
-    """
-    start = wall_clock()
-    if not capture:
-        return UnitRecord(index=unit.index, result=runtime.run_unit(unit),
-                          wall_s=wall_clock() - start)
-    with runtime.captured() as observed:
-        result = runtime.run_unit(unit)
-    return UnitRecord(
-        index=unit.index,
-        result=result,
-        metrics=observed.metrics,
-        spans=observed.spans,
-        wall_s=wall_clock() - start,
-    )
 
 
 def _shard_worker(
     task: _ShardTask, heartbeat: Callable[[], None] | None = None
 ) -> _ShardOutcome:
-    """Run one shard in a worker process (also used for serial retry).
+    """Run one shard's units in order: the engine's one worker function.
 
-    Module-level so the pool can pickle it by reference.  ``heartbeat``
-    is the supervisor's per-unit progress tick — called after every
-    completed unit so the parent can tell a busy worker from a hung
-    one; serial callers leave it unset.
+    With ``task.capture`` each unit runs against its own metrics
+    registry and tracer (:func:`repro.exec.runtime.captured`), so its
+    record carries everything the parent needs to merge — or journal —
+    it on its own.  In-process callers leave ``heartbeat`` unset; the
+    supervised pool passes its per-unit progress tick, and a pool
+    worker first drops the observability state it inherited across the
+    fork.  Module-level so the pool can pickle it by reference.
     """
-    OBS.quarantine_fork()
-    tick = heartbeat if heartbeat is not None else (lambda: None)
-    if task.per_unit:
-        start = wall_clock()
-        records = []
-        for unit in task.units:
-            records.append(_capture_unit(unit, task.capture))
-            tick()
-        outcome = _ShardOutcome(
-            shard_index=task.shard_index,
-            results=[(record.index, record.result) for record in records],
-            wall_s=wall_clock() - start,
-            unit_records=records,
-        )
+    if heartbeat is not None:
         OBS.quarantine_fork()
-        return outcome
-    if task.capture:
-        OBS.configure()
-    start = wall_clock()
-    results: list[tuple[int, Any]] = []
-    with OBS.span(
-        "exec.shard", shard=task.shard_index, units=len(task.units)
-    ) as span:
-        span.set_attribute(
-            "labels", [unit.describe() for unit in task.units]
-        )
-        for unit in task.units:
-            results.append((unit.index, runtime.run_unit(unit)))
-            tick()
-    outcome = _ShardOutcome(
-        shard_index=task.shard_index,
-        results=results,
-        wall_s=wall_clock() - start,
-        metrics=OBS.metrics.dump() if task.capture else None,
-        spans=[s.to_record() for s in OBS.tracer.finished]
-        if task.capture
-        else [],
-    )
-    OBS.quarantine_fork()
-    return outcome
+    shard_start = wall_clock()
+    records = []
+    for unit in task.units:
+        start = wall_clock()
+        if task.capture:
+            with runtime.captured() as observed:
+                result = runtime.run_unit(unit)
+            record = UnitRecord(
+                index=unit.index,
+                result=result,
+                metrics=observed.metrics,
+                spans=observed.spans,
+                events=observed.events,
+            )
+        else:
+            record = UnitRecord(unit.index, runtime.run_unit(unit))
+        record.wall_s = wall_clock() - start
+        records.append(record)
+        if heartbeat is not None:
+            heartbeat()
+    return _ShardOutcome(task.shard_index, records, wall_clock() - shard_start)
 
 
 def execute(
@@ -178,23 +137,26 @@ def execute(
 ) -> list[Any]:
     """Run every unit of ``plan``; returns results in unit order.
 
-    ``jobs=1`` runs serially in-process with no pool at all;
-    ``jobs>1`` dispatches chunked shards to supervised worker
-    processes.  Both paths return the same bytes.  ``timeout_s``
-    bounds each shard's time on the pool (serial re-attempts are not
-    timed — the parent cannot interrupt itself); ``retries`` bounds
-    re-attempts per shard before :class:`~repro.errors.ShardError` is
-    raised — or, when the installed
-    :class:`~repro.exec.runtime.SupervisionPolicy` enables
+    ``jobs=1`` runs every unit in-process; ``jobs>1`` dispatches
+    chunked shards to supervised worker processes.  Both return the
+    same bytes.  ``timeout_s`` bounds each shard's time on the pool
+    (in-process attempts are not timed — the parent cannot interrupt
+    itself); ``retries`` bounds re-attempts per shard before
+    :class:`~repro.errors.ShardError` is raised — or, when the
+    installed :class:`~repro.exec.runtime.SupervisionPolicy` enables
     ``quarantine``, before the failing units are quarantined (result
     ``None`` plus an incident in the runtime ledger) and the campaign
     completes partially.
 
-    When a checkpoint policy is installed
-    (:mod:`repro.exec.runtime`), the call journals every completed
-    unit to an append-only file and, on resume, runs only the units
-    the journal is missing — with a final metrics state identical to
-    an uninterrupted run.
+    When a checkpoint policy is installed, every completed unit is
+    journalled and, on resume, only the units the journal is missing
+    run — with a final metrics state identical to an uninterrupted
+    run.  A journal write failure (ENOSPC, I/O error) degrades the
+    journal to the in-memory bank and lands in the incident ledger.
+    An interrupt (SIGINT, or a chaos :class:`~repro.errors.
+    SimulatedFailure`) closes the journal and raises
+    :class:`~repro.errors.CampaignInterrupted`, which points at
+    ``--resume``; without a journal it propagates unchanged.
     """
     jobs = int(jobs)
     if jobs < 1:
@@ -203,350 +165,257 @@ def execute(
         raise ExecError(f"retries must be >= 0, got {retries}")
     if not len(plan):
         return []
-    capture = OBS.enabled
-    policy = runtime.checkpoint_policy()
+    observed = OBS.enabled
     supervision = runtime.supervision_policy()
     with OBS.span("exec.run", jobs=jobs, units=len(plan)):
-        if capture:
+        if observed:
             OBS.counter_inc("exec.units", len(plan))
             OBS.gauge_set("exec.jobs", jobs)
         # Profiling hook: the engine's end-to-end dispatch throughput
         # (units/s).  Lands under the "perf." prefix, which manifest
         # fingerprints strip, so jobs-equivalence is untouched.  The
-        # disabled path reads no clock at all.
-        start = wall_clock() if capture else 0.0
+        # disabled path reads no clock for it.
+        start = wall_clock() if observed else 0.0
         try:
-            if policy is not None:
-                return _run_checkpointed(
-                    plan,
-                    jobs,
-                    timeout_s=timeout_s,
-                    retries=retries,
-                    chunk_size=chunk_size,
-                    journal_path=runtime.claim_journal_path(),
-                    resume=policy.resume,
-                    capture=capture,
-                    supervision=supervision,
-                )
-            if jobs == 1 or len(plan) == 1:
-                return _run_serial(
-                    plan.units, retries=retries, supervision=supervision
-                )
-            shards = plan.shards(jobs, chunk_size)
-            tasks = [
-                _ShardTask(shard_index=i, units=shard, capture=capture)
-                for i, shard in enumerate(shards)
-            ]
-            if capture:
-                OBS.counter_inc("exec.shards", len(tasks))
+            bank = _Bank.open(plan)
+            capture = observed or bank.journal is not None
+            remaining = [u for u in plan.units if u.index not in bank.records]
             try:
-                outcomes, failures = supervise.run_supervised(
-                    tasks,
-                    jobs=min(jobs, len(tasks)),
-                    timeout_s=timeout_s,
-                    policy=supervision,
-                    worker_fn=_shard_worker,
-                )
-            except PoolUnavailable as error:
-                # No pool at all: run everything serially in-process.
-                # The downgrade itself is not a shard failure, so it
-                # does not count against the retry budget.
-                _note_fallback(error)
-                return _run_serial(
-                    plan.units, retries=retries, supervision=supervision
-                )
-            _note_failures(failures, timeout_s)
-            for task, cause in failures:
-                outcomes[task.shard_index] = _reattempt(
-                    task, retries, cause, supervision
-                )
-            _merge_observability(outcomes, capture)
-            return _merge_results(plan, outcomes)
+                failed = None
+                if jobs > 1 and len(remaining) > 1:
+                    size = plan.chunk_size(jobs, chunk_size)
+                    chunks = [
+                        tuple(remaining[at : at + size])
+                        for at in range(0, len(remaining), size)
+                    ]
+                    tasks = [
+                        _ShardTask(i, chunk, capture)
+                        for i, chunk in enumerate(chunks)
+                    ]
+                    try:
+                        failed = supervise.run_supervised(
+                            tasks,
+                            jobs=min(jobs, len(tasks)),
+                            timeout_s=timeout_s,
+                            policy=supervision,
+                            worker_fn=_shard_worker,
+                            on_outcome=lambda outcome: bank.land(
+                                tasks[outcome.shard_index],
+                                outcome.records,
+                                outcome.wall_s,
+                            ),
+                        )
+                    except PoolUnavailable as error:
+                        # No pool at all: everything runs in-process.
+                        # The downgrade is not a shard failure, so it
+                        # charges no retry budget.
+                        _note_fallback(error)
+                if failed is None:
+                    for position, unit in enumerate(remaining):
+                        task = _ShardTask(position, (unit,), capture)
+                        _settle(bank, task, retries, supervision)
+                else:
+                    _note_failures(failed, timeout_s)
+                    for task, cause in failed:
+                        _settle(bank, task, retries, supervision, 1, cause)
+            except (KeyboardInterrupt, SimulatedFailure) as error:
+                if bank.journal is None:
+                    raise
+                raise CampaignInterrupted(
+                    bank.journal.path, len(bank.records), len(plan)
+                ) from error
+            finally:
+                bank.close()
+            return bank.merge(plan)
         finally:
-            if capture:
+            if observed:
                 observe_rate("exec.units", len(plan), wall_clock() - start)
 
 
-# ----------------------------------------------------------------------
-# Checkpointed path (a runtime checkpoint policy is installed)
-# ----------------------------------------------------------------------
-
-
-def _run_checkpointed(
-    plan: ShardPlan,
-    jobs: int,
-    *,
-    timeout_s: float | None,
-    retries: int,
-    chunk_size: int | None,
-    journal_path: str,
-    resume: bool,
-    capture: bool,
-    supervision: SupervisionPolicy,
-) -> list[Any]:
-    """Execute with an append-only unit journal and optional resume.
-
-    Every path (serial, pool, serial re-attempt) captures metrics and
-    spans *per unit* via :func:`_capture_unit` and merges them back in
-    unit-index order — so an interrupted-then-resumed campaign folds
-    resumed and freshly-run units into exactly the metrics state an
-    uninterrupted run produces, whatever ``jobs`` was either time.
-
-    A journal *write* failure (ENOSPC, I/O error) does not abort the
-    campaign: the journal degrades to an in-memory bank, the run
-    completes, and the degradation lands in the runtime incident
-    ledger so the CLI can exit with its documented degraded code.  A
-    :class:`~repro.errors.SimulatedFailure` (chaos hard-crash) is
-    treated exactly like SIGINT: the journal is closed and
-    :class:`~repro.errors.CampaignInterrupted` points at ``--resume``.
-    """
-    journal = CheckpointJournal(journal_path, plan_fingerprint(plan), len(plan))
-    done = journal.load_resume() if resume else {}
-    # Units always journal their captured metrics/spans — even when the
-    # parent runs unobserved — so a later *observed* resume can still
-    # merge the banked units into a complete manifest.
-    capture_units = True
-    journal.start(fresh=not resume or not done)
-    if capture and done:
-        OBS.counter_inc("exec.resumed_units", len(done))
-        OBS.event(
-            "exec.resume",
-            journal=journal_path,
-            resumed=len(done),
-            total=len(plan),
-        )
-    records: dict[int, UnitRecord] = dict(done)
-    remaining = [unit for unit in plan.units if unit.index not in records]
-
-    def complete(record: UnitRecord) -> None:
-        try:
-            journal.append(record)
-        except JournalWriteError as error:
-            journal.degrade(error)
-            runtime.note_incident(
-                runtime.Incident(
-                    kind="journal-degraded",
-                    failure_class=error.failure_class,
-                    detail={
-                        "journal": journal_path,
-                        "failure_class": error.failure_class,
-                        "error": str(error),
-                    },
-                )
-            )
-            if capture:
-                OBS.counter_inc(
-                    "exec.journal_failures",
-                    failure_class=error.failure_class,
-                )
-                OBS.event(
-                    "exec.journal-degraded",
-                    journal=journal_path,
-                    failure_class=error.failure_class,
-                )
-        records[record.index] = record
-
-    try:
-        if jobs == 1 or len(remaining) <= 1:
-            for unit in remaining:
-                complete(
-                    _attempt_unit(unit, capture_units, retries, supervision)
-                )
-        elif remaining:
-            _dispatch_checkpointed(
-                remaining, plan, jobs, timeout_s, retries, chunk_size,
-                capture_units, complete, supervision,
-            )
-    except (KeyboardInterrupt, SimulatedFailure) as error:
-        journal.close()
-        raise CampaignInterrupted(
-            journal_path, len(records), len(plan)
-        ) from error
-    finally:
-        journal.close()
-    if capture:
-        OBS.counter_inc("exec.checkpointed_units", journal.units_written)
-        OBS.gauge_set("exec.journal_bytes", journal.bytes_written)
-    missing = [u.describe() for u in plan.units if u.index not in records]
-    if missing:
-        raise ExecError(
-            f"journal outcomes missing {len(missing)} unit(s): "
-            + ", ".join(missing)
-        )
-    if capture:
-        for index in sorted(records):
-            record = records[index]
-            OBS.histogram_record("exec.shard_wall_s", record.wall_s)
-            if record.metrics is not None:
-                OBS.metrics.merge(record.metrics)
-            for span_record in record.spans:
-                OBS.tracer.adopt_record(span_record)
-    # Quarantined units surface from the *records* (not at quarantine
-    # time) so a resume that banked a quarantine record re-reports it.
-    for index in sorted(records):
-        if records[index].failure is not None:
-            _note_quarantine(records[index].failure)
-    return [records[index].result for index in range(len(plan))]
-
-
-def _attempt_unit(
-    unit: WorkUnit,
-    capture: bool,
-    retries: int,
-    supervision: SupervisionPolicy,
-) -> UnitRecord:
-    """Checkpoint-mode serial unit execution with bounded retries.
-
-    Mirrors the pool path's contract: every failure is classified,
-    each re-attempt round records its simulated backoff, and retry
-    exhaustion either raises :class:`~repro.errors.ShardError` or —
-    under a quarantine policy — returns a quarantine record so the
-    campaign completes partially.
-    """
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            return _capture_unit(unit, capture)
-        except Exception as error:
-            _note_failures([(unit, error)], None)
-            if attempts > retries:
-                if supervision.quarantine:
-                    return _quarantine_record(unit, error)
-                raise ShardError(
-                    unit.describe(), attempts, repr(error)
-                ) from error
-            _note_retry(unit.describe(), attempts, supervision)
-
-
-def _dispatch_checkpointed(
-    remaining: Sequence[WorkUnit],
-    plan: ShardPlan,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    chunk_size: int | None,
-    capture: bool,
-    complete: "Callable[[UnitRecord], None]",
-    supervision: SupervisionPolicy,
-) -> None:
-    """Pool-dispatch the remaining units with per-unit journalling.
-
-    Each shard's unit records are journalled the moment its outcome
-    lands, so progress survives a crash at any point of the campaign.
-    Failed shards fall back to captured serial re-attempts, like the
-    non-checkpointed engine.
-    """
-    size = plan.chunk_size(jobs, chunk_size)
-    shards = [
-        tuple(remaining[start : start + size])
-        for start in range(0, len(remaining), size)
-    ]
-    tasks = [
-        _ShardTask(shard_index=i, units=shard, capture=capture, per_unit=True)
-        for i, shard in enumerate(shards)
-    ]
-    if OBS.enabled:
-        OBS.counter_inc("exec.shards", len(tasks))
-
-    def on_outcome(outcome: _ShardOutcome) -> None:
-        for record in outcome.unit_records or []:
-            complete(record)
-
-    try:
-        _, failures = supervise.run_supervised(
-            tasks,
-            jobs=min(jobs, len(tasks)),
-            timeout_s=timeout_s,
-            policy=supervision,
-            worker_fn=_shard_worker,
-            on_outcome=on_outcome,
-        )
-    except PoolUnavailable as error:
-        _note_fallback(error)
-        for shard in shards:
-            for unit in shard:
-                complete(_attempt_unit(unit, capture, retries, supervision))
-        return
-    _note_failures(failures, timeout_s)
-    for task, cause in failures:
-        for record in _reattempt_captured(task, retries, cause, supervision):
-            complete(record)
-
-
-def _reattempt_captured(
+def _settle(
+    bank: "_Bank",
     task: _ShardTask,
     retries: int,
-    cause: BaseException,
     supervision: SupervisionPolicy,
-) -> list[UnitRecord]:
-    """Checkpoint-mode serial re-attempt: per-unit captured records."""
-    attempts = 1  # the pool attempt
-    while attempts <= retries:
-        _note_retry(task.describe(), attempts, supervision)
-        attempts += 1
-        try:
-            return [_capture_unit(unit, task.capture) for unit in task.units]
-        except Exception as error:
-            cause = error
-            _note_failures([(task, error)], None)
-    if supervision.quarantine:
-        records = []
-        for unit in task.units:
-            try:
-                records.append(_capture_unit(unit, task.capture))
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                records.append(_quarantine_record(unit, error))
-        return records
-    raise ShardError(task.describe(), attempts, repr(cause)) from cause
+    failures: int = 0,
+    cause: BaseException | None = None,
+) -> None:
+    """Run ``task`` in-process until it lands in ``bank``.
 
-
-# ----------------------------------------------------------------------
-# Serial path (jobs=1 and the pool-unavailable fallback)
-# ----------------------------------------------------------------------
-
-
-def _run_serial(
-    units: Sequence[WorkUnit],
-    retries: int = 0,
-    supervision: SupervisionPolicy | None = None,
-) -> list[Any]:
-    """Run units in order in the current process.
-
-    Metrics and spans land directly in the parent registry, so no
-    merge step is needed.  Failures follow the pool contract: each
-    failing unit is classified and re-attempted up to ``retries``
-    times with the same ``exec.retries`` counter and ``exec.retry``
-    events the pool path emits, then raises
-    :class:`~repro.errors.ShardError` — or quarantines the unit under
-    a quarantine policy — so a ``jobs=1`` run and a ``jobs=N`` run
-    produce the same results for the same flaky plan.
+    The engine's one retry/quarantine loop, for in-process shards and
+    for shards the pool lost alike.  ``failures`` counts the attempts
+    the shard already lost on the pool and ``cause`` is the last one's
+    error.  After ``retries`` re-attempts the shard raises
+    :class:`~repro.errors.ShardError`; under a quarantine policy a
+    one-unit shard is quarantined instead, and a larger one is split
+    so each of its units settles under a budget of its own.
     """
-    if supervision is None:
-        supervision = runtime.supervision_policy()
-    results: dict[int, Any] = {}
-    for unit in units:
-        attempts = 0
-        while True:
-            attempts += 1
+    start = wall_clock()
+    while failures <= retries:
+        if failures:
+            _note_retry(task.describe(), failures, supervision)
+        try:
+            outcome = _shard_worker(task)
+        except Exception as error:
+            failures, cause = failures + 1, error
+            _note_failures([(task, error)], None)
+            continue
+        bank.land(task, outcome.records, wall_clock() - start)
+        return
+    if not supervision.quarantine:
+        raise ShardError(task.describe(), failures, repr(cause)) from cause
+    if len(task.units) == 1:
+        records = [_quarantine_record(task.units[0], cause)]
+    else:
+        for unit in task.units:
+            single = _ShardTask(task.shard_index, (unit,), task.capture)
+            _settle(bank, single, retries, supervision)
+        records = []
+    # Landing after the split replaces its one-unit entries, so the
+    # shard is observed once, whole.
+    bank.land(task, records, wall_clock() - start)
+
+
+# ----------------------------------------------------------------------
+# The bank (journalled when a checkpoint policy is installed)
+# ----------------------------------------------------------------------
+
+
+@dataclass
+class _Bank:
+    """One ``execute`` call's completed units and dispatched shards.
+
+    ``journal`` is attached only when a checkpoint policy is installed;
+    ``shards`` maps each shard index to its task and wall time.
+    """
+
+    records: dict[int, UnitRecord]
+    journal: CheckpointJournal | None = None
+    shards: dict[int, tuple[_ShardTask, float]] = field(default_factory=dict)
+
+    @classmethod
+    def open(cls, plan: ShardPlan) -> "_Bank":
+        """An empty bank, or one holding the units a resume banked."""
+        policy = runtime.checkpoint_policy()
+        if policy is None:
+            return cls(records={})
+        journal = CheckpointJournal(
+            runtime.claim_journal_path(), plan_fingerprint(plan), len(plan)
+        )
+        done = journal.load_resume() if policy.resume else {}
+        journal.start(fresh=not done)
+        if done and OBS.enabled:
+            OBS.counter_inc("exec.resumed_units", len(done))
+            OBS.event(
+                "exec.resume",
+                journal=journal.path,
+                resumed=len(done),
+                total=len(plan),
+            )
+        return cls(records=done, journal=journal)
+
+    def land(
+        self, task: _ShardTask, records: list[UnitRecord], wall_s: float
+    ) -> None:
+        """Bank a finished shard: its unit records and its wall time."""
+        for record in records:
+            self.complete(record)
+        self.shards[task.shard_index] = (task, wall_s)
+
+    def complete(self, record: UnitRecord) -> None:
+        """Bank one unit, journalling it when a journal is attached.
+
+        A journal write failure (ENOSPC, I/O error) degrades the
+        journal to this in-memory bank: the campaign keeps going (only
+        crash-resume durability is lost) and the degradation lands in
+        the runtime incident ledger, so the CLI can exit with its
+        documented degraded code.
+        """
+        journal = self.journal
+        if journal is not None:
             try:
-                results[unit.index] = runtime.run_unit(unit)
-                break
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                if attempts > retries:
-                    if supervision.quarantine:
-                        results[unit.index] = None
-                        _note_quarantine(
-                            _quarantine_record(unit, error).failure
-                        )
-                        break
-                    raise ShardError(
-                        unit.describe(), attempts, repr(error)
-                    ) from error
-                _note_retry(unit.describe(), attempts, supervision)
-    return [results[index] for index in range(len(units))]
+                journal.append(record)
+            except JournalWriteError as error:
+                journal.degrade(error)
+                runtime.note_incident(
+                    runtime.Incident(
+                        kind="journal-degraded",
+                        failure_class=error.failure_class,
+                        detail={
+                            "journal": journal.path,
+                            "failure_class": error.failure_class,
+                            "error": str(error),
+                        },
+                    )
+                )
+                if OBS.enabled:
+                    OBS.counter_inc(
+                        "exec.journal_failures",
+                        failure_class=error.failure_class,
+                    )
+                    OBS.event(
+                        "exec.journal-degraded",
+                        journal=journal.path,
+                        failure_class=error.failure_class,
+                    )
+        self.records[record.index] = record
+
+    def close(self) -> None:
+        """Close the journal, if one is attached (idempotent)."""
+        if self.journal is not None:
+            self.journal.close()
+
+    def merge(self, plan: ShardPlan) -> list[Any]:
+        """Fold the bank into the parent in unit order; returns results.
+
+        Gauges are last-writer-wins, so merging in unit order resolves
+        them exactly as one uninterrupted in-process run would.
+        Quarantined units are ledgered from the *records* (not when
+        they failed), so a resume that banked a quarantine record
+        re-reports it.
+        """
+        records = self.records
+        missing = [u.describe() for u in plan.units if u.index not in records]
+        if missing:
+            raise ExecError(
+                f"execution missed {len(missing)} unit(s): "
+                + ", ".join(missing)
+            )
+        if OBS.enabled:
+            for index in sorted(records):
+                record = records[index]
+                if record.metrics is not None:
+                    OBS.metrics.merge(record.metrics)
+                for span in record.spans:
+                    OBS.tracer.adopt_record(span)
+                for event in record.events:
+                    OBS.event(event["name"], **event["attributes"])
+            OBS.counter_inc("exec.shards", len(self.shards))
+            for shard_index in sorted(self.shards):
+                task, wall_s = self.shards[shard_index]
+                OBS.histogram_record("exec.shard_wall_s", wall_s)
+                OBS.tracer.adopt_record(
+                    {
+                        "name": "exec.shard",
+                        "wall_s": wall_s,
+                        "attributes": {
+                            "shard": shard_index,
+                            "units": len(task.units),
+                            "labels": [u.describe() for u in task.units],
+                        },
+                    }
+                )
+            if self.journal is not None:
+                OBS.counter_inc(
+                    "exec.checkpointed_units", self.journal.units_written
+                )
+                OBS.gauge_set(
+                    "exec.journal_bytes", self.journal.bytes_written
+                )
+        for index in sorted(records):
+            if records[index].failure is not None:
+                _note_quarantine(records[index].failure)
+        return [records[index].result for index in range(len(plan))]
 
 
 # ----------------------------------------------------------------------
@@ -613,8 +482,8 @@ def _quarantine_record(unit: WorkUnit, cause: BaseException) -> UnitRecord:
 
     Deliberately free of attempt counts and timings so the record —
     and the manifest partial section built from it — is identical
-    whether the unit was quarantined serially, on the pool, or on a
-    resumed run.
+    whether the unit was quarantined in-process, after a pool attempt,
+    or on a resumed run.
     """
     cls = failure_class(cause)
     return UnitRecord(
@@ -652,88 +521,3 @@ def _note_fallback(error: BaseException) -> None:
     if OBS.enabled:
         OBS.counter_inc("exec.fallbacks")
         OBS.event("exec.fallback", reason=repr(error))
-
-
-def _reattempt(
-    task: _ShardTask,
-    retries: int,
-    cause: BaseException,
-    supervision: SupervisionPolicy,
-) -> _ShardOutcome:
-    """Re-run a failed shard serially, up to ``retries`` more times."""
-    attempts = 1  # the pool attempt
-    while attempts <= retries:
-        _note_retry(task.describe(), attempts, supervision)
-        attempts += 1
-        try:
-            # Serial re-attempt in the parent: metrics/spans land
-            # directly in the live registry, so strip capture.
-            start = wall_clock()
-            results = [
-                (unit.index, runtime.run_unit(unit)) for unit in task.units
-            ]
-            return _ShardOutcome(
-                shard_index=task.shard_index,
-                results=results,
-                wall_s=wall_clock() - start,
-            )
-        except Exception as error:
-            cause = error
-            _note_failures([(task, error)], None)
-    if supervision.quarantine:
-        start = wall_clock()
-        results = []
-        for unit in task.units:
-            try:
-                results.append((unit.index, runtime.run_unit(unit)))
-            except Exception as error:
-                _note_failures([(unit, error)], None)
-                results.append((unit.index, None))
-                _note_quarantine(_quarantine_record(unit, error).failure)
-        return _ShardOutcome(
-            shard_index=task.shard_index,
-            results=results,
-            wall_s=wall_clock() - start,
-        )
-    raise ShardError(task.describe(), attempts, repr(cause)) from cause
-
-
-# ----------------------------------------------------------------------
-# Merging
-# ----------------------------------------------------------------------
-
-
-def _merge_observability(
-    outcomes: dict[int, _ShardOutcome], capture: bool
-) -> None:
-    """Fold worker-side metrics and spans into the parent registry.
-
-    Outcomes merge in shard order (= unit order), so last-write-wins
-    gauges resolve exactly as a serial run would.
-    """
-    if not capture:
-        return
-    for shard_index in sorted(outcomes):
-        outcome = outcomes[shard_index]
-        OBS.histogram_record("exec.shard_wall_s", outcome.wall_s)
-        if outcome.metrics is not None:
-            OBS.metrics.merge(outcome.metrics)
-        for record in outcome.spans:
-            OBS.tracer.adopt_record(record)
-
-
-def _merge_results(
-    plan: ShardPlan, outcomes: dict[int, _ShardOutcome]
-) -> list[Any]:
-    """Reassemble per-unit results into plan order."""
-    by_unit: dict[int, Any] = {}
-    for outcome in outcomes.values():
-        for unit_index, value in outcome.results:
-            by_unit[unit_index] = value
-    missing = [u.describe() for u in plan.units if u.index not in by_unit]
-    if missing:
-        raise ExecError(
-            f"shard outcomes missing {len(missing)} unit(s): "
-            + ", ".join(missing)
-        )
-    return [by_unit[index] for index in range(len(plan))]

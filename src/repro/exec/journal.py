@@ -2,10 +2,10 @@
 
 An append-only JSONL file that records each completed work unit of one
 :func:`repro.exec.execute` call — its result, its captured metrics
-dump, and its finished trace spans — so a campaign killed mid-run
-(``kill -9``, SIGINT, power loss) can be resumed and complete **only
-the missing units**, with a final run manifest byte-identical to the
-uninterrupted run.
+dump, its finished trace spans, and the events no span caught — so a
+campaign killed mid-run (``kill -9``, SIGINT, power loss) can be
+resumed and complete **only the missing units**, with a final run
+manifest byte-identical to the uninterrupted run.
 
 Durability model: each record is one line, written with a single
 ``write`` call and then ``flush`` + ``fsync`` — a crash can at worst
@@ -44,6 +44,11 @@ JOURNAL_VERSION = 1
 class UnitRecord:
     """One completed unit: its result plus captured observability.
 
+    ``metrics``, ``spans`` and ``events`` are what
+    :func:`repro.exec.runtime.captured` collected while the unit ran
+    (``events`` are the ones no span caught); they stay empty when the
+    unit ran uncaptured.
+
     ``failure`` is set only for *quarantined* units (the unit exhausted
     its bounded retries under a quarantine-enabled supervision policy):
     the result is ``None`` and ``failure`` carries the unit's label,
@@ -55,6 +60,7 @@ class UnitRecord:
     result: Any
     metrics: dict[str, Any] | None = None
     spans: list[dict[str, Any]] = field(default_factory=list)
+    events: list[dict[str, Any]] = field(default_factory=list)
     wall_s: float = 0.0
     failure: dict[str, Any] | None = None
 
@@ -178,6 +184,7 @@ class CheckpointJournal:
             result=payload["result"],
             metrics=payload["metrics"],
             spans=payload["spans"],
+            events=payload.get("events", []),
             wall_s=float(payload.get("wall_s", 0.0)),
             failure=payload.get("failure"),
         )
@@ -230,6 +237,7 @@ class CheckpointJournal:
             "result": record.result,
             "metrics": record.metrics,
             "spans": record.spans,
+            "events": record.events,
             "wall_s": record.wall_s,
             "failure": record.failure,
         }

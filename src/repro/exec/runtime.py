@@ -194,9 +194,10 @@ def injected(injector: Any) -> Iterator[None]:
 def run_unit(unit: Any) -> Any:
     """The single unit-execution choke point.
 
-    Every engine path — serial, pool worker, re-attempt — runs units
-    through here, so an installed fault injector sees each execution
-    exactly once however the unit was dispatched.
+    The engine's one worker function runs every unit through here —
+    in-process, on a pool worker, or on a re-attempt — so an installed
+    fault injector sees each execution exactly once however the unit
+    was dispatched.
     """
     if _injector is not None:
         _injector.on_unit(unit)
@@ -210,10 +211,30 @@ def run_unit(unit: Any) -> Any:
 
 @dataclass
 class Capture:
-    """What :func:`captured` collected: a metrics dump and span records."""
+    """What :func:`captured` collected.
+
+    ``metrics`` is a registry dump and ``spans`` the finished span
+    records.  ``events`` holds the events emitted while no span was
+    open, as ``{"name": ..., "attributes": {...}}`` dicts, so the
+    caller can re-emit them on its own tracer.
+    """
 
     metrics: dict[str, Any] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
+    events: list[dict[str, Any]] = field(default_factory=list)
+
+
+class _LooseEvents:
+    """Trace sink keeping only the events no open span caught."""
+
+    def __init__(self, events: list[dict[str, Any]]) -> None:
+        self.events = events
+
+    def write(self, record: dict[str, Any]) -> None:
+        if record["type"] == "event" and record["span"] is None:
+            self.events.append(
+                {"name": record["name"], "attributes": record["attributes"]}
+            )
 
 
 @contextmanager
@@ -227,7 +248,8 @@ def captured() -> Iterator[Capture]:
     """
     capture = Capture()
     saved = OBS.enabled, OBS.metrics, OBS.tracer
-    OBS.metrics, OBS.tracer, OBS.enabled = MetricsRegistry(), Tracer(), True
+    tracer = Tracer(sink=_LooseEvents(capture.events))
+    OBS.metrics, OBS.tracer, OBS.enabled = MetricsRegistry(), tracer, True
     try:
         yield capture
     finally:

@@ -10,18 +10,17 @@ slow one.  This module replaces it with one ``fork``-context
   completed unit, so the supervisor can tell "busy" from "hung";
 * a worker that makes no heartbeat progress within the policy's
   ``hang_timeout_s`` is SIGKILLed and its shard handed back as a
-  :class:`~repro.errors.WorkerHang` failure for serial re-attempt;
+  :class:`~repro.errors.WorkerHang` failure for an in-process re-attempt;
 * a worker that dies without shipping its outcome (after a short
   grace period for results racing the death) becomes a
   :class:`~repro.errors.WorkerCrash` failure — the *other* workers
   keep running, which a shared executor cannot promise;
 * the per-shard ``timeout_s`` budget is enforced from spawn time.
 
-Failures are returned sorted by shard index so the engine's serial
-re-attempts replay in deterministic plan order regardless of
-completion order.  Outcome payloads travel over a ``multiprocessing``
-queue exactly as they did over the executor, so the engine's merge
-semantics are unchanged.
+Outcomes travel back over a ``multiprocessing`` queue and are handed
+to the caller's ``on_outcome`` callback as they land.  Failures are
+returned sorted by shard index, so the engine's in-process re-attempts
+replay in deterministic plan order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -105,16 +104,14 @@ class _Supervisor:
     timeout_s: float | None
     policy: SupervisionPolicy
     worker_fn: Callable[..., Any]
-    on_outcome: Callable[[Any], None] | None
-    outcomes: dict[int, Any] = field(default_factory=dict)
+    on_outcome: Callable[[Any], None]
+    landed: set[int] = field(default_factory=set)
     failures: dict[int, tuple[Any, BaseException]] = field(
         default_factory=dict
     )
     live: dict[int, _Worker] = field(default_factory=dict)
 
-    def run(
-        self, tasks: list[Any]
-    ) -> tuple[dict[int, Any], list[tuple[Any, BaseException]]]:
+    def run(self, tasks: list[Any]) -> list[tuple[Any, BaseException]]:
         ctx = mp.get_context("fork")
         queue = ctx.Queue()
         pending = list(tasks)
@@ -130,12 +127,11 @@ class _Supervisor:
                 worker.process.join(timeout=5.0)
             queue.close()
         # A shard whose result raced its kill keeps the result.
-        failed = [
+        return [
             (task, cause)
             for index, (task, cause) in sorted(self.failures.items())
-            if index not in self.outcomes
+            if index not in self.landed
         ]
-        return self.outcomes, failed
 
     # -- spawning --------------------------------------------------------
 
@@ -147,14 +143,14 @@ class _Supervisor:
                     ctx, self.worker_fn, task, queue
                 )
             except (OSError, RuntimeError, ImportError) as error:
-                if not (self.live or self.outcomes or self.failures):
+                if not (self.live or self.landed or self.failures):
                     # Nothing ever started: the engine falls back to
-                    # its serial path without charging retry budgets.
+                    # in-process dispatch without charging retry budgets.
                     raise PoolUnavailable(
                         f"cannot spawn shard workers: {error!r}"
                     ) from error
                 # Mid-run spawn loss: fail the remainder (classified
-                # as pool-loss); the engine re-attempts them serially.
+                # as pool-loss); the engine re-attempts them in-process.
                 cause = PoolUnavailable(
                     f"cannot spawn shard workers: {error!r}"
                 )
@@ -196,11 +192,10 @@ class _Supervisor:
             worker.process.join(timeout=5.0)
         kind, value = payload
         if kind == "ok":
-            self.outcomes[shard_index] = value
+            self.landed.add(shard_index)
             # A late result beats an earlier kill/crash verdict.
             self.failures.pop(shard_index, None)
-            if self.on_outcome is not None:
-                self.on_outcome(value)
+            self.on_outcome(value)
         else:
             task = worker.task if worker is not None else (
                 self.failures[shard_index][0]
@@ -266,16 +261,18 @@ def run_supervised(
     timeout_s: float | None,
     policy: SupervisionPolicy,
     worker_fn: Callable[..., Any],
-    on_outcome: Callable[[Any], None] | None = None,
-) -> tuple[dict[int, Any], list[tuple[Any, BaseException]]]:
-    """Run every task on supervised workers; returns outcomes/failures.
+    on_outcome: Callable[[Any], None],
+) -> list[tuple[Any, BaseException]]:
+    """Run every task on supervised workers; returns the failures.
 
     ``worker_fn(task, heartbeat=...)`` runs in a forked child and must
     return a picklable outcome; ``on_outcome`` fires in the parent as
-    each outcome lands (the checkpoint path journals there — an
+    each outcome lands (the engine banks and journals there — an
     exception it raises kills the remaining workers and propagates).
-    Raises :class:`~repro.errors.PoolUnavailable` only when no worker
-    could ever be spawned.
+    Failures come back as ``(task, cause)`` pairs sorted by shard
+    index, for the tasks whose outcome never landed.  Raises
+    :class:`~repro.errors.PoolUnavailable` only when no worker could
+    ever be spawned.
     """
     supervisor = _Supervisor(
         jobs=max(1, jobs),

@@ -41,7 +41,7 @@ _CLOCK_FNS = {
 
 _HINT = (
     "measure durations with repro.obs.timing.wall_clock (or the "
-    "profiled_phase/observe_rate hooks)"
+    "observe_rate hook)"
 )
 
 

@@ -1,18 +1,17 @@
-"""Wall-clock section timers and deterministic profiling hooks.
+"""Wall-clock section timers and a deterministic profiling hook.
 
 Wall-clock time is the one observability input that is *not*
 deterministic, so it is quarantined here: phase durations land in
-manifests under ``wall_s`` keys, profiling hooks emit only ``perf.*``
+manifests under ``wall_s`` keys, the profiling hook emits only ``perf.*``
 metrics, and both are excluded from
 :meth:`~repro.obs.manifest.RunManifest.fingerprint` when comparing runs
 — so instrumented hot paths stay byte-equivalent across ``--jobs``.
 
-The profiling hooks (:func:`profiled_phase`, :func:`observe_rate`) are
-how the hot paths — the exec engine, the glitch campaign loop, the
-circuits decay paths — report throughput without perturbing physics:
-they read no RNG, allocate nothing when observability is disabled, and
-every metric they emit lives under the fingerprint-stripped ``perf.``
-namespace.
+The profiling hook :func:`observe_rate` is how the hot paths — the
+exec engine, the glitch campaign loop, the circuits decay paths —
+report throughput without perturbing physics: it reads no RNG,
+allocates nothing when observability is disabled, and every metric it
+emits lives under the fingerprint-stripped ``perf.`` namespace.
 """
 
 from __future__ import annotations
@@ -64,36 +63,12 @@ class SectionTimer:
 
 
 # ----------------------------------------------------------------------
-# Profiling hooks (the repro.perf measurement points)
+# Profiling hook (the repro.perf measurement point)
 # ----------------------------------------------------------------------
 #
-# Imported lazily inside each hook: this module is imported by
+# Imported lazily inside the hook: this module is imported by
 # ``repro.obs.__init__`` before ``OBS`` exists, so a module-level import
 # would be circular.
-
-
-@contextmanager
-def profiled_phase(name: str, **labels: object) -> Iterator[None]:
-    """Time a scoped hot-path phase into ``perf.phase_wall_s``.
-
-    Records one histogram observation labelled ``phase=name`` when
-    observability is enabled; with it disabled the manager does not even
-    read the clock, so uninstrumented runs stay free.  ``perf.*``
-    metrics are stripped from manifest fingerprints, so wrapping a phase
-    never breaks ``--jobs`` byte-equivalence.
-    """
-    from . import OBS
-
-    if not OBS.enabled:
-        yield
-        return
-    start = wall_clock()
-    try:
-        yield
-    finally:
-        OBS.histogram_record(
-            "perf.phase_wall_s", wall_clock() - start, phase=name, **labels
-        )
 
 
 def observe_rate(

@@ -4,19 +4,20 @@ fallback, and observability merging.
 Worker functions are module-level so the pool can pickle them by
 reference.  Failure injection uses marker files on disk: a unit that
 fails (or stalls) only while its marker is absent fails on the pool
-attempt and succeeds on the serial re-attempt, exercising the bounded
-retry path deterministically.
+attempt and succeeds on the in-process re-attempt, exercising the
+bounded retry path deterministically.
 """
 
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.errors import ExecError, ShardError
-from repro.exec import ShardPlan, execute
-from repro.exec import engine, supervise
+from repro.exec import ShardPlan, SupervisionPolicy, WorkUnit, execute
+from repro.exec import runtime, supervise
 
 
 def _square(x):
@@ -92,7 +93,7 @@ class TestRetry:
     def test_failed_shard_is_retried_serially(self, tmp_path, observed):
         marker = str(tmp_path / "fail-once")
         # Two units so the plan actually shards (one unit short-circuits
-        # to the serial path).
+        # to in-process dispatch).
         plan = ShardPlan.enumerate(
             _fail_once, [(marker, 42), (str(tmp_path / "other"), 7)]
         )
@@ -151,22 +152,80 @@ class TestSerialRetryParity:
         assert "RuntimeError" in excinfo.value.cause
 
     def test_serial_and_pool_paths_emit_equal_retry_counts(
-        self, tmp_path, observed
+        self, tmp_path, monkeypatch, observed
     ):
-        def run(jobs, sub):
-            workdir = tmp_path / sub
-            workdir.mkdir()
-            marker = str(workdir / "fail-once")
-            plan = ShardPlan.enumerate(
-                _fail_once, [(marker, 42), (str(workdir / "other"), 7)]
-            )
-            Path(workdir / "other").write_text("pre-satisfied")
-            execute(plan, jobs=jobs, chunk_size=1, retries=1)
-            return observed.metrics.snapshot()["exec.retries"]
+        """Every dispatch path counts the same retries, failures and
+        quarantines for the same plan: in-process, pooled, checkpointed
+        on the pool, and the pool-unavailable fallback."""
 
-        serial = run(1, "serial")
-        pooled = run(2, "pooled") - serial  # counter accumulates
-        assert serial == pooled == 1
+        def _no_pool(*args, **kwargs):
+            raise OSError("no process spawning here")
+
+        def run(path, quarantine):
+            workdir = tmp_path / f"{path}-{quarantine}"
+            workdir.mkdir()
+            (workdir / "other").write_text("pre-satisfied")
+            units = [
+                WorkUnit(0, _fail_once, (str(workdir / "fail-once"), 42)),
+                WorkUnit(1, _fail_once, (str(workdir / "other"), 7)),
+            ]
+            if quarantine:
+                units.append(WorkUnit(2, _always_fail, (3,), label="bad[3]"))
+            observed.configure()
+            runtime.clear_incidents()
+            with ExitStack() as stack:
+                if quarantine:
+                    stack.enter_context(
+                        runtime.supervised(SupervisionPolicy(quarantine=True))
+                    )
+                if path == "checkpointed":
+                    stack.enter_context(
+                        runtime.checkpointing(str(workdir / "ckpt"))
+                    )
+                if path == "fallback":
+                    stack.enter_context(monkeypatch.context()).setattr(
+                        supervise, "_start_worker", _no_pool
+                    )
+                results = execute(
+                    ShardPlan(units),
+                    jobs=1 if path == "serial" else 2,
+                    chunk_size=1 if path == "pooled" else None,
+                    retries=1,
+                )
+            counts = {
+                key: value
+                for key, value in observed.metrics.snapshot().items()
+                if key.startswith(
+                    ("exec.retries", "exec.failures", "exec.quarantined")
+                )
+            }
+            return results, counts, runtime.incidents()
+
+        paths = ("serial", "pooled", "checkpointed", "fallback")
+        try:
+            flaky = {path: run(path, quarantine=False) for path in paths}
+            poisoned = {path: run(path, quarantine=True) for path in paths}
+        finally:
+            runtime.clear_incidents()
+        assert flaky["serial"] == (
+            [42, 7],
+            {"exec.retries": 1, "exec.failures{failure_class=poison}": 1},
+            (),
+        )
+        assert all(outcome == flaky["serial"] for outcome in flaky.values())
+        results, counts, incidents = poisoned["serial"]
+        assert results == [42, 7, None]
+        assert counts == {
+            "exec.retries": 2,
+            "exec.failures{failure_class=poison}": 3,
+            "exec.quarantined_units": 1,
+        }
+        assert [incident.detail["label"] for incident in incidents] == [
+            "bad[3]"
+        ]
+        assert all(
+            outcome == poisoned["serial"] for outcome in poisoned.values()
+        )
 
     def test_fallback_retries_a_flaky_unit(
         self, tmp_path, monkeypatch, observed
@@ -184,6 +243,35 @@ class TestSerialRetryParity:
         snapshot = observed.metrics.snapshot()
         assert snapshot["exec.fallbacks"] == 1
         assert snapshot["exec.retries"] == 1
+
+
+class TestQuarantine:
+    def test_pooled_shard_quarantines_only_its_failing_unit(
+        self, observed
+    ):
+        # Shard 0 holds a healthy and a poisoned unit.  Once the shard's
+        # budget is spent it splits, so only the poisoned unit is lost.
+        units = [
+            WorkUnit(i, _square, (i,), label=f"sq[{i}]") for i in range(4)
+        ]
+        units[1] = WorkUnit(1, _always_fail, (1,), label="bad[1]")
+        runtime.clear_incidents()
+        try:
+            with runtime.supervised(SupervisionPolicy(quarantine=True)):
+                results = execute(
+                    ShardPlan(units), jobs=2, chunk_size=2, retries=1
+                )
+            incidents = runtime.incidents()
+        finally:
+            runtime.clear_incidents()
+        assert results == [0, None, 4, 9]
+        assert [incident.detail["label"] for incident in incidents] == [
+            "bad[1]"
+        ]
+        snapshot = observed.metrics.snapshot()
+        assert snapshot["exec.quarantined_units"] == 1
+        assert snapshot["exec.shards"] == 2
+        assert len(observed.tracer.spans_named("exec.shard")) == 2
 
 
 class TestTimeout:

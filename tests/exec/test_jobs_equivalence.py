@@ -8,11 +8,13 @@ so the guarantee is asserted end-to-end on every CI run without
 dominating suite time.
 """
 
+import json
+
 import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.exec import ShardPlan, WorkUnit, execute
+from repro.exec import ShardPlan, WorkUnit, execute, runtime
 from repro.experiments import figure10, glitch_campaign, retention_sweep
 from repro.glitch.campaign import CampaignSpec, run_os_attempt
 from repro.units import nanoseconds
@@ -122,11 +124,58 @@ class TestManifestEquivalence:
         "e1c592b86357d0ce406178ea8dc455146f0ed318732d252c8a215ecbd82a0398"
     )
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_glitch_campaign_fingerprint_is_pinned(self, jobs):
+    def test_glitch_campaign_fingerprint_is_pinned(
+        self, jobs, checkpoint, tmp_path
+    ):
         obs.OBS.configure()
-        glitch_campaign.run(seed=41, jobs=jobs, spec=GLITCH_SPEC)
+        if checkpoint:
+            with runtime.checkpointing(str(tmp_path)):
+                glitch_campaign.run(seed=41, jobs=jobs, spec=GLITCH_SPEC)
+        else:
+            glitch_campaign.run(seed=41, jobs=jobs, spec=GLITCH_SPEC)
         assert obs.OBS.last_manifest.fingerprint() == self.GLITCH_FP
+
+
+class TestTraceEquivalence:
+    """A trace records the same events however its units were dispatched."""
+
+    @staticmethod
+    def _traced_table1(path, *flags) -> tuple[list[str], int]:
+        """Run table1 at seed 3 with ``--trace path``.
+
+        Returns the sorted event dicts carried by every span record
+        (JSON-encoded, so the list is a comparable multiset) and the
+        number of stand-alone ``"type": "event"`` lines.
+        """
+        argv = ["experiment", "table1", "--seed", "3", "--trace", str(path)]
+        assert main([*argv, *flags]) == 0
+        records = obs.read_jsonl(path)
+        in_spans = sorted(
+            json.dumps(event, sort_keys=True)
+            for record in records
+            if record["type"] == "span"
+            for event in record["events"]
+        )
+        loose = sum(1 for record in records if record["type"] == "event")
+        return in_spans, loose
+
+    def test_table1_events_match_across_dispatch_paths(
+        self, tmp_path, capsys
+    ):
+        serial, serial_loose = self._traced_table1(tmp_path / "jobs1.jsonl")
+        checkpointed, checkpointed_loose = self._traced_table1(
+            tmp_path / "ckpt.jsonl", "--checkpoint", str(tmp_path / "ckpt")
+        )
+        pooled, pooled_loose = self._traced_table1(
+            tmp_path / "jobs2.jsonl", "--jobs", "2"
+        )
+        capsys.readouterr()
+        assert len(serial) == 45
+        assert serial == checkpointed == pooled
+        loose = (serial_loose, checkpointed_loose, pooled_loose)
+        assert all(loose) or not any(loose), loose
 
 
 class TestCliEquivalence:

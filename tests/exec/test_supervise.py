@@ -35,7 +35,7 @@ class _Task:
         return f"task[{self.shard_index}]"
 
 
-def _worker(task: _Task, heartbeat=None) -> int:
+def _worker(task: _Task, heartbeat=None) -> tuple[int, int]:
     tick = heartbeat or (lambda: None)
     if task.mode == "crash":
         os.kill(os.getpid(), signal.SIGKILL)
@@ -49,14 +49,18 @@ def _worker(task: _Task, heartbeat=None) -> int:
     if task.mode == "raise":
         raise ValueError("unit exploded")
     tick()
-    return task.shard_index * 10
+    # Like the engine's shard outcome, the payload names its shard.
+    return task.shard_index, task.shard_index * 10
 
 
 def _run(tasks, jobs=4, timeout_s=None, policy=_FAST):
-    return supervise.run_supervised(
+    """Run the pool; returns ``({shard: outcome}, failures)``."""
+    landed = []
+    failures = supervise.run_supervised(
         tasks, jobs=jobs, timeout_s=timeout_s, policy=policy,
-        worker_fn=_worker,
+        worker_fn=_worker, on_outcome=landed.append,
     )
+    return dict(landed), failures
 
 
 class TestHealthyPool:
@@ -103,9 +107,9 @@ class TestHangs:
     def test_heartbeat_progress_is_not_a_hang(self):
         # Slower than hang_timeout_s overall, but ticking throughout.
         policy = SupervisionPolicy(hang_timeout_s=0.3, poll_interval_s=0.02)
-        outcomes, failures = supervise.run_supervised(
+        outcomes, failures = _run(
             [_Task(0, "slow-but-alive")], jobs=1, timeout_s=1.0,
-            policy=policy, worker_fn=_worker,
+            policy=policy,
         )
         # The shard runs ~10s of ticking sleep, so the 1s *timeout*
         # fires — but never the hang detector.

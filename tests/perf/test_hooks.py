@@ -1,24 +1,15 @@
-"""Profiling hooks: scoped timers, rate gauges, fingerprint immunity."""
+"""Profiling hooks: rate gauges, fingerprint immunity."""
 
 import pytest
 
 from repro import obs
 from repro.circuits.sram import SramArray
 from repro.obs import RunManifest, manifest_fingerprint
-from repro.obs.timing import observe_rate, profiled_phase
+from repro.obs.timing import observe_rate
 from repro.rng import generator
 
 
 class TestHookPrimitives:
-    def test_profiled_phase_records_histogram(self, observed):
-        with profiled_phase("unit-test", stage="demo"):
-            pass
-        snapshot = observed.metrics.snapshot()
-        (key,) = [k for k in snapshot if k.startswith("perf.phase_wall_s")]
-        assert "phase=unit-test" in key
-        assert snapshot[key]["count"] == 1
-        assert snapshot[key]["min"] >= 0.0
-
     def test_observe_rate_records_gauge_and_histogram(self, observed):
         observe_rate("exec.units", 50.0, 2.0)
         snapshot = observed.metrics.snapshot()
@@ -32,8 +23,7 @@ class TestHookPrimitives:
 
     def test_disabled_observability_records_nothing(self):
         assert not obs.OBS.enabled
-        with profiled_phase("dark"):
-            observe_rate("exec.units", 1.0, 1.0)
+        observe_rate("exec.units", 1.0, 1.0)
         assert not obs.OBS.metrics.snapshot()
 
 
