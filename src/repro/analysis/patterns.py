@@ -38,11 +38,26 @@ def elements_present(
     """Indices of ``elements`` whose full value appears in ``image``.
 
     This is Table 4's per-way scan.  The alignment constraint mirrors
-    the natural placement of 8-byte stores inside cache lines.
+    the natural placement of 8-byte stores inside cache lines.  Equal to
+    testing each element with :func:`find_aligned`, but the image is
+    cut once per distinct element length into its aligned windows, and
+    each element is then one set lookup.
     """
+    if alignment <= 0:
+        raise ReproError("alignment must be positive")
+    image = bytes(image)
+    windows: dict[int, set[bytes]] = {}
     present: set[int] = set()
     for index, element in enumerate(elements):
-        if find_aligned(image, element, alignment):
+        if not element:
+            raise ReproError("empty needle")
+        size = len(element)
+        if size not in windows:
+            windows[size] = {
+                image[start : start + size]
+                for start in range(0, len(image) - size + 1, alignment)
+            }
+        if bytes(element) in windows[size]:
             present.add(index)
     return present
 

@@ -45,6 +45,16 @@ from .leakage import ArrheniusDecay, SRAM_DECAY
 from .manufacture import ManufacturedArray, read_only
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 cells eight to a byte, cell ``8k + i`` into bit ``i``."""
+    return np.packbits(bits, bitorder="little")
+
+
+def _unpack(cells: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_pack`: one ``uint8`` 0/1 per cell."""
+    return np.unpackbits(cells, bitorder="little")
+
+
 @dataclass(frozen=True)
 class SramParameters:
     """Process parameters of an SRAM macro.
@@ -100,9 +110,15 @@ class SramArray(ManufacturedArray):
       later :meth:`restore_power` only for cells whose node voltage is
       still above their restore threshold.
 
-    Bits are stored little-endian within each byte for the byte-level
-    accessors.  The process-variation fields are read-only and shared
-    by deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`).
+    The stored image is packed: ``_cells`` holds one ``uint8`` per
+    eight cells, little-endian within each byte (cell ``8k + i`` is bit
+    ``i`` of byte ``k``), so the byte accessors are plain slices.  Cells
+    are unpacked to one byte per bit only where per-cell physics runs
+    (restore, DRV collapse, aging) and, for :meth:`read_bits` and
+    :meth:`write_bits`, only over the bytes covering the requested
+    range.  The process-variation fields are read-only and shared by
+    deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`);
+    the cells are per copy.
     """
 
     MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p", "_wake32")
@@ -164,8 +180,8 @@ class SramArray(ManufacturedArray):
         # the probabilities.
         self._wake32 = read_only(self._wake_p.astype(np.float32))
 
-        # Electrical state.
-        self._bits = np.zeros(self._n_bits, dtype=np.uint8)
+        # Electrical state: the stored image, eight cells per byte.
+        self._cells = np.zeros(self._n_bits // 8, dtype=np.uint8)
         self._powered = False
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0  # V/V0 accumulated while off
@@ -278,7 +294,7 @@ class SramArray(ManufacturedArray):
         # old ones are unaffected.
         self._wake_p = read_only(active_engine().age_wake(
             self._wake_p,
-            self._bits,
+            _unpack(self._cells),
             self.AGING_SHIFT_PER_YEAR * years * duty_cycle,
             self.WAKE_SKEW_EPSILON / 2,
             1.0 - self.WAKE_SKEW_EPSILON / 2,
@@ -303,7 +319,7 @@ class SramArray(ManufacturedArray):
             stream (see :meth:`repro.circuits.engine.vector.VectorEngine.powerup`).
         """
         self._require_voltage(voltage)
-        self._bits = self._sample_powerup()
+        self._cells = _pack(self._sample_powerup())
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
         self._unpowered_fraction = 1.0
@@ -376,7 +392,8 @@ class SramArray(ManufacturedArray):
         node_v = self._off_supply_v * self._unpowered_fraction
         retained = engine.restore_mask(node_v, self._restore_threshold)
         fresh = self._sample_powerup()
-        self._bits = engine.select(retained, self._bits, fresh)
+        kept = engine.select(retained, _unpack(self._cells), fresh)
+        self._cells = _pack(kept)
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
         self._unpowered_fraction = 1.0
@@ -442,27 +459,34 @@ class SramArray(ManufacturedArray):
         """Copy out ``count`` bits starting at bit index ``start``."""
         self._require_powered("read")
         start, count = self._bit_range(start, count)
-        return self._bits[start : start + count].copy()
+        lo, hi = start // 8, (start + count + 7) // 8
+        skip = start - 8 * lo
+        return _unpack(self._cells[lo:hi])[skip : skip + count]
 
     def write_bits(self, start: int, values: np.ndarray) -> None:
         """Write a bit vector starting at bit index ``start``."""
         self._require_powered("write")
         values = np.asarray(values, dtype=np.uint8) & 1
         start, count = self._bit_range(start, len(values))
-        self._bits[start : start + count] = values
+        lo, hi = start // 8, (start + count + 7) // 8
+        bits = _unpack(self._cells[lo:hi])
+        bits[start - 8 * lo : start - 8 * lo + count] = values
+        self._cells[lo:hi] = _pack(bits)
 
     def read_bytes(self, offset: int = 0, count: int | None = None) -> bytes:
         """Copy out ``count`` bytes starting at byte ``offset``."""
+        self._require_powered("read")
         if count is None:
             count = self.n_bytes - offset
-        bits = self.read_bits(offset * 8, count * 8)
-        return np.packbits(bits, bitorder="little").tobytes()
+        self._bit_range(offset * 8, count * 8)
+        return self._cells[offset : offset + count].tobytes()
 
     def write_bytes(self, offset: int, data: bytes) -> None:
         """Write ``data`` starting at byte ``offset``."""
+        self._require_powered("write")
         raw = np.frombuffer(bytes(data), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little")
-        self.write_bits(offset * 8, bits)
+        self._bit_range(offset * 8, len(raw) * 8)
+        self._cells[offset : offset + len(raw)] = raw
 
     def fill_bytes(self, value: int) -> None:
         """Fill the whole array with one repeated byte value."""
@@ -485,7 +509,7 @@ class SramArray(ManufacturedArray):
         if not lost.any():
             return 0
         fresh = self._sample_powerup()
-        self._bits = engine.select(lost, fresh, self._bits)
+        self._cells = _pack(engine.select(lost, fresh, _unpack(self._cells)))
         count = int(lost.sum())
         if OBS.enabled:
             OBS.counter_inc("sram.cells_below_drv", count, array=self.name)

@@ -20,7 +20,9 @@ touching them entirely — §6.2).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -43,7 +45,10 @@ class BackingStore(Protocol):
 
 @dataclass(frozen=True)
 class CacheGeometry:
-    """Shape of a set-associative cache."""
+    """Shape of a set-associative cache.
+
+    The derived shapes are computed once per geometry, on first use.
+    """
 
     size_bytes: int
     ways: int
@@ -61,22 +66,22 @@ class CacheGeometry:
         if self.sets & (self.sets - 1):
             raise CalibrationError("set count must be a power of two")
 
-    @property
+    @cached_property
     def sets(self) -> int:
         """Number of sets."""
         return self.size_bytes // (self.ways * self.line_bytes)
 
-    @property
+    @cached_property
     def way_bytes(self) -> int:
         """Capacity of a single way."""
         return self.sets * self.line_bytes
 
-    @property
+    @cached_property
     def offset_bits(self) -> int:
         """Bits of the address selecting a byte within a line."""
         return self.line_bytes.bit_length() - 1
 
-    @property
+    @cached_property
     def index_bits(self) -> int:
         """Bits of the address selecting a set."""
         return self.sets.bit_length() - 1
@@ -99,6 +104,9 @@ _TAG_MASK = (1 << 48) - 1
 _VALID_BIT = 1 << 48
 _DIRTY_BIT = 1 << 49
 _NS_BIT = 1 << 50
+_VALID_DIRTY = _VALID_BIT | _DIRTY_BIT
+#: Every tag-word bit except valid, for the bulk masked clear.
+_ALL_BUT_VALID = np.uint64(((1 << 64) - 1) ^ _VALID_BIT)
 
 
 class TagArray:
@@ -131,6 +139,26 @@ class TagArray:
         self._sram.write_bytes(
             entry * self.ENTRY_BYTES, word.to_bytes(self.ENTRY_BYTES, "little")
         )
+
+    def read_words(self, first: int, count: int) -> tuple[int, ...]:
+        """Raw words of ``count`` consecutive entries, in one SRAM read."""
+        raw = self._sram.read_bytes(
+            first * self.ENTRY_BYTES, count * self.ENTRY_BYTES
+        )
+        return struct.unpack(f"<{count}Q", raw)
+
+    def all_words(self) -> np.ndarray:
+        """Every entry's raw word as a little-endian ``uint64`` array."""
+        raw = self._sram.read_bytes(0, self._entries * self.ENTRY_BYTES)
+        return np.frombuffer(raw, dtype="<u8")
+
+    def clear_all_valid(self, words: np.ndarray) -> None:
+        """Store ``words`` (from :meth:`all_words`) with valid bits cleared.
+
+        One masked clear over the whole tag RAM; tag, dirty and NS bits
+        are kept.
+        """
+        self._sram.write_bytes(0, (words & _ALL_BUT_VALID).tobytes())
 
     def read(self, entry: int) -> tuple[int, bool, bool, bool]:
         """Return (tag, valid, dirty, ns) for one entry."""
@@ -266,17 +294,19 @@ class SetAssociativeCache:
     def _entry(self, index: int, way: int) -> int:
         return index * self.geometry.ways + way
 
+    def _set_words(self, index: int) -> tuple[int, ...]:
+        ways = self.geometry.ways
+        return self.tags.read_words(index * ways, ways)
+
     def _lookup(self, tag: int, index: int) -> int | None:
-        for way in range(self.geometry.ways):
-            stored_tag, valid, _dirty, _ns = self.tags.read(self._entry(index, way))
-            if valid and stored_tag == tag:
+        for way, word in enumerate(self._set_words(index)):
+            if word & _VALID_BIT and ((word >> _TAG_SHIFT) & _TAG_MASK) == tag:
                 return way
         return None
 
     def _choose_victim(self, index: int) -> int:
-        for way in range(self.geometry.ways):
-            _tag, valid, _dirty, _ns = self.tags.read(self._entry(index, way))
-            if not valid:
+        for way, word in enumerate(self._set_words(index)):
+            if not word & _VALID_BIT:
                 return way
         if self.replacement == "lru":
             return int(np.argmin(self._lru[index]))
@@ -412,16 +442,15 @@ class SetAssociativeCache:
         the paper's §5.2.4 observation that clean/invalidate does not
         destroy data.
         """
-        for index in range(self.geometry.sets):
-            for way in range(self.geometry.ways):
-                entry = self._entry(index, way)
-                tag, valid, dirty, _ns = self.tags.read(entry)
-                if valid and dirty:
-                    self.backing.write_block(
-                        self._reconstruct_addr(tag, index),
-                        self._read_line(way, index),
-                    )
-                self.tags.clear_valid(entry)
+        words = self.tags.all_words()
+        for entry in np.flatnonzero((words & _VALID_DIRTY) == _VALID_DIRTY):
+            index, way = divmod(int(entry), self.geometry.ways)
+            tag = (int(words[entry]) >> _TAG_SHIFT) & _TAG_MASK
+            self.backing.write_block(
+                self._reconstruct_addr(tag, index),
+                self._read_line(way, index),
+            )
+        self.tags.clear_all_valid(words)
 
     def clean_invalidate_line(self, addr: int) -> bool:
         """Clean+invalidate the line containing ``addr`` (DMA maintenance).
@@ -445,9 +474,7 @@ class SetAssociativeCache:
 
     def invalidate_all(self) -> None:
         """Drop all valid bits without writing anything back."""
-        for index in range(self.geometry.sets):
-            for way in range(self.geometry.ways):
-                self.tags.clear_valid(self._entry(index, way))
+        self.tags.clear_all_valid(self.tags.all_words())
 
     def zero_line(self, addr: int, ns: bool = True) -> None:
         """``DC ZVA``: allocate the line containing ``addr`` and zero it.

@@ -56,6 +56,15 @@ class TestElements:
         image = b"AAAAAAAA" + b"\x00" * 8
         assert coverage_fraction(image, elements) == pytest.approx(0.5)
 
+    def test_empty_needle_rejected(self):
+        with pytest.raises(ReproError):
+            elements_present(b"abcdefgh", [b"abcdefgh", b""])
+
+    @pytest.mark.parametrize("alignment", [0, -8])
+    def test_bad_alignment_rejected(self, alignment):
+        with pytest.raises(ReproError):
+            elements_present(b"abcdefgh", [b"abcdefgh"], alignment)
+
     def test_coverage_of_nothing_rejected(self):
         with pytest.raises(ReproError):
             coverage_fraction(b"", [])
@@ -82,3 +91,25 @@ class TestPropertyBased:
         # Guard against degenerate all-zero elements colliding with padding.
         if element != bytes(8):
             assert 0 in elements_present(image, [element])
+
+    @given(
+        image=st.binary(max_size=96),
+        needles=st.lists(st.binary(min_size=1, max_size=9), max_size=12),
+        planted=st.lists(st.integers(min_value=0, max_value=95), max_size=6),
+        alignment=st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_find_aligned_definition(
+        self, image, needles, planted, alignment
+    ):
+        # Copy some needles' worth of image bytes in as needles too, so
+        # hits (aligned and not) are common, not just lucky.
+        needles = needles + [
+            image[start : start + 1 + start % 9] for start in planted
+            if start < len(image)
+        ]
+        expected = {
+            index for index, needle in enumerate(needles)
+            if find_aligned(image, needle, alignment)
+        }
+        assert elements_present(image, needles, alignment) == expected

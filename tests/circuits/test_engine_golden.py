@@ -20,18 +20,29 @@ import pytest
 
 from repro import obs
 from repro.circuits.engine import SCALAR_ENV
-from repro.experiments import figure10, retention_sweep, table1
+from repro.experiments import (
+    figure10,
+    policy_ablation,
+    retention_sweep,
+    table1,
+    table4,
+)
 
 SEED = 1234
 
 
-def _fingerprint(experiment, jobs: int) -> str:
+def _run_fingerprint(run, **kwargs) -> str:
+    """Manifest fingerprint of ``run(seed=SEED, **kwargs)``."""
     with obs.capture() as o:
-        experiment.run(seed=SEED, jobs=jobs)
+        run(seed=SEED, **kwargs)
         manifest = o.last_manifest
         assert manifest is not None
         manifest.validate()
         return manifest.fingerprint()
+
+
+def _fingerprint(experiment, jobs: int) -> str:
+    return _run_fingerprint(experiment.run, jobs=jobs)
 
 
 def _engine_fingerprints(experiment, jobs: int, monkeypatch) -> tuple[str, str]:
@@ -93,3 +104,32 @@ class TestGoldenStability:
     def test_table1_pin(self, monkeypatch):
         monkeypatch.delenv(SCALAR_ENV, raising=False)
         assert _fingerprint(table1, 1) == self.TABLE1_FP
+
+
+class TestCacheExperimentStability:
+    """Pins for the experiments that stream through the cache model.
+
+    Table 4 and the replacement-policy ablation exercise SRAM byte
+    access, tag lookups (round-robin and random victims included),
+    bulk invalidation and the element scan.  These values predate the
+    packed SRAM storage and bulk tag operations, which left them
+    unchanged; like the pins above, they move only with the physics.
+    """
+
+    TABLE4_FP = (
+        "627ba813b96652852aa16c56a79aca89b138e60603836b97b57121047b3caebd"
+    )
+    POLICY_ABLATION_FP = (
+        "11cb7353353f2399b3b509cac68a23f1fc2429945f28b9615120366879d48cb0"
+    )
+
+    def test_table4_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        fingerprint = _run_fingerprint(
+            table4.run, array_sizes_kib=(4, 32), trials=1
+        )
+        assert fingerprint == self.TABLE4_FP
+
+    def test_policy_ablation_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        assert _run_fingerprint(policy_ablation.run) == self.POLICY_ABLATION_FP

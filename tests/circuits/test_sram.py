@@ -210,6 +210,41 @@ class TestDataAccess:
         with pytest.raises(CircuitError):
             small_sram.write_bytes(small_sram.n_bytes, b"\x00")
 
+    def test_little_endian_bit_order(self, small_sram):
+        small_sram.write_bits(0, [1, 0, 0, 0, 0, 0, 0, 0])
+        assert small_sram.read_bytes(0, 1) == b"\x01"
+        small_sram.write_bytes(1, b"\x80")
+        assert list(small_sram.read_bits(8, 8)) == [0, 0, 0, 0, 0, 0, 0, 1]
+
+    @pytest.mark.parametrize(
+        "access",
+        [
+            lambda a: a.read_bits(0, 8),
+            lambda a: a.write_bits(3, [1, 0]),
+            lambda a: a.read_bytes(0, 1),
+            lambda a: a.write_bytes(0, b"\x00"),
+        ],
+    )
+    def test_unpowered_access_rejected(self, access):
+        array = fresh_array()
+        array.power_down()
+        with pytest.raises(CircuitError):
+            access(array)
+
+    @pytest.mark.parametrize(
+        "access",
+        [
+            lambda a: a.read_bits(-1, 2),
+            lambda a: a.write_bits(a.n_bits - 1, [1, 1]),
+            lambda a: a.read_bytes(a.n_bytes - 1, 2),
+            lambda a: a.read_bytes(-1, 1),
+            lambda a: a.write_bytes(-1, b"\x00"),
+        ],
+    )
+    def test_out_of_range_access_rejected(self, access):
+        with pytest.raises(CircuitError):
+            access(fresh_array())
+
     def test_drv_percentile_ordering(self, small_sram):
         assert small_sram.drv_percentile(10) < small_sram.drv_percentile(90)
 
@@ -246,3 +281,47 @@ class TestPropertyBased:
         b.power_down()
         b.elapse_unpowered(long, 300.0)
         assert b.restore_power() <= a.restore_power() + 1e-9
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["write_bits", "write_bytes", "read_bits", "read_bytes"]
+                ),
+                st.integers(min_value=0, max_value=8 * 64 - 1),
+                st.binary(max_size=12),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accesses_match_a_list_of_bits(self, ops):
+        """Mixed, unaligned bit and byte accesses against a 0/1 list."""
+        array = fresh_array(n_bits=8 * 64)
+        model = [int(bit) for bit in array.read_bits()]
+        for op, position, payload in ops:
+            if op in ("write_bits", "read_bits"):
+                bits = [byte & 1 for byte in payload]
+                start = min(position, array.n_bits - len(bits))
+                if op == "write_bits":
+                    array.write_bits(start, np.array(bits, dtype=np.uint8))
+                    model[start : start + len(bits)] = bits
+                else:
+                    got = array.read_bits(start, len(bits))
+                    assert list(got) == model[start : start + len(bits)]
+            else:
+                offset = min(position // 8, array.n_bytes - len(payload))
+                lo, hi = 8 * offset, 8 * (offset + len(payload))
+                if op == "write_bytes":
+                    array.write_bytes(offset, payload)
+                    model[lo:hi] = [
+                        (byte >> i) & 1 for byte in payload for i in range(8)
+                    ]
+                else:
+                    expected = bytes(
+                        sum(bit << i for i, bit in enumerate(model[b : b + 8]))
+                        for b in range(lo, hi, 8)
+                    )
+                    assert array.read_bytes(offset, len(payload)) == expected
+        assert list(array.read_bits()) == model

@@ -58,14 +58,19 @@ def _parts(board) -> list[tuple[str, object]]:
     return found
 
 
+def _stored(part: SramArray | DramArray) -> np.ndarray:
+    """The stored image: packed SRAM cells, or DRAM's one byte per bit."""
+    return part._cells if isinstance(part, SramArray) else part._bits
+
+
 def _state(board) -> dict[str, object]:
-    """Bit images, DRAM charge levels and RNG states, by path."""
+    """Stored images, DRAM charge levels and RNG states, by path."""
     state: dict[str, object] = {}
     for path, part in _parts(board):
         if isinstance(part, np.random.Generator):
             state[path] = part.bit_generator.state
             continue
-        state[f"{path}._bits"] = part._bits.tobytes()
+        state[f"{path}.stored"] = _stored(part).tobytes()
         state[f"{path}._rng"] = part._rng.bit_generator.state
         if isinstance(part, DramArray):
             state[f"{path}._level"] = part._level.tobytes()
@@ -132,7 +137,7 @@ class TestCloneIsolation:
                 assert np.shares_memory(
                     getattr(original, name), getattr(copied, name)
                 ), name
-            assert not np.shares_memory(original._bits, copied._bits)
+            assert not np.shares_memory(_stored(original), _stored(copied))
             if isinstance(original, DramArray):
                 assert not np.shares_memory(original._level, copied._level)
             assert original._rng is not copied._rng

@@ -146,6 +146,76 @@ class TestMaintenance:
             )
 
 
+class RecordingBacking:
+    """A backing store that logs every write-back, in order."""
+
+    def __init__(self) -> None:
+        self.written: list[tuple[int, bytes]] = []
+
+    def read_block(self, addr: int, size: int) -> bytes:
+        return bytes(size)
+
+    def write_block(self, addr: int, data: bytes) -> None:
+        self.written.append((addr, bytes(data)))
+
+
+def _reference_maintenance(cache, write_back: bool) -> None:
+    """The per-entry loop the bulk maintenance operations must equal."""
+    g = cache.geometry
+    for index in range(g.sets):
+        for way in range(g.ways):
+            entry = index * g.ways + way
+            tag, valid, dirty, _ns = cache.tags.read(entry)
+            if write_back and valid and dirty:
+                addr = (tag << (g.offset_bits + g.index_bits)) | (
+                    index << g.offset_bits
+                )
+                line = cache.data_rams[way].read_bytes(
+                    index * g.line_bytes, g.line_bytes
+                )
+                cache.backing.write_block(addr, line)
+            cache.tags.clear_valid(entry)
+
+
+class TestBulkMaintenance:
+    """Bulk tag operations equal a per-entry loop over the tag RAM.
+
+    The caches are left disabled after power-up, so the tag RAM holds
+    the random power-up image: valid, dirty and NS bits and the unused
+    high bits of every word are all random, and a few lines of each
+    cache are valid and dirty, so they are written back.
+    """
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        ways=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_per_entry_loop(self, seed, ways):
+        for write_back in (False, True):
+            caches = [
+                make_cache(RecordingBacking(), size_bytes=2048, ways=ways,
+                           seed=seed, enabled=False)
+                for _ in range(2)
+            ]
+            bulk, reference = caches
+            if write_back:
+                bulk.clean_invalidate_all()
+            else:
+                bulk.invalidate_all()
+            _reference_maintenance(reference, write_back)
+            tag_ram = bulk.tags.sram.read_bytes()
+            assert tag_ram == reference.tags.sram.read_bytes()
+            assert bulk.backing.written == reference.backing.written
+
+    def test_keeps_tag_dirty_and_ns(self, small_cache):
+        small_cache.tags.write(3, tag=0xABC, valid=True, dirty=True, ns=False)
+        small_cache.tags.write(4, tag=0x123, valid=True, dirty=False, ns=True)
+        small_cache.invalidate_all()
+        assert small_cache.tags.read(3) == (0xABC, False, True, False)
+        assert small_cache.tags.read(4) == (0x123, False, False, True)
+
+
 class TestArchitecturalReset:
     def test_reset_disables_and_clears_lru_only(self, small_cache):
         small_cache.write(0x40, b"\xaa" * 64)
