@@ -15,11 +15,36 @@ arrays, so the per-cell reference implementation
 for bit.  Cell state is stored in ``float16`` — sub-millivolt
 resolution, far below any physical effect modelled here — and widened
 to ``float32`` only inside a kernel.
+
+Threshold compares against a ``float16`` field run on the ``uint16``
+bit patterns (:func:`_order_pattern`): for finite, non-negative
+``float16`` values the unsigned order of the patterns is the order of
+the values, and NumPy has no hardware ``float16`` compare.  Each such
+kernel states why its field meets that precondition.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+#: Bit pattern of ``float16(0.5)``: the sense-amplifier reference and
+#: the wake probability of a metastable cell.
+_HALF_PATTERN = np.float16(0.5).view(np.uint16)
+
+
+def _order_pattern(value: float) -> np.uint16 | None:
+    """The ``uint16`` bit pattern of ``float16(value)``, if it orders.
+
+    For finite, non-negative ``float16`` values (and ``+inf``),
+    comparing bit patterns as unsigned integers gives the same answer
+    as comparing the values.  ``-0.0`` is returned as ``+0.0``'s
+    pattern, which compares equal to it; a negative or NaN value
+    returns ``None`` and the caller compares the floats instead.
+    """
+    half = np.float16(value)
+    if not half >= 0:
+        return None
+    return half.view(np.uint16) & np.uint16(0x7FFF)
 
 
 class VectorEngine:
@@ -64,9 +89,11 @@ class VectorEngine:
         numpy.ndarray
             ``float16[n]`` field.
         """
-        z = rng.standard_normal(n, dtype=np.float32)
-        field = z * np.float32(sigma) + np.float32(mean)
-        return field.clip(min=np.float32(floor)).astype(np.float16)
+        field = rng.standard_normal(n, dtype=np.float32)
+        field *= np.float32(sigma)
+        field += np.float32(mean)
+        np.maximum(field, np.float32(floor), out=field)
+        return field.astype(np.float16)
 
     def lognormal_field(
         self, rng: np.random.Generator, n: int, spread: float
@@ -80,8 +107,10 @@ class VectorEngine:
         Consumes one ``standard_normal(n, float32)`` draw from ``rng``;
         returns a ``float16[n]`` field.
         """
-        z = rng.standard_normal(n, dtype=np.float32)
-        return np.exp(z * np.float32(spread)).astype(np.float16)
+        field = rng.standard_normal(n, dtype=np.float32)
+        field *= np.float32(spread)
+        np.exp(field, out=field)
+        return field.astype(np.float16)
 
     def wake_field(
         self,
@@ -115,14 +144,27 @@ class VectorEngine:
         -------
         numpy.ndarray
             ``float16[n]`` wake probabilities.
+
+        The field is built as ``float16`` bit patterns: each rail is
+        ``float16(float32(p))``, the skewed pattern is
+        ``lo + skew * (hi - lo)`` in wrapping ``uint16`` arithmetic
+        (exact even when ``hi < lo``), and metastable cells take the
+        pattern of 0.5.
         """
-        skewed = np.where(
-            rng.integers(0, 2, n, dtype=np.uint8) == 1,
-            np.float32(1.0 - epsilon),
-            np.float32(epsilon),
+        lo = int(np.float16(np.float32(epsilon)).view(np.uint16))
+        hi = int(np.float16(np.float32(1.0 - epsilon)).view(np.uint16))
+        pattern = np.multiply(
+            rng.integers(0, 2, n, dtype=np.uint8),
+            np.uint16((hi - lo) & 0xFFFF),
+            dtype=np.uint16,
         )
+        pattern += np.uint16(lo)
         noisy = rng.random(n) < noisy_fraction
-        return np.where(noisy, np.float32(0.5), skewed).astype(np.float16)
+        # pattern ^= (pattern ^ half) where noisy, else ^= 0.
+        blend = pattern ^ _HALF_PATTERN
+        blend *= noisy.view(np.uint8)
+        pattern ^= blend
+        return pattern.view(np.float16)
 
     def uniform_mask(
         self, rng: np.random.Generator, n: int, fraction: float
@@ -161,10 +203,11 @@ class VectorEngine:
         Returns
         -------
         numpy.ndarray
-            ``uint8[n]`` 0/1 bit image.
+            ``uint8[n]`` 0/1 bit image (the comparison's ``bool``
+            buffer, viewed).
         """
         draws = rng.random(len(wake_p32), dtype=np.float32)
-        return (draws < wake_p32).astype(np.uint8)
+        return (draws < wake_p32).view(np.uint8)
 
     # ------------------------------------------------------------------
     # Retention thresholds (which cells survive)
@@ -187,14 +230,19 @@ class VectorEngine:
             Compared at ``float16`` precision, matching the stored
             threshold field.
         thresholds:
-            ``float16[n]`` per-cell restore thresholds.
+            ``float16[n]`` per-cell restore thresholds.  They are
+            finite and at least the 0.005 V manufacture floor, so the
+            compare runs on bit patterns (:func:`_order_pattern`).
 
         Returns
         -------
         numpy.ndarray
             ``bool[n]`` retained mask.
         """
-        return np.float16(node_v) > thresholds
+        pattern = _order_pattern(node_v)
+        if pattern is None:
+            return np.float16(node_v) > thresholds
+        return thresholds.view(np.uint16) < pattern
 
     def drv_collapse_mask(
         self, drv: np.ndarray, supply_v: float
@@ -207,9 +255,14 @@ class VectorEngine:
 
         ``drv`` is the ``float16[n]`` DRV field; ``supply_v`` is the
         applied voltage in volts (compared at ``float16`` precision).
-        Returns a ``bool[n]`` collapse mask.
+        Returns a ``bool[n]`` collapse mask.  DRVs are finite and at
+        least the 0.01 V manufacture floor, so the compare runs on bit
+        patterns (:func:`_order_pattern`).
         """
-        return drv > np.float16(supply_v)
+        pattern = _order_pattern(supply_v)
+        if pattern is None:
+            return drv > np.float16(supply_v)
+        return drv.view(np.uint16) > pattern
 
     def charge_mask(self, level: np.ndarray) -> np.ndarray:
         """DRAM cells whose remaining charge still reads correctly.
@@ -218,9 +271,11 @@ class VectorEngine:
         a cell against the half-charge reference, so a decayed-below-
         half cell reads as its ground state (paper §3's cold-boot
         substrate).  ``level`` is the ``float16[n]`` normalised charge;
-        returns a ``bool[n]`` retained mask.
+        returns a ``bool[n]`` retained mask.  Charge stays in
+        ``[0, 1]`` (full charge times a positive ``exp`` factor), so
+        the compare runs on bit patterns (:func:`_order_pattern`).
         """
-        return level > np.float16(0.5)
+        return level.view(np.uint16) > _HALF_PATTERN
 
     # ------------------------------------------------------------------
     # Charge decay
@@ -276,7 +331,19 @@ class VectorEngine:
         their bits, the rest take the power-up fingerprint (SRAM) or
         ground state (DRAM).  All arrays are length ``n``; returns a
         fresh ``uint8[n]`` image.
+
+        A ``bool`` mask over two ``uint8`` images is a bitwise blend,
+        ``f ^ ((t ^ f) * m)``; other dtypes go through ``np.where``.
         """
+        if (
+            mask.dtype == np.bool_
+            and when_true.dtype == np.uint8
+            and when_false.dtype == np.uint8
+        ):
+            out = when_true ^ when_false
+            out *= mask.view(np.uint8)
+            out ^= when_false
+            return out
         return np.where(mask, when_true, when_false)
 
     def age_wake(

@@ -190,6 +190,109 @@ class TestKernelDifferential:
         )
 
 
+#: Every finite, non-negative ``float16`` regime the threshold kernels
+#: may meet: zero, subnormals, the smallest normal, the manufacture
+#: floors, the 0.5 reference and its neighbours, the largest finite
+#: value and +inf.
+EDGE_FIELD = np.array(
+    [
+        0.0, 6e-8, 3e-5, 6.104e-5, 0.005, 0.01, 0.0999, 0.1,
+        np.nextafter(np.float16(0.5), np.float16(0)), 0.5,
+        np.nextafter(np.float16(0.5), np.float16(1)), 1.0, 65504.0,
+        np.inf,
+    ],
+    dtype=np.float16,
+)
+
+
+class TestKernelEdgeCases:
+    """Equivalence at the values where a bit-pattern compare could slip."""
+
+    @pytest.mark.parametrize(
+        "node_v",
+        [
+            0.0, -0.0, 1e-9, 6e-8, 3e-5, 0.005, 0.1, 0.5, 1.0, 65504.0,
+            float("inf"), -0.05, float("nan"),
+        ],
+    )
+    def test_restore_mask_edges(self, node_v):
+        assert_same(
+            VECTOR.restore_mask(node_v, EDGE_FIELD),
+            SCALAR.restore_mask(node_v, EDGE_FIELD),
+        )
+
+    @pytest.mark.parametrize("k", [0, 17, 255])
+    def test_restore_mask_tie(self, k):
+        thresholds = VECTOR.gaussian_field(
+            generator(3, "tie"), 256, 0.10, 0.02, 0.005
+        )
+        node_v = float(thresholds[k])
+        retained = VECTOR.restore_mask(node_v, thresholds)
+        assert not retained[k]
+        assert_same(retained, SCALAR.restore_mask(node_v, thresholds))
+
+    @pytest.mark.parametrize(
+        "supply_v", [0.0, -0.0, 1e-9, 0.01, 0.5, 65504.0, -0.3, float("nan")]
+    )
+    def test_drv_collapse_mask_edges(self, supply_v):
+        assert_same(
+            VECTOR.drv_collapse_mask(EDGE_FIELD, supply_v),
+            SCALAR.drv_collapse_mask(EDGE_FIELD, supply_v),
+        )
+
+    def test_charge_mask_edges(self):
+        retained = VECTOR.charge_mask(EDGE_FIELD)
+        assert_same(retained, SCALAR.charge_mask(EDGE_FIELD))
+        at = {float(v): bool(r) for v, r in zip(EDGE_FIELD, retained)}
+        assert not at[0.5] and not at[0.0] and at[1.0]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.005, 0.5, 0.7, 0.995, 1.0])
+    @pytest.mark.parametrize("noisy", [0.0, 0.3, 1.0])
+    def test_wake_field_edges(self, epsilon, noisy):
+        r1, r2 = pair("wake-edge", str(epsilon), str(noisy))
+        wake = VECTOR.wake_field(r1, 513, noisy, epsilon)
+        assert_same(wake, SCALAR.wake_field(r2, 513, noisy, epsilon))
+        if noisy == 1.0:
+            assert np.all(wake == np.float16(0.5))
+
+    @pytest.mark.parametrize(
+        "true_dtype, false_dtype, mask_dtype",
+        [
+            (np.uint8, np.uint8, np.bool_),  # bitwise blend
+            (np.float16, np.float16, np.bool_),  # np.where fallback
+            (np.uint16, np.uint8, np.bool_),
+            (np.uint8, np.uint8, np.uint8),
+        ],
+    )
+    def test_select_paths(self, true_dtype, false_dtype, mask_dtype):
+        rng = generator(6, "sel-edge")
+        n = 1031
+        mask = (rng.random(n) < 0.5).astype(mask_dtype)
+        a = rng.integers(0, 256, n).astype(true_dtype)
+        b = rng.integers(0, 256, n).astype(false_dtype)
+        out = VECTOR.select(mask, a, b)
+        assert_same(out, SCALAR.select(mask, a, b))
+        assert np.array_equal(out, np.where(mask, a, b))
+
+    def test_select_does_not_touch_inputs(self):
+        rng = generator(6, "sel-inputs")
+        mask = rng.random(64) < 0.5
+        a = rng.integers(0, 2, 64, dtype=np.uint8)
+        b = rng.integers(0, 2, 64, dtype=np.uint8)
+        before = (mask.copy(), a.copy(), b.copy())
+        VECTOR.select(mask, a, b)
+        for kept, now in zip(before, (mask, a, b)):
+            assert np.array_equal(kept, now)
+
+    def test_powerup_is_uint8_bits(self):
+        wake = np.array([0.0, 1.0, 0.5, 0.005, 0.995] * 40, dtype=np.float32)
+        r1, r2 = pair("pw-edge")
+        bits = VECTOR.powerup(r1, wake)
+        assert_same(bits, SCALAR.powerup(r2, wake))
+        assert set(np.unique(bits).tolist()) <= {0, 1}
+        assert not bits[0] and bits[1]
+
+
 class TestKernelProperties:
     """Hypothesis sweeps: equivalence holds over random parameters."""
 
@@ -248,6 +351,28 @@ class TestKernelProperties:
             VECTOR.restore_mask(node_v, thresholds),
             SCALAR.restore_mask(node_v, thresholds),
         )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        n=st.integers(min_value=1, max_value=192),
+        mean=st.floats(min_value=0.01, max_value=1.0),
+        sigma=st.floats(min_value=0.0, max_value=0.2),
+        supply_v=st.floats(min_value=-0.1, max_value=1.2),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_drv_collapse_mask_matches(self, seed, n, mean, sigma, supply_v):
+        drv = VECTOR.gaussian_field(
+            generator(seed, "hyp-drv"), n, mean, sigma, 0.01
+        )
+        assert_same(
+            VECTOR.drv_collapse_mask(drv, supply_v),
+            SCALAR.drv_collapse_mask(drv, supply_v),
+        )
+        # A supply equal to some cell's DRV is a tie: that cell holds.
+        k = seed % n
+        collapsed = VECTOR.drv_collapse_mask(drv, float(drv[k]))
+        assert not collapsed[k]
+        assert_same(collapsed, SCALAR.drv_collapse_mask(drv, float(drv[k])))
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),

@@ -12,8 +12,9 @@ environment variable rather than ``forced_engine()`` because worker
 processes inherit the environment but not module state.
 
 ``table1`` is the heaviest experiment (~300M cell-ops; minutes on the
-scalar engine), so its pin carries the ``slow`` marker and runs in the
-dedicated physics-goldens CI job, not tier-1.
+scalar engine), so its scalar/vector equivalence legs carry the ``slow``
+marker and run in the dedicated physics-goldens CI job.  Its vector-only
+pin takes seconds and runs in tier-1.
 """
 
 import pytest
@@ -100,7 +101,6 @@ class TestGoldenStability:
         monkeypatch.delenv(SCALAR_ENV, raising=False)
         assert _fingerprint(figure10, 1) == self.FIGURE10_FP
 
-    @pytest.mark.slow
     def test_table1_pin(self, monkeypatch):
         monkeypatch.delenv(SCALAR_ENV, raising=False)
         assert _fingerprint(table1, 1) == self.TABLE1_FP
