@@ -119,6 +119,10 @@ class SramArray(ManufacturedArray):
     range.  The process-variation fields are read-only and shared by
     deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`);
     the cells are per copy.
+
+    :attr:`mutations` counts the events that change the stored image or
+    make reading it illegal, so a structure that mirrors part of the
+    image (the cache's tag words) can tell when its copy is stale.
     """
 
     MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p", "_wake32")
@@ -186,6 +190,7 @@ class SramArray(ManufacturedArray):
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0  # V/V0 accumulated while off
         self._off_supply_v = 0.0  # supply level at the moment power was lost
+        self._mutations = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -205,6 +210,15 @@ class SramArray(ManufacturedArray):
     def powered(self) -> bool:
         """Whether the array currently has a supply."""
         return self._powered
+
+    @property
+    def mutations(self) -> int:
+        """Count of image changes and power events so far.
+
+        Bumped by every write, power-up, power-down and restore, and by
+        a DRV collapse that loses cells; reads never bump it.
+        """
+        return self._mutations
 
     @property
     def supply_voltage(self) -> float:
@@ -320,6 +334,7 @@ class SramArray(ManufacturedArray):
         """
         self._require_voltage(voltage)
         self._cells = _pack(self._sample_powerup())
+        self._mutations += 1
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
         self._unpowered_fraction = 1.0
@@ -329,6 +344,7 @@ class SramArray(ManufacturedArray):
         if not self._powered:
             raise CircuitError(f"{self.name}: already unpowered")
         self._off_supply_v = self._supply_v
+        self._mutations += 1
         self._powered = False
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0
@@ -394,6 +410,7 @@ class SramArray(ManufacturedArray):
         fresh = self._sample_powerup()
         kept = engine.select(retained, _unpack(self._cells), fresh)
         self._cells = _pack(kept)
+        self._mutations += 1
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
         self._unpowered_fraction = 1.0
@@ -472,6 +489,7 @@ class SramArray(ManufacturedArray):
         bits = _unpack(self._cells[lo:hi])
         bits[start - 8 * lo : start - 8 * lo + count] = values
         self._cells[lo:hi] = _pack(bits)
+        self._mutations += 1
 
     def read_bytes(self, offset: int = 0, count: int | None = None) -> bytes:
         """Copy out ``count`` bytes starting at byte ``offset``."""
@@ -487,6 +505,7 @@ class SramArray(ManufacturedArray):
         raw = np.frombuffer(bytes(data), dtype=np.uint8)
         self._bit_range(offset * 8, len(raw) * 8)
         self._cells[offset : offset + len(raw)] = raw
+        self._mutations += 1
 
     def fill_bytes(self, value: int) -> None:
         """Fill the whole array with one repeated byte value."""
@@ -510,6 +529,7 @@ class SramArray(ManufacturedArray):
             return 0
         fresh = self._sample_powerup()
         self._cells = _pack(engine.select(lost, fresh, _unpack(self._cells)))
+        self._mutations += 1
         count = int(lost.sum())
         if OBS.enabled:
             OBS.counter_inc("sram.cells_below_drv", count, array=self.name)

@@ -103,15 +103,33 @@ class ArrayFillProcess(Process):
         return element_value(index).to_bytes(8, "little")
 
     def quantum(self, unit: CoreUnit, memory_map: MemoryMap) -> None:
-        """Write+read the next chunk of elements through the d-cache."""
+        """Write+read the next chunk of elements through the d-cache.
+
+        Consecutive elements inside one cache line go out as one write
+        and one read-back.  Nothing else touches the cache inside a
+        quantum, so the line fills, victims, write-backs and per-set LRU
+        order equal those of a write+read per element; an element that
+        straddles a line boundary is sent on its own.
+        """
         if self.finished:
             return
         cache = unit.l1d
-        for _ in range(self.elements_per_quantum):
+        line_bytes = cache.geometry.line_bytes
+        budget = self.elements_per_quantum
+        while budget > 0:
             addr = self.base_addr + self._cursor * 8
-            cache.write(addr, self.element_bytes(self._cursor))
-            cache.read(addr, 8)
-            self._cursor += 1
+            run = min(
+                max(1, (line_bytes - addr % line_bytes) // 8),
+                budget,
+                self.n_elements - self._cursor,
+            )
+            cache.write(addr, b"".join(
+                self.element_bytes(index)
+                for index in range(self._cursor, self._cursor + run)
+            ))
+            cache.read(addr, run * 8)
+            budget -= run
+            self._cursor += run
             if self._cursor >= self.n_elements:
                 self._cursor = 0
                 self._pass += 1

@@ -20,7 +20,7 @@ touching them entirely — §6.2).
 
 from __future__ import annotations
 
-import struct
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Protocol
@@ -109,6 +109,16 @@ _VALID_DIRTY = _VALID_BIT | _DIRTY_BIT
 _ALL_BUT_VALID = np.uint64(((1 << 64) - 1) ^ _VALID_BIT)
 
 
+def _tag_word(tag: int, dirty: bool, ns: bool) -> int:
+    """The word of a valid entry holding ``tag``."""
+    word = ((tag & _TAG_MASK) << _TAG_SHIFT) | _VALID_BIT
+    if dirty:
+        word |= _DIRTY_BIT
+    if ns:
+        word |= _NS_BIT
+    return word
+
+
 class TagArray:
     """Tag/valid/dirty/NS metadata stored in a real SRAM macro.
 
@@ -135,30 +145,20 @@ class TagArray:
         raw = self._sram.read_bytes(entry * self.ENTRY_BYTES, self.ENTRY_BYTES)
         return int.from_bytes(raw, "little")
 
-    def _write_word(self, entry: int, word: int) -> None:
+    def write_word(self, entry: int, word: int) -> None:
+        """Store one entry's raw 64-bit word."""
         self._sram.write_bytes(
             entry * self.ENTRY_BYTES, word.to_bytes(self.ENTRY_BYTES, "little")
         )
-
-    def read_words(self, first: int, count: int) -> tuple[int, ...]:
-        """Raw words of ``count`` consecutive entries, in one SRAM read."""
-        raw = self._sram.read_bytes(
-            first * self.ENTRY_BYTES, count * self.ENTRY_BYTES
-        )
-        return struct.unpack(f"<{count}Q", raw)
 
     def all_words(self) -> np.ndarray:
         """Every entry's raw word as a little-endian ``uint64`` array."""
         raw = self._sram.read_bytes(0, self._entries * self.ENTRY_BYTES)
         return np.frombuffer(raw, dtype="<u8")
 
-    def clear_all_valid(self, words: np.ndarray) -> None:
-        """Store ``words`` (from :meth:`all_words`) with valid bits cleared.
-
-        One masked clear over the whole tag RAM; tag, dirty and NS bits
-        are kept.
-        """
-        self._sram.write_bytes(0, (words & _ALL_BUT_VALID).tobytes())
+    def write_all(self, words: np.ndarray) -> None:
+        """Store every entry's raw word in one SRAM write."""
+        self._sram.write_bytes(0, words.astype("<u8", copy=False).tobytes())
 
     def read(self, entry: int) -> tuple[int, bool, bool, bool]:
         """Return (tag, valid, dirty, ns) for one entry."""
@@ -174,30 +174,8 @@ class TagArray:
         self, entry: int, tag: int, valid: bool, dirty: bool, ns: bool
     ) -> None:
         """Overwrite one entry."""
-        word = (tag & _TAG_MASK) << _TAG_SHIFT
-        if valid:
-            word |= _VALID_BIT
-        if dirty:
-            word |= _DIRTY_BIT
-        if ns:
-            word |= _NS_BIT
-        self._write_word(entry, word)
-
-    def clear_valid(self, entry: int) -> None:
-        """Drop the valid bit, leaving everything else untouched."""
-        word = self._read_word(entry)
-        self._write_word(entry, word & ~_VALID_BIT)
-
-    def set_flags(
-        self, entry: int, dirty: bool | None = None, ns: bool | None = None
-    ) -> None:
-        """Update the dirty and/or NS flag of one entry."""
-        word = self._read_word(entry)
-        if dirty is not None:
-            word = (word | _DIRTY_BIT) if dirty else (word & ~_DIRTY_BIT)
-        if ns is not None:
-            word = (word | _NS_BIT) if ns else (word & ~_NS_BIT)
-        self._write_word(entry, word)
+        word = _tag_word(tag, dirty, ns)
+        self.write_word(entry, word if valid else word & ~_VALID_BIT)
 
 
 class SetAssociativeCache:
@@ -209,6 +187,14 @@ class SetAssociativeCache:
     flip-flops (the enable bit, LRU ages) is *not* SRAM-backed and is
     reset by a reboot — which matches hardware: post-reboot, caches come
     up disabled with undefined contents.
+
+    The controller reads tag words from a mirror, one Python int per
+    entry, and writes every change through to the tag RAM.  The mirror
+    is reloaded from the tag RAM whenever the RAM's
+    :attr:`~repro.circuits.sram.SramArray.mutations` counter differs
+    from the value recorded after the cache's own last write, so MBIST
+    fills, power events, DRV collapse and foreign writes are all seen,
+    and an access with the tag RAM unpowered still raises.
     """
 
     #: Supported replacement policies.
@@ -250,6 +236,10 @@ class SetAssociativeCache:
             name=f"{name}.tag",
         )
         self.tags = TagArray(tag_sram, g.sets * g.ways)
+        # Tag mirror (see the class docstring).  An ``array`` deep-copies
+        # as one buffer; ``-1`` forces a load on first use.
+        self._tag_words = array("Q")
+        self._tag_seen = -1
         # Optional undocumented in-line bit interleave (BCM2837 i-cache
         # stores instructions+ECC in a vendor-private order — paper
         # footnote 4).  The permutation is fixed per device.
@@ -263,10 +253,6 @@ class SetAssociativeCache:
         self._lru_tick = 0
         self._rr_pointer = np.zeros(g.sets, dtype=np.int64)
         self._victim_rng = spawn(rng)
-        # Statistics.
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     # SRAM plumbing (what the power layer attaches to a domain)
@@ -294,27 +280,57 @@ class SetAssociativeCache:
     def _entry(self, index: int, way: int) -> int:
         return index * self.geometry.ways + way
 
-    def _set_words(self, index: int) -> tuple[int, ...]:
-        ways = self.geometry.ways
-        return self.tags.read_words(index * ways, ways)
+    def _sync_tags(self) -> None:
+        """Reload the tag mirror if the tag RAM changed behind it."""
+        sram = self.tags.sram
+        if sram.mutations != self._tag_seen:
+            words = array("Q")
+            words.frombytes(self.tags.all_words().astype(np.uint64).tobytes())
+            self._tag_words = words
+            self._tag_seen = sram.mutations
+
+    def _store_tag(self, entry: int, word: int) -> None:
+        """Write one tag word through the mirror to the tag RAM."""
+        self._tag_words[entry] = word
+        self.tags.write_word(entry, word)
+        self._tag_seen = self.tags.sram.mutations
+
+    def _mark_dirty(self, entry: int) -> None:
+        word = self._tag_words[entry]
+        if not word & _DIRTY_BIT:
+            self._store_tag(entry, word | _DIRTY_BIT)
+
+    def _clear_all_valid(self) -> None:
+        """One masked clear of every valid bit, mirror and tag RAM."""
+        words = np.frombuffer(self._tag_words, dtype=np.uint64)
+        words &= _ALL_BUT_VALID
+        self.tags.write_all(words)
+        self._tag_seen = self.tags.sram.mutations
 
     def _lookup(self, tag: int, index: int) -> int | None:
-        for way, word in enumerate(self._set_words(index)):
+        words = self._tag_words
+        ways = self.geometry.ways
+        base = index * ways
+        for way in range(ways):
+            word = words[base + way]
             if word & _VALID_BIT and ((word >> _TAG_SHIFT) & _TAG_MASK) == tag:
                 return way
         return None
 
     def _choose_victim(self, index: int) -> int:
-        for way, word in enumerate(self._set_words(index)):
-            if not word & _VALID_BIT:
+        words = self._tag_words
+        ways = self.geometry.ways
+        base = index * ways
+        for way in range(ways):
+            if not words[base + way] & _VALID_BIT:
                 return way
         if self.replacement == "lru":
             return int(np.argmin(self._lru[index]))
         if self.replacement == "round-robin":
             victim = int(self._rr_pointer[index])
-            self._rr_pointer[index] = (victim + 1) % self.geometry.ways
+            self._rr_pointer[index] = (victim + 1) % ways
             return victim
-        return int(self._victim_rng.integers(0, self.geometry.ways))
+        return int(self._victim_rng.integers(0, ways))
 
     def _touch(self, index: int, way: int) -> None:
         self._lru_tick += 1
@@ -373,6 +389,13 @@ class SetAssociativeCache:
     def _access(
         self, addr: int, size: int, data: bytes | None, ns: bool
     ) -> bytes:
+        """Stream an access through the cache, one line at a time.
+
+        Each line costs one data-RAM touch: a hit reads or writes just
+        the addressed bytes (the interleaved layout needs the whole
+        line), and a miss writes the filled line once, with a write's
+        bytes already merged in.
+        """
         if size <= 0:
             raise MemoryMapError("access size must be positive")
         if not self.enabled:
@@ -380,56 +403,89 @@ class SetAssociativeCache:
                 return self.backing.read_block(addr, size)
             self.backing.write_block(addr, data)
             return data
+        self._sync_tags()
+        g = self.geometry
         out = bytearray()
         cursor = addr
         remaining = size
         pos = 0
         while remaining > 0:
-            tag, index, offset = self.geometry.split(cursor)
-            chunk = min(remaining, self.geometry.line_bytes - offset)
+            tag, index, offset = g.split(cursor)
+            chunk = min(remaining, g.line_bytes - offset)
+            piece = None if data is None else data[pos : pos + chunk]
             way = self._lookup(tag, index)
             if way is None:
-                way = self._fill(cursor, tag, index, ns)
-                self.misses += 1
+                way, line = self._fill(cursor, tag, index, ns, offset, piece)
+                if piece is None:
+                    out += line[offset : offset + chunk]
+            elif self._interleave is not None:
+                line = self._read_line(way, index)
+                if piece is None:
+                    out += line[offset : offset + chunk]
+                else:
+                    self._write_line(
+                        way, index,
+                        line[:offset] + piece + line[offset + chunk :],
+                    )
+                    self._mark_dirty(self._entry(index, way))
+            elif piece is None:
+                out += self.data_rams[way].read_bytes(
+                    self._line_slot(index) + offset, chunk
+                )
             else:
-                self.hits += 1
+                self.data_rams[way].write_bytes(
+                    self._line_slot(index) + offset, piece
+                )
+                self._mark_dirty(self._entry(index, way))
             self._touch(index, way)
-            line = bytearray(self._read_line(way, index))
-            if data is None:
-                out += line[offset : offset + chunk]
-            else:
-                line[offset : offset + chunk] = data[pos : pos + chunk]
-                self._write_line(way, index, bytes(line))
-                self.tags.set_flags(self._entry(index, way), dirty=True)
             cursor += chunk
             pos += chunk
             remaining -= chunk
         return bytes(out) if data is None else data
 
-    def _fill(self, addr: int, tag: int, index: int, ns: bool) -> int:
+    def _fill(
+        self,
+        addr: int,
+        tag: int,
+        index: int,
+        ns: bool,
+        offset: int,
+        piece: bytes | None,
+    ) -> tuple[int, bytes]:
+        """Allocate a line for ``addr`` and return ``(way, line)``.
+
+        A write's ``piece`` is merged at ``offset`` before the line is
+        stored, and the new entry is then born dirty.
+        """
         way = self._choose_victim(index)
         entry = self._entry(index, way)
-        old_tag, valid, dirty, _old_ns = self.tags.read(entry)
-        if valid and dirty:
-            victim_addr = self._reconstruct_addr(old_tag, index)
-            self.backing.write_block(victim_addr, self._read_line(way, index))
-            self.evictions += 1
-        elif valid:
-            self.evictions += 1
-        if valid and OBS.enabled:
-            OBS.counter_inc("cache.evictions", 1, cache=self.name)
-        line_addr = self.geometry.line_base(addr)
-        self._write_line(way, index, self.backing.read_block(
-            line_addr, self.geometry.line_bytes
-        ))
-        self.tags.write(entry, tag, valid=True, dirty=False, ns=ns)
+        old = self._tag_words[entry]
+        if old & _VALID_BIT:
+            self._write_back(index, way, old)
+            if OBS.enabled:
+                OBS.counter_inc("cache.evictions", 1, cache=self.name)
+        line = self.backing.read_block(
+            self.geometry.line_base(addr), self.geometry.line_bytes
+        )
+        if piece is not None:
+            line = line[:offset] + piece + line[offset + len(piece) :]
+        self._write_line(way, index, line)
+        self._store_tag(entry, _tag_word(tag, piece is not None, ns))
         if OBS.enabled:
             OBS.counter_inc("cache.line_fills", 1, cache=self.name)
-        return way
+        return way, line
 
     def _reconstruct_addr(self, tag: int, index: int) -> int:
         g = self.geometry
         return (tag << (g.offset_bits + g.index_bits)) | (index << g.offset_bits)
+
+    def _write_back(self, index: int, way: int, word: int) -> None:
+        """Write the line back to the next level if ``word`` is valid+dirty."""
+        if word & _VALID_DIRTY == _VALID_DIRTY:
+            self.backing.write_block(
+                self._reconstruct_addr((word >> _TAG_SHIFT) & _TAG_MASK, index),
+                self._read_line(way, index),
+            )
 
     # ------------------------------------------------------------------
     # Maintenance operations (the ISA-visible ones the paper discusses)
@@ -442,15 +498,12 @@ class SetAssociativeCache:
         the paper's §5.2.4 observation that clean/invalidate does not
         destroy data.
         """
-        words = self.tags.all_words()
+        self._sync_tags()
+        words = np.frombuffer(self._tag_words, dtype=np.uint64)
         for entry in np.flatnonzero((words & _VALID_DIRTY) == _VALID_DIRTY):
             index, way = divmod(int(entry), self.geometry.ways)
-            tag = (int(words[entry]) >> _TAG_SHIFT) & _TAG_MASK
-            self.backing.write_block(
-                self._reconstruct_addr(tag, index),
-                self._read_line(way, index),
-            )
-        self.tags.clear_all_valid(words)
+            self._write_back(index, way, int(words[entry]))
+        self._clear_all_valid()
 
     def clean_invalidate_line(self, addr: int) -> bool:
         """Clean+invalidate the line containing ``addr`` (DMA maintenance).
@@ -459,22 +512,21 @@ class SetAssociativeCache:
         by VA before device access; like the bulk variant, it leaves the
         data RAM contents in place.  Returns True when a line matched.
         """
+        self._sync_tags()
         tag, index, _ = self.geometry.split(addr)
         way = self._lookup(tag, index)
         if way is None:
             return False
         entry = self._entry(index, way)
-        _tag, _valid, dirty, _ns = self.tags.read(entry)
-        if dirty:
-            self.backing.write_block(
-                self._reconstruct_addr(tag, index), self._read_line(way, index)
-            )
-        self.tags.clear_valid(entry)
+        word = self._tag_words[entry]
+        self._write_back(index, way, word)
+        self._store_tag(entry, word & ~_VALID_BIT)
         return True
 
     def invalidate_all(self) -> None:
         """Drop all valid bits without writing anything back."""
-        self.tags.clear_all_valid(self.tags.all_words())
+        self._sync_tags()
+        self._clear_all_valid()
 
     def zero_line(self, addr: int, ns: bool = True) -> None:
         """``DC ZVA``: allocate the line containing ``addr`` and zero it.
@@ -484,20 +536,16 @@ class SetAssociativeCache:
         """
         if not self.enabled:
             raise CircuitError(f"{self.name}: DC ZVA needs the cache enabled")
+        self._sync_tags()
         tag, index, _ = self.geometry.split(addr)
         way = self._lookup(tag, index)
         if way is None:
             way = self._choose_victim(index)
             entry = self._entry(index, way)
-            old_tag, valid, dirty, _ns = self.tags.read(entry)
-            if valid and dirty:
-                self.backing.write_block(
-                    self._reconstruct_addr(old_tag, index),
-                    self._read_line(way, index),
-                )
-            self.tags.write(entry, tag, valid=True, dirty=True, ns=ns)
+            self._write_back(index, way, self._tag_words[entry])
+            self._store_tag(entry, _tag_word(tag, True, ns))
         else:
-            self.tags.set_flags(self._entry(index, way), dirty=True)
+            self._mark_dirty(self._entry(index, way))
         self._write_line(way, index, bytes(self.geometry.line_bytes))
         self._touch(index, way)
         if OBS.enabled:
@@ -532,6 +580,16 @@ class SetAssociativeCache:
         if not 0 <= way < self.geometry.ways:
             raise MemoryMapError(f"{self.name}: no way {way}")
         return self.data_rams[way].read_bytes()
+
+    def raw_line(self, way: int, index: int) -> bytes:
+        """One raw line of one way's data RAM (see :meth:`raw_way_image`)."""
+        if not 0 <= way < self.geometry.ways:
+            raise MemoryMapError(f"{self.name}: no way {way}")
+        if not 0 <= index < self.geometry.sets:
+            raise MemoryMapError(f"{self.name}: no set {index}")
+        return self.data_rams[way].read_bytes(
+            self._line_slot(index), self.geometry.line_bytes
+        )
 
     def raw_tag_entry(self, index: int, way: int) -> tuple[int, bool, bool, bool]:
         """Dump one raw tag entry (tag, valid, dirty, ns)."""

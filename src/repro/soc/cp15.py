@@ -149,11 +149,9 @@ class Cp15Interface:
         if pending is None or not (pending.dsb_done and pending.isb_done):
             return self._data_register  # stale: barriers not honoured
         if pending.ram in (RamId.TLB, RamId.BTB):
-            structure = self._entry_array_for(pending.ram)
-            image = structure.raw_image()
-            entry_bytes = 16
-            start = pending.index * entry_bytes
-            payload = image[start : start + entry_bytes]
+            payload = self._entry_array_for(pending.ram).raw_entry(
+                pending.index
+            )
             if self.read_noise is not None:
                 payload = self.read_noise.corrupt(payload)
             self._data_register = payload
@@ -168,10 +166,7 @@ class Cp15Interface:
         else:
             _t, _v, _d, ns = cache.raw_tag_entry(pending.index, pending.way)
             self._check_security(ctx, ns)
-            line_bytes = cache.geometry.line_bytes
-            image = cache.raw_way_image(pending.way)
-            start = pending.index * line_bytes
-            payload = image[start : start + line_bytes]
+            payload = cache.raw_line(pending.way, pending.index)
         if self.read_noise is not None:
             payload = self.read_noise.corrupt(payload)
         self._data_register = payload

@@ -80,6 +80,10 @@ class _EntryArray:
         """The raw entry RAM — what RAMINDEX hands the attacker."""
         return self.sram.read_bytes()
 
+    def raw_entry(self, index: int) -> bytes:
+        """One raw entry of :meth:`raw_image`."""
+        return self.sram.read_bytes(index * ENTRY_BYTES, ENTRY_BYTES)
+
 
 class Tlb(_EntryArray):
     """A fully-associative TLB with a round-robin fill pointer."""

@@ -22,7 +22,11 @@ import pytest
 from repro import obs
 from repro.circuits.engine import SCALAR_ENV
 from repro.experiments import (
+    accessibility,
+    countermeasures,
+    figure8,
     figure10,
+    microarch_leak,
     policy_ablation,
     retention_sweep,
     table1,
@@ -114,6 +118,14 @@ class TestCacheExperimentStability:
     bulk invalidation and the element scan.  These values predate the
     packed SRAM storage and bulk tag operations, which left them
     unchanged; like the pins above, they move only with the physics.
+
+    The other four cover the rest of the cache surface: Figure 8 runs
+    the interleaved i-cache through the interpreter; countermeasures
+    issue DC ZVA, purges and MBIST writes to the tag RAM; accessibility
+    writes the L2 data RAM directly and dumps over CP15; microarch_leak
+    reads the TLB and BTB over CP15.  They were recorded before the tag
+    mirror and the line-batched Table 4 victim, which left them
+    unchanged.
     """
 
     TABLE4_FP = (
@@ -121,6 +133,18 @@ class TestCacheExperimentStability:
     )
     POLICY_ABLATION_FP = (
         "11cb7353353f2399b3b509cac68a23f1fc2429945f28b9615120366879d48cb0"
+    )
+    FIGURE8_FP = (
+        "0ee1aeacf97de0bcc19102e6508ab351e2da233c068df6450cfd8ec548adc671"
+    )
+    COUNTERMEASURES_FP = (
+        "a520185602d0c0e13838f462530ec0a87c10bd60204df3ded9b219340fe8a44c"
+    )
+    ACCESSIBILITY_FP = (
+        "4ac28abc3b71401c04b23d79be1d86befffd48ba6cff982c8eed289bc5997f0a"
+    )
+    MICROARCH_LEAK_FP = (
+        "772223412d60e9152057105d806460a824072d08f33ac0b88f7fa996fa1189be"
     )
 
     def test_table4_pin(self, monkeypatch):
@@ -133,3 +157,19 @@ class TestCacheExperimentStability:
     def test_policy_ablation_pin(self, monkeypatch):
         monkeypatch.delenv(SCALAR_ENV, raising=False)
         assert _run_fingerprint(policy_ablation.run) == self.POLICY_ABLATION_FP
+
+    def test_figure8_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        assert _run_fingerprint(figure8.run) == self.FIGURE8_FP
+
+    def test_countermeasures_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        assert _run_fingerprint(countermeasures.run) == self.COUNTERMEASURES_FP
+
+    def test_accessibility_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        assert _run_fingerprint(accessibility.run) == self.ACCESSIBILITY_FP
+
+    def test_microarch_leak_pin(self, monkeypatch):
+        monkeypatch.delenv(SCALAR_ENV, raising=False)
+        assert _run_fingerprint(microarch_leak.run) == self.MICROARCH_LEAK_FP

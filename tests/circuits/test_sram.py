@@ -249,6 +249,38 @@ class TestDataAccess:
         assert small_sram.drv_percentile(10) < small_sram.drv_percentile(90)
 
 
+class TestMutationCounter:
+    """``mutations`` moves on image changes and power events, not reads."""
+
+    def test_counts_changes_not_reads(self):
+        array = fresh_array()
+        steps = [
+            (lambda: array.power_up(), 1),
+            (lambda: array.read_bytes(0, 4), 0),
+            (lambda: array.read_bits(3, 9), 0),
+            (lambda: array.write_bytes(2, b"ab"), 1),
+            (lambda: array.write_bits(5, np.ones(3)), 1),
+            (lambda: array.fill_bytes(0x55), 1),
+            (lambda: array.set_supply_voltage(0.7), 0),  # nothing lost
+            (lambda: array.set_supply_voltage(0.25), 1),  # collapse
+            (lambda: array.power_down(), 1),
+            (lambda: array.elapse_unpowered(1e-6), 0),
+            (lambda: array.restore_power(), 1),
+        ]
+        for step, bump in steps:
+            before = array.mutations
+            step()
+            assert array.mutations == before + bump
+
+    def test_failed_write_does_not_count(self):
+        array = fresh_array()
+        array.power_up()
+        before = array.mutations
+        with pytest.raises(CircuitError):
+            array.write_bytes(array.n_bytes, b"x")
+        assert array.mutations == before
+
+
 class TestPropertyBased:
     @given(
         offset=st.integers(min_value=0, max_value=400),

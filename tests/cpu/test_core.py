@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.circuits.dram import DramArray
 from repro.circuits.sram import SramParameters
 from repro.cpu.assembler import assemble
@@ -112,8 +113,10 @@ class TestMemory:
         assert (0x1122334455667788).to_bytes(8, "little") in image
 
     def test_fetch_populates_icache(self):
-        core = run_source("cacheen\nnop\nnop\nnop\nhlt")
-        assert core.unit.l1i.misses >= 1
+        with obs.capture() as o:
+            core = run_source("cacheen\nnop\nnop\nnop\nhlt")
+            fills = o.metrics.counter("cache.line_fills", cache=core.unit.l1i.name)
+            assert fills.value >= 1
 
 
 class TestControlFlow:

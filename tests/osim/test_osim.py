@@ -1,5 +1,8 @@
 """OS simulation: processes, kernel noise, scheduling."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.cpu.assembler import assemble
@@ -84,6 +87,87 @@ class TestArrayFillProcess:
     def test_invalid_counts_rejected(self):
         with pytest.raises(CpuFault):
             ArrayFillProcess("p", 0, 0x40000, n_elements=0)
+
+
+def _per_element_quantum(process, unit):
+    """The one-write-one-read-per-element loop the batched quantum equals."""
+    if process.finished:
+        return
+    cache = unit.l1d
+    for _ in range(process.elements_per_quantum):
+        addr = process.base_addr + process._cursor * 8
+        cache.write(addr, process.element_bytes(process._cursor))
+        cache.read(addr, 8)
+        process._cursor += 1
+        if process._cursor >= process.n_elements:
+            process._cursor = 0
+            process._pass += 1
+            if process._pass >= process.passes:
+                process.finished = True
+                return
+
+
+def _cache_state(cache):
+    """Everything a quantum can change in one cache, LRU as an order."""
+    return {
+        "data": [ram.read_bytes() for ram in cache.data_rams],
+        "tags": cache.tags.all_words().tolist(),
+        "lru_order": np.argsort(cache._lru, axis=1, kind="stable").tolist(),
+        "rr_pointer": cache._rr_pointer.tolist(),
+        "victim_rng": cache._victim_rng.bit_generator.state,
+    }
+
+
+@pytest.fixture(scope="module")
+def fill_template():
+    board = raspberry_pi_4(seed=307)
+    board.boot(BootMedia("os"))
+    SimKernel(board, seed_label="t-batch").enable_caches()
+    # The L2 is off after boot; turn it on so L1D victims land in it.
+    board.soc.l2.invalidate_all()
+    board.soc.l2.enabled = True
+    return board
+
+
+class TestArrayFillBatching:
+    """Line-batched quanta leave the caches as the per-element loop does.
+
+    Cases: an unaligned base (elements straddle lines), passes that wrap
+    mid-quantum, element counts that are not a multiple of eight, and
+    arrays larger than the 32 KiB L1D, so dirty victims reach the
+    (enabled) L2.
+    """
+
+    @pytest.mark.parametrize("policy", ["lru", "round-robin", "random"])
+    @pytest.mark.parametrize(
+        "base_offset, n_elements, per_quantum",
+        [(4, 5001, 64), (0, 4100, 37), (24, 13, 64)],
+    )
+    def test_matches_per_element_loop(
+        self, fill_template, policy, base_offset, n_elements, per_quantum
+    ):
+        states = []
+        for run in (_per_element_quantum, None):
+            board = copy.deepcopy(fill_template)
+            unit = board.soc.core(0)
+            unit.l1d.replacement = policy
+            process = ArrayFillProcess(
+                "p", 0, 0x40000 + base_offset, n_elements,
+                passes=3, elements_per_quantum=per_quantum,
+            )
+            quanta = 0
+            while not process.finished:
+                if run is None:
+                    process.quantum(unit, board.soc.memory_map)
+                else:
+                    run(process, unit)
+                quanta += 1
+            states.append((
+                quanta,
+                _cache_state(unit.l1d),
+                _cache_state(board.soc.l2),
+            ))
+        assert states[0] == states[1]
 
 
 class TestInterpretedProcess:

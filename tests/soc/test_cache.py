@@ -1,10 +1,13 @@
 """Set-associative cache: geometry, controller, maintenance, raw access."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import CalibrationError, CircuitError
 from repro.soc.cache import CacheGeometry
 
@@ -36,22 +39,30 @@ class TestGeometry:
             CacheGeometry(size_bytes=1000, ways=3, line_bytes=64)
 
 
+def _count(o, name, cache) -> int:
+    """Value of the ``cache.<name>`` counter of ``cache`` in capture ``o``."""
+    return o.metrics.counter(f"cache.{name}", cache=cache.name).value
+
+
 class TestBasicAccess:
     def test_write_then_read_hits(self, small_cache):
-        small_cache.write(0x100, b"payload!")
-        assert small_cache.read(0x100, 8) == b"payload!"
-        assert small_cache.hits >= 1
+        with obs.capture() as o:
+            small_cache.write(0x100, b"payload!")
+            assert small_cache.read(0x100, 8) == b"payload!"
+            assert _count(o, "line_fills", small_cache) == 1
 
     def test_miss_fills_from_backing(self, backing, small_cache):
         backing.data[0x200:0x208] = b"fromdram"
-        assert small_cache.read(0x200, 8) == b"fromdram"
-        assert small_cache.misses == 1
+        with obs.capture() as o:
+            assert small_cache.read(0x200, 8) == b"fromdram"
+            assert _count(o, "line_fills", small_cache) == 1
 
     def test_disabled_cache_bypasses(self, backing):
         cache = make_cache(backing, enabled=False)
-        cache.write(0x40, b"direct")
-        assert bytes(backing.data[0x40:0x46]) == b"direct"
-        assert cache.misses == 0
+        with obs.capture() as o:
+            cache.write(0x40, b"direct")
+            assert bytes(backing.data[0x40:0x46]) == b"direct"
+            assert _count(o, "line_fills", cache) == 0
 
     def test_access_spanning_lines(self, small_cache):
         data = bytes(range(100))
@@ -72,19 +83,21 @@ class TestBasicAccess:
 class TestReplacement:
     def test_conflicting_lines_fill_both_ways(self, backing, small_cache):
         way_span = small_cache.geometry.way_bytes
-        small_cache.write(0x0, b"way-zero")
-        small_cache.write(way_span, b"way-one!")
-        assert small_cache.read(0x0, 8) == b"way-zero"
-        assert small_cache.read(way_span, 8) == b"way-one!"
-        assert small_cache.evictions == 0
+        with obs.capture() as o:
+            small_cache.write(0x0, b"way-zero")
+            small_cache.write(way_span, b"way-one!")
+            assert small_cache.read(0x0, 8) == b"way-zero"
+            assert small_cache.read(way_span, 8) == b"way-one!"
+            assert _count(o, "evictions", small_cache) == 0
 
     def test_third_conflict_evicts_lru(self, backing, small_cache):
         way_span = small_cache.geometry.way_bytes
-        small_cache.write(0x0, b"aaaaaaaa")
-        small_cache.write(way_span, b"bbbbbbbb")
-        small_cache.read(0x0, 8)  # make way holding "a" the MRU
-        small_cache.write(2 * way_span, b"cccccccc")  # evicts "b"
-        assert small_cache.evictions == 1
+        with obs.capture() as o:
+            small_cache.write(0x0, b"aaaaaaaa")
+            small_cache.write(way_span, b"bbbbbbbb")
+            small_cache.read(0x0, 8)  # make way holding "a" the MRU
+            small_cache.write(2 * way_span, b"cccccccc")  # evicts "b"
+            assert _count(o, "evictions", small_cache) == 1
         # "b" was dirty: it must have been written back.
         assert bytes(backing.data[way_span : way_span + 8]) == b"bbbbbbbb"
 
@@ -174,7 +187,9 @@ def _reference_maintenance(cache, write_back: bool) -> None:
                     index * g.line_bytes, g.line_bytes
                 )
                 cache.backing.write_block(addr, line)
-            cache.tags.clear_valid(entry)
+            sram = cache.tags.sram
+            word = int.from_bytes(sram.read_bytes(entry * 8, 8), "little")
+            sram.write_bytes(entry * 8, (word & ~(1 << 48)).to_bytes(8, "little"))
 
 
 class TestBulkMaintenance:
@@ -216,6 +231,154 @@ class TestBulkMaintenance:
         assert small_cache.tags.read(4) == (0x123, False, False, True)
 
 
+def _assert_mirror(cache, written_through=True):
+    """The tag words the cache's next access uses equal the tag RAM.
+
+    After the cache's own operations the mirror must already match
+    (no reload pending); after a change made behind its back, the
+    mutation counter must show it stale.
+    """
+    sram = cache.tags.sram
+    assert (cache._tag_seen == sram.mutations) is written_through
+    cache._sync_tags()
+    assert list(cache._tag_words) == cache.tags.all_words().tolist()
+
+
+class TestTagMirror:
+    """The cache's tag mirror stays coherent with its tag RAM."""
+
+    def test_fill_evict_hit_write(self, backing, small_cache):
+        way_span = small_cache.geometry.way_bytes
+        small_cache.read(0x40, 8)  # fill, clean
+        _assert_mirror(small_cache)
+        small_cache.write(0x40, b"hit-hit!")  # hit: dirty bit set
+        _assert_mirror(small_cache)
+        small_cache.write(0x40 + way_span, b"second!!")  # fill, dirty
+        _assert_mirror(small_cache)
+        small_cache.read(0x40, 8)  # hit
+        _assert_mirror(small_cache)
+        small_cache.write(0x40 + 2 * way_span, b"evictor!")  # dirty victim
+        _assert_mirror(small_cache)
+        assert bytes(backing.data[0x40 + way_span : 0x48 + way_span]) == (
+            b"second!!"
+        )
+        data = bytes(range(150))
+        small_cache.write(50, data)  # spans three lines
+        _assert_mirror(small_cache)
+        assert small_cache.read(50, 150) == data
+        _assert_mirror(small_cache)
+
+    def test_maintenance(self, small_cache):
+        for addr in (0x0, 0x80, 0x1000, 0x2000):
+            small_cache.write(addr, b"\x5a" * 8)
+        small_cache.clean_invalidate_line(0x80)
+        _assert_mirror(small_cache)
+        small_cache.zero_line(0x80)  # miss: allocate dirty
+        _assert_mirror(small_cache)
+        small_cache.zero_line(0x1000)  # hit
+        _assert_mirror(small_cache)
+        small_cache.clean_invalidate_all()
+        _assert_mirror(small_cache)
+        small_cache.write(0x40, b"again")
+        small_cache.invalidate_all()
+        _assert_mirror(small_cache)
+
+    def test_mbist_fill_is_seen(self, small_cache):
+        small_cache.write(0x40, b"resident")
+        small_cache.tags.sram.fill_bytes(0x00)  # MBIST: every line invalid
+        _assert_mirror(small_cache, written_through=False)
+        with obs.capture() as o:
+            small_cache.read(0x40, 8)
+            assert _count(o, "line_fills", small_cache) == 1
+
+    def test_direct_tag_write_is_seen(self, backing, small_cache):
+        small_cache.write(0x40, b"resident")
+        tag, index, _ = small_cache.geometry.split(0x40)
+        way = next(
+            way for way in range(small_cache.geometry.ways)
+            if small_cache.raw_tag_entry(index, way)[1]
+        )
+        entry = index * small_cache.geometry.ways + way
+        small_cache.tags.sram.write_bytes(entry * 8, bytes(8))  # invalid
+        _assert_mirror(small_cache, written_through=False)
+        backing.data[0x40:0x48] = b"backing!"
+        assert small_cache.read(0x40, 8) == b"backing!"  # refetched
+        _assert_mirror(small_cache)
+
+    def test_power_cycle_and_collapse_are_seen(self, small_cache):
+        small_cache.write(0x40, b"resident")
+        sram = small_cache.tags.sram
+        sram.power_down()
+        with pytest.raises(CircuitError):
+            small_cache.read(0x40, 8)
+        with pytest.raises(CircuitError):
+            small_cache.write(0x40, b"x")
+        sram.restore_power()
+        _assert_mirror(small_cache, written_through=False)
+        small_cache.read(0x40, 8)
+        sram.set_supply_voltage(0.7)  # above every DRV: nothing lost
+        _assert_mirror(small_cache)
+        assert sram.set_supply_voltage(0.25) > 0  # collapse
+        _assert_mirror(small_cache, written_through=False)
+
+    def test_unpowered_tag_ram_raises_on_first_access(self, backing):
+        cache = make_cache(backing)
+        cache.tags.sram.power_down()
+        with pytest.raises(CircuitError):
+            cache.read(0x40, 8)
+
+    def test_unpowered_data_ram_raises_on_hit(self, small_cache):
+        small_cache.write(0x40, b"resident")
+        for ram in small_cache.data_rams:
+            ram.power_down()
+        with pytest.raises(CircuitError):
+            small_cache.read(0x40, 8)
+        with pytest.raises(CircuitError):
+            small_cache.write(0x40, b"x")
+
+    def test_deepcopy_diverges_independently(self, small_cache):
+        small_cache.write(0x40, b"original")
+        clone = copy.deepcopy(small_cache)
+        assert clone._tag_words is not small_cache._tag_words
+        _assert_mirror(clone)
+        way_span = small_cache.geometry.way_bytes
+        clone.write(0x40 + way_span, b"clone-only")
+        clone.invalidate_all()
+        small_cache.write(0x80, b"parent-only")
+        _assert_mirror(clone)
+        _assert_mirror(small_cache)
+        assert small_cache.read(0x40, 8) == b"original"
+        assert list(clone._tag_words) != list(small_cache._tag_words)
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["read", "write", "line", "zero", "all"]),
+                st.integers(min_value=0, max_value=0x3FFF),
+                st.integers(min_value=1, max_value=80),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        policy=st.sampled_from(["lru", "round-robin", "random"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_operation_sequences(self, ops, policy):
+        cache = make_cache(DictBacking(size=0x10000), replacement=policy)
+        for op, addr, size in ops:
+            if op == "read":
+                cache.read(addr, size)
+            elif op == "write":
+                cache.write(addr, bytes([size]) * size)
+            elif op == "line":
+                cache.clean_invalidate_line(addr)
+            elif op == "zero":
+                cache.zero_line(addr)
+            else:
+                cache.clean_invalidate_all()
+            _assert_mirror(cache)
+
+
 class TestArchitecturalReset:
     def test_reset_disables_and_clears_lru_only(self, small_cache):
         small_cache.write(0x40, b"\xaa" * 64)
@@ -228,6 +391,23 @@ class TestArchitecturalReset:
 class TestRawAccess:
     def test_raw_way_image_size(self, small_cache):
         assert len(small_cache.raw_way_image(0)) == small_cache.geometry.way_bytes
+
+    def test_raw_lines_tile_the_way_image(self, small_cache):
+        small_cache.write(0x40, b"line" * 16)
+        for way in range(small_cache.geometry.ways):
+            lines = b"".join(
+                small_cache.raw_line(way, index)
+                for index in range(small_cache.geometry.sets)
+            )
+            assert lines == small_cache.raw_way_image(way)
+
+    def test_raw_line_out_of_range(self, small_cache):
+        from repro.errors import MemoryMapError
+
+        with pytest.raises(MemoryMapError):
+            small_cache.raw_line(5, 0)
+        with pytest.raises(MemoryMapError):
+            small_cache.raw_line(0, small_cache.geometry.sets)
 
     def test_raw_way_out_of_range(self, small_cache):
         from repro.errors import MemoryMapError

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import obs
+
 from repro.errors import CalibrationError
 
 from ..conftest import DictBacking, make_cache
@@ -23,10 +25,12 @@ class TestPolicies:
         cache = make_cache(DictBacking(), ways=2, replacement="round-robin")
         way_span = cache.geometry.way_bytes
         fill_all_ways(cache)
-        cache.write(2 * way_span, b"c" * 8)  # evicts way 0
-        cache.write(3 * way_span, b"d" * 8)  # evicts way 1
-        cache.write(4 * way_span, b"e" * 8)  # evicts way 0 again
-        assert cache.evictions == 3
+        with obs.capture() as o:
+            cache.write(2 * way_span, b"c" * 8)  # evicts way 0
+            cache.write(3 * way_span, b"d" * 8)  # evicts way 1
+            cache.write(4 * way_span, b"e" * 8)  # evicts way 0 again
+            evicted = o.metrics.counter("cache.evictions", cache=cache.name)
+            assert evicted.value == 3
         assert cache.read(4 * way_span, 8) == b"e" * 8
 
     def test_random_policy_spreads_victims(self):
@@ -54,12 +58,15 @@ class TestPolicies:
     def test_lru_protects_recently_used(self):
         cache = make_cache(DictBacking(), ways=2, replacement="lru")
         way_span = cache.geometry.way_bytes
-        cache.write(0, b"a" * 8)
-        cache.write(way_span, b"b" * 8)
-        cache.read(0, 8)  # refresh "a"
-        cache.write(2 * way_span, b"c" * 8)  # must evict "b"
-        assert cache.read(0, 8) == b"a" * 8
-        assert cache.hits >= 2
+        with obs.capture() as o:
+            cache.write(0, b"a" * 8)
+            cache.write(way_span, b"b" * 8)
+            cache.read(0, 8)  # refresh "a"
+            cache.write(2 * way_span, b"c" * 8)  # must evict "b"
+            assert cache.read(0, 8) == b"a" * 8
+            # Both reads of "a" hit: only the three writes filled.
+            fills = o.metrics.counter("cache.line_fills", cache=cache.name)
+            assert fills.value == 3
 
     def test_replacement_transparent_to_contents(self):
         for policy in ("lru", "round-robin", "random"):

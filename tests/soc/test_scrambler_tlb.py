@@ -107,6 +107,12 @@ class TestTlb:
         entries = Tlb.decode_raw_image(tlb.raw_image())
         assert any(e.asid == 9 and e.vpn == 0x77 for e in entries)
 
+    def test_raw_entries_tile_raw_image(self):
+        tlb = make_tlb()
+        tlb.insert(asid=3, vpn=0x42, ppn=0x42)
+        entries = b"".join(tlb.raw_entry(i) for i in range(tlb.entries))
+        assert entries == tlb.raw_image()
+
     def test_reboot_resets_fill_pointer_only(self):
         tlb = make_tlb(entries=4)
         tlb.insert(0, 1, 1)

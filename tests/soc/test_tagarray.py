@@ -32,21 +32,6 @@ class TestBasics:
         tags.write(3, tag=0xBEEF, valid=True, dirty=False, ns=True)
         assert tags.read(3) == (0xBEEF, True, False, True)
 
-    def test_clear_valid_preserves_other_fields(self):
-        tags = make_tags()
-        tags.write(5, tag=0x123, valid=True, dirty=True, ns=False)
-        tags.clear_valid(5)
-        assert tags.read(5) == (0x123, False, True, False)
-
-    def test_set_flags_partial_update(self):
-        tags = make_tags()
-        tags.write(1, tag=0x7, valid=True, dirty=False, ns=False)
-        tags.set_flags(1, dirty=True)
-        assert tags.read(1) == (0x7, True, True, False)
-        tags.set_flags(1, ns=True)
-        assert tags.read(1) == (0x7, True, True, True)
-        tags.set_flags(1, dirty=False, ns=False)
-        assert tags.read(1) == (0x7, True, False, False)
 
 
 class TestPropertyBased:
