@@ -1,22 +1,10 @@
-"""Times the voltage-glitch parameter-search campaign.
+"""Times the voltage-glitch parameter-search campaign."""
 
-Beyond the standard serial-vs-parallel gauges, the sidecar records
-``bench.glitch.attempts_per_s`` — the campaign's raw attempt
-throughput, the number that bounds how large a parameter search is
-affordable.
-"""
-
-from repro import obs
 from repro.experiments import glitch_campaign
 
 
-def test_glitch_campaign(run_scaled, record_report):
-    result = run_scaled(glitch_campaign.run, seed=66)
-    serial_wall = obs.OBS.metrics.snapshot()["bench.exec.serial_wall_s"]
-    if serial_wall > 0:
-        obs.OBS.gauge_set(
-            "bench.glitch.attempts_per_s", len(result.attempts) / serial_wall
-        )
+def test_glitch_campaign(run_once, record_report):
+    result = run_once(glitch_campaign.run, seed=66)
     record_report(
         "glitch_campaign", glitch_campaign.report(result).render()
     )

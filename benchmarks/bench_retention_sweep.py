@@ -3,8 +3,8 @@
 from repro.experiments import retention_sweep
 
 
-def test_retention_sweep_grid(run_scaled, record_report):
-    sweep = run_scaled(retention_sweep.run, seed=35)
+def test_retention_sweep_grid(run_once, record_report):
+    sweep = run_once(retention_sweep.run, seed=35)
     record_report("retention_sweep", retention_sweep.report(sweep).render())
     # SRAM: hopeless at any achievable temperature for manual cut times.
     assert sweep.lookup("sram", 25.0, 0.5) < 0.6

@@ -1,24 +1,13 @@
 """Benchmark-harness plumbing.
 
 Every bench regenerates one table or figure of the paper: it runs the
-experiment under ``pytest-benchmark`` timing (single round — these are
-whole-system simulations, not microbenchmarks), asserts the paper's
-shape, and emits the rendered rows both to stdout and to
+experiment once under ``pytest-benchmark`` timing (single round —
+these are whole-system simulations, not microbenchmarks), asserts the
+paper's shape, and emits the rendered rows both to stdout and to
 ``benchmarks/results/<name>.txt`` so the numbers survive the run.
 
-Observability is enabled for every bench, so decorated experiment runs
-record a :class:`~repro.obs.RunManifest`; ``record_report`` persists it
-as ``benchmarks/results/<name>.json`` next to the text table, giving
-the perf-trajectory tooling a machine-readable record of each run
-(device, seed, per-phase timings, headline numbers).
-
-Shardable experiments bench through ``run_scaled``, which times the
-canonical serial run and — when ``--repro-jobs N`` is passed with
-``N > 1`` — a second parallel run, recording the measured
-``bench.exec.serial_wall_s`` / ``bench.exec.parallel_wall_s`` /
-``bench.exec.speedup`` gauges into the manifest sidecar.  On a
-multi-core host ``--repro-jobs 4`` shows the expected >=2x speedup; on
-a single-CPU machine the honest ~1x is what lands in the sidecar.
+These benches check the paper's claims; timing claims are made with
+the end-to-end benchmark in ``benchmarks/e2e`` (``docs/perf.md``).
 """
 
 from __future__ import annotations
@@ -27,65 +16,16 @@ from pathlib import Path
 
 import pytest
 
-from repro import obs
-from repro.obs import RunManifest, validate_manifest, write_json
-from repro.obs.timing import wall_clock
-from repro.perf import host_metadata
-
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--repro-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for shardable benches; N > 1 adds a "
-        "parallel leg and records the serial-vs-parallel speedup in "
-        "each manifest sidecar",
-    )
-
-
-@pytest.fixture(autouse=True)
-def _observability():
-    """Collect traces/metrics/manifests for the duration of each bench."""
-    obs.OBS.configure()
-    yield
-    obs.OBS.reset()
-
-
 @pytest.fixture
-def record_report(request):
-    """Persist and display a rendered experiment report + its manifest."""
+def record_report():
+    """Persist and display a rendered experiment report."""
 
     def _record(name: str, rendered: str) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
         (RESULTS_DIR / f"{name}.txt").write_text(rendered + "\n")
-        manifest = obs.OBS.last_manifest
-        if manifest is None:
-            # Bench drove the simulator directly rather than through a
-            # decorated experiment run; synthesise a minimal manifest so
-            # every results/*.txt still has a machine-readable sibling.
-            manifest = RunManifest(
-                kind="benchmark",
-                name=name,
-                seed=None,
-            )
-        doc = manifest.to_dict()
-        # The manifest's metric snapshot freezes when the decorated run
-        # returns; refresh from the live registry so gauges recorded
-        # after the run (e.g. run_scaled's speedup) reach the sidecar.
-        doc["metrics"] = obs.OBS.metrics.snapshot()
-        doc["benchmark"] = request.node.name
-        # Wall-clock numbers are only interpretable against the host
-        # they ran on; every sidecar records CPU count and the
-        # effective --repro-jobs (repro.perf reads these).
-        doc["host"] = host_metadata(
-            jobs=request.config.getoption("--repro-jobs")
-        )
-        validate_manifest(doc)
-        write_json(RESULTS_DIR / f"{name}.json", doc)
         print()
         print(rendered)
 
@@ -100,40 +40,5 @@ def run_once(benchmark):
         return benchmark.pedantic(
             func, args=args, kwargs=kwargs, rounds=1, iterations=1
         )
-
-    return _run
-
-
-@pytest.fixture
-def run_scaled(benchmark, request):
-    """Bench a shardable experiment and record its parallel speedup.
-
-    The pytest-benchmark timing is always the canonical serial run
-    (``jobs=1``), so bench trend lines stay comparable across hosts.
-    With ``--repro-jobs N`` (N > 1), the same callable runs once more
-    at ``jobs=N`` and the measured speedup gauges are recorded for the
-    manifest sidecar.  repro.exec guarantees both runs return identical
-    results, so the serial result is returned either way.
-    """
-    jobs = request.config.getoption("--repro-jobs")
-
-    def _run(func, **kwargs):
-        start = wall_clock()
-        result = benchmark.pedantic(
-            func, kwargs={**kwargs, "jobs": 1}, rounds=1, iterations=1
-        )
-        serial_wall = wall_clock() - start
-        obs.OBS.gauge_set("bench.exec.jobs", jobs)
-        obs.OBS.gauge_set("bench.exec.serial_wall_s", serial_wall)
-        if jobs > 1:
-            start = wall_clock()
-            func(**kwargs, jobs=jobs)
-            parallel_wall = wall_clock() - start
-            obs.OBS.gauge_set("bench.exec.parallel_wall_s", parallel_wall)
-            if parallel_wall > 0:
-                obs.OBS.gauge_set(
-                    "bench.exec.speedup", serial_wall / parallel_wall
-                )
-        return result
 
     return _run

@@ -106,8 +106,8 @@ class ChaosInjector:
     Duck-typed to the :mod:`repro.exec.runtime` injector protocol:
     ``on_unit(unit)`` before every work-unit execution and
     ``on_journal_write(journal, line)`` before every journal line.
-    An injector with no faults is a cheap no-op — the
-    ``quick.chaos-overhead`` benchmark holds it on the dispatch path.
+    An injector with no faults is a cheap no-op —
+    ``tools/supervision_overhead.py`` holds it on the dispatch path.
     """
 
     def __init__(self, faults: tuple[FaultSpec, ...], state_dir: str) -> None:

@@ -3,9 +3,8 @@
 This package models the physics the Volt Boot paper exploits:
 
 * :mod:`~repro.circuits.engine` — the cell-physics engine: vectorized
-  numpy bulk kernels (default) plus a bit-identical per-cell scalar
-  reference selected by ``REPRO_SCALAR_PHYSICS=1`` (see
-  ``docs/physics.md``).
+  numpy bulk kernels, checked bit for bit against a per-cell scalar
+  test oracle (see ``docs/physics.md``).
 * :mod:`~repro.circuits.leakage` — Arrhenius charge-decay models for SRAM
   and DRAM cells, calibrated against the remanence literature the paper
   cites.
@@ -23,14 +22,7 @@ This package models the physics the Volt Boot paper exploits:
   graph (rails, pins, test pads) the attacker walks to find probe points.
 """
 
-from .engine import (
-    SCALAR_ENV,
-    ScalarEngine,
-    VectorEngine,
-    active_engine,
-    engine_name,
-    forced_engine,
-)
+from .engine import VectorEngine
 from .leakage import ArrheniusDecay, DRAM_DECAY, SRAM_DECAY
 from .sram import SramArray, SramParameters
 from .dram import DramArray, DramParameters
@@ -41,12 +33,7 @@ from .waveform import RailWaveform, disconnect_waveform
 from .pdn import NetKind, PdnNet, PowerDeliveryNetwork, TestPad
 
 __all__ = [
-    "SCALAR_ENV",
-    "ScalarEngine",
     "VectorEngine",
-    "active_engine",
-    "engine_name",
-    "forced_engine",
     "ArrheniusDecay",
     "SRAM_DECAY",
     "DRAM_DECAY",

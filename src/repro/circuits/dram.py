@@ -28,7 +28,7 @@ from ..obs import OBS
 from ..obs.timing import observe_rate, wall_clock
 from ..rng import from_entropy
 from ..units import ROOM_TEMPERATURE_K, milliseconds
-from .engine import active_engine
+from .engine import ENGINE
 from .leakage import ArrheniusDecay, DRAM_DECAY
 from .manufacture import ManufacturedArray, read_only
 
@@ -90,13 +90,12 @@ class DramArray(ManufacturedArray):
         self.params = params or DramParameters()
         self._rng = rng if rng is not None else from_entropy(0)
         self._n_bits = int(n_bits)
-        engine = active_engine()
-        self._anticell = read_only(engine.uniform_mask(
+        self._anticell = read_only(ENGINE.uniform_mask(
             self._rng, self._n_bits, self.params.anticell_fraction
         ))
         # Per-cell retention multiplier (lognormal around 1.0); float16
         # keeps megabyte-scale modules affordable.
-        self._retention_scale = read_only(engine.lognormal_field(
+        self._retention_scale = read_only(ENGINE.lognormal_field(
             self._rng, self._n_bits, self.params.retention_spread
         ))
         # float32 widening of the retention field, cached because every
@@ -152,7 +151,7 @@ class DramArray(ManufacturedArray):
         if self._powered:
             raise CircuitError(f"{self.name}: refresh is active; nothing decays")
         tau = self.params.decay.time_constant(temperature_k)
-        self._level = active_engine().charge_decay(
+        self._level = ENGINE.charge_decay(
             self._level, seconds, tau, self._scale32
         )
         if OBS.enabled:
@@ -176,10 +175,9 @@ class DramArray(ManufacturedArray):
         # "perf." gauge is stripped from manifest fingerprints; the
         # disabled path reads no clock.
         start = wall_clock() if OBS.enabled else 0.0
-        engine = active_engine()
-        retained = engine.charge_mask(self._level)
+        retained = ENGINE.charge_mask(self._level)
         ground = self._ground_state()
-        self._bits = engine.select(retained, self._bits, ground)
+        self._bits = ENGINE.select(retained, self._bits, ground)
         # Refresh recharges every cell; 1.0 is exact at float16, so the
         # narrower fill is value-identical to the old float64 one.
         self._level = np.ones(self._n_bits, dtype=np.float16)

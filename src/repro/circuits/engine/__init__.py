@@ -3,125 +3,33 @@
 Every per-cell physical process the circuits layer models — DRV and
 wake-probability sampling, Arrhenius charge decay, power-up
 fingerprinting, supply-collapse, debug-read bit errors, majority-vote
-decoding — funnels through one of the kernels defined here.  Two
-interchangeable implementations exist:
+decoding — funnels through one of the numpy bulk kernels of
+:class:`~repro.circuits.engine.vector.VectorEngine`.  The arrays call
+the one module-level instance, :data:`ENGINE`, directly.
 
-* :class:`~repro.circuits.engine.vector.VectorEngine` — the default:
-  numpy bulk array kernels, the "as fast as the hardware allows" path.
-* :class:`~repro.circuits.engine.scalar.ScalarEngine` — a per-cell
-  Python reference implementation kept for differential testing.  It
-  consumes the *same* RNG draws in the same order and reproduces the
-  vector kernels bit for bit (see ``docs/physics.md`` §"Scalar vs
-  vectorized equivalence"), at a 10-100x wall-clock penalty.
-
-Selection is process-wide: the ``REPRO_SCALAR_PHYSICS`` environment
-variable picks the scalar path (the escape hatch the golden-manifest
-equivalence tests flip), and :func:`forced_engine` overrides it for a
-scoped block in-process.  Because the two engines are bit-identical,
-the selection can never change an experiment result — only its speed —
-so manifests stay byte-reproducible whichever engine produced them.
+A per-cell Python reference implementation of the same kernels lives
+with the tests (``tests/circuits/scalar_engine.py``): it consumes the
+*same* RNG draws in the same order and must reproduce every vector
+kernel bit for bit (see ``docs/physics.md`` §"Scalar vs vectorized
+equivalence").
 
 The RNG-stream contract
 -----------------------
 A kernel that samples randomness always draws **bulk numpy arrays**
 from the generator it is handed (``rng.random(n, dtype=...)``,
 ``rng.standard_normal(n, dtype=...)``, ``rng.integers(...)``) — never
-per-cell scalars — so both engines advance the stream identically and
-stay interchangeable mid-experiment.  Kernels never construct or spawn
-generators; stream ownership stays with the caller
-(:mod:`repro.rng`).
+per-cell scalars — so a per-cell reference advances the stream
+identically and can stand in for any kernel mid-experiment.  Kernels
+never construct or spawn generators; stream ownership stays with the
+caller (:mod:`repro.rng`).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-from ...errors import CalibrationError
-from .scalar import ScalarEngine
 from .vector import VectorEngine
 
-#: Environment variable selecting the scalar reference engine when set
-#: to anything but the empty string or ``"0"``.  Read per call, so a
-#: forked/spawned ``repro.exec`` worker inherits the parent's choice.
-SCALAR_ENV = "REPRO_SCALAR_PHYSICS"
+#: The engine every circuits kernel call goes through.  Kernels are
+#: stateless, so one instance serves the whole process.
+ENGINE = VectorEngine()
 
-#: The two engine singletons, by name.  Engines are stateless, so one
-#: instance of each serves the whole process.
-ENGINES = {
-    "vector": VectorEngine(),
-    "scalar": ScalarEngine(),
-}
-
-#: In-process override installed by :func:`forced_engine` (tests, the
-#: differential bench workload); ``None`` defers to the environment.
-_FORCED: str | None = None
-
-
-def engine_name() -> str:
-    """The name of the engine new kernel calls will use.
-
-    Returns
-    -------
-    str
-        ``"scalar"`` when :func:`forced_engine` or the
-        ``REPRO_SCALAR_PHYSICS`` environment variable selects the
-        reference path, else ``"vector"``.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    if os.environ.get(SCALAR_ENV, "") not in ("", "0"):
-        return "scalar"
-    return "vector"
-
-
-def active_engine():
-    """The engine singleton every circuits kernel call goes through.
-
-    Looked up per call (an :data:`os.environ` read, ~100 ns) so the
-    selection is honoured even by arrays constructed before the
-    environment changed — arrays hold no engine reference.
-    """
-    return ENGINES[engine_name()]
-
-
-@contextmanager
-def forced_engine(name: str) -> Iterator[None]:
-    """Force one engine for the enclosed block, ignoring the environment.
-
-    Parameters
-    ----------
-    name:
-        ``"vector"`` or ``"scalar"``.
-
-    Notes
-    -----
-    The override is process-local module state: it does **not**
-    propagate to ``repro.exec`` worker processes.  Cross-process runs
-    (``--jobs N``) must use the ``REPRO_SCALAR_PHYSICS`` environment
-    variable instead, which child processes inherit.
-    """
-    global _FORCED
-    if name not in ENGINES:
-        raise CalibrationError(
-            f"unknown physics engine {name!r}; expected one of "
-            f"{sorted(ENGINES)}"
-        )
-    previous = _FORCED
-    _FORCED = name
-    try:
-        yield
-    finally:
-        _FORCED = previous
-
-
-__all__ = [
-    "ENGINES",
-    "SCALAR_ENV",
-    "ScalarEngine",
-    "VectorEngine",
-    "active_engine",
-    "engine_name",
-    "forced_engine",
-]
+__all__ = ["ENGINE", "VectorEngine"]

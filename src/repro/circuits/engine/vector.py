@@ -10,8 +10,8 @@ functions by file and line.
 Numeric contract: every mixed-precision operation is written with
 explicit casts (``np.float32(...)``, ``np.float16(...)``) matching
 NumPy's value-based promotion of Python scalars against low-precision
-arrays, so the per-cell reference implementation
-(:mod:`repro.circuits.engine.scalar`) can reproduce each kernel bit
+arrays, so the per-cell reference implementation the tests keep
+(``tests/circuits/scalar_engine.py``) can reproduce each kernel bit
 for bit.  Cell state is stored in ``float16`` — sub-millivolt
 resolution, far below any physical effect modelled here — and widened
 to ``float32`` only inside a kernel.
@@ -49,9 +49,6 @@ def _order_pattern(value: float) -> np.uint16 | None:
 
 class VectorEngine:
     """Bulk numpy implementation of the cell-physics kernels."""
-
-    #: Engine name recorded in BENCH host metadata.
-    name = "vector"
 
     # ------------------------------------------------------------------
     # Manufacture-time sampling (process variation)

@@ -40,7 +40,7 @@ from ..obs import OBS
 from ..obs.timing import observe_rate, wall_clock
 from ..rng import from_entropy
 from ..units import ROOM_TEMPERATURE_K, millivolts
-from .engine import active_engine
+from .engine import ENGINE
 from .leakage import ArrheniusDecay, SRAM_DECAY
 from .manufacture import ManufacturedArray, read_only
 
@@ -153,15 +153,14 @@ class SramArray(ManufacturedArray):
         # Process variation, fixed at manufacture time.  Stored as float16
         # to keep megabyte-scale macros affordable; sub-millivolt
         # resolution is far below any physical effect modelled here.
-        engine = active_engine()
-        self._drv = read_only(engine.gaussian_field(
+        self._drv = read_only(ENGINE.gaussian_field(
             self._rng,
             self._n_bits,
             self.params.drv_mean_v,
             self.params.drv_sigma_v,
             0.01,
         ))
-        self._restore_threshold = read_only(engine.gaussian_field(
+        self._restore_threshold = read_only(ENGINE.gaussian_field(
             self._rng,
             self._n_bits,
             self.params.restore_mean_v,
@@ -173,7 +172,7 @@ class SramArray(ManufacturedArray):
         # metastable cells sit near 0.5 and flip coin-like on every
         # power-up.  Aging (NBTI imprinting) later shifts these values
         # toward whatever the cell spent its life holding (paper §9.2).
-        self._wake_p = read_only(engine.wake_field(
+        self._wake_p = read_only(ENGINE.wake_field(
             self._rng,
             self._n_bits,
             self.params.noisy_fraction,
@@ -306,7 +305,7 @@ class SramArray(ManufacturedArray):
         self._require_powered("age")
         # Rebinds (never writes) the fields, so copies sharing the
         # old ones are unaffected.
-        self._wake_p = read_only(active_engine().age_wake(
+        self._wake_p = read_only(ENGINE.age_wake(
             self._wake_p,
             _unpack(self._cells),
             self.AGING_SHIFT_PER_YEAR * years * duty_cycle,
@@ -404,11 +403,10 @@ class SramArray(ManufacturedArray):
         # "perf." gauge is stripped from manifest fingerprints; the
         # disabled path reads no clock.
         start = wall_clock() if OBS.enabled else 0.0
-        engine = active_engine()
         node_v = self._off_supply_v * self._unpowered_fraction
-        retained = engine.restore_mask(node_v, self._restore_threshold)
+        retained = ENGINE.restore_mask(node_v, self._restore_threshold)
         fresh = self._sample_powerup()
-        kept = engine.select(retained, _unpack(self._cells), fresh)
+        kept = ENGINE.select(retained, _unpack(self._cells), fresh)
         self._cells = _pack(kept)
         self._mutations += 1
         self._powered = True
@@ -520,15 +518,14 @@ class SramArray(ManufacturedArray):
     # ------------------------------------------------------------------
 
     def _sample_powerup(self) -> np.ndarray:
-        return active_engine().powerup(self._rng, self._wake32)
+        return ENGINE.powerup(self._rng, self._wake32)
 
     def _collapse_below(self, voltage: float) -> int:
-        engine = active_engine()
-        lost = engine.drv_collapse_mask(self._drv, voltage)
+        lost = ENGINE.drv_collapse_mask(self._drv, voltage)
         if not lost.any():
             return 0
         fresh = self._sample_powerup()
-        self._cells = _pack(engine.select(lost, fresh, _unpack(self._cells)))
+        self._cells = _pack(ENGINE.select(lost, fresh, _unpack(self._cells)))
         self._mutations += 1
         count = int(lost.sum())
         if OBS.enabled:

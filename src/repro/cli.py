@@ -8,11 +8,6 @@ Commands:
 * ``experiment`` — run one named paper experiment and print its report;
 * ``list-experiments`` — show the available experiment names;
 * ``render-figures`` — regenerate every figure as PGM images;
-* ``bench`` — performance-trajectory tooling (:mod:`repro.perf`):
-  ``--all``/``--quick`` aggregate a schema-versioned ``BENCH_<n>.json``
-  document, ``--compare OLD NEW`` / ``--against-baseline NEW`` gate on
-  >20 % wall-time regressions (nonzero exit on failure), ``--trend``
-  renders the trajectory across every committed document;
 * ``progress`` — tail a live (or crashed) exec checkpoint journal and
   report shards done/total, rolling throughput, and ETA;
 * ``chaos`` — the deterministic fault-injection harness
@@ -168,59 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", default="figures", help="output directory")
     render.add_argument("--seed", type=int, default=2022)
     _add_jobs_flag(render)
-
-    bench = commands.add_parser(
-        "bench", help="performance-trajectory tooling (BENCH_<n>.json)"
-    )
-    bench.add_argument(
-        "--all", action="store_true", dest="all_benches",
-        help="aggregate the quick suite plus every committed benchmark "
-        "sidecar into one trajectory document",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="restrict aggregation to the in-process quick workload "
-        "suite (what CI re-times on every run)",
-    )
-    bench.add_argument(
-        "--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
-        help="gate NEW against OLD: nonzero exit if any benchmark got "
-        "slower by more than --threshold",
-    )
-    bench.add_argument(
-        "--against-baseline", metavar="NEW", default=None,
-        help="gate NEW against the highest committed BENCH_<n>.json",
-    )
-    bench.add_argument(
-        "--trend", action="store_true",
-        help="render the wall-time trend across every committed "
-        "BENCH_<n>.json",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=None, metavar="FRACTION",
-        help="regression gate threshold (default 0.20 = 20%%)",
-    )
-    bench.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="trajectory output path (default: BENCH_<n>.json at --root)",
-    )
-    bench.add_argument("--seed", type=int, default=2022)
-    bench.add_argument(
-        "--sequence", type=int, default=None, metavar="N",
-        help="trajectory sequence number (default: next unused)",
-    )
-    bench.add_argument(
-        "--root", default=".",
-        help="directory holding the BENCH_<n>.json sequence",
-    )
-    bench.add_argument(
-        "--results", default="benchmarks/results", metavar="DIR",
-        help="benchmark sidecar directory ingested by --all",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text/markdown",
-    )
 
     chaos = commands.add_parser(
         "chaos",
@@ -553,98 +495,6 @@ def _degraded_exit() -> int:
     return EXIT_DEGRADED
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import perf
-
-    modes = [
-        bool(args.all_benches or args.quick),
-        args.compare is not None,
-        args.against_baseline is not None,
-        args.trend,
-    ]
-    if sum(modes) != 1:
-        print(
-            "error: bench needs exactly one of --all/--quick, --compare, "
-            "--against-baseline, or --trend",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    threshold = (
-        perf.DEFAULT_THRESHOLD if args.threshold is None else args.threshold
-    )
-    if args.compare is not None:
-        old_path, new_path = args.compare
-        return _bench_gate(args, old_path, new_path, threshold)
-    if args.against_baseline is not None:
-        baseline = perf.latest_bench(args.root)
-        if baseline is None:
-            print(
-                f"error: no committed BENCH_<n>.json baseline at "
-                f"{args.root}",
-                file=sys.stderr,
-            )
-            return EXIT_FAILURE
-        return _bench_gate(
-            args, baseline[1], args.against_baseline, threshold
-        )
-    if args.trend:
-        report = perf.trend(args.root)
-        if args.json:
-            print(obs.dumps(report.to_dict()))
-        else:
-            print(perf.render_trend(report))
-        return EXIT_OK
-    return _bench_aggregate(args)
-
-
-def _bench_aggregate(args: argparse.Namespace) -> int:
-    """``bench --all`` / ``--quick``: emit one trajectory document."""
-    from . import perf
-    from pathlib import Path
-
-    entries = perf.run_quick_suite(args.seed)
-    mode = "quick"
-    if args.all_benches and not args.quick:
-        entries += perf.collect_sidecars(args.results)
-        mode = "full"
-    sequence = (
-        perf.next_sequence(args.root)
-        if args.sequence is None
-        else args.sequence
-    )
-    doc = perf.build_trajectory(entries, sequence, mode, jobs=1)
-    out = (
-        Path(args.out)
-        if args.out
-        else Path(args.root) / f"BENCH_{sequence}.json"
-    )
-    perf.write_bench(out, doc)
-    if args.json:
-        print(obs.dumps(doc))
-    else:
-        print(
-            f"wrote {out}: {len(doc['benchmarks'])} benchmark(s), "
-            f"mode {mode}, sequence {sequence}"
-        )
-    return EXIT_OK
-
-
-def _bench_gate(
-    args: argparse.Namespace, old_path, new_path, threshold: float
-) -> int:
-    """Compare two trajectory documents; exit nonzero on regressions."""
-    from . import perf
-
-    comparison = perf.compare(
-        perf.load_bench(old_path), perf.load_bench(new_path), threshold
-    )
-    if args.json:
-        print(obs.dumps(comparison.to_dict()))
-    else:
-        print(perf.render_comparison(comparison))
-    return EXIT_OK if comparison.passed else EXIT_FAILURE
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import os
     import shutil
@@ -760,8 +610,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             for path in render_all(args.out, seed=args.seed, jobs=args.jobs):
                 print(path)
             return 0
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "chaos":
             return _cmd_chaos(args)
         if args.command == "progress":

@@ -282,8 +282,8 @@ class BrownOutReset(GlitchError):
 
 
 class PerfError(ReproError):
-    """Performance-trajectory tooling failure (bad BENCH document,
-    unreadable sidecar, comparison against a missing baseline, ...)."""
+    """Performance tooling failure (a missing, empty or malformed exec
+    checkpoint journal handed to ``repro progress``, ...)."""
 
 
 class LintError(ReproError):

@@ -5,9 +5,9 @@ fingerprinted byte-for-byte, so any iteration whose order the platform
 chooses — ``set`` iteration (hash-seed dependent across processes) or
 unsorted filesystem scans (``Path.glob``/``iterdir``/``os.listdir``
 return directory order) — is a reproducibility bug waiting for a
-different machine.  The BENCH trajectory sequence selection shipped
-exactly this bug before this rule existed: an unsorted
-``Path(root).glob("BENCH_*.json")`` scan feeding sequence numbering.
+different machine.  A since-deleted benchmark-document sequencer
+shipped exactly this bug before this rule existed: an unsorted
+``Path(root).glob(...)`` scan feeding sequence numbering.
 
 The rule flags ``for`` loops and comprehensions over set expressions,
 set-typed locals, or unsorted scan results, anywhere in the project.

@@ -3,8 +3,8 @@
 Everything the observability layer persists — run manifests, JSONL
 traces, metrics snapshots, the CLI's ``--json`` documents — flows
 through this module so that every export carries a ``schema_version``
-field and downstream tooling (the BENCH trajectory scripts, CI
-validators) can evolve against a stable contract.
+field and downstream tooling (``repro-verify``, CI validators) can
+evolve against a stable contract.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ MANIFEST_REQUIRED_FIELDS = (
 )
 
 #: Allowed values of a manifest's ``kind`` field.
-MANIFEST_KINDS = ("attack", "experiment", "benchmark")
+MANIFEST_KINDS = ("attack", "experiment")
 
 
 class SchemaError(ValueError):

@@ -2,9 +2,9 @@
 
 A manifest is the one-document summary of a run — what was attacked or
 measured, with which parameters, how long each phase took, and what the
-headline numbers were.  The CLI's ``--json`` mode prints it, benchmarks
-persist one next to every ``results/*.txt``, and the determinism test
-compares :meth:`RunManifest.fingerprint` across repeat runs.
+headline numbers were.  The CLI's ``--json`` mode prints it, and the
+determinism test and the golden pins compare
+:meth:`RunManifest.fingerprint` across runs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ TIMING_METRIC_PREFIXES = ("exec.", "perf.")
 class RunManifest:
     """One run's machine-readable summary.
 
-    ``kind`` is ``"attack"``, ``"experiment"``, or ``"benchmark"``;
+    ``kind`` is ``"attack"`` or ``"experiment"``;
     ``phases`` is a list of ``{"name": ..., "wall_s": ...}`` dicts (see
     :class:`~repro.obs.timing.SectionTimer`); ``headline`` carries the
     few numbers a human would quote; ``metrics`` is a registry snapshot.

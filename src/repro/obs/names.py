@@ -51,7 +51,7 @@ SPAN_NAMES: frozenset[str] = frozenset(
 )
 
 #: Span families named dynamically (``experiment.<name>``, ...).
-SPAN_PREFIXES: tuple[str, ...] = ("experiment.", "benchmark.")
+SPAN_PREFIXES: tuple[str, ...] = ("experiment.",)
 
 #: Statically-named point-in-time trace events.
 EVENT_NAMES: frozenset[str] = frozenset(
@@ -139,11 +139,10 @@ METRIC_NAMES: frozenset[str] = frozenset(
     }
 )
 
-#: Metric families named dynamically: benchmark sidecars (``bench.*``)
-#: and the fingerprint-stripped profiling hooks (``perf.*`` — scoped
-#: phase timers and hot-path throughput gauges, see
-#: :mod:`repro.obs.timing`).
-METRIC_PREFIXES: tuple[str, ...] = ("bench.", "perf.")
+#: Metric families named dynamically: the fingerprint-stripped
+#: profiling hooks (``perf.*`` — scoped phase timers and hot-path
+#: throughput gauges, see :mod:`repro.obs.timing`).
+METRIC_PREFIXES: tuple[str, ...] = ("perf.",)
 
 
 def _known(name: str, names: frozenset[str], prefixes: tuple[str, ...]) -> bool:

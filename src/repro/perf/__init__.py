@@ -1,99 +1,30 @@
-"""Performance-trajectory subsystem: bench aggregation, regression
-gating, and live campaign progress.
+"""Live campaign progress from exec checkpoint journals.
 
-The observability layer (:mod:`repro.obs`) makes a single run
-explainable; this package makes the *sequence* of runs explainable.
-Every PR appends one schema-versioned ``BENCH_<n>.json`` trajectory
-document at the repo root, the regression comparator gates CI on >20 %
-slowdowns against the committed baseline, and ``repro progress`` turns
-an exec checkpoint journal into shards-done/throughput/ETA — so a
-performance claim in a PR description is a checkable artifact, not an
-anecdote.
+The observability layer (:mod:`repro.obs`) explains a single run and
+its ``perf.*`` profiling hooks say where the time went; this package
+answers the operator's question about a campaign that is still
+running (or has crashed): ``repro progress`` turns an exec checkpoint
+journal into shards done/total, rolling throughput and an ETA
+(:mod:`repro.perf.progress`).
 
-Layout:
-
-* :mod:`repro.perf.host` — the host metadata block (CPU count,
-  platform, effective jobs) every trajectory document embeds;
-* :mod:`repro.perf.bench` — the ``BENCH_<n>.json`` schema, sidecar
-  ingestion, and trajectory document assembly/validation/IO;
-* :mod:`repro.perf.workloads` — the seeded quick-workload suite CI
-  re-times on every run;
-* :mod:`repro.perf.compare` — the regression gate and the trend report
-  over the committed trajectory sequence;
-* :mod:`repro.perf.progress` — checkpoint-journal tailing for live
-  (or crashed) campaigns.
+Timing claims are made with the end-to-end benchmark in
+``benchmarks/e2e`` (see ``docs/perf.md``), not here.
 """
 
 from __future__ import annotations
 
 from ..errors import PerfError
-from .bench import (
-    BENCH_KIND,
-    BENCH_SCHEMA_VERSION,
-    BenchEntry,
-    bench_paths,
-    build_trajectory,
-    collect_sidecars,
-    entry_from_sidecar,
-    latest_bench,
-    load_bench,
-    next_sequence,
-    rates_from_metrics,
-    validate_bench,
-    write_bench,
-)
-from .compare import (
-    DEFAULT_THRESHOLD,
-    PRE_ENGINE_LABEL,
-    Comparison,
-    ComparisonRow,
-    TrendReport,
-    compare,
-    document_engine,
-    render_comparison,
-    render_trend,
-    trend,
-)
-from .host import cpu_count, host_metadata
 from .progress import (
     ProgressReport,
     find_journals,
     read_progress,
     render_progress,
 )
-from .workloads import QUICK_WORKLOADS, run_quick_suite
 
 __all__ = [
-    "BENCH_KIND",
-    "BENCH_SCHEMA_VERSION",
-    "BenchEntry",
-    "Comparison",
-    "ComparisonRow",
-    "DEFAULT_THRESHOLD",
-    "PRE_ENGINE_LABEL",
     "PerfError",
     "ProgressReport",
-    "QUICK_WORKLOADS",
-    "TrendReport",
-    "bench_paths",
-    "build_trajectory",
-    "collect_sidecars",
-    "compare",
-    "cpu_count",
-    "document_engine",
-    "entry_from_sidecar",
     "find_journals",
-    "host_metadata",
-    "latest_bench",
-    "load_bench",
-    "next_sequence",
-    "rates_from_metrics",
     "read_progress",
-    "render_comparison",
     "render_progress",
-    "render_trend",
-    "run_quick_suite",
-    "trend",
-    "validate_bench",
-    "write_bench",
 ]

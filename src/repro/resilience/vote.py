@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..circuits.engine import active_engine
+from ..circuits.engine import ENGINE
 from ..errors import ResilienceError
 
 
@@ -109,7 +109,7 @@ def majority_vote(reads: Sequence[bytes]) -> VoteResult:
             confidence=np.ones(length * 8, dtype=np.float64),
             reads=1,
         )
-    ones = active_engine().vote_counts(list(reads), length)
+    ones = ENGINE.vote_counts(list(reads), length)
     majority = (2 * ones > k).astype(np.uint8)
     decoded = np.packbits(majority, bitorder="little").tobytes()
     agree = np.maximum(ones, k - ones).astype(np.float64) / float(k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..circuits.engine import active_engine
+from ..circuits.engine import ENGINE
 from ..errors import CalibrationError
 from ..obs import OBS
 
@@ -63,7 +63,7 @@ class BitErrorModel:
         if self.rate <= 0.0 or not data:
             return data
         raw = np.frombuffer(data, dtype=np.uint8)
-        mask, flipped = active_engine().flip_mask(
+        mask, flipped = ENGINE.flip_mask(
             self._rng, raw.size, self.rate
         )
         self.bits_read += raw.size * 8

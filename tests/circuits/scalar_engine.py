@@ -1,13 +1,11 @@
 """Per-cell scalar reference implementation of the physics kernels.
 
-The differential-testing half of the engine pair: every kernel here
-walks the cells one by one in plain Python and must reproduce
-:class:`~repro.circuits.engine.vector.VectorEngine` **bit for bit** —
-the golden-manifest equivalence tests and the Hypothesis differential
-properties in ``tests/circuits/test_engine.py`` pin that contract.
-Select it with ``REPRO_SCALAR_PHYSICS=1`` (or
-:func:`~repro.circuits.engine.forced_engine`); expect a 10-100x
-wall-clock penalty (``docs/perf.md``).
+The test oracle for :class:`~repro.circuits.engine.vector.VectorEngine`:
+every kernel here walks the cells one by one in plain Python and must
+reproduce the vector kernel **bit for bit**.  The fixed-seed
+differential sweeps, edge cases and Hypothesis properties in
+``tests/circuits/test_engine.py`` pin that contract.  It is never run
+by the simulator itself.
 
 How bit-equality is achieved
 ----------------------------
@@ -58,9 +56,6 @@ class ScalarEngine:
     class (and ``docs/physics.md``) for the physics; this class
     documents only where the scalar evaluation strategy is subtle.
     """
-
-    #: Engine name recorded in BENCH host metadata.
-    name = "scalar"
 
     # ------------------------------------------------------------------
     # Manufacture-time sampling

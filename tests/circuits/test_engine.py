@@ -1,16 +1,11 @@
-"""The cell-physics engine: selection plumbing and kernel equivalence.
+"""The cell-physics engine: every vector kernel against the oracle.
 
-Two layers of guarantees:
-
-* **Selection** — the vector engine is the default, the
-  ``REPRO_SCALAR_PHYSICS`` environment variable and
-  :func:`repro.circuits.engine.forced_engine` pick the scalar
-  reference, and the selection is process-wide but restorable.
-* **Differential equivalence** — every kernel of the scalar reference
-  reproduces its vector counterpart bit for bit: fixed-seed
-  parametrized sweeps plus Hypothesis property tests over random
-  parameters.  This is the contract that lets the golden-manifest
-  tests (``test_engine_golden.py``) pin whole experiments.
+Every kernel of :class:`~repro.circuits.engine.vector.VectorEngine`
+must reproduce the per-cell scalar reference (``scalar_engine.py``)
+bit for bit: fixed-seed parametrized sweeps, edge cases, and
+Hypothesis property tests over random parameters.  The golden
+manifest pins (``test_engine_golden.py``) then hold whole experiments
+to the results those kernels produce.
 """
 
 import numpy as np
@@ -18,20 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.engine import (
-    ENGINES,
-    SCALAR_ENV,
-    ScalarEngine,
-    VectorEngine,
-    active_engine,
-    engine_name,
-    forced_engine,
-)
-from repro.errors import CalibrationError
+from repro.circuits.engine import ENGINE as VECTOR
 from repro.rng import generator
 
-VECTOR = ENGINES["vector"]
-SCALAR = ENGINES["scalar"]
+from .scalar_engine import ScalarEngine
+
+SCALAR = ScalarEngine()
 
 
 def pair(*tags):
@@ -44,47 +31,6 @@ def assert_same(a, b):
     assert a.dtype == b.dtype, f"dtype {a.dtype} != {b.dtype}"
     assert a.shape == b.shape
     assert np.array_equal(a, b, equal_nan=True)
-
-
-class TestSelection:
-    def test_vector_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert engine_name() == "vector"
-        assert isinstance(active_engine(), VectorEngine)
-
-    def test_env_var_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        assert engine_name() == "scalar"
-        assert isinstance(active_engine(), ScalarEngine)
-
-    @pytest.mark.parametrize("value", ["", "0"])
-    def test_disabled_env_values_keep_vector(self, monkeypatch, value):
-        monkeypatch.setenv(SCALAR_ENV, value)
-        assert engine_name() == "vector"
-
-    def test_forced_engine_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        with forced_engine("vector"):
-            assert engine_name() == "vector"
-        assert engine_name() == "scalar"
-
-    def test_forced_engine_restores_on_exit(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        with forced_engine("scalar"):
-            assert engine_name() == "scalar"
-            with forced_engine("vector"):
-                assert engine_name() == "vector"
-            assert engine_name() == "scalar"
-        assert engine_name() == "vector"
-
-    def test_unknown_engine_is_rejected(self):
-        with pytest.raises(CalibrationError):
-            with forced_engine("quantum"):
-                pass  # pragma: no cover
-
-    def test_engine_singletons_are_named(self):
-        assert VECTOR.name == "vector"
-        assert SCALAR.name == "scalar"
 
 
 @pytest.mark.parametrize("n", [8, 257, 4096])

@@ -1,33 +1,34 @@
-"""Golden-manifest equivalence: scalar and vector engines per experiment.
+"""Golden manifest fingerprints: whole experiments pinned at seed 1234.
 
-The kernel-level differential tests prove each kernel pair bit-equal in
-isolation; these tests prove the property **composes** through whole
-paper experiments: the manifest fingerprint — which hashes the seed,
-every recorded metric, and every result row, with wall-clock timings
-excluded by construction — is byte-identical whichever engine ran the
-physics, serially and across a 4-worker shard pool.
+The kernel-level differential tests (``test_engine.py``) prove each
+vector kernel bit-equal to the per-cell scalar oracle in isolation;
+these pins prove that whole paper experiments still produce the same
+results.  A manifest fingerprint hashes the seed, every recorded
+metric and every result row, with wall-clock timings excluded by
+construction, so a refactor that changes no physics leaves every value
+below untouched.  The sharded experiments are pinned at ``--jobs 1``
+and ``--jobs 4``: a 4-worker shard pool must give the serial bytes.
 
-The scalar legs select the engine via the ``REPRO_SCALAR_PHYSICS``
-environment variable rather than ``forced_engine()`` because worker
-processes inherit the environment but not module state.
-
-``table1`` is the heaviest experiment (~300M cell-ops; minutes on the
-scalar engine), so its scalar/vector equivalence legs carry the ``slow``
-marker and run in the dedicated physics-goldens CI job.  Its vector-only
-pin takes seconds and runs in tier-1.
+A pin moves only when the physics itself changes, which must be a
+deliberate, documented decision (update ``docs/physics.md`` in the
+same change).
 """
 
 import pytest
 
 from repro import obs
-from repro.circuits.engine import SCALAR_ENV
 from repro.experiments import (
     accessibility,
     countermeasures,
+    dram_coldboot,
+    figure3,
     figure8,
+    figure9,
     figure10,
     microarch_leak,
+    noisy_rig,
     policy_ablation,
+    registers,
     retention_sweep,
     table1,
     table4,
@@ -46,45 +47,13 @@ def _run_fingerprint(run, **kwargs) -> str:
         return manifest.fingerprint()
 
 
-def _fingerprint(experiment, jobs: int) -> str:
-    return _run_fingerprint(experiment.run, jobs=jobs)
-
-
-def _engine_fingerprints(experiment, jobs: int, monkeypatch) -> tuple[str, str]:
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
-    vector = _fingerprint(experiment, jobs)
-    monkeypatch.setenv(SCALAR_ENV, "1")
-    scalar = _fingerprint(experiment, jobs)
-    monkeypatch.delenv(SCALAR_ENV, raising=False)
-    return vector, scalar
-
-
-@pytest.mark.parametrize("jobs", [1, 4])
-class TestGoldenEquivalence:
-    def test_retention_sweep_engines_match(self, jobs, monkeypatch):
-        vector, scalar = _engine_fingerprints(
-            retention_sweep, jobs, monkeypatch
-        )
-        assert vector == scalar
-
-    def test_figure10_engines_match(self, jobs, monkeypatch):
-        vector, scalar = _engine_fingerprints(figure10, jobs, monkeypatch)
-        assert vector == scalar
-
-    @pytest.mark.slow
-    def test_table1_engines_match(self, jobs, monkeypatch):
-        vector, scalar = _engine_fingerprints(table1, jobs, monkeypatch)
-        assert vector == scalar
-
-
 class TestGoldenStability:
     """The vector engine reproduces the pre-engine fingerprints.
 
-    These constants were produced by the pre-refactor scalar-free
-    implementation (commit 5fd9081) at seed 1234 — the refactor's
-    "results are byte-identical" claim, pinned.  They will only change
-    if the physics itself changes, which must be a deliberate,
-    documented decision (update docs/physics.md in the same PR).
+    The retention-sweep, figure10 and table1 constants were produced by
+    the implementation that predates the engine package (commit
+    5fd9081), so they pin the claim that moving the physics into bulk
+    kernels changed no result.
     """
 
     RETENTION_SWEEP_FP = (
@@ -97,17 +66,60 @@ class TestGoldenStability:
         "e0e648cfd3b126582885c3247c34b62014a34841f6a6bc9237c92aef9768639a"
     )
 
-    def test_retention_sweep_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert _fingerprint(retention_sweep, 1) == self.RETENTION_SWEEP_FP
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_retention_sweep_pin(self, jobs):
+        fingerprint = _run_fingerprint(retention_sweep.run, jobs=jobs)
+        assert fingerprint == self.RETENTION_SWEEP_FP
 
-    def test_figure10_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert _fingerprint(figure10, 1) == self.FIGURE10_FP
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_figure10_pin(self, jobs):
+        assert _run_fingerprint(figure10.run, jobs=jobs) == self.FIGURE10_FP
 
-    def test_table1_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
-        assert _fingerprint(table1, 1) == self.TABLE1_FP
+    def test_table1_pin(self):
+        assert _run_fingerprint(table1.run, jobs=1) == self.TABLE1_FP
+
+
+class TestEnginePathStability:
+    """Pins for the other experiments whose physics runs on the engine.
+
+    DRAM charge decay (dram_coldboot), the SRAM cold-boot and Volt
+    Boot dumps (figure3, figure9), the vector register file
+    (registers), and debug-read bit flips with majority-vote decoding
+    (noisy_rig, the only experiment that drives ``flip_mask`` and
+    ``vote_counts`` end to end).  Recorded before the engine switch was
+    removed, which left them unchanged.
+    """
+
+    DRAM_COLDBOOT_FP = (
+        "5a4af186d0429c1e3628eed3c58e93528f0f65fef6227ccf607f2475012672bf"
+    )
+    FIGURE3_FP = (
+        "149bfb34f033a0c6c2b1ce34cf29c37c5e154053b535e0fd27cc11f4b042199d"
+    )
+    FIGURE9_FP = (
+        "b324a73e6d1468c13880ac803a6aff58d63354aa6caa0ab2e3dcc98322e0d149"
+    )
+    REGISTERS_FP = (
+        "e147efa9355547ecfb6b21dc9fa7a9e15c170553e1d9f440d90a736706a85170"
+    )
+    NOISY_RIG_FP = (
+        "577e3210776ccd91ac5dabf46d46047105037b1d5e990309b4ce270fedf01331"
+    )
+
+    def test_dram_coldboot_pin(self):
+        assert _run_fingerprint(dram_coldboot.run) == self.DRAM_COLDBOOT_FP
+
+    def test_figure3_pin(self):
+        assert _run_fingerprint(figure3.run) == self.FIGURE3_FP
+
+    def test_figure9_pin(self):
+        assert _run_fingerprint(figure9.run) == self.FIGURE9_FP
+
+    def test_registers_pin(self):
+        assert _run_fingerprint(registers.run) == self.REGISTERS_FP
+
+    def test_noisy_rig_pin(self):
+        assert _run_fingerprint(noisy_rig.run) == self.NOISY_RIG_FP
 
 
 class TestCacheExperimentStability:
@@ -147,29 +159,23 @@ class TestCacheExperimentStability:
         "772223412d60e9152057105d806460a824072d08f33ac0b88f7fa996fa1189be"
     )
 
-    def test_table4_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_table4_pin(self):
         fingerprint = _run_fingerprint(
             table4.run, array_sizes_kib=(4, 32), trials=1
         )
         assert fingerprint == self.TABLE4_FP
 
-    def test_policy_ablation_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_policy_ablation_pin(self):
         assert _run_fingerprint(policy_ablation.run) == self.POLICY_ABLATION_FP
 
-    def test_figure8_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_figure8_pin(self):
         assert _run_fingerprint(figure8.run) == self.FIGURE8_FP
 
-    def test_countermeasures_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_countermeasures_pin(self):
         assert _run_fingerprint(countermeasures.run) == self.COUNTERMEASURES_FP
 
-    def test_accessibility_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_accessibility_pin(self):
         assert _run_fingerprint(accessibility.run) == self.ACCESSIBILITY_FP
 
-    def test_microarch_leak_pin(self, monkeypatch):
-        monkeypatch.delenv(SCALAR_ENV, raising=False)
+    def test_microarch_leak_pin(self):
         assert _run_fingerprint(microarch_leak.run) == self.MICROARCH_LEAK_FP

@@ -5,14 +5,9 @@ and false-positive fixtures (the idioms it must leave alone).  The
 fixtures are real package trees analysed from disk, never imported.
 """
 
-from pathlib import Path
-
-import repro
 from repro.exec import ShardPlan, WorkUnit, execute
 from repro.lint.engine import flow_findings, iter_python_files
 from repro.lint.flow import summarize_source
-
-SRC = Path(repro.__file__).resolve().parent
 
 
 def findings_over(root, rules=None):
@@ -197,18 +192,30 @@ class TestIterationOrderRL008:
         assert findings_over(root, ["RL008"]) == []
 
     def test_the_bench_trajectory_scan_bug_is_caught_pre_fix(self):
-        # Regression: the shipped bench_paths() once iterated an
-        # unsorted glob.  Reconstruct the pre-fix form of the real file
-        # and assert RL008 flags it; the shipped (sorted) form is clean.
-        bench = SRC / "perf" / "bench.py"
-        shipped = bench.read_text(encoding="utf-8")
+        # Regression: a shipped bench_paths() once iterated an unsorted
+        # glob.  Its fixed (sorted) form is inlined here; RL008 must
+        # pass it and flag the pre-fix form.
+        shipped = (
+            "import re\n"
+            "from pathlib import Path\n"
+            "\n"
+            "BENCH_FILE_RE = re.compile(r'^BENCH_(\\d+)\\.json$')\n"
+            "\n"
+            "def bench_paths(root):\n"
+            "    found = []\n"
+            "    for path in sorted(Path(root).glob(\"BENCH_*.json\")):\n"
+            "        match = BENCH_FILE_RE.match(path.name)\n"
+            "        if match:\n"
+            "            found.append((int(match.group(1)), path))\n"
+            "    return sorted(found)\n"
+        )
         fixed = 'for path in sorted(Path(root).glob("BENCH_*.json")):'
         broken = 'for path in Path(root).glob("BENCH_*.json"):'
         assert fixed in shipped
         pre_fix = shipped.replace(fixed, broken)
 
         def rl008_events(source):
-            summary = summarize_source(source, str(bench), "repro.perf.bench")
+            summary = summarize_source(source, "bench.py", "pkg.bench")
             return [
                 event
                 for fn in summary.functions.values()

@@ -1,12 +1,8 @@
 """Shared fixtures for the perf-subsystem tests."""
 
-import json
-
 import pytest
 
 from repro import obs
-from repro.obs import RunManifest
-from repro.perf import build_trajectory, BenchEntry
 
 
 @pytest.fixture
@@ -15,36 +11,3 @@ def observed():
     obs.OBS.configure()
     yield obs.OBS
     obs.OBS.reset()
-
-
-def make_sidecar(path, name, *, wall_s=2.0, metrics=None, speedup=False):
-    """Write one valid benchmark manifest sidecar; returns its path."""
-    manifest = RunManifest(kind="benchmark", name=name, seed=7)
-    doc = manifest.to_dict()
-    doc["phases"] = [{"name": "run", "wall_s": wall_s}]
-    doc["metrics"] = dict(metrics or {})
-    if speedup:
-        doc["metrics"].update(
-            {
-                "bench.exec.jobs": 4,
-                "bench.exec.serial_wall_s": wall_s,
-                "bench.exec.parallel_wall_s": wall_s / 2,
-                "bench.exec.speedup": 2.0,
-            }
-        )
-    target = path / f"{name}.json"
-    target.write_text(json.dumps(doc, indent=2))
-    return target
-
-
-def make_bench_doc(walls, sequence=1, cpu_count=None):
-    """A valid trajectory document from ``{name: wall_s}``."""
-    entries = [
-        BenchEntry(name=name, source="quick", wall_s=wall,
-                   rates={"units_per_s": 1.0 / wall if wall else 0.0})
-        for name, wall in walls.items()
-    ]
-    doc = build_trajectory(entries, sequence, "quick", jobs=1)
-    if cpu_count is not None:
-        doc["host"]["cpu_count"] = cpu_count
-    return doc

@@ -1,153 +1,10 @@
-"""The ``repro bench`` / ``repro progress`` commands end to end."""
+"""The ``repro progress`` command end to end."""
 
 import json
 
-import pytest
+from repro.cli import EXIT_FAILURE, EXIT_OK, main
 
-from repro.cli import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, main
-from repro.perf import write_bench
-
-from .conftest import make_bench_doc
 from .test_progress import write_journal
-
-
-@pytest.fixture(scope="module")
-def quick_doc_path(tmp_path_factory):
-    """One real ``bench --quick`` run, shared across this module."""
-    root = tmp_path_factory.mktemp("bench")
-    out = root / "BENCH_1.json"
-    assert main(
-        [
-            "bench", "--quick", "--seed", "11",
-            "--out", str(out), "--sequence", "1", "--root", str(root),
-        ]
-    ) == EXIT_OK
-    return out
-
-
-class TestBenchAggregate:
-    def test_quick_document_is_valid(self, quick_doc_path, capsys):
-        capsys.readouterr()
-        doc = json.loads(quick_doc_path.read_text())
-        assert doc["mode"] == "quick"
-        assert doc["sequence"] == 1
-        assert doc["host"]["cpu_count"] >= 1
-        names = [entry["name"] for entry in doc["benchmarks"]]
-        assert "quick.sram-decay" in names
-        assert "quick.glitch-campaign" in names
-        assert all(entry["source"] == "quick" for entry in doc["benchmarks"])
-        assert all(entry["rates"] for entry in doc["benchmarks"])
-
-    def test_bench_needs_exactly_one_mode(self, capsys):
-        assert main(["bench"]) == EXIT_USAGE
-        assert main(["bench", "--quick", "--trend"]) == EXIT_USAGE
-        assert "exactly one" in capsys.readouterr().err
-
-
-class TestBenchGate:
-    def test_unchanged_compare_exits_zero(self, tmp_path, capsys):
-        doc = make_bench_doc({"a": 1.0})
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write_bench(old, doc)
-        write_bench(new, doc)
-        assert main(
-            ["bench", "--compare", str(old), str(new)]
-        ) == EXIT_OK
-        assert "gate PASSED" in capsys.readouterr().out
-
-    def test_synthetic_25_percent_slowdown_exits_nonzero(
-        self, tmp_path, capsys
-    ):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write_bench(old, make_bench_doc({"a": 1.0, "b": 2.0}))
-        write_bench(new, make_bench_doc({"a": 1.25, "b": 2.0}))
-        assert main(
-            ["bench", "--compare", str(old), str(new)]
-        ) == EXIT_FAILURE
-        out = capsys.readouterr().out
-        assert "gate FAILED" in out and "REGRESSION" in out
-
-    def test_compare_json_document(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write_bench(old, make_bench_doc({"a": 1.0}))
-        write_bench(new, make_bench_doc({"a": 5.0}))
-        assert main(
-            ["bench", "--compare", str(old), str(new), "--json"]
-        ) == EXIT_FAILURE
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["passed"] is False
-
-    def test_against_baseline_uses_highest_committed(
-        self, tmp_path, capsys
-    ):
-        write_bench(
-            tmp_path / "BENCH_1.json", make_bench_doc({"a": 9.0}, sequence=1)
-        )
-        write_bench(
-            tmp_path / "BENCH_2.json", make_bench_doc({"a": 1.0}, sequence=2)
-        )
-        fresh = tmp_path / "BENCH_ci.json"
-        write_bench(fresh, make_bench_doc({"a": 1.3}))
-        # Against BENCH_2 (1.0s) the 1.3s run is a 30% regression; had
-        # the stale BENCH_1 (9.0s) been picked it would pass.
-        assert main(
-            [
-                "bench", "--against-baseline", str(fresh),
-                "--root", str(tmp_path),
-            ]
-        ) == EXIT_FAILURE
-        capsys.readouterr()
-
-    def test_against_baseline_without_documents_fails(
-        self, tmp_path, capsys
-    ):
-        fresh = tmp_path / "BENCH_ci.json"
-        write_bench(fresh, make_bench_doc({"a": 1.0}))
-        assert main(
-            [
-                "bench", "--against-baseline", str(fresh),
-                "--root", str(tmp_path / "empty"),
-            ]
-        ) == EXIT_FAILURE
-        assert "no committed BENCH" in capsys.readouterr().err
-
-    def test_threshold_flag_tightens_the_gate(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write_bench(old, make_bench_doc({"a": 1.0}))
-        write_bench(new, make_bench_doc({"a": 1.15}))
-        assert main(
-            ["bench", "--compare", str(old), str(new)]
-        ) == EXIT_OK
-        assert main(
-            [
-                "bench", "--compare", str(old), str(new),
-                "--threshold", "0.10",
-            ]
-        ) == EXIT_FAILURE
-        capsys.readouterr()
-
-
-class TestBenchTrend:
-    def test_trend_renders_every_sequence(self, tmp_path, capsys):
-        write_bench(
-            tmp_path / "BENCH_1.json", make_bench_doc({"a": 1.0}, sequence=1)
-        )
-        write_bench(
-            tmp_path / "BENCH_3.json", make_bench_doc({"a": 0.7}, sequence=3)
-        )
-        assert main(["bench", "--trend", "--root", str(tmp_path)]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "BENCH_1" in out and "BENCH_3" in out
-
-    def test_trend_without_documents_fails(self, tmp_path, capsys):
-        assert main(
-            ["bench", "--trend", "--root", str(tmp_path)]
-        ) == EXIT_FAILURE
-        assert "error:" in capsys.readouterr().err
 
 
 class TestProgressCommand:

@@ -4,9 +4,19 @@ import pytest
 
 from repro import obs
 from repro.circuits.sram import SramArray
+from repro.exec import ShardPlan, WorkUnit, execute, shard_unit
 from repro.obs import RunManifest, manifest_fingerprint
 from repro.obs.timing import observe_rate
 from repro.rng import generator
+
+
+@shard_unit
+def _spin(token: int) -> int:
+    """Module-level work unit (pool pickling requires it)."""
+    total = 0
+    for i in range(2000):
+        total = (total + (token + i) * (token ^ i)) & 0xFFFFFFFF
+    return total
 
 
 class TestHookPrimitives:
@@ -41,11 +51,8 @@ class TestThreadedHotPaths:
         assert snapshot[key] > 0.0
 
     def test_exec_engine_emits_units_per_second(self, observed):
-        from repro.exec import ShardPlan, WorkUnit, execute
-        from repro.perf.workloads import _exec_spin
-
         plan = ShardPlan(
-            [WorkUnit(index=i, fn=_exec_spin, args=(i,), label=f"u{i}")
+            [WorkUnit(index=i, fn=_spin, args=(i,), label=f"u{i}")
              for i in range(4)]
         )
         execute(plan, jobs=1)
