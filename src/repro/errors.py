@@ -288,7 +288,3 @@ class PerfError(ReproError):
 
 class LintError(ReproError):
     """``repro-lint`` could not run (unreadable input, bad rule id, ...)."""
-
-
-class LintConfigError(LintError):
-    """The ``[tool.repro-lint]`` configuration is malformed."""

@@ -5,19 +5,20 @@ at runtime: all entropy derives from one seed (RL001), quantities stay
 in SI units (RL002), failures surface through the ``ReproError``
 taxonomy (RL003), physics paths never compare floats exactly (RL004),
 and observability names come from one taxonomy (RL005).  This package
-checks them statically, with a pluggable rule framework, a
-``repro-lint`` console script, per-line ``# repro-lint: ignore[RULE]``
-suppressions, and ``[tool.repro-lint]`` configuration.
+checks them statically, with a pluggable rule framework and a
+``repro-lint`` console script.  A finding is fixed in the code or, for
+a file a rule itself sanctions, by that rule's ``exempt`` hook; no
+comment, configuration file or recorded finding list silences one.
 
 On top of the per-file rules sits a project-wide *flow* layer
-(:mod:`repro.lint.flow`): every module is distilled into a
-JSON-serializable summary (imports, call sites, shared-state writes,
-unordered iterations, timing taint), the summaries are linked into a
+(:mod:`repro.lint.flow`): every module is distilled into an in-memory
+summary (imports, call sites, shared-state writes, unordered
+iterations, timing taint), the summaries are linked into a
 :class:`~repro.lint.flow.ProjectModel` with a cross-module call graph,
 and interprocedural rules check it — shard-race freedom (RL007),
 iteration-order determinism (RL008), and fingerprint purity (RL009).
-``repro-lint --project`` runs both families, with a content-addressed
-summary cache and optional finding baselines.
+``repro-lint --project`` runs both families, parsing every file afresh
+and writing nothing to disk.
 
 Library use::
 
@@ -29,8 +30,6 @@ Library use::
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, write_baseline
-from .config import LintConfig, load_config
 from .engine import (
     PARSE_ERROR_RULE,
     flow_findings,
@@ -41,12 +40,7 @@ from .engine import (
     lint_source,
 )
 from .findings import Finding
-from .flow import (
-    DEFAULT_CACHE_PATH,
-    ProjectModel,
-    SummaryCache,
-    build_project,
-)
+from .flow import ProjectModel, build_project
 from .rules import (
     FileContext,
     FlowRule,
@@ -61,16 +55,12 @@ from .rules import (
 )
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_CACHE_PATH",
     "Finding",
     "FileContext",
     "FlowRule",
-    "LintConfig",
     "PARSE_ERROR_RULE",
     "ProjectModel",
     "Rule",
-    "SummaryCache",
     "all_flow_rules",
     "all_rules",
     "build_project",
@@ -81,11 +71,8 @@ __all__ = [
     "lint_paths",
     "lint_project",
     "lint_source",
-    "load_baseline",
-    "load_config",
     "register",
     "register_flow",
     "select_flow_rules",
     "select_rules",
-    "write_baseline",
 ]

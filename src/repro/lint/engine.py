@@ -1,54 +1,42 @@
-"""The lint engine: file discovery, parsing, rule dispatch, suppression.
+"""The lint engine: file discovery, parsing, rule dispatch.
 
 The engine is deliberately import-light (ast + stdlib only) so the
 linter itself never perturbs the simulation it polices.  Parse failures
 are reported as rule ``RL000`` findings rather than crashing the run;
 unreadable paths raise :class:`~repro.errors.LintError`, which the CLI
 maps to exit code 2.
+
+The engine reports every finding a rule yields.  A rule that must
+tolerate a file (a quarantine module) says so itself, through
+:meth:`~repro.lint.rules.Rule.exempt`.
 """
 
 from __future__ import annotations
 
 import ast
-from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import LintError
 from .findings import Finding
 from .rules import FileContext, Rule, select_rules
-from .suppress import is_suppressed, parse_suppressions
 
 #: Pseudo-rule id for files that do not parse.
 PARSE_ERROR_RULE = "RL000"
 
 
-def _excluded(path: Path, exclude: Sequence[str]) -> bool:
-    posix = path.as_posix()
-    return any(
-        fnmatch(posix, pattern) or fnmatch(path.name, pattern)
-        for pattern in exclude
-    )
-
-
-def iter_python_files(
-    paths: Iterable[str | Path], exclude: Sequence[str] = ()
-) -> list[Path]:
+def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     """Expand files/directories into the ordered list of files to lint.
 
     Explicitly named files are always included; directories are walked
-    for ``*.py`` with ``exclude`` globs applied.  A path that does not
-    exist raises :class:`LintError`.
+    for ``*.py`` in sorted order.  A path that does not exist raises
+    :class:`LintError`.
     """
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(
-                candidate
-                for candidate in sorted(path.rglob("*.py"))
-                if not _excluded(candidate, exclude)
-            )
+            files.extend(sorted(path.rglob("*.py")))
         elif path.is_file():
             files.append(path)
         else:
@@ -65,7 +53,7 @@ def iter_python_files(
 def lint_source(
     source: str, path: str, rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
-    """Lint one in-memory module; returns sorted, unsuppressed findings."""
+    """Lint one in-memory module; returns its sorted findings."""
     if rules is None:
         rules = select_rules(None)
     try:
@@ -82,14 +70,9 @@ def lint_source(
             )
         ]
     context = FileContext(path=path, source=source, tree=tree)
-    suppressions = parse_suppressions(source)
-    findings = [
-        finding
-        for rule in rules
-        for finding in rule.check(context)
-        if not is_suppressed(suppressions, finding.line, finding.rule)
-    ]
-    return sorted(findings)
+    return sorted(
+        finding for rule in rules for finding in rule.check(context)
+    )
 
 
 def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
@@ -106,28 +89,22 @@ def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
 def lint_paths(
     paths: Iterable[str | Path],
     select: tuple[str, ...] | None = None,
-    exclude: Sequence[str] = (),
 ) -> list[Finding]:
     """Lint files and directory trees; the library-level entry point."""
     rules = select_rules(tuple(select) if select else None)
     findings: list[Finding] = []
-    for path in iter_python_files(paths, exclude):
+    for path in iter_python_files(paths):
         findings.extend(lint_file(path, rules))
     return findings
 
 
 def flow_findings(
-    files: Sequence[Path],
-    select: tuple[str, ...] | None = None,
-    cache: "SummaryCache | None" = None,
+    files: Sequence[Path], select: tuple[str, ...] | None = None
 ) -> list[Finding]:
     """Run the project-wide flow rules (RL007+) over ``files``.
 
-    Builds one linked :class:`~repro.lint.flow.ProjectModel` (through
-    the summary ``cache`` when given) and checks every selected flow
-    rule against it.  Suppression comments apply exactly as for
-    per-file rules — the summaries carry each file's suppression map,
-    so cached files never need re-reading.
+    Builds one linked :class:`~repro.lint.flow.ProjectModel` and checks
+    every selected flow rule against it.
     """
     from .flow import build_project
     from .rules import select_flow_rules
@@ -135,37 +112,20 @@ def flow_findings(
     rules = select_flow_rules(tuple(select) if select else None)
     if not rules:
         return []
-    project = build_project(files, cache)
-    suppressions = {
-        summary.path: summary.suppression_map()
-        for summary in project.modules.values()
-    }
-    findings = [
-        finding
-        for rule in rules
-        for finding in rule.check_project(project)
-        if not is_suppressed(
-            suppressions.get(finding.path, {}), finding.line, finding.rule
-        )
-    ]
-    return sorted(findings)
+    project = build_project(files)
+    return sorted(
+        finding for rule in rules for finding in rule.check_project(project)
+    )
 
 
 def lint_project(
     paths: Iterable[str | Path],
     select: tuple[str, ...] | None = None,
-    exclude: Sequence[str] = (),
-    cache: "SummaryCache | None" = None,
 ) -> list[Finding]:
     """Per-file rules plus project-wide flow rules over whole trees.
 
     The library-level equivalent of ``repro-lint --project``: findings
     from both rule families, merged and sorted.
     """
-    files = iter_python_files(paths, exclude)
-    rules = select_rules(tuple(select) if select else None)
-    findings: list[Finding] = []
-    for path in files:
-        findings.extend(lint_file(path, rules))
-    findings.extend(flow_findings(files, select, cache))
-    return sorted(findings)
+    files = iter_python_files(paths)
+    return sorted([*lint_paths(files, select), *flow_findings(files, select)])

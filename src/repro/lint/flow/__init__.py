@@ -9,15 +9,14 @@ RL007 (shard-race), RL008 (iteration order), and RL009
 :mod:`repro.lint.rules`.
 
 Everything here is ``ast``-plus-stdlib only: the analysed code is
-never imported, so linting cannot perturb the simulation it audits.
+never imported, so linting cannot perturb the simulation it audits,
+and nothing is written to disk: every run summarizes every file afresh.
 """
 
 from __future__ import annotations
 
-from .cache import DEFAULT_CACHE_PATH, SummaryCache
 from .project import ProjectModel, build_project, module_name_for
 from .summarize import (
-    SUMMARY_SCHEMA_VERSION,
     FunctionSummary,
     ModuleSummary,
     summarize_file,
@@ -25,12 +24,9 @@ from .summarize import (
 )
 
 __all__ = [
-    "DEFAULT_CACHE_PATH",
-    "SUMMARY_SCHEMA_VERSION",
     "FunctionSummary",
     "ModuleSummary",
     "ProjectModel",
-    "SummaryCache",
     "build_project",
     "module_name_for",
     "summarize_file",

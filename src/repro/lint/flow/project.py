@@ -1,12 +1,12 @@
 """The project model: linked module summaries plus the call graph.
 
-:func:`build_project` summarizes every file (through the optional
-cache) and returns a :class:`ProjectModel`, which resolves dotted
-references across modules — chasing import re-exports like
-``repro.exec.ShardPlan`` -> ``repro.exec.plan.ShardPlan`` and method
-lookups through base classes — and answers the questions the flow
-rules ask: what does each function call, which functions are shard-unit
-entry points, and what is reachable from them.
+:func:`build_project` summarizes every file and returns a
+:class:`ProjectModel`, which resolves dotted references across
+modules — chasing import re-exports like ``repro.exec.ShardPlan`` ->
+``repro.exec.plan.ShardPlan`` and method lookups through base classes
+— and answers the questions the flow rules ask: what does each
+function call, which functions are shard-unit entry points, and what
+is reachable from them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from .cache import SummaryCache
 from .summarize import (
     FunctionSummary,
     ModuleSummary,
@@ -184,11 +183,8 @@ class ProjectModel:
         return origin
 
 
-def build_project(
-    files: Iterable[str | Path],
-    cache: SummaryCache | None = None,
-) -> ProjectModel:
-    """Summarize ``files`` (via ``cache`` when given) into a model.
+def build_project(files: Iterable[str | Path]) -> ProjectModel:
+    """Summarize ``files`` into a linked model.
 
     Files that fail to parse contribute an empty summary — the per-file
     engine already reports them as ``RL000`` findings, so the flow
@@ -196,8 +192,7 @@ def build_project(
     """
     summaries: dict[str, ModuleSummary] = {}
     for raw in files:
-        path = Path(raw)
-        summary = cache.summarize(path) if cache else summarize_file(path)
+        summary = summarize_file(Path(raw))
         # Last-one-wins on module-name collisions (e.g. two fixture
         # trees both containing ``conftest``); project rules only ever
         # see one of them, which keeps resolution deterministic.

@@ -2,8 +2,7 @@
 
 The flow layer never imports the code it analyses.  Instead each file
 is parsed once (``ast`` only) and reduced to a :class:`ModuleSummary` —
-a JSON-serialisable digest of exactly the facts the interprocedural
-rules need:
+a digest of exactly the facts the interprocedural rules need:
 
 * **bindings** — what every top-level name refers to, with imports
   resolved to absolute dotted targets (``from ..rng import spawn`` in
@@ -19,9 +18,8 @@ rules need:
   ``ShardPlan.enumerate(fn, ...)``) or via the explicit
   :func:`repro.exec.plan.shard_unit` marker decorator.
 
-Because summaries are plain JSON, the project cache
-(:mod:`repro.lint.flow.cache`) can persist them keyed on file
-mtime+hash and ``repro-lint --project`` re-parses only what changed.
+Summaries live only in memory: every ``repro-lint --project`` run
+parses each file afresh.
 """
 
 from __future__ import annotations
@@ -29,13 +27,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
-
-from ..suppress import SuppressionMap, parse_suppressions
-
-#: Bump when the summary shape or extraction logic changes; the cache
-#: keys on this, so stale summaries are never reused across versions.
-SUMMARY_SCHEMA_VERSION = 1
+from typing import Iterator
 
 #: Call targets (suffix-matched on the resolved dotted name) whose
 #: ``fn`` argument registers a shard-unit entry point.
@@ -86,14 +78,6 @@ class WriteEvent:
     line: int
     col: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"target": self.target, "detail": self.detail,
-                "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "WriteEvent":
-        return cls(**doc)
-
 
 @dataclass
 class IterEvent:
@@ -103,14 +87,6 @@ class IterEvent:
     detail: str
     line: int
     col: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "detail": self.detail,
-                "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "IterEvent":
-        return cls(**doc)
 
 
 @dataclass
@@ -125,17 +101,6 @@ class Flow:
     line: int
     col: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"target": self.target, "reads": list(self.reads),
-                "calls": list(self.calls), "source": self.source,
-                "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Flow":
-        return cls(target=doc["target"], reads=tuple(doc["reads"]),
-                   calls=tuple(doc["calls"]), source=doc["source"],
-                   line=doc["line"], col=doc["col"])
-
 
 @dataclass
 class Sink:
@@ -148,17 +113,6 @@ class Sink:
     source: bool
     line: int
     col: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "field": self.field,
-                "reads": list(self.reads), "calls": list(self.calls),
-                "source": self.source, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "Sink":
-        return cls(kind=doc["kind"], field=doc["field"],
-                   reads=tuple(doc["reads"]), calls=tuple(doc["calls"]),
-                   source=doc["source"], line=doc["line"], col=doc["col"])
 
 
 @dataclass
@@ -175,29 +129,6 @@ class FunctionSummary:
     sinks: list[Sink] = field(default_factory=list)
     returns_source: bool = False  # a return expr is a direct source
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname, "line": self.line, "col": self.col,
-            "calls": [list(c) for c in self.calls],
-            "writes": [w.to_dict() for w in self.writes],
-            "iters": [i.to_dict() for i in self.iters],
-            "flows": [f.to_dict() for f in self.flows],
-            "sinks": [s.to_dict() for s in self.sinks],
-            "returns_source": self.returns_source,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=doc["qualname"], line=doc["line"], col=doc["col"],
-            calls=[tuple(c) for c in doc["calls"]],
-            writes=[WriteEvent.from_dict(w) for w in doc["writes"]],
-            iters=[IterEvent.from_dict(i) for i in doc["iters"]],
-            flows=[Flow.from_dict(f) for f in doc["flows"]],
-            sinks=[Sink.from_dict(s) for s in doc["sinks"]],
-            returns_source=doc["returns_source"],
-        )
-
 
 @dataclass
 class ClassSummary:
@@ -206,15 +137,6 @@ class ClassSummary:
     name: str
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "bases": list(self.bases),
-                "methods": list(self.methods)}
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "ClassSummary":
-        return cls(name=doc["name"], bases=list(doc["bases"]),
-                   methods=list(doc["methods"]))
 
 
 @dataclass
@@ -230,53 +152,7 @@ class ModuleSummary:
     toplevel: list[str] = field(default_factory=list)
     #: Resolved references registered as shard-unit entry points.
     shard_entries: list[str] = field(default_factory=list)
-    #: The file's suppression-comment lines, so cached flow findings
-    #: still honour them without re-reading the file.
-    suppressions: dict[int, list[str] | None] = field(default_factory=dict)
     parse_error: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "module": self.module, "path": self.path,
-            "imports": dict(self.imports),
-            "functions": {k: f.to_dict() for k, f in self.functions.items()},
-            "classes": {k: c.to_dict() for k, c in self.classes.items()},
-            "toplevel": list(self.toplevel),
-            "shard_entries": list(self.shard_entries),
-            "suppressions": {
-                str(line): (list(rules) if rules is not None else None)
-                for line, rules in self.suppressions.items()
-            },
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=doc["module"], path=doc["path"],
-            imports=dict(doc["imports"]),
-            functions={
-                k: FunctionSummary.from_dict(f)
-                for k, f in doc["functions"].items()
-            },
-            classes={
-                k: ClassSummary.from_dict(c)
-                for k, c in doc["classes"].items()
-            },
-            toplevel=list(doc["toplevel"]),
-            shard_entries=list(doc["shard_entries"]),
-            suppressions={
-                int(line): (frozenset(rules) if rules is not None else None)
-                for line, rules in doc["suppressions"].items()
-            },
-            parse_error=doc["parse_error"],
-        )
-
-    def suppression_map(self) -> SuppressionMap:
-        return {
-            line: (frozenset(rules) if rules is not None else None)
-            for line, rules in self.suppressions.items()
-        }
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +223,6 @@ def summarize_source(source: str, path: str, module: str) -> ModuleSummary:
     except SyntaxError:
         summary.parse_error = True
         return summary
-    summary.suppressions = {
-        line: (list(rules) if rules is not None else None)
-        for line, rules in parse_suppressions(source).items()
-    }
     _Extractor(summary, tree).run()
     return summary
 

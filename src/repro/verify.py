@@ -9,7 +9,9 @@ One command that answers "is this checkout good?":
    (:func:`repro.obs.validate_manifest`);
 4. checks the JSONL trace carries a header record plus one span per
    attack step of paper §6.1;
-5. runs the ``repro-lint`` static-analysis suite over ``src/``.
+5. runs ``repro-lint --project`` over ``src/``: the per-file rules
+   (RL001–RL006) and the project-wide flow rules (RL007–RL009), the
+   same gate as CI and ``tests/lint/test_gate.py``.
 
 Exit code 0 means every stage passed; the first failing stage is
 reported and sets a non-zero exit code.  Pass ``--skip-tests`` to run
@@ -125,14 +127,14 @@ def check_trace(trace_path: Path) -> bool:
 
 
 def run_lint() -> bool:
-    """Run the repro-lint suite over ``src/``; True if it is clean."""
-    _stage("repro-lint src/")
+    """Run ``repro-lint --project`` over ``src/``; True if it is clean."""
+    _stage("repro-lint --project src/")
     from .errors import LintError
-    from .lint import lint_paths
+    from .lint import lint_project
 
     src = REPO_ROOT / "src"
     try:
-        findings = lint_paths([src])
+        findings = lint_project([src])
     except LintError as error:
         print(f"[verify] FAIL: repro-lint: {error}", file=sys.stderr)
         return False

@@ -17,19 +17,24 @@ same change).
 import pytest
 
 from repro import obs
+from repro.chaos import targets as chaos_targets
 from repro.experiments import (
     accessibility,
     countermeasures,
     dram_coldboot,
     figure3,
+    figure7,
     figure8,
     figure9,
     figure10,
     microarch_leak,
     noisy_rig,
+    platforms,
     policy_ablation,
+    probe_sweep,
     registers,
     retention_sweep,
+    standby_retention,
     table1,
     table4,
 )
@@ -179,3 +184,52 @@ class TestCacheExperimentStability:
 
     def test_microarch_leak_pin(self):
         assert _run_fingerprint(microarch_leak.run) == self.MICROARCH_LEAK_FP
+
+
+class TestRemainingExperimentStability:
+    """Pins for the last five ``list-experiments`` names.
+
+    ``chaos-probe`` (the chaos harness's sharded probe target) and
+    ``probe-sweep`` are sharded, so like the sweeps above they are
+    pinned at ``--jobs 1`` and ``--jobs 4``.  Figure 7's power-domain
+    traces, the platform survey and the standby-retention sweep run
+    serially.  Together with the classes above and the glitch-campaign
+    pin in ``tests/exec/test_jobs_equivalence.py``, every experiment the
+    CLI lists now has a committed fingerprint.
+    """
+
+    CHAOS_PROBE_FP = (
+        "2d8a8a0a5e5fa2d60a8e2f2a9ac4382a7dfffcd7283680793f240a223fda3069"
+    )
+    FIGURE7_FP = (
+        "23a6b79c2fe3bc5892bc0346bd419129ffeca5961dfb849746d32c50fde6bd38"
+    )
+    PLATFORMS_FP = (
+        "90892a518adce52e0cebb760f351f4834ee8435aa67dbea0c9f6c512aa404251"
+    )
+    PROBE_SWEEP_FP = (
+        "f17738bc6b3802566bc88feb1c57114c899217eb05f73e0590ca0012997b04ae"
+    )
+    STANDBY_RETENTION_FP = (
+        "be94d2477ae846967ec53bc144065dc94b7a2fbbbb523f18bb366025da55cfcd"
+    )
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_chaos_probe_pin(self, jobs):
+        fingerprint = _run_fingerprint(chaos_targets.run, jobs=jobs)
+        assert fingerprint == self.CHAOS_PROBE_FP
+
+    def test_figure7_pin(self):
+        assert _run_fingerprint(figure7.run) == self.FIGURE7_FP
+
+    def test_platforms_pin(self):
+        assert _run_fingerprint(platforms.run) == self.PLATFORMS_FP
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_probe_sweep_pin(self, jobs):
+        fingerprint = _run_fingerprint(probe_sweep.run, jobs=jobs)
+        assert fingerprint == self.PROBE_SWEEP_FP
+
+    def test_standby_retention_pin(self):
+        fingerprint = _run_fingerprint(standby_retention.run)
+        assert fingerprint == self.STANDBY_RETENTION_FP

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.lint import cli
 
 
@@ -9,7 +11,7 @@ class TestExitCodes:
     def test_clean_file_exits_zero(self, capsys, tmp_path):
         module = tmp_path / "clean.py"
         module.write_text("ANSWER = 42\n", encoding="utf-8")
-        assert cli.main([str(module), "--no-config"]) == 0
+        assert cli.main([str(module)]) == 0
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "clean (1 file(s) checked)" in captured.err
@@ -17,14 +19,14 @@ class TestExitCodes:
     def test_findings_exit_one(self, capsys, tmp_path):
         module = tmp_path / "dirty.py"
         module.write_text("import random\n", encoding="utf-8")
-        assert cli.main([str(module), "--no-config"]) == 1
+        assert cli.main([str(module)]) == 1
         captured = capsys.readouterr()
         assert "RL001" in captured.out
         assert "1 finding(s) in 1 file(s) checked" in captured.err
 
     def test_nonexistent_path_is_a_one_line_exit_2(self, capsys, tmp_path):
         missing = tmp_path / "no" / "such" / "dir"
-        assert cli.main([str(missing), "--no-config"]) == 2
+        assert cli.main([str(missing)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1  # one line, not a traceback
@@ -35,32 +37,18 @@ class TestExitCodes:
         module = tmp_path / "clean.py"
         module.write_text("ANSWER = 42\n", encoding="utf-8")
         assert cli.main(
-            [str(module), "--rule", "RL999", "--no-config"]
+            [str(module), "--rule", "RL999"]
         ) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "RL999" in err
-
-    def test_malformed_config_is_a_one_line_exit_2(self, capsys, tmp_path):
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-lint]\nbogus_key = true\n", encoding="utf-8"
-        )
-        module = tmp_path / "clean.py"
-        module.write_text("ANSWER = 42\n", encoding="utf-8")
-        assert cli.main([str(module), "--config", str(pyproject)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith("repro-lint: error:")
-        assert "bogus_key" in captured.err
 
 
 class TestOutputFormats:
     def test_text_findings_carry_location_and_hint(self, capsys, tmp_path):
         module = tmp_path / "dirty.py"
         module.write_text("import time\n", encoding="utf-8")
-        assert cli.main([str(module), "--no-config"]) == 1
+        assert cli.main([str(module)]) == 1
         out = capsys.readouterr().out
         assert f"{module}:1:1: RL001" in out
         assert "hint:" in out
@@ -69,7 +57,7 @@ class TestOutputFormats:
         module = tmp_path / "dirty.py"
         module.write_text("import secrets\n", encoding="utf-8")
         assert cli.main(
-            [str(module), "--format", "json", "--no-config"]
+            [str(module), "--format", "json"]
         ) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == cli.JSON_SCHEMA_VERSION
@@ -93,42 +81,6 @@ class TestOutputFormats:
         assert "project-wide" in out
 
 
-class TestSelection:
-    def test_exclude_glob_skips_files(self, capsys, tmp_path):
-        (tmp_path / "dirty.py").write_text("import random\n", encoding="utf-8")
-        (tmp_path / "generated_pb2.py").write_text(
-            "import random\n", encoding="utf-8"
-        )
-        assert cli.main(
-            [str(tmp_path), "--exclude", "*_pb2.py", "--no-config"]
-        ) == 1
-        captured = capsys.readouterr()
-        assert "dirty.py" in captured.out
-        assert "generated_pb2" not in captured.out
-        assert "1 file(s) checked" in captured.err
-
-    def test_config_provides_default_paths_and_excludes(self, capsys, tmp_path):
-        project = tmp_path / "proj"
-        (project / "src").mkdir(parents=True)
-        (project / "src" / "dirty.py").write_text(
-            "import random\n", encoding="utf-8"
-        )
-        (project / "src" / "skipme.py").write_text(
-            "import random\n", encoding="utf-8"
-        )
-        pyproject = project / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-lint]\n"
-            f'paths = ["{project.as_posix()}/src"]\n'
-            'exclude = ["skipme.py"]\n',
-            encoding="utf-8",
-        )
-        assert cli.main(["--config", str(pyproject)]) == 1
-        captured = capsys.readouterr()
-        assert "dirty.py" in captured.out
-        assert "skipme" not in captured.out
-
-
 UNSORTED_SCAN = (
     "from pathlib import Path\n"
     "def scan(root):\n"
@@ -143,11 +95,10 @@ class TestProjectMode:
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
         # Per-file rules alone: clean.
-        assert cli.main([str(pkg), "--no-config"]) == 0
+        assert cli.main([str(pkg)]) == 0
         capsys.readouterr()
         # Project mode: the RL008 scan fires.
-        assert cli.main([str(pkg), "--no-config", "--project",
-                         "--no-cache"]) == 1
+        assert cli.main([str(pkg), "--project"]) == 1
         out = capsys.readouterr().out
         assert "RL008" in out
         assert "pkg.m.scan" in out
@@ -157,8 +108,7 @@ class TestProjectMode:
         pkg.mkdir()
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--format", "json"]) == 1
+        assert cli.main([str(pkg), "--project", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in doc["findings"]] == ["RL008"]
 
@@ -169,84 +119,66 @@ class TestProjectMode:
         (pkg / "m.py").write_text(
             "import random\n" + UNSORTED_SCAN, encoding="utf-8"
         )
-        # Selecting only the flow rule suppresses the per-file RL001.
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--rule", "RL008"]) == 1
+        # Selecting only the flow rule masks the per-file RL001.
+        assert cli.main([str(pkg), "--project", "--rule", "RL008"]) == 1
         out = capsys.readouterr().out
         assert "RL008" in out and "RL001" not in out
         # And the reverse.
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--rule", "RL001"]) == 1
+        assert cli.main([str(pkg), "--project", "--rule", "RL001"]) == 1
         out = capsys.readouterr().out
         assert "RL001" in out and "RL008" not in out
 
-    def test_cache_file_is_written_and_reused(self, capsys, tmp_path):
+
+class TestStatelessContract:
+    """The linter reads its inputs, prints findings, and does nothing else."""
+
+    def test_ignore_comments_are_ordinary_comments(self, capsys, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("", encoding="utf-8")
-        (pkg / "m.py").write_text("X = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        assert cli.main([str(pkg), "--no-config", "--project",
-                         "--cache", str(cache)]) == 0
-        capsys.readouterr()
-        assert cache.is_file()
-        doc = json.loads(cache.read_text(encoding="utf-8"))
-        assert len(doc["files"]) == 2
-        # Second run still clean, reusing the cache.
-        assert cli.main([str(pkg), "--no-config", "--project",
-                         "--cache", str(cache)]) == 0
+        (pkg / "m.py").write_text(
+            "import os\n"
+            "import random  # repro-lint: ignore[RL001]\n"
+            "def listing(root):\n"
+            "    return [n for n in os.listdir(root)]"
+            "  # repro-lint: ignore[RL008]\n",
+            encoding="utf-8",
+        )
+        assert cli.main([str(pkg), "--project", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert [(f["rule"], f["line"]) for f in doc["findings"]] == [
+            ("RL001", 2), ("RL008", 4),
+        ]
 
-
-class TestBaselines:
-    def _dirty_pkg(self, tmp_path):
-        pkg = tmp_path / "pkg"
+    def test_project_run_writes_no_file(
+        self, capsys, monkeypatch, tmp_path, tmp_path_factory
+    ):
+        pkg = tmp_path_factory.mktemp("tree") / "pkg"
         pkg.mkdir()
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
-        return pkg
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([str(pkg), "--project"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert sorted(pkg.iterdir()) == [pkg / "__init__.py", pkg / "m.py"]
 
-    def test_write_then_check_gates_only_new_findings(self, capsys, tmp_path):
-        pkg = self._dirty_pkg(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--write-baseline", str(baseline)]) == 0
-        err = capsys.readouterr().err
-        assert "1 finding(s)" in err
-        # Recorded debt no longer fails the run...
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # ...but a new finding does.
-        (pkg / "n.py").write_text(
-            "import os\n"
-            "def listing(root):\n"
-            "    return [n for n in os.listdir(root)]\n",
-            encoding="utf-8",
-        )
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "n.py" in out and "m.py" not in out
-
-    def test_missing_baseline_is_a_one_line_exit_2(self, capsys, tmp_path):
-        pkg = self._dirty_pkg(tmp_path)
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--baseline", str(tmp_path / "absent.json")]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert "cannot read baseline" in err
-
-    def test_config_can_point_at_the_baseline(self, capsys, tmp_path):
-        pkg = self._dirty_pkg(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert cli.main([str(pkg), "--no-config", "--project", "--no-cache",
-                         "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text(
-            "[tool.repro-lint]\n"
-            f'baseline = "{baseline.as_posix()}"\n',
-            encoding="utf-8",
-        )
-        assert cli.main([str(pkg), "--config", str(pyproject), "--project",
-                         "--no-cache"]) == 0
+    @pytest.mark.parametrize("flag", [
+        ["--cache", "lint-cache.json"],
+        ["--no-cache"],
+        ["--baseline", "baseline.json"],
+        ["--write-baseline", "baseline.json"],
+        ["--config", "pyproject.toml"],
+        ["--no-config"],
+        ["--exclude", "*_pb2.py"],
+    ], ids=lambda flag: flag[0])
+    def test_removed_flags_are_usage_errors(
+        self, capsys, monkeypatch, tmp_path, flag
+    ):
+        module = tmp_path / "clean.py"
+        module.write_text("ANSWER = 42\n", encoding="utf-8")
+        (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([str(module), "--project", *flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

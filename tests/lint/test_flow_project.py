@@ -1,21 +1,12 @@
-"""The flow layer's module table, call graph, and summary cache.
+"""The flow layer's module table, call graph, and entry-point discovery.
 
 Everything here analyses throwaway package trees on disk *without
 importing them* — the linter's own contract — via the ``make_tree``
 fixture.
 """
 
-import json
-import os
-from pathlib import Path
-
 from repro.lint.engine import iter_python_files
-from repro.lint.flow import (
-    SummaryCache,
-    build_project,
-    module_name_for,
-    summarize_source,
-)
+from repro.lint.flow import build_project, module_name_for, summarize_source
 
 
 def project_over(root):
@@ -198,92 +189,7 @@ class TestParseErrors:
         assert "pkg.fine.ok" in project.functions
 
 
-class TestSummaryCache:
-    def test_round_trip_preserves_the_summary(self, make_tree, tmp_path):
-        root = make_tree({
-            "pkg/__init__.py": "",
-            "pkg/m.py": (
-                "from repro.exec.plan import shard_unit\n"
-                "STATE = {}\n"
-                "@shard_unit\n"
-                "def unit(x):\n"
-                "    STATE[x] = x\n"
-                "    for item in {1, 2}:\n"
-                "        x += item\n"
-                "    return x\n"
-            ),
-        })
-        target = root / "pkg/m.py"
-        cold = SummaryCache(tmp_path / "c.json")
-        fresh = cold.summarize(target)
-        cold.save()
-        warm = SummaryCache(tmp_path / "c.json")
-        cached = warm.summarize(target)
-        assert warm.hits == 1 and warm.misses == 0
-        assert cached.to_dict() == fresh.to_dict()
-        # Everything the rules consume survives the round trip.
-        assert cached.shard_entries == ["pkg.m.unit"]
-        assert cached.functions["unit"].writes[0].target == "pkg.m.STATE"
-        assert cached.functions["unit"].iters[0].kind == "set"
-
-    def test_edit_invalidates_touch_does_not(self, make_tree, tmp_path):
-        root = make_tree({"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        target = root / "pkg/m.py"
-        cache_file = tmp_path / "c.json"
-        first = SummaryCache(cache_file)
-        first.summarize(target)
-        first.save()
-
-        # mtime bump, identical content: re-validated by hash, a hit.
-        stat = target.stat()
-        os.utime(target, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10_000_000))
-        touched = SummaryCache(cache_file)
-        touched.summarize(target)
-        assert (touched.hits, touched.misses) == (1, 0)
-        touched.save()
-
-        # Content change: a miss, and the new summary is returned.
-        target.write_text("def fresh():\n    return 2\n", encoding="utf-8")
-        edited = SummaryCache(cache_file)
-        summary = edited.summarize(target)
-        assert (edited.hits, edited.misses) == (0, 1)
-        assert "fresh" in summary.functions
-
-    def test_corrupt_cache_degrades_to_cold_start(self, make_tree, tmp_path):
-        root = make_tree({"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        cache_file = tmp_path / "c.json"
-        cache_file.write_text("{not json", encoding="utf-8")
-        cache = SummaryCache(cache_file)
-        cache.summarize(root / "pkg/m.py")
-        assert (cache.hits, cache.misses) == (0, 1)
-
-    def test_schema_version_mismatch_discards_entries(
-        self, make_tree, tmp_path
-    ):
-        root = make_tree({"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        target = root / "pkg/m.py"
-        cache_file = tmp_path / "c.json"
-        warm = SummaryCache(cache_file)
-        warm.summarize(target)
-        warm.save()
-        doc = json.loads(cache_file.read_text(encoding="utf-8"))
-        doc["summary_version"] = -1
-        cache_file.write_text(json.dumps(doc), encoding="utf-8")
-        stale = SummaryCache(cache_file)
-        stale.summarize(target)
-        assert (stale.hits, stale.misses) == (0, 1)
-
-
 class TestSummarizeSource:
-    def test_suppressions_ride_along_in_the_summary(self):
-        source = (
-            "import os\n"
-            "def f(root):\n"
-            "    return list(os.listdir(root))  # repro-lint: ignore[RL008]\n"
-        )
-        summary = summarize_source(source, "m.py", "m")
-        assert summary.suppression_map() == {3: frozenset({"RL008"})}
-
     def test_module_body_gets_a_pseudo_function(self):
         summary = summarize_source(
             "VALUES = [x for x in {1, 2, 3}]\n", "m.py", "m"

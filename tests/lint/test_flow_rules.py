@@ -399,20 +399,3 @@ class TestRL007GuardsTheJobsEquivalenceContract:
         assert "pkg.units.SHARED_TOTALS" in found[0].message
         assert "diverge" in found[0].message
 
-
-class TestSuppressionsApplyToFlowFindings:
-    def test_ignore_comment_silences_a_flow_finding(self, make_tree):
-        root = make_tree({
-            "pkg/__init__.py": "",
-            "pkg/m.py": (
-                "import os\n"
-                "def f(root):\n"
-                "    # order normalised downstream\n"
-                "    files = [\n"
-                "        n for n in os.listdir(root)  "
-                "# repro-lint: ignore[RL008]\n"
-                "    ]\n"
-                "    return files\n"
-            ),
-        })
-        assert findings_over(root, ["RL008"]) == []

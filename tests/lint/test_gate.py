@@ -16,7 +16,6 @@ from repro.lint import (
     iter_python_files,
     lint_paths,
 )
-from repro.lint.suppress import parse_suppressions
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -28,9 +27,9 @@ def test_shipped_tree_is_clean():
 
 
 def test_shipped_tree_is_flow_clean():
-    # The --project half of the gate: zero RL007/RL008/RL009 findings,
-    # with no baseline absorbing debt and no suppressions (checked
-    # below) — the acceptance bar is an outright-clean tree.
+    # The --project half of the gate: zero RL007/RL008/RL009 findings.
+    # The linter has no way to silence a finding, so the acceptance bar
+    # is an outright-clean tree.
     findings = flow_findings(iter_python_files([SRC]))
     rendered = "\n".join(finding.render() for finding in findings)
     assert findings == [], f"repro-lint --project findings on src/:\n{rendered}"
@@ -48,18 +47,6 @@ def test_flow_gate_actually_analyses_the_tree():
     assert any("retention_sweep" in name for name in entries)
     reachable = project.reachable_from(entries)
     assert len(reachable) > len(entries)
-
-
-def test_no_suppression_comments_in_shipped_tree():
-    # The tree must be clean outright, not silenced (ISSUE satellite:
-    # fix violations rather than suppress them).  parse_suppressions only
-    # reports real comment tokens, so docstring mentions don't count.
-    offenders = [
-        path
-        for path in sorted(SRC.rglob("*.py"))
-        if parse_suppressions(path.read_text(encoding="utf-8"))
-    ]
-    assert offenders == []
 
 
 def test_all_six_domain_rules_are_registered():
