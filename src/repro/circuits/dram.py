@@ -72,7 +72,7 @@ class DramArray(ManufacturedArray):
     reads as its written value while its level exceeds 0.5 and as its
     ground state (0 for true cells, 1 for anti-cells) once decayed.
     The anti-cell layout and retention fields are read-only and shared
-    by deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`).
+    by board copies (:class:`~repro.circuits.manufacture.Snapshot`).
     """
 
     MANUFACTURED = ("_anticell", "_retention_scale", "_scale32")

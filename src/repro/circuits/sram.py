@@ -117,8 +117,8 @@ class SramArray(ManufacturedArray):
     (restore, DRV collapse, aging) and, for :meth:`read_bits` and
     :meth:`write_bits`, only over the bytes covering the requested
     range.  The process-variation fields are read-only and shared by
-    deep copies (:class:`~repro.circuits.manufacture.ManufacturedArray`);
-    the cells are per copy.
+    board copies (:class:`~repro.circuits.manufacture.Snapshot`); the
+    cells are per copy.
 
     :attr:`mutations` counts the events that change the stored image or
     make reading it illegal, so a structure that mirrors part of the

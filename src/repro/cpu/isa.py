@@ -19,6 +19,7 @@ The set covers what the paper's victim programs need:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from ..errors import AssemblerError
@@ -93,8 +94,16 @@ def encode(instruction: Instruction) -> bytes:
     )
 
 
+@functools.lru_cache(maxsize=4096)
 def decode(word: bytes) -> Instruction:
-    """Decode 4 machine bytes into an :class:`Instruction`."""
+    """Decode 4 machine bytes into an :class:`Instruction`.
+
+    Memoised by word: a program's loop body decodes once per process,
+    and every later fetch of the same word returns the same (frozen)
+    :class:`Instruction`.  A word that fails to decode raises on every
+    call and is never cached.  ``decode.__wrapped__`` is the uncached
+    decoder.
+    """
     if len(word) != 4:
         raise AssemblerError(f"instruction words are 4 bytes, got {len(word)}")
     try:

@@ -25,7 +25,7 @@ This module is also the engine's **incident ledger**: quarantined
 units and journal degradations are recorded here so the manifest
 layer can attach a structured partial-result section and the CLI can
 honour its ``EXIT_DEGRADED`` exit-code contract, and it keeps the
-per-process **booted-board template** that :func:`booted_board` hands
+per-process **booted-board snapshot** that :func:`booted_board` hands
 units copies of.  (This module and the ``repro.obs.OBS`` singleton are
 the only whitelisted holders of cross-unit process state — see the
 RL007 lint rule.)
@@ -33,12 +33,12 @@ RL007 lint rule.)
 
 from __future__ import annotations
 
-import copy
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from ..circuits.manufacture import Snapshot
 from ..errors import CheckpointError
 from ..obs import OBS, MetricsRegistry, Tracer
 from ..resilience.retry import RetryPolicy
@@ -258,22 +258,24 @@ def captured() -> Iterator[Capture]:
         OBS.enabled, OBS.metrics, OBS.tracer = saved
 
 
-#: The one cached post-boot board: ``(key, board, build metrics dump)``.
-_template: tuple[tuple[Any, ...], Any, dict[str, Any]] | None = None
+#: The one cached post-boot board: ``(key, snapshot, build metrics dump)``.
+_template: tuple[tuple[Any, ...], Snapshot, dict[str, Any]] | None = None
 
 
 def booted_board(builder: Callable[..., Any], seed: int, media: Any) -> Any:
     """A private copy of ``builder(seed=seed)`` booted from ``media``.
 
-    The board is built and booted once per process and kept as a
-    template keyed on ``(builder, seed, media)`` (a new key replaces
-    it); every call returns a :func:`copy.deepcopy` of it, which shares
-    the arrays' read-only manufacture fields and copies everything
-    else, RNG streams included — so a copy is indistinguishable from a
-    fresh build and a unit's result cannot depend on which units ran
-    before it.  The build's metrics are captured privately and merged
-    into the live registry on every call, so each unit records exactly
-    what building its own board would have recorded.
+    The board is built, booted and snapshotted
+    (:class:`~repro.circuits.manufacture.Snapshot`) once per process,
+    keyed on ``(builder, seed, media)`` (a new key replaces it); only
+    the snapshot is kept, holding the board's arrays frozen.  Every
+    call restores a copy from the snapshot, which shares the arrays'
+    read-only manufacture fields and copies everything else, RNG
+    streams included — so a copy is indistinguishable from a fresh
+    build and a unit's result cannot depend on which units ran before
+    it.  The build's metrics are captured privately and merged into the
+    live registry on every call, so each unit records exactly what
+    building its own board would have recorded.
     """
     global _template
     key = (builder, seed, media)
@@ -281,11 +283,11 @@ def booted_board(builder: Callable[..., Any], seed: int, media: Any) -> Any:
         with captured() as build:
             board = builder(seed=seed)
             board.boot(media)
-        _template = (key, board, build.metrics)
-    _, template, metrics = _template
+        _template = (key, Snapshot(board), build.metrics)
+    _, snapshot, metrics = _template
     if OBS.enabled:
         OBS.metrics.merge(metrics)
-    return copy.deepcopy(template)
+    return snapshot.restore()
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ byte-identical to serial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,6 +247,14 @@ def _classify(
     return "exploitable" if flag == 1 else "normal"
 
 
+@functools.cache
+def _victim_code(delay_iterations: int) -> bytes:
+    """The PIN-check victim's machine code, assembled once per process."""
+    return assemble(
+        pin_check(FLAG_ADDR, ENTERED_PIN, STORED_PIN, delay_iterations)
+    ).machine_code
+
+
 def _one_attempt(
     board: Board,
     machine_code: bytes,
@@ -314,11 +323,7 @@ def run_point(
     by the point's label so the draws are independent of sharding.
     """
     board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
-    machine_code = assemble(
-        pin_check(
-            FLAG_ADDR, ENTERED_PIN, STORED_PIN, spec.delay_iterations
-        )
-    ).machine_code
+    machine_code = _victim_code(spec.delay_iterations)
     pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
     waveform = _rig_waveform(board, pulse, spec.nominal_v)
     model = default_fault_model(spec.nominal_v)
@@ -419,11 +424,9 @@ def run_os_attempt(
         seed_label="glitch-os",
     )
     kernel.enable_caches()
-    machine_code = assemble(
-        pin_check(FLAG_ADDR, ENTERED_PIN, STORED_PIN)
-    ).machine_code
-    pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
     spec = DEFAULT_SPEC
+    machine_code = _victim_code(spec.delay_iterations)
+    pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
     waveform = _rig_waveform(board, pulse, spec.nominal_v)
     process = GlitchedInterpretedProcess(
         "pin-check",

@@ -12,6 +12,7 @@ stable across runs and insertion order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -49,6 +50,28 @@ def from_entropy(entropy: int | tuple[int, ...]) -> np.random.Generator:
     the RL001 determinism lint enforces.
     """
     return np.random.default_rng(entropy)
+
+
+@functools.cache
+def _restore_seed() -> np.random.SeedSequence:
+    """Seeds the throwaway initial state of a restored bit generator
+    (every :func:`from_state` call overwrites it at once)."""
+    return np.random.SeedSequence(0)
+
+
+def from_state(state: dict) -> np.random.Generator:
+    """Build a generator positioned exactly at ``state``.
+
+    ``state`` is a ``bit_generator.state`` dict, buffered half-words
+    included, so the new generator's draws continue the original's.
+    Board snapshots (:mod:`repro.circuits.manufacture`) restore their
+    streams through here: seeding from a fixed sequence and assigning
+    the state costs a fraction of ``copy.deepcopy`` or a pickle round
+    trip of the generator.
+    """
+    bit_generator = getattr(np.random, state["bit_generator"])(_restore_seed())
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def spawn(parent: np.random.Generator) -> np.random.Generator:

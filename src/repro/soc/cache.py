@@ -236,8 +236,8 @@ class SetAssociativeCache:
             name=f"{name}.tag",
         )
         self.tags = TagArray(tag_sram, g.sets * g.ways)
-        # Tag mirror (see the class docstring).  An ``array`` deep-copies
-        # as one buffer; ``-1`` forces a load on first use.
+        # Tag mirror (see the class docstring).  An ``array`` copies as
+        # one buffer; ``-1`` forces a load on first use.
         self._tag_words = array("Q")
         self._tag_seen = -1
         # Optional undocumented in-line bit interleave (BCM2837 i-cache

@@ -1,22 +1,24 @@
-"""Board clones: a deep copy of a booted board is a fresh build + boot.
+"""Board snapshots: a restored copy of a booted board is a fresh build + boot.
 
-Glitch campaigns build one booted rig per process and hand every work
-unit a ``copy.deepcopy`` of it (:func:`repro.exec.booted_board`).  The
-copy shares the arrays' read-only manufacture fields and copies every
-piece of mutable state, so it must be indistinguishable from building
-and booting the board again, and nothing done to one copy may reach
-the template or another copy.
+Glitch campaigns build and snapshot one booted rig per process and hand
+every work unit a copy restored from the snapshot
+(:func:`repro.exec.booted_board`).  The copy shares exactly the arrays'
+read-only manufacture fields and copies every piece of mutable state,
+so it must be indistinguishable from building and booting the board
+again, and nothing done to one copy may reach the template, the
+snapshot or another copy.  The snapshot keeps the template's arrays
+as its source and freezes them, so the template cannot reach the
+snapshot either.
 """
-
-import copy
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.circuits.dram import DramArray
+from repro.circuits.manufacture import Snapshot, read_only
 from repro.circuits.sram import SramArray
-from repro.devices import glitch_rig
+from repro.devices import build_device, glitch_rig
 from repro.exec import booted_board
 from repro.obs.manifest import TIMING_METRIC_PREFIXES
 from repro.soc.bootrom import BootMedia
@@ -31,8 +33,13 @@ def _booted(seed: int = SEED):
     return board
 
 
-def _parts(board) -> list[tuple[str, object]]:
-    """Every cell array and RNG reachable from ``board``, by path."""
+def _clone(board):
+    return Snapshot(board).restore()
+
+
+def _walk(board) -> list[tuple[str, object]]:
+    """Every object reachable from ``board`` through attributes and
+    containers, by path (generators and arrays are leaves)."""
     found: list[tuple[str, object]] = []
     seen: set[int] = set()
 
@@ -40,10 +47,9 @@ def _parts(board) -> list[tuple[str, object]]:
         if id(value) in seen:
             return
         seen.add(id(value))
-        if isinstance(value, (SramArray, DramArray, np.random.Generator)):
-            found.append((path, value))
-            if isinstance(value, np.random.Generator):
-                return
+        found.append((path, value))
+        if isinstance(value, (np.random.Generator, np.ndarray)):
+            return
         if isinstance(value, dict):
             for key, item in value.items():
                 walk(item, f"{path}[{key!r}]")
@@ -56,6 +62,14 @@ def _parts(board) -> list[tuple[str, object]]:
 
     walk(board, "board")
     return found
+
+
+def _parts(board) -> list[tuple[str, object]]:
+    """Every cell array and RNG reachable from ``board``, by path."""
+    return [
+        (path, value) for path, value in _walk(board)
+        if isinstance(value, (SramArray, DramArray, np.random.Generator))
+    ]
 
 
 def _stored(part: SramArray | DramArray) -> np.ndarray:
@@ -93,6 +107,25 @@ def _arrays(board) -> list[SramArray | DramArray]:
     ]
 
 
+def _manufactured_ids(board) -> set[int]:
+    """Identities of every ``MANUFACTURED`` field on ``board``."""
+    return {
+        id(getattr(array, name))
+        for array in _arrays(board)
+        for name in array.MANUFACTURED
+    }
+
+
+def _shared_array_ids(original, copied) -> set[int]:
+    """Identities of the ndarrays reachable from both graphs."""
+    def arrays(board):
+        return {
+            id(value) for _, value in _walk(board)
+            if isinstance(value, np.ndarray)
+        }
+    return arrays(original) & arrays(copied)
+
+
 def _exercise(board) -> None:
     """A power cycle plus writes through DRAM and an SRAM array."""
     board.power_cycle(1e-3)
@@ -103,44 +136,72 @@ def _exercise(board) -> None:
 
 class TestCloneEqualsFreshBuild:
     def test_every_array_and_stream_matches(self):
-        template = _booted()
-        clone = copy.deepcopy(template)
+        clone = _clone(_booted())
         fresh = _booted()
         state = _state(clone)
         assert len(_arrays(clone)) == 11
         assert state == _state(fresh)
 
     def test_clone_behaves_like_fresh_build(self):
-        clone = copy.deepcopy(_booted())
+        clone = _clone(_booted())
         fresh = _booted()
         _exercise(clone)
         _exercise(fresh)
         assert _state(clone) == _state(fresh)
+
+    @pytest.mark.parametrize("key", ["rpi4", "rpi3", "imx53", "glitch-rig"])
+    def test_every_device_round_trips(self, key):
+        board = build_device(key, seed=SEED)
+        clone = _clone(board)
+        assert type(clone) is type(board)
+        assert _state(clone) == _state(board)
+        assert _shared_array_ids(board, clone) == _manufactured_ids(board)
 
 
 class TestCloneIsolation:
     def test_mutating_a_clone_leaves_template_and_siblings(self):
         template = _booted()
         before = _state(template)
-        first = copy.deepcopy(template)
-        second = copy.deepcopy(template)
+        snapshot = Snapshot(template)
+        first = snapshot.restore()
+        second = snapshot.restore()
         _exercise(first)
         assert _state(first) != before
         assert _state(template) == before
         assert _state(second) == before
 
+    def test_snapshot_freezes_the_template(self):
+        template = _booted()
+        before = _state(template)
+        snapshot = Snapshot(template)
+        with pytest.raises(ValueError):
+            template.soc.memory_map.write_block(0x2000, b"\xa5" * 64)
+        with pytest.raises(ValueError):
+            template.soc.core(0).l1d.data_rams[0].fill_bytes(0x3C)
+        assert _state(snapshot.restore()) == before
+
     def test_manufacture_fields_are_shared_state_is_not(self):
         template = _booted()
-        clone = copy.deepcopy(template)
+        clone = _clone(template)
+        assert _shared_array_ids(template, clone) == _manufactured_ids(
+            template
+        )
         for original, copied in zip(_arrays(template), _arrays(clone)):
             for name in original.MANUFACTURED:
-                assert np.shares_memory(
-                    getattr(original, name), getattr(copied, name)
-                ), name
+                assert getattr(copied, name) is getattr(original, name), name
             assert not np.shares_memory(_stored(original), _stored(copied))
             if isinstance(original, DramArray):
                 assert not np.shares_memory(original._level, copied._level)
             assert original._rng is not copied._rng
+
+    def test_read_only_array_outside_manufactured_is_copied(self):
+        template = _booted()
+        extra = read_only(np.arange(16, dtype=np.uint8))
+        template.soc.core(0).l1d.data_rams[0].extra = extra
+        clone = _clone(template)
+        copied = clone.soc.core(0).l1d.data_rams[0].extra
+        assert np.array_equal(copied, extra)
+        assert not np.shares_memory(copied, extra)
 
 
 class TestManufactureFieldsAreReadOnly:
@@ -154,7 +215,7 @@ class TestManufactureFieldsAreReadOnly:
     def test_aging_rebinds_read_only_fields(self):
         array = SramArray(64)
         array.power_up()
-        shared = copy.deepcopy(array)
+        shared = _clone(array)
         wake = shared.wake_probabilities()
         array.age(years=5.0)
         assert not array._wake_p.flags.writeable

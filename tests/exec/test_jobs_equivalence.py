@@ -91,6 +91,17 @@ class TestOsGlitchEquivalence:
             ]
         )
 
+    #: ``run_os_attempt`` results for ``_plan``'s pulses at seed 41, as
+    #: recorded when every unit deep-copied the booted rig.  A clone bug
+    #: that hit serial and sharded runs alike would keep them equal to
+    #: each other but not to these.
+    OS_RESULTS = [
+        ("crashed", 5811468618234911997, 4, {"fills": 1, "maintenance": 0}),
+        ("crashed", 0, 39, {"fills": 2, "maintenance": 0}),
+        ("crashed", 0, 39, {"fills": 2, "maintenance": 0}),
+        ("halted", 0, 39, {"fills": 2, "maintenance": 0}),
+    ]
+
     def test_os_attempts_are_jobs_invariant(self):
         serial = execute(self._plan(), jobs=1)
         parallel = execute(self._plan(), jobs=4)
@@ -98,6 +109,9 @@ class TestOsGlitchEquivalence:
         # Kernel noise actually ran: at least one attempt saw cache
         # fills from the interfering kernel.
         assert any(stats["fills"] > 0 for _, _, _, stats in serial)
+
+    def test_os_attempts_are_pinned(self):
+        assert execute(self._plan(), jobs=1) == self.OS_RESULTS
 
 
 class TestManifestEquivalence:

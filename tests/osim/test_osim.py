@@ -1,10 +1,9 @@
 """OS simulation: processes, kernel noise, scheduling."""
 
-import copy
-
 import numpy as np
 import pytest
 
+from repro.circuits.manufacture import Snapshot
 from repro.cpu.assembler import assemble
 from repro.cpu.programs import byte_pattern_store, element_value
 from repro.devices import raspberry_pi_4
@@ -126,7 +125,7 @@ def fill_template():
     # The L2 is off after boot; turn it on so L1D victims land in it.
     board.soc.l2.invalidate_all()
     board.soc.l2.enabled = True
-    return board
+    return Snapshot(board)
 
 
 class TestArrayFillBatching:
@@ -148,7 +147,7 @@ class TestArrayFillBatching:
     ):
         states = []
         for run in (_per_element_quantum, None):
-            board = copy.deepcopy(fill_template)
+            board = fill_template.restore()
             unit = board.soc.core(0)
             unit.l1d.replacement = policy
             process = ArrayFillProcess(

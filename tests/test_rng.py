@@ -1,6 +1,14 @@
 """Deterministic RNG derivation."""
 
-from repro.rng import DEFAULT_SEED, SeedSequenceFactory, derive_seed, generator
+import numpy as np
+
+from repro.rng import (
+    DEFAULT_SEED,
+    SeedSequenceFactory,
+    derive_seed,
+    from_state,
+    generator,
+)
 
 
 class TestDeriveSeed:
@@ -32,6 +40,31 @@ class TestGenerator:
         a = generator(7, "sram").integers(0, 1000, 10)
         b = generator(7, "dram").integers(0, 1000, 10)
         assert not (a == b).all()
+
+
+class TestFromState:
+    def test_restored_stream_continues_the_original(self):
+        original = generator(7, "restore")
+        original.random(dtype=np.float32)  # leaves a buffered uint32 half
+        assert original.bit_generator.state["has_uint32"] == 1
+        restored = from_state(original.bit_generator.state)
+        assert restored is not original
+        assert restored.bit_generator.state == original.bit_generator.state
+        assert original.random(dtype=np.float32) == restored.random(
+            dtype=np.float32
+        )
+        assert (
+            original.integers(0, 2**40, 8) == restored.integers(0, 2**40, 8)
+        ).all()
+        assert (
+            original.standard_normal(8) == restored.standard_normal(8)
+        ).all()
+
+    def test_restored_stream_is_independent(self):
+        original = generator(7, "restore")
+        restored = from_state(original.bit_generator.state)
+        restored.random(4)
+        assert original.random() == generator(7, "restore").random()
 
 
 class TestFactory:
