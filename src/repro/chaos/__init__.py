@@ -4,7 +4,7 @@ The robustness counterpart of :mod:`repro.exec`: seeded fault
 injectors (worker kill, hang, journal I/O failures, torn writes, slow
 shards) wired into the engine's runtime hooks
 (:func:`repro.exec.runtime.run_unit` and the checkpoint journal's
-write path), plus runners that assert the engine's **chaos
+write path), plus a runner that checks the engine's **chaos
 invariants**:
 
 1. every injected fault lands in the typed failure taxonomy
@@ -17,12 +17,14 @@ Faults are *one-shot by default* and their state lives in marker
 files under a seeded work directory — never in process memory — so a
 fault fires exactly once across process forks **and** across the
 kill/resume process boundary, making every chaos run byte-reproducible
-for a given ``(experiment, faults, seed)`` triple.
+for a given ``(faults, seed)`` pair.
 
-Entry points: ``repro chaos <experiment> --faults <spec>`` for one
-faulted run, ``repro chaos --matrix`` for the full fault-class ×
-``--jobs`` grid, and ``repro chaos --smoke`` for the subprocess
-``kill -9``/resume end-to-end check.  See ``docs/robustness.md``.
+Entry point: :func:`run_chaos` for one faulted run of the
+``chaos-probe`` campaign (:mod:`repro.chaos.targets`).  The tier-1
+suite runs it over every fault class × ``--jobs`` {1, 4}
+(``tests/chaos/test_matrix.py``) and kills a real ``repro experiment``
+process with ``kill -9`` before resuming it
+(``tests/chaos/test_kill_resume.py``).  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -36,10 +38,8 @@ from .inject import (
     ChaosTornWrite,
     FaultingFile,
 )
-from .matrix import DEFAULT_MATRIX, MatrixReport, render_matrix, run_matrix
 from .runner import ChaosRunResult, reference_fingerprint, run_chaos
-from .smoke import SmokeResult, render_smoke, run_smoke
-from .spec import FAULT_KINDS, FaultSpec, parse_faults
+from .spec import FAULT_KINDS, FaultSpec
 
 __all__ = [
     "ChaosError",
@@ -49,17 +49,9 @@ __all__ = [
     "ChaosPoison",
     "ChaosRunResult",
     "ChaosTornWrite",
-    "DEFAULT_MATRIX",
     "FAULT_KINDS",
     "FaultSpec",
     "FaultingFile",
-    "MatrixReport",
-    "SmokeResult",
-    "parse_faults",
     "reference_fingerprint",
-    "render_matrix",
-    "render_smoke",
     "run_chaos",
-    "run_matrix",
-    "run_smoke",
 ]

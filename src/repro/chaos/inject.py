@@ -100,7 +100,7 @@ class FaultingFile:
 
 
 class ChaosInjector:
-    """Fires parsed :class:`~repro.chaos.spec.FaultSpec`\\ s at the
+    """Fires :class:`~repro.chaos.spec.FaultSpec`\\ s at the
     runtime hook points, with marker-file one-shot state.
 
     Duck-typed to the :mod:`repro.exec.runtime` injector protocol:

@@ -1,7 +1,8 @@
 """One faulted chaos run and its byte-identity invariant check.
 
-:func:`run_chaos` runs an experiment twice: once clean (the
-*reference* leg, serial and fault-free) and once with a
+:func:`run_chaos` runs the ``chaos-probe`` campaign
+(:mod:`repro.chaos.targets`) twice: once clean (the *reference* leg,
+serial and fault-free) and once with a
 :class:`~repro.chaos.inject.ChaosInjector` installed under a
 checkpointing + supervision policy.  The faulted leg is allowed to be
 interrupted (simulated crashes bank the journal and raise
@@ -22,14 +23,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any
 
 from ..errors import CampaignInterrupted, ChaosError, failure_class
 from ..exec import runtime
 from ..obs import OBS
 from ..units import milliseconds
+from . import targets
 from .inject import ChaosInjector
-from .spec import parse_faults
+from .spec import FaultSpec
 
 #: Bound on resume attempts before the run is declared non-convergent.
 MAX_RESUMES = 8
@@ -39,46 +40,20 @@ MAX_RESUMES = 8
 class ChaosRunResult:
     """Outcome of one faulted run (plus its reference comparison)."""
 
-    experiment: str
-    faults: str
-    seed: int
-    jobs: int
     reference_fingerprint: str
     final_fingerprint: str
-    identical: bool
     interruptions: int
     failure_classes: tuple[str, ...]
     incident_kinds: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-friendly view for the CLI's ``--json`` mode."""
-        return {
-            "experiment": self.experiment,
-            "faults": self.faults,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "reference_fingerprint": self.reference_fingerprint,
-            "final_fingerprint": self.final_fingerprint,
-            "identical": self.identical,
-            "interruptions": self.interruptions,
-            "failure_classes": list(self.failure_classes),
-            "incident_kinds": list(self.incident_kinds),
-        }
+    @property
+    def identical(self) -> bool:
+        """Whether the faulted run ended byte-identical to the reference."""
+        return self.final_fingerprint == self.reference_fingerprint
 
 
-def _experiment_module(name: str) -> Any:
-    """Resolve an experiment name via the CLI registry (lazy import —
-    the CLI imports this package)."""
-    from ..cli import EXPERIMENTS
-
-    if name not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ChaosError(f"unknown chaos target {name!r}; choose from: {known}")
-    return EXPERIMENTS[name]
-
-
-def _observed_run(module: Any, seed: int, jobs: int) -> tuple[str, dict]:
-    """Run one leg under a fresh observability epoch.
+def _observed_run(seed: int, jobs: int) -> tuple[str, dict]:
+    """Run one probe leg under a fresh observability epoch.
 
     Returns the manifest fingerprint and the final metrics snapshot.
     The caller owns policy/injector installation.  When the leg is
@@ -90,16 +65,11 @@ def _observed_run(module: Any, seed: int, jobs: int) -> tuple[str, dict]:
     OBS.configure()
     try:
         try:
-            module.run(seed=seed, jobs=jobs)
+            targets.run(seed=seed, jobs=jobs)
         except CampaignInterrupted as error:
             error.metrics_snapshot = OBS.metrics.snapshot()
             raise
-        manifest = OBS.last_manifest
-        if manifest is None:
-            raise ChaosError(
-                f"experiment {module.__name__!r} recorded no manifest"
-            )
-        return manifest.fingerprint(), OBS.metrics.snapshot()
+        return OBS.last_manifest.fingerprint(), OBS.metrics.snapshot()
     finally:
         OBS.reset()
 
@@ -121,35 +91,30 @@ def _classes_from_snapshot(snapshot: dict) -> set[str]:
     return classes
 
 
-def reference_fingerprint(experiment: str, seed: int) -> str:
-    """The uninterrupted, fault-free, serial fingerprint of a target."""
-    fingerprint, _ = _observed_run(_experiment_module(experiment), seed, 1)
+def reference_fingerprint(seed: int) -> str:
+    """The uninterrupted, fault-free, serial probe fingerprint."""
+    fingerprint, _ = _observed_run(seed, 1)
     return fingerprint
 
 
 def run_chaos(
-    experiment: str,
-    faults: str,
+    faults: tuple[FaultSpec, ...],
     seed: int,
     jobs: int,
     workdir: str,
     hang_timeout_s: float = 5.0,
     reference: str | None = None,
 ) -> ChaosRunResult:
-    """Run ``experiment`` under injected ``faults``; check invariants.
+    """Run the probe campaign under injected ``faults``; check invariants.
 
     ``workdir`` holds the leg's checkpoint journals and the injector's
-    marker files; callers choose it deterministically (the CLI derives
-    it from the experiment name and seed — no ``mkdtemp`` entropy).
-    Raises :class:`~repro.errors.ChaosError` if the faulted campaign
-    does not converge within :data:`MAX_RESUMES` resumes.
+    marker files; callers choose it deterministically (no ``mkdtemp``
+    entropy).  Raises :class:`~repro.errors.ChaosError` if the faulted
+    campaign does not converge within :data:`MAX_RESUMES` resumes.
     """
-    module = _experiment_module(experiment)
     if reference is None:
-        reference = reference_fingerprint(experiment, seed)
-    injector = ChaosInjector(
-        parse_faults(faults), os.path.join(workdir, "faults")
-    )
+        reference = reference_fingerprint(seed)
+    injector = ChaosInjector(faults, os.path.join(workdir, "faults"))
     policy = runtime.SupervisionPolicy(
         hang_timeout_s=hang_timeout_s, poll_interval_s=milliseconds(20)
     )
@@ -162,7 +127,7 @@ def run_chaos(
         try:
             with runtime.checkpointing(checkpoint_dir, resume=attempt > 0):
                 with runtime.supervised(policy), runtime.injected(injector):
-                    final, snapshot = _observed_run(module, seed, jobs)
+                    final, snapshot = _observed_run(seed, jobs)
             classes |= _classes_from_snapshot(snapshot)
             break
         except CampaignInterrupted as error:
@@ -177,18 +142,14 @@ def run_chaos(
                 incident_kinds.add(incident.kind)
                 classes.add(incident.failure_class)
     if final is None:
+        described = ", ".join(fault.describe() for fault in faults)
         raise ChaosError(
-            f"chaos run {experiment!r} with faults {faults!r} did not "
-            f"converge within {MAX_RESUMES} resume(s)"
+            f"chaos run with faults {described!r} did not converge "
+            f"within {MAX_RESUMES} resume(s)"
         )
     return ChaosRunResult(
-        experiment=experiment,
-        faults=faults,
-        seed=seed,
-        jobs=jobs,
         reference_fingerprint=reference,
         final_fingerprint=final,
-        identical=final == reference,
         interruptions=interruptions,
         failure_classes=tuple(sorted(classes)),
         incident_kinds=tuple(sorted(incident_kinds)),

@@ -1,20 +1,18 @@
-"""Fault-specification grammar for chaos runs.
+"""Fault specifications for chaos runs.
 
-A fault spec is a comma-separated list of faults, each of the form::
-
-    <kind>@<target>=<index>[:<option>=<value>...]
-
-for example ``kill@unit=3`` (SIGKILL the worker the moment it reaches
-plan unit 3), ``torn@record=1:times=1`` (tear the second journal
-*unit* record mid-write), or ``slow@unit=2:s=0.1`` (stall unit 2 for
-0.1 simulated-slow seconds before running it).
+A :class:`FaultSpec` names what fires (``kind``), where (``index`` on
+the kind's target axis, :data:`FAULT_KINDS`) and how often, for
+example ``FaultSpec("kill", 3)`` (SIGKILL the worker the moment it
+reaches plan unit 3), ``FaultSpec("torn", 1)`` (tear the second
+journal *unit* record mid-write), or ``FaultSpec("slow", 2,
+param=0.1)`` (stall unit 2 for 0.1 s before running it).
 
 Targets are **deterministic coordinates**, never wall-clock moments:
-``unit=N`` matches the plan's unit index (fixed at plan-build time),
-``record=N`` matches the N-th unit record appended to the checkpoint
-journal.  Combined with the marker-file one-shot state in
+``unit`` indices are the plan's unit indices (fixed at plan-build
+time), ``record`` indices count the unit records appended to the
+checkpoint journal.  Combined with the marker-file one-shot state in
 :class:`~repro.chaos.inject.ChaosInjector`, this makes a chaos run a
-pure function of ``(experiment, faults, seed)``.
+pure function of ``(faults, seed)``.
 """
 
 from __future__ import annotations
@@ -34,105 +32,44 @@ FAULT_KINDS: dict[str, str] = {
     "torn": "record",   # journal record torn mid-write, then crash
 }
 
-#: Options each kind accepts beyond ``times``.
-_KIND_OPTIONS: dict[str, tuple[str, ...]] = {
-    "slow": ("s",),
-}
-
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One parsed fault: what fires, where, and how often.
+    """One fault: what fires, where, and how often.
 
     ``times`` bounds how many firings the fault gets before its
     marker-file budget is exhausted (1 = one-shot, the default —
     exactly what a bounded-retry engine must recover from).
-    ``param`` carries the kind-specific numeric option (``slow``'s
-    stall seconds).
+    ``param`` carries ``slow``'s stall seconds.
     """
 
     kind: str
-    target: str
     index: int
     times: int = 1
     param: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            known = ", ".join(sorted(FAULT_KINDS))
+            raise ChaosError(
+                f"unknown fault kind {self.kind!r}; choose from: {known}"
+            )
+        if self.index < 0 or self.times < 1:
+            raise ChaosError(
+                f"bad fault {self.describe()!r}: index must be >= 0 "
+                f"and times >= 1"
+            )
+
+    @property
+    def target(self) -> str:
+        """The axis ``index`` counts on: ``unit`` or ``record``."""
+        return FAULT_KINDS[self.kind]
+
     def describe(self) -> str:
-        """Canonical spec text for reports and marker-file names."""
+        """Canonical text for trace events and error messages."""
         text = f"{self.kind}@{self.target}={self.index}"
         if self.times != 1:
             text += f":times={self.times}"
         if self.param is not None:
             text += f":s={self.param:g}"
         return text
-
-
-def parse_faults(text: str) -> tuple[FaultSpec, ...]:
-    """Parse a ``--faults`` spec string into :class:`FaultSpec`\\ s.
-
-    Raises :class:`~repro.errors.ChaosError` naming the offending
-    token on any grammar or vocabulary violation.
-    """
-    specs = []
-    for token in filter(None, (t.strip() for t in text.split(","))):
-        specs.append(_parse_one(token))
-    if not specs:
-        raise ChaosError(f"empty fault spec {text!r}")
-    return tuple(specs)
-
-
-def _parse_one(token: str) -> FaultSpec:
-    kind, sep, rest = token.partition("@")
-    if not sep or kind not in FAULT_KINDS:
-        known = ", ".join(sorted(FAULT_KINDS))
-        raise ChaosError(
-            f"bad fault {token!r}: expected <kind>@<target>=<index> "
-            f"with kind in {{{known}}}"
-        )
-    fields = rest.split(":")
-    target, _, index_text = fields[0].partition("=")
-    expected_target = FAULT_KINDS[kind]
-    if target != expected_target:
-        raise ChaosError(
-            f"bad fault {token!r}: {kind} targets "
-            f"{expected_target}=<index>, not {fields[0]!r}"
-        )
-    index = _int_field(token, index_text, "index")
-    times = 1
-    param: float | None = None
-    for option in fields[1:]:
-        key, _, value = option.partition("=")
-        if key == "times":
-            times = _int_field(token, value, "times")
-        elif key in _KIND_OPTIONS.get(kind, ()):
-            param = _float_field(token, value, key)
-        else:
-            raise ChaosError(
-                f"bad fault {token!r}: unknown option {key!r} for {kind}"
-            )
-    if index < 0 or times < 1:
-        raise ChaosError(
-            f"bad fault {token!r}: index must be >= 0 and times >= 1"
-        )
-    return FaultSpec(
-        kind=kind, target=target, index=index, times=times, param=param
-    )
-
-
-def _int_field(token: str, text: str, name: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ChaosError(
-            f"bad fault {token!r}: {name} must be an integer, "
-            f"got {text!r}"
-        ) from None
-
-
-def _float_field(token: str, text: str, name: str) -> float:
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        raise ChaosError(
-            f"bad fault {token!r}: {name} must be a number, got {text!r}"
-        ) from None

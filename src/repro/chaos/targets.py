@@ -76,7 +76,8 @@ def report(results: "list[float | None]") -> AttackReport:
             value="quarantined" if value is None else round(value, 6),
         )
     out.add_note(
-        "A deterministic 12-unit campaign used by `repro chaos` to "
-        "assert that injected faults are survived byte-identically."
+        "A deterministic 12-unit campaign the fault-injection tests "
+        "use to assert that injected faults are survived "
+        "byte-identically."
     )
     return out

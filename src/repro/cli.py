@@ -7,14 +7,7 @@ Commands:
   simulated device with a demo victim and print what was recovered;
 * ``experiment`` — run one named paper experiment and print its report;
 * ``list-experiments`` — show the available experiment names;
-* ``render-figures`` — regenerate every figure as PGM images;
-* ``progress`` — tail a live (or crashed) exec checkpoint journal and
-  report shards done/total, rolling throughput, and ETA;
-* ``chaos`` — the deterministic fault-injection harness
-  (:mod:`repro.chaos`): ``--faults SPEC`` runs one seeded faulted
-  campaign and asserts byte-identity with the fault-free reference,
-  ``--matrix`` runs the full fault-class × ``--jobs`` grid, and
-  ``--smoke`` runs the subprocess ``kill -9``/resume end-to-end check.
+* ``render-figures`` — regenerate every figure as PGM images.
 
 ``attack`` and ``experiment`` accept observability flags: ``--trace
 FILE`` streams a JSONL span/event trace, ``--metrics`` reports the
@@ -163,71 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", default="figures", help="output directory")
     render.add_argument("--seed", type=int, default=2022)
     _add_jobs_flag(render)
-
-    chaos = commands.add_parser(
-        "chaos",
-        help="deterministic fault injection against the supervised "
-        "runtime (repro.chaos)",
-    )
-    chaos.add_argument(
-        "experiment", nargs="?", default=None, metavar="NAME",
-        help="target experiment (default: chaos-probe; noisy-rig for "
-        "--smoke)",
-    )
-    chaos_mode = chaos.add_mutually_exclusive_group(required=True)
-    chaos_mode.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="fault spec, e.g. 'kill@unit=3,torn@record=1' "
-        "(<kind>@<target>=<index>[:times=K][:s=V], comma-separated)",
-    )
-    chaos_mode.add_argument(
-        "--matrix", action="store_true",
-        help="run every fault class at every --jobs grid level and "
-        "assert byte-identical (or resume-to-byte-identical) manifests",
-    )
-    chaos_mode.add_argument(
-        "--smoke", action="store_true",
-        help="subprocess kill -9 / --resume end-to-end check",
-    )
-    chaos.add_argument("--seed", type=int, default=2022)
-    _add_jobs_flag(chaos)
-    chaos.add_argument(
-        "--workdir", default="chaos-runs", metavar="DIR",
-        help="base directory for seeded chaos workdirs (journals, "
-        "fault markers); no tempfile entropy",
-    )
-    chaos.add_argument(
-        "--hang-timeout", type=float, default=None, metavar="S",
-        help="supervisor hang detection timeout for injected hangs "
-        "(default: 5s per run, 2s in the matrix)",
-    )
-    chaos.add_argument(
-        "--timeout", type=float, default=300.0, metavar="S",
-        help="--smoke only: how long to wait for the victim process "
-        "to journal its first unit",
-    )
-    chaos.add_argument(
-        "--keep", action="store_true",
-        help="keep the workdir (journals, fault markers) after the run",
-    )
-    chaos.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
-
-    progress = commands.add_parser(
-        "progress",
-        help="report done/total, throughput, and ETA from an exec "
-        "checkpoint journal (live or crashed)",
-    )
-    progress.add_argument(
-        "path", metavar="JOURNAL",
-        help="journal file, or a --checkpoint directory of journals",
-    )
-    progress.add_argument(
-        "--json", action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
     return parser
 
 
@@ -495,101 +423,6 @@ def _degraded_exit() -> int:
     return EXIT_DEGRADED
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import os
-    import shutil
-
-    from . import chaos
-
-    experiment = args.experiment or (
-        "noisy-rig" if args.smoke else "chaos-probe"
-    )
-    if args.smoke:
-        result = chaos.run_smoke(
-            experiment=experiment,
-            seed=args.seed,
-            jobs=args.jobs,
-            timeout_s=args.timeout,
-            workdir_base=args.workdir,
-            keep=args.keep,
-        )
-        if args.json:
-            print(obs.dumps(result.to_dict()))
-        else:
-            print(chaos.render_smoke(result))
-        return EXIT_OK if result.passed else EXIT_FAILURE
-    if args.matrix:
-        workdir = os.path.join(
-            args.workdir, f"matrix-{experiment}-seed{args.seed}"
-        )
-        report = chaos.run_matrix(
-            workdir,
-            seed=args.seed,
-            experiment=experiment,
-            hang_timeout_s=(
-                2.0 if args.hang_timeout is None else args.hang_timeout
-            ),
-        )
-        if not args.keep:
-            shutil.rmtree(workdir, ignore_errors=True)
-        if args.json:
-            print(obs.dumps(report.to_dict()))
-        else:
-            print(chaos.render_matrix(report))
-        return EXIT_OK if report.passed else EXIT_FAILURE
-    workdir = os.path.join(args.workdir, f"{experiment}-seed{args.seed}")
-    if os.path.exists(workdir):
-        shutil.rmtree(workdir)
-    result = chaos.run_chaos(
-        experiment,
-        args.faults,
-        seed=args.seed,
-        jobs=args.jobs,
-        workdir=workdir,
-        hang_timeout_s=(
-            5.0 if args.hang_timeout is None else args.hang_timeout
-        ),
-    )
-    if not args.keep:
-        shutil.rmtree(workdir, ignore_errors=True)
-    if args.json:
-        print(obs.dumps(result.to_dict()))
-    else:
-        classes = ", ".join(result.failure_classes) or "none"
-        verdict = (
-            "byte-identical to"
-            if result.identical
-            else "DIVERGES from"
-        )
-        print(
-            f"chaos run: {result.experiment} faults='{result.faults}' "
-            f"seed={result.seed} jobs={result.jobs}\n"
-            f"  resumes={result.interruptions}  "
-            f"failure classes: {classes}\n"
-            f"  final manifest {verdict} the fault-free reference"
-        )
-    return EXIT_OK if result.identical else EXIT_FAILURE
-
-
-def _cmd_progress(args: argparse.Namespace) -> int:
-    from . import perf
-
-    reports = [
-        perf.read_progress(journal)
-        for journal in perf.find_journals(args.path)
-    ]
-    if args.json:
-        print(
-            obs.dumps(
-                {"journals": [report.to_dict() for report in reports]}
-            )
-        )
-    else:
-        for report in reports:
-            print(perf.render_progress(report))
-    return EXIT_OK
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -610,10 +443,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             for path in render_all(args.out, seed=args.seed, jobs=args.jobs):
                 print(path)
             return 0
-        if args.command == "chaos":
-            return _cmd_chaos(args)
-        if args.command == "progress":
-            return _cmd_progress(args)
     except CampaignInterrupted as error:
         print(f"interrupted: {error}", file=sys.stderr)
         resume_cmd = _resume_hint(args)

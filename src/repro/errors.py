@@ -213,8 +213,8 @@ class SimulatedFailure(BaseException):
 
 class ChaosError(ReproError):
     """The chaos harness was misconfigured or its invariant check
-    could not be carried out (bad fault spec, unknown target, a
-    faulted campaign that never converged)."""
+    could not be carried out (an unknown fault kind, a faulted
+    campaign that never converged)."""
 
 
 def failure_class(error: BaseException) -> str:
@@ -279,11 +279,6 @@ class BrownOutReset(GlitchError):
             f"brown-out detector reset the core at t={trip_time_s:.3e}s"
         )
         self.trip_time_s = trip_time_s
-
-
-class PerfError(ReproError):
-    """Performance tooling failure (a missing, empty or malformed exec
-    checkpoint journal handed to ``repro progress``, ...)."""
 
 
 class LintError(ReproError):

@@ -38,9 +38,6 @@ from .runtime import (
     clear_incidents,
     incidents,
     injected,
-    install_fault_injector,
-    set_checkpoint_policy,
-    set_supervision_policy,
     supervised,
     supervision_policy,
 )
@@ -65,10 +62,7 @@ __all__ = [
     "execute",
     "incidents",
     "injected",
-    "install_fault_injector",
     "plan_fingerprint",
-    "set_checkpoint_policy",
-    "set_supervision_policy",
     "shard_unit",
     "supervised",
     "supervision_policy",

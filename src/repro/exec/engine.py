@@ -21,8 +21,8 @@ takes the same path:
 3. **settle** — every in-process shard, and every shard the pool lost,
    goes through one bounded retry/quarantine loop in the parent.  Each
    failure is classified (:func:`repro.errors.failure_class`) and
-   counted under ``exec.failures{failure_class=...}``; each re-attempt
-   records a *simulated* backoff (``exec.backoff_s`` — nothing sleeps).
+   counted under ``exec.failures{failure_class=...}``, and each
+   re-attempt under ``exec.retries``; nothing sleeps between attempts.
    After ``retries`` re-attempts the shard raises
    :class:`~repro.errors.ShardError` or, under a quarantine-enabled
    supervision policy, its units are quarantined so the campaign
@@ -107,7 +107,6 @@ def _shard_worker(
     shard_start = wall_clock()
     records = []
     for unit in task.units:
-        start = wall_clock()
         if task.capture:
             with runtime.captured() as observed:
                 result = runtime.run_unit(unit)
@@ -120,7 +119,6 @@ def _shard_worker(
             )
         else:
             record = UnitRecord(unit.index, runtime.run_unit(unit))
-        record.wall_s = wall_clock() - start
         records.append(record)
         if heartbeat is not None:
             heartbeat()
@@ -253,7 +251,7 @@ def _settle(
     start = wall_clock()
     while failures <= retries:
         if failures:
-            _note_retry(task.describe(), failures, supervision)
+            _note_retry(task.describe(), failures)
         try:
             outcome = _shard_worker(task)
         except Exception as error:
@@ -431,23 +429,19 @@ def _note_failures(
 
     Each failure increments ``exec.failures`` labelled with its
     :func:`repro.errors.failure_class`; timeouts, hangs, and crashes
-    additionally keep their dedicated counters and trace events so
-    existing dashboards stay meaningful.
+    also get a trace event naming the shard.
     """
     if not OBS.enabled:
         return
     for task, cause in failures:
         OBS.counter_inc("exec.failures", failure_class=failure_class(cause))
         if isinstance(cause, TimeoutError):
-            OBS.counter_inc("exec.timeouts")
             OBS.event(
                 "exec.timeout", shard=task.describe(), timeout_s=timeout_s
             )
         elif isinstance(cause, WorkerHang):
-            OBS.counter_inc("exec.hangs")
             OBS.event("exec.hang", shard=task.describe())
         elif isinstance(cause, WorkerCrash):
-            OBS.counter_inc("exec.crashes")
             OBS.event(
                 "exec.crash",
                 shard=task.describe(),
@@ -455,26 +449,12 @@ def _note_failures(
             )
 
 
-def _note_retry(
-    label: str, failures_so_far: int, supervision: SupervisionPolicy
-) -> None:
-    """Record one re-attempt round and its *simulated* backoff.
-
-    The backoff value comes from the resilience layer's bounded
-    exponential schedule — it is recorded (``exec.backoff_s``), never
-    slept, so retry pacing is byte-reproducible and free.
-    """
+def _note_retry(label: str, failures_so_far: int) -> None:
+    """Record one re-attempt round (counter + event)."""
     if not OBS.enabled:
         return
-    backoff = supervision.backoff.backoff_s(failures_so_far)
     OBS.counter_inc("exec.retries")
-    OBS.histogram_record("exec.backoff_s", backoff)
-    OBS.event(
-        "exec.retry",
-        shard=label,
-        attempt=failures_so_far + 1,
-        backoff_s=backoff,
-    )
+    OBS.event("exec.retry", shard=label, attempt=failures_so_far + 1)
 
 
 def _quarantine_record(unit: WorkUnit, cause: BaseException) -> UnitRecord:

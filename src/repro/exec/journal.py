@@ -61,7 +61,6 @@ class UnitRecord:
     metrics: dict[str, Any] | None = None
     spans: list[dict[str, Any]] = field(default_factory=list)
     events: list[dict[str, Any]] = field(default_factory=list)
-    wall_s: float = 0.0
     failure: dict[str, Any] | None = None
 
 
@@ -185,7 +184,6 @@ class CheckpointJournal:
             metrics=payload["metrics"],
             spans=payload["spans"],
             events=payload.get("events", []),
-            wall_s=float(payload.get("wall_s", 0.0)),
             failure=payload.get("failure"),
         )
 
@@ -238,22 +236,12 @@ class CheckpointJournal:
             "metrics": record.metrics,
             "spans": record.spans,
             "events": record.events,
-            "wall_s": record.wall_s,
             "failure": record.failure,
         }
         blob = base64.b64encode(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         ).decode("ascii")
-        # wall_s is duplicated outside the blob so progress tooling
-        # (repro.perf.progress) can read timings without unpickling.
-        self._write_line(
-            {
-                "kind": "unit",
-                "index": record.index,
-                "wall_s": record.wall_s,
-                "blob": blob,
-            }
-        )
+        self._write_line({"kind": "unit", "index": record.index, "blob": blob})
         self.units_written += 1
 
     def _write_line(self, doc: dict[str, Any]) -> None:

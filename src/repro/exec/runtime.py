@@ -9,8 +9,7 @@ call transparently picks them up:
 * a :class:`CheckpointPolicy` journals completed units under a
   directory and, on ``resume``, completes only the missing ones;
 * a :class:`SupervisionPolicy` tunes the supervised worker pool
-  (heartbeat hang detection, simulated backoff pacing, poison-unit
-  quarantine);
+  (heartbeat hang detection and poison-unit quarantine);
 * a fault injector (:mod:`repro.chaos`) intercepts the unit and
   journal choke points to inject deterministic failures.
 
@@ -41,7 +40,6 @@ from typing import Any, Callable, Iterator
 from ..circuits.manufacture import Snapshot
 from ..errors import CheckpointError
 from ..obs import OBS, MetricsRegistry, Tracer
-from ..resilience.retry import RetryPolicy
 from ..units import milliseconds
 
 
@@ -59,13 +57,6 @@ class CheckpointPolicy:
 
 _policy: CheckpointPolicy | None = None
 _claims: int = 0
-
-
-def set_checkpoint_policy(policy: CheckpointPolicy | None) -> None:
-    """Install (or clear) the policy; resets the journal sequence."""
-    global _policy, _claims
-    _policy = policy
-    _claims = 0
 
 
 def checkpoint_policy() -> CheckpointPolicy | None:
@@ -86,17 +77,21 @@ def claim_journal_path() -> str:
 
 @contextmanager
 def checkpointing(directory: str, resume: bool = False) -> Iterator[None]:
-    """Install a checkpoint policy for a block, restoring the old one."""
+    """Install a checkpoint policy for a block, restoring the old one.
+
+    Entering and leaving the block each restart the journal sequence.
+    """
+    global _policy, _claims
     previous = _policy
-    set_checkpoint_policy(CheckpointPolicy(directory, resume=resume))
+    _policy, _claims = CheckpointPolicy(directory, resume=resume), 0
     try:
         yield
     finally:
-        set_checkpoint_policy(previous)
+        _policy, _claims = previous, 0
 
 
 # ----------------------------------------------------------------------
-# Supervision policy (heartbeats, backoff pacing, quarantine)
+# Supervision policy (heartbeats, quarantine)
 # ----------------------------------------------------------------------
 
 
@@ -107,17 +102,13 @@ class SupervisionPolicy:
     ``hang_timeout_s`` is how long a worker may go without a heartbeat
     tick (one per completed unit) before it is killed and its shard
     re-attempted; ``None`` disables hang detection.  ``poll_interval_s``
-    paces the supervisor's result/health loop.  ``backoff`` is the
-    *simulated* exponential-backoff schedule recorded per re-attempt
-    (reusing the resilience layer's bounded-exponential contract —
-    nothing sleeps).  ``quarantine`` turns exhausted-retry failures
-    into per-unit quarantine records instead of a fatal
-    :class:`~repro.errors.ShardError`.
+    paces the supervisor's result/health loop.  ``quarantine`` turns
+    exhausted-retry failures into per-unit quarantine records instead
+    of a fatal :class:`~repro.errors.ShardError`.
     """
 
     hang_timeout_s: float | None = 120.0
     poll_interval_s: float = milliseconds(20)
-    backoff: RetryPolicy = field(default_factory=RetryPolicy)
     quarantine: bool = False
 
     def __post_init__(self) -> None:
@@ -133,12 +124,6 @@ DEFAULT_SUPERVISION = SupervisionPolicy()
 _supervision: SupervisionPolicy | None = None
 
 
-def set_supervision_policy(policy: SupervisionPolicy | None) -> None:
-    """Install (or clear) the supervision policy."""
-    global _supervision
-    _supervision = policy
-
-
 def supervision_policy() -> SupervisionPolicy:
     """The installed policy, or :data:`DEFAULT_SUPERVISION`."""
     return _supervision if _supervision is not None else DEFAULT_SUPERVISION
@@ -147,12 +132,12 @@ def supervision_policy() -> SupervisionPolicy:
 @contextmanager
 def supervised(policy: SupervisionPolicy) -> Iterator[None]:
     """Install a supervision policy for a block, restoring the old one."""
-    previous = _supervision
-    set_supervision_policy(policy)
+    global _supervision
+    previous, _supervision = _supervision, policy
     try:
         yield
     finally:
-        set_supervision_policy(previous)
+        _supervision = previous
 
 
 # ----------------------------------------------------------------------
@@ -162,8 +147,14 @@ def supervised(policy: SupervisionPolicy) -> Iterator[None]:
 _injector: Any = None
 
 
-def install_fault_injector(injector: Any) -> None:
-    """Install (or clear, with ``None``) the process-global injector.
+def fault_injector() -> Any:
+    """The installed fault injector, if any."""
+    return _injector
+
+
+@contextmanager
+def injected(injector: Any) -> Iterator[None]:
+    """Install a fault injector for a block, restoring the old one.
 
     The injector is duck-typed — ``on_unit(unit)`` fires before every
     work unit runs (in the parent *and*, via fork inheritance, in
@@ -172,23 +163,11 @@ def install_fault_injector(injector: Any) -> None:
     imports :mod:`repro.chaos`.
     """
     global _injector
-    _injector = injector
-
-
-def fault_injector() -> Any:
-    """The installed fault injector, if any."""
-    return _injector
-
-
-@contextmanager
-def injected(injector: Any) -> Iterator[None]:
-    """Install a fault injector for a block, restoring the old one."""
-    previous = _injector
-    install_fault_injector(injector)
+    previous, _injector = _injector, injector
     try:
         yield
     finally:
-        install_fault_injector(previous)
+        _injector = previous
 
 
 def run_unit(unit: Any) -> Any:

@@ -1,11 +1,11 @@
 """RL009 — fingerprint purity: no wall-clock taint in fingerprinted fields.
 
 Run-manifest fingerprints are the repo's reproducibility currency:
-``--jobs`` equivalence, kill-9 ``--resume`` identity, and the chaos
-harness all compare them.  The fingerprint survives wall-clock jitter
-only because the stripping logic in :mod:`repro.obs.manifest` removes
-``phases[].wall_s`` and the ``perf.*``/``exec.*`` metric namespaces —
-a *runtime* convention.  Any timing value that reaches a field the
+``--jobs`` equivalence, kill-9 ``--resume`` identity and the chaos
+fault matrix (both under ``tests/chaos``) all compare them.  The
+fingerprint survives wall-clock jitter only because the stripping
+logic in :mod:`repro.obs.manifest` removes ``phases[].wall_s`` and the
+``perf.*``/``exec.*`` metric namespaces — a *runtime* convention.  Any timing value that reaches a field the
 fingerprint keeps (``parameters``, ``headline``, ``metrics`` outside
 the stripped prefixes) silently breaks every one of those guarantees.
 

@@ -109,9 +109,10 @@ def manifest_fingerprint(doc: dict[str, Any]) -> str:
     wall-clock-derived :data:`TIMING_METRIC_PREFIXES` metrics
     (``exec.*`` engine accounting plus the ``perf.*`` profiling hooks)
     are stripped before hashing — so a manifest hashed from a JSON
-    document compares equal to one hashed in-process.  The chaos-smoke
-    harness relies on this to check an interrupted-then-resumed campaign
-    against an uninterrupted reference run.
+    document compares equal to one hashed in-process.  The CLI kill -9
+    test (``tests/chaos/test_kill_resume.py``) relies on this to check
+    an interrupted-then-resumed campaign against an uninterrupted
+    reference run.
     """
     doc = dict(doc)
     doc["phases"] = [

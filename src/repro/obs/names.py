@@ -94,16 +94,12 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "exec.shards",
         "exec.jobs",
         "exec.retries",
-        "exec.timeouts",
         "exec.fallbacks",
         "exec.shard_wall_s",
         # Supervised runtime: per-class failure accounting (labelled
-        # failure_class=<repro.errors.FAILURE_CLASSES>), hang/crash
-        # supervision, simulated backoff, and poison-unit quarantine.
+        # failure_class=<repro.errors.FAILURE_CLASSES>) and poison-unit
+        # quarantine.
         "exec.failures",
-        "exec.hangs",
-        "exec.crashes",
-        "exec.backoff_s",
         "exec.quarantined_units",
         # Checkpoint/resume journal.
         "exec.checkpointed_units",

@@ -63,7 +63,7 @@ class SectionTimer:
 
 
 # ----------------------------------------------------------------------
-# Profiling hook (the repro.perf measurement point)
+# Profiling hook (the perf.* measurement point)
 # ----------------------------------------------------------------------
 #
 # Imported lazily inside the hook: this module is imported by

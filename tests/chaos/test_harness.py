@@ -1,8 +1,9 @@
-"""The chaos runner, matrix, quarantine semantics, and CLI contract.
+"""The chaos runner, quarantine semantics, and the exit-code contract.
 
 Every run here targets the ``chaos-probe`` experiment — 12 trivial
 units, ``retries=2`` — so whole faulted campaigns finish in tens of
 milliseconds and the byte-identity invariant is asserted end to end.
+The fault-class × ``--jobs`` matrix is ``test_matrix.py``.
 """
 
 import json
@@ -12,13 +13,12 @@ import pytest
 from repro import cli, obs
 from repro.chaos import (
     ChaosInjector,
-    parse_faults,
+    FaultSpec,
     reference_fingerprint,
-    render_matrix,
     run_chaos,
-    run_matrix,
+    targets,
 )
-from repro.errors import ChaosError, ShardError
+from repro.errors import ShardError
 from repro.exec import SupervisionPolicy, runtime, supervised
 
 SEED = 2022
@@ -34,13 +34,11 @@ def _clean_slate():
 
 class TestRunner:
     def test_reference_fingerprint_is_stable(self):
-        assert reference_fingerprint("chaos-probe", SEED) == (
-            reference_fingerprint("chaos-probe", SEED)
-        )
+        assert reference_fingerprint(SEED) == reference_fingerprint(SEED)
 
     def test_serial_kill_resumes_to_byte_identical(self, tmp_path):
         result = run_chaos(
-            "chaos-probe", "kill@unit=3", seed=SEED, jobs=1,
+            (FaultSpec("kill", 3),), seed=SEED, jobs=1,
             workdir=str(tmp_path),
         )
         assert result.identical
@@ -49,7 +47,7 @@ class TestRunner:
 
     def test_journal_failure_degrades_in_run(self, tmp_path):
         result = run_chaos(
-            "chaos-probe", "enospc@record=1", seed=SEED, jobs=1,
+            (FaultSpec("enospc", 1),), seed=SEED, jobs=1,
             workdir=str(tmp_path),
         )
         # No interruption: the engine banks in memory and completes.
@@ -60,47 +58,11 @@ class TestRunner:
 
     def test_slow_fault_changes_nothing_fingerprinted(self, tmp_path):
         result = run_chaos(
-            "chaos-probe", "slow@unit=2:s=0.01", seed=SEED, jobs=1,
+            (FaultSpec("slow", 2, param=0.01),), seed=SEED, jobs=1,
             workdir=str(tmp_path),
         )
         assert result.identical
         assert result.interruptions == 0
-
-    def test_unknown_experiment_is_refused(self, tmp_path):
-        with pytest.raises(ChaosError, match="unknown chaos target"):
-            run_chaos(
-                "not-an-experiment", "kill@unit=0", seed=SEED, jobs=1,
-                workdir=str(tmp_path),
-            )
-
-
-class TestMatrix:
-    def test_subset_passes_and_renders(self, tmp_path):
-        report = run_matrix(
-            str(tmp_path),
-            seed=SEED,
-            matrix=(
-                ("torn", "torn@record=0", "journal-torn"),
-                ("poison", "poison@unit=5", "poison"),
-            ),
-            jobs_grid=(1,),
-        )
-        assert report.passed
-        assert {cell.name for cell in report.cells} == {"torn", "poison"}
-        assert all(cell.result.identical for cell in report.cells)
-        text = render_matrix(report)
-        assert "PASS" in text and "journal-torn" in text
-
-    def test_wrong_expectation_fails_the_cell(self, tmp_path):
-        report = run_matrix(
-            str(tmp_path),
-            seed=SEED,
-            matrix=(("kill", "kill@unit=3", "hang"),),  # wrong class
-            jobs_grid=(1,),
-        )
-        assert not report.passed
-        [cell] = report.cells
-        assert any("hang" in problem for problem in cell.problems)
 
 
 class TestQuarantine:
@@ -108,10 +70,8 @@ class TestQuarantine:
         # poison x3 exhausts retries=2 (three attempts); with the
         # quarantine policy the campaign completes around the unit.
         injector = ChaosInjector(
-            parse_faults("poison@unit=5:times=3"), str(tmp_path / "state")
+            (FaultSpec("poison", 5, times=3),), str(tmp_path / "state")
         )
-        from repro.chaos import targets
-
         with supervised(SupervisionPolicy(quarantine=True)):
             with runtime.injected(injector):
                 results = targets.run(seed=SEED)
@@ -124,59 +84,17 @@ class TestQuarantine:
 
     def test_without_policy_exhaustion_is_fatal(self, tmp_path):
         injector = ChaosInjector(
-            parse_faults("poison@unit=5:times=3"), str(tmp_path / "state")
+            (FaultSpec("poison", 5, times=3),), str(tmp_path / "state")
         )
-        from repro.chaos import targets
-
         with runtime.injected(injector):
             with pytest.raises(ShardError, match="probe\\[5\\]"):
                 targets.run(seed=SEED)
 
 
 class TestCli:
-    def test_faults_run_exits_zero_and_emits_json(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "chaos", "--faults", "kill@unit=3",
-                "--workdir", str(tmp_path), "--json",
-            ]
-        )
-        assert rc == cli.EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["identical"] is True
-        assert doc["failure_classes"] == ["crash"]
-        # Workdir cleaned up without --keep.
-        assert not (tmp_path / "chaos-probe-seed2022").exists()
-
-    def test_keep_preserves_the_seeded_workdir(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "chaos", "--faults", "torn@record=0",
-                "--workdir", str(tmp_path), "--keep",
-            ]
-        )
-        assert rc == cli.EXIT_OK
-        kept = tmp_path / "chaos-probe-seed2022"
-        assert (kept / "faults").is_dir()
-        assert (kept / "ckpt").is_dir()
-
-    def test_bad_fault_spec_is_a_failure(self, tmp_path, capsys):
-        rc = cli.main(
-            [
-                "chaos", "--faults", "explode@unit=1",
-                "--workdir", str(tmp_path),
-            ]
-        )
-        assert rc == cli.EXIT_FAILURE
-        assert "bad fault" in capsys.readouterr().err
-
-    def test_exactly_one_mode_is_required(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["chaos", "--workdir", str(tmp_path)])
-
     def test_quarantined_experiment_exits_degraded(self, tmp_path, capsys):
         injector = ChaosInjector(
-            parse_faults("poison@unit=5:times=3"), str(tmp_path / "state")
+            (FaultSpec("poison", 5, times=3),), str(tmp_path / "state")
         )
         with runtime.injected(injector):
             rc = cli.main(
@@ -192,7 +110,7 @@ class TestCli:
 
     def test_journal_degradation_exits_degraded(self, tmp_path, capsys):
         injector = ChaosInjector(
-            parse_faults("enospc@record=1"), str(tmp_path / "state")
+            (FaultSpec("enospc", 1),), str(tmp_path / "state")
         )
         with runtime.injected(injector):
             rc = cli.main(

@@ -5,7 +5,9 @@ log their executions to a per-run directory on disk, which lets the
 tests assert that a resume runs **only** the missing units.
 """
 
+import base64
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -182,6 +184,38 @@ class TestCrashArtefacts:
         with checkpointing(ckpt, resume=True):
             with pytest.raises(CheckpointError, match="different plan"):
                 execute(_plan(tmp_path, n=7), jobs=1)
+
+    def test_unit_wall_times_from_older_writers_still_resume(
+        self, tmp_path, observed
+    ):
+        # Earlier writers stored a per-unit ``wall_s`` both on the line
+        # and inside the pickled blob; such a journal must resume
+        # under the same JOURNAL_VERSION.
+        ckpt = str(tmp_path / "ckpt")
+        with checkpointing(ckpt):
+            plain = execute(_plan(tmp_path), jobs=1)
+        reference = _physics(observed.metrics.snapshot())
+
+        journal = Path(ckpt) / "journal-000.jsonl"
+        header, *units = journal.read_text().splitlines(keepends=True)
+        older = [header]
+        for line in units[:3]:  # header + 3 units, as a crash would
+            doc = json.loads(line)
+            payload = pickle.loads(base64.b64decode(doc["blob"]))
+            payload["wall_s"] = 0.5
+            doc["wall_s"] = 0.5
+            doc["blob"] = base64.b64encode(pickle.dumps(payload)).decode()
+            older.append(json.dumps(doc) + "\n")
+        journal.write_text("".join(older))
+
+        obs.OBS.reset()
+        obs.OBS.configure()
+        _clear(tmp_path)
+        with checkpointing(ckpt, resume=True):
+            assert execute(_plan(tmp_path), jobs=1) == plain
+        assert _ran(tmp_path) == {3, 4, 5}
+        assert _physics(obs.OBS.metrics.snapshot()) == reference
+        assert obs.OBS.metrics.snapshot()["exec.resumed_units"] == 3
 
     def test_journal_api_round_trips_a_record(self, tmp_path):
         plan = _plan(tmp_path, n=2)

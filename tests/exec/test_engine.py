@@ -286,7 +286,7 @@ class TestTimeout:
         )
         assert result == [11, 22]
         snapshot = observed.metrics.snapshot()
-        assert snapshot["exec.timeouts"] >= 1
+        assert snapshot["exec.failures{failure_class=timeout}"] >= 1
         assert snapshot["exec.retries"] >= 1
 
 

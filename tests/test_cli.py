@@ -175,3 +175,22 @@ class TestObservabilityFlags:
         assert doc["manifest"]["kind"] == "experiment"
         assert doc["manifest"]["name"] == "retention-sweep"
         assert doc["manifest"]["seed"] == 9
+
+
+class TestRemovedCommands:
+    """The fault harness and journal progress are tests, not commands."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--matrix"],
+            ["chaos", "--faults", "kill@unit=3"],
+            ["progress", "checkpoints"],
+        ],
+        ids=["chaos-matrix", "chaos-faults", "progress"],
+    )
+    def test_removed_command_is_an_invalid_choice(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
