@@ -75,7 +75,7 @@ class DramArray(ManufacturedArray):
     by board copies (:class:`~repro.circuits.manufacture.Snapshot`).
     """
 
-    MANUFACTURED = ("_anticell", "_retention_scale", "_scale32")
+    MANUFACTURED = ("_anticell", "_retention_scale")
 
     def __init__(
         self,
@@ -94,13 +94,11 @@ class DramArray(ManufacturedArray):
             self._rng, self._n_bits, self.params.anticell_fraction
         ))
         # Per-cell retention multiplier (lognormal around 1.0); float16
-        # keeps megabyte-scale modules affordable.
+        # keeps megabyte-scale modules affordable, and the decay kernel
+        # widens it exactly.
         self._retention_scale = read_only(ENGINE.lognormal_field(
             self._rng, self._n_bits, self.params.retention_spread
         ))
-        # float32 widening of the retention field, cached because every
-        # decay step divides by it; the field is fixed at manufacture.
-        self._scale32 = read_only(self._retention_scale.astype(np.float32))
         # Modules start fully discharged (factory-fresh, unpowered).
         self._bits = self._ground_state()
         self._level = np.zeros(self._n_bits, dtype=np.float16)
@@ -152,7 +150,7 @@ class DramArray(ManufacturedArray):
             raise CircuitError(f"{self.name}: refresh is active; nothing decays")
         tau = self.params.decay.time_constant(temperature_k)
         self._level = ENGINE.charge_decay(
-            self._level, seconds, tau, self._scale32
+            self._level, seconds, tau, self._retention_scale
         )
         if OBS.enabled:
             OBS.gauge_set("dram.tau_s", tau, array=self.name)

@@ -1,11 +1,14 @@
 """Vectorized numpy cell-physics kernels (the default engine).
 
-Each method is one bulk kernel over a whole array of cells; together
-they carry every per-cell physical process in :mod:`repro.circuits`.
-The equations each kernel implements, with symbol definitions and the
-paper sections they reproduce, are documented equation-by-equation in
-``docs/physics.md`` — the generated table there links back to these
-functions by file and line.
+Each method is one kernel over a whole array of cells; together they
+carry every per-cell physical process in :mod:`repro.circuits`.  The
+manufacture-time sampling kernels and DRAM charge decay work
+:data:`CHUNK` cells at a time through one reused buffer (a chunked
+draw returns the same values as one bulk draw); every other kernel is
+one bulk numpy operation.  The equations each kernel implements, with
+symbol definitions and the paper sections they reproduce, are
+documented equation-by-equation in ``docs/physics.md`` — the
+generated table there links back to these functions by file and line.
 
 Numeric contract: every mixed-precision operation is written with
 explicit casts (``np.float32(...)``, ``np.float16(...)``) matching
@@ -25,11 +28,52 @@ kernel states why its field meets that precondition.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 #: Bit pattern of ``float16(0.5)``: the sense-amplifier reference and
 #: the wake probability of a metastable cell.
 _HALF_PATTERN = np.float16(0.5).view(np.uint16)
+
+#: Cells per chunk in the sampling kernels and DRAM charge decay.  Each
+#: such kernel works through one reused buffer of this many values, so
+#: its ``float32``/``float64`` temporary stays small however large the
+#: array; consecutive draws return the same values as one bulk draw of
+#: the whole length.
+CHUNK = 1 << 16
+
+
+def _spans(n: int) -> Iterator[tuple[slice, int]]:
+    """Consecutive :data:`CHUNK`-cell slices of ``range(n)``, with
+    each slice's length."""
+    for start in range(0, n, CHUNK):
+        stop = min(start + CHUNK, n)
+        yield slice(start, stop), stop - start
+
+
+def _chunked(draw, n: int, dtype: type) -> Iterator[tuple[slice, np.ndarray]]:
+    """Draw ``n`` values of ``dtype`` from ``draw``, :data:`CHUNK` at a time.
+
+    ``draw`` is a generator method taking ``dtype`` and ``out``
+    (``rng.standard_normal``, ``rng.random``).  Yields each chunk's
+    slice of the whole length and the buffer holding its values, which
+    the caller may overwrite in place.
+    """
+    buffer = np.empty(min(n, CHUNK), dtype=dtype)
+    for span, size in _spans(n):
+        values = buffer[:size]
+        draw(dtype=dtype, out=values)
+        yield span, values
+
+
+def _clipped_gaussian(
+    z: np.ndarray, mean: float, sigma: float, floor: float
+) -> np.ndarray:
+    """``max(mean + sigma * z, floor)`` at ``float32``, in place on ``z``."""
+    z *= np.float32(sigma)
+    z += np.float32(mean)
+    return np.maximum(z, np.float32(floor), out=z)
 
 
 def _order_pattern(value: float) -> np.uint16 | None:
@@ -71,8 +115,9 @@ class VectorEngine:
         Parameters
         ----------
         rng:
-            Source stream; consumes one ``standard_normal(n, float32)``
-            bulk draw.
+            Source stream; consumes ``n`` ``standard_normal(float32)``
+            values, drawn :data:`CHUNK` at a time (the same values as
+            one bulk draw).
         n:
             Number of cells.
         mean, sigma:
@@ -86,11 +131,37 @@ class VectorEngine:
         numpy.ndarray
             ``float16[n]`` field.
         """
-        field = rng.standard_normal(n, dtype=np.float32)
-        field *= np.float32(sigma)
-        field += np.float32(mean)
-        np.maximum(field, np.float32(floor), out=field)
-        return field.astype(np.float16)
+        field = np.empty(n, dtype=np.float16)
+        for span, z in _chunked(rng.standard_normal, n, np.float32):
+            field[span] = _clipped_gaussian(z, mean, sigma, floor)
+        return field
+
+    def gaussian_extent(
+        self,
+        rng: np.random.Generator,
+        n: int,
+        mean: float,
+        sigma: float,
+        floor: float,
+    ) -> tuple[np.float16, np.float16]:
+        """The ``(min, max)`` of the field :meth:`gaussian_field` builds.
+
+        Draws exactly the values :meth:`gaussian_field` draws, so
+        ``rng`` ends in the same state, but keeps only the extremes of
+        ``Z``.  That is exact: the scale, add, clip and ``float16``
+        steps each round monotonically, so the field's extremes are
+        the images of ``Z``'s.  Requires ``n >= 1``.
+        """
+        low: list[np.float32] = []
+        high: list[np.float32] = []
+        for _, z in _chunked(rng.standard_normal, n, np.float32):
+            low.append(z.min())
+            high.append(z.max())
+        ends = _clipped_gaussian(
+            np.array([min(low), max(high)], dtype=np.float32),
+            mean, sigma, floor,
+        ).astype(np.float16)
+        return ends.min(), ends.max()
 
     def lognormal_field(
         self, rng: np.random.Generator, n: int, spread: float
@@ -101,13 +172,15 @@ class VectorEngine:
         spread of :class:`~repro.circuits.dram.DramParameters` (median
         1.0; a small left tail of leaky, early-failing cells).
 
-        Consumes one ``standard_normal(n, float32)`` draw from ``rng``;
-        returns a ``float16[n]`` field.
+        Consumes ``n`` ``standard_normal(float32)`` values from ``rng``,
+        :data:`CHUNK` at a time; returns a ``float16[n]`` field.
         """
-        field = rng.standard_normal(n, dtype=np.float32)
-        field *= np.float32(spread)
-        np.exp(field, out=field)
-        return field.astype(np.float16)
+        field = np.empty(n, dtype=np.float16)
+        for span, z in _chunked(rng.standard_normal, n, np.float32):
+            z *= np.float32(spread)
+            np.exp(z, out=z)
+            field[span] = z
+        return field
 
     def wake_field(
         self,
@@ -128,8 +201,8 @@ class VectorEngine:
         ----------
         rng:
             Source stream; consumes ``integers(0, 2, n)`` (skew
-            direction) then ``random(n)`` (metastable selection), in
-            that order.
+            direction) then ``n`` ``random()`` values (metastable
+            selection, drawn by :meth:`uniform_mask`), in that order.
         n:
             Number of cells.
         noisy_fraction:
@@ -156,7 +229,7 @@ class VectorEngine:
             dtype=np.uint16,
         )
         pattern += np.uint16(lo)
-        noisy = rng.random(n) < noisy_fraction
+        noisy = self.uniform_mask(rng, n, noisy_fraction)
         # pattern ^= (pattern ^ half) where noisy, else ^= 0.
         blend = pattern ^ _HALF_PATTERN
         blend *= noisy.view(np.uint8)
@@ -169,17 +242,21 @@ class VectorEngine:
         """Mark each cell independently with probability ``fraction``.
 
         The DRAM anti-cell assignment (a logical 1 stored as an empty
-        capacitor).  Consumes one ``random(n)`` (float64) draw; returns
-        a ``bool[n]`` mask.
+        capacitor), and the metastable cells of :meth:`wake_field`.
+        Consumes ``n`` ``random()`` (float64) values, :data:`CHUNK` at
+        a time; returns a ``bool[n]`` mask.
         """
-        return rng.random(n) < fraction
+        mask = np.empty(n, dtype=np.bool_)
+        for span, u in _chunked(rng.random, n, np.float64):
+            np.less(u, fraction, out=mask[span])
+        return mask
 
     # ------------------------------------------------------------------
     # Power-up fingerprint
     # ------------------------------------------------------------------
 
     def powerup(
-        self, rng: np.random.Generator, wake_p32: np.ndarray
+        self, rng: np.random.Generator, wake_p: np.ndarray
     ) -> np.ndarray:
         """Sample one power-up image from the wake-probability field.
 
@@ -193,9 +270,10 @@ class VectorEngine:
         ----------
         rng:
             Source stream; consumes one ``random(n, float32)`` draw.
-        wake_p32:
-            ``float32[n]`` wake probabilities (the stored ``float16``
-            field widened losslessly — callers cache this view).
+        wake_p:
+            ``float16[n]`` wake probabilities.  The compare against the
+            ``float32`` draws widens them exactly, chunk by chunk inside
+            the ufunc, so no ``float32`` copy of the field is kept.
 
         Returns
         -------
@@ -203,8 +281,8 @@ class VectorEngine:
             ``uint8[n]`` 0/1 bit image (the comparison's ``bool``
             buffer, viewed).
         """
-        draws = rng.random(len(wake_p32), dtype=np.float32)
-        return (draws < wake_p32).view(np.uint8)
+        draws = rng.random(len(wake_p), dtype=np.float32)
+        return (draws < wake_p).view(np.uint8)
 
     # ------------------------------------------------------------------
     # Retention thresholds (which cells survive)
@@ -283,7 +361,7 @@ class VectorEngine:
         level: np.ndarray,
         seconds: float,
         tau_s: float,
-        scale32: np.ndarray,
+        scale: np.ndarray,
     ) -> np.ndarray:
         """Decay per-cell DRAM charge for one unpowered interval.
 
@@ -302,18 +380,31 @@ class VectorEngine:
             Unpowered interval ``dt``, seconds.
         tau_s:
             Technology time constant at the soak temperature, seconds.
-        scale32:
-            ``float32[n]`` per-cell retention multipliers (the stored
-            ``float16`` field widened losslessly — callers cache this
-            view so repeated decay steps allocate no conversions).
+        scale:
+            ``float16[n]`` per-cell retention multipliers, widened
+            exactly to ``float32`` by the ``tau_s`` product.
+
+        The ``float32`` arithmetic runs :data:`CHUNK` cells at a time
+        in one reused buffer; each cell's result is the bulk
+        expression's.
 
         Returns
         -------
         numpy.ndarray
             ``float16[n]`` decayed charge.
         """
-        factor = np.exp(np.float32(-seconds) / (np.float32(tau_s) * scale32))
-        return (level.astype(np.float32) * factor).astype(np.float16)
+        decayed = np.empty(len(level), dtype=np.float16)
+        buffer = np.empty(min(len(level), CHUNK), dtype=np.float32)
+        for span, size in _spans(len(level)):
+            factor = buffer[:size]
+            np.multiply(
+                np.float32(tau_s), scale[span], out=factor, dtype=np.float32
+            )
+            np.divide(np.float32(-seconds), factor, out=factor)
+            np.exp(factor, out=factor)
+            np.multiply(level[span], factor, out=factor, dtype=np.float32)
+            decayed[span] = factor
+        return decayed
 
     # ------------------------------------------------------------------
     # Selection and aging

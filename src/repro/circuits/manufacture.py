@@ -4,7 +4,9 @@ A memory array's process variation (per-cell DRV, restore thresholds,
 wake probabilities, DRAM anti-cell layout and retention multipliers) is
 drawn once, when the array is built, and never written again: every
 kernel in :mod:`repro.circuits.engine` returns a fresh array, and the
-only later change — aging — rebinds the field to a new one.  Those
+only later change — aging — rebinds the field to a new one.  (SRAM
+keeps only the stream state of its DRV and restore-threshold draws
+until a result reads those fields, then replays the same draw.)  Those
 fields are marked read-only, so copies of the array can share them
 instead of copying megabytes of ``float16``; only the electrical state
 (the bit image, DRAM charge levels, the RNG stream, scalar supply
@@ -43,7 +45,10 @@ class ManufacturedArray:
     Subclasses list their manufacture-time attributes and pass each one
     through :func:`read_only` when it is bound, so an in-place write
     to a shared field raises ``ValueError`` instead of silently leaking
-    into every copy a :class:`Snapshot` restores.
+    into every copy a :class:`Snapshot` restores.  A field may be built
+    on first need (a :func:`functools.cached_property` of the same
+    name); a copy then shares it if it was built before the snapshot,
+    and builds its own, equal one otherwise.
     """
 
     #: Attribute names of the read-only, copy-shared fields.
@@ -55,7 +60,9 @@ class _SnapshotPickler(pickle.Pickler):
 
     Each array named in a :class:`ManufacturedArray`'s ``MANUFACTURED``
     is noted in ``shared`` when the pickler meets the array object and
-    then saved as a persistent reference into that list.  Every other
+    then saved as a persistent reference into that list; a field built
+    on first need that is not built yet is absent from the object's
+    ``__dict__`` and is neither shared nor built.  Every other
     array is noted in ``arrays`` and its data goes out of band to
     ``buffers``.  Generators are saved as their ``bit_generator.state``
     and rebuilt by :func:`repro.rng.from_state`.
@@ -74,8 +81,8 @@ class _SnapshotPickler(pickle.Pickler):
     def reducer_override(self, obj: Any) -> Any:
         if isinstance(obj, ManufacturedArray):
             for name in obj.MANUFACTURED:
-                field = getattr(obj, name)
-                if id(field) not in self._shared_ids:
+                field = vars(obj).get(name)
+                if field is not None and id(field) not in self._shared_ids:
                     self._shared_ids[id(field)] = len(self.shared)
                     self.shared.append(field)
         elif isinstance(obj, np.random.Generator):

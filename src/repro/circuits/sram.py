@@ -32,13 +32,14 @@ it slow enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import CalibrationError, CircuitError
 from ..obs import OBS
 from ..obs.timing import observe_rate, wall_clock
-from ..rng import from_entropy
+from ..rng import from_entropy, from_state
 from ..units import ROOM_TEMPERATURE_K, millivolts
 from .engine import ENGINE
 from .leakage import ArrheniusDecay, SRAM_DECAY
@@ -120,12 +121,24 @@ class SramArray(ManufacturedArray):
     board copies (:class:`~repro.circuits.manufacture.Snapshot`); the
     cells are per copy.
 
+    The DRV and restore-threshold fields are kept only once a result
+    reads them.  Manufacture still advances the stream past each one,
+    but keeps the stream state it started from and the field's
+    ``float16`` extent; a supply or node voltage outside the extent
+    decides every cell without the field, and any other value builds
+    it once by replaying the draw from the saved state.
+
     :attr:`mutations` counts the events that change the stored image or
     make reading it illegal, so a structure that mirrors part of the
     image (the cache's tag words) can tell when its copy is stale.
     """
 
-    MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p", "_wake32")
+    MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p")
+
+    #: Manufacture floors of the DRV and restore-threshold fields
+    #: (volts): no cell parameter is zero or negative.
+    DRV_FLOOR_V = millivolts(10)
+    RESTORE_FLOOR_V = millivolts(5)
 
     #: Residual flip probability of a strongly-skewed cell at power-up.
     WAKE_SKEW_EPSILON = 0.005
@@ -150,23 +163,19 @@ class SramArray(ManufacturedArray):
         self._rng = rng if rng is not None else from_entropy(0)
         self._n_bits = int(n_bits)
 
-        # Process variation, fixed at manufacture time.  Stored as float16
-        # to keep megabyte-scale macros affordable; sub-millivolt
-        # resolution is far below any physical effect modelled here.
-        self._drv = read_only(ENGINE.gaussian_field(
-            self._rng,
-            self._n_bits,
-            self.params.drv_mean_v,
-            self.params.drv_sigma_v,
-            0.01,
-        ))
-        self._restore_threshold = read_only(ENGINE.gaussian_field(
-            self._rng,
-            self._n_bits,
+        # Process variation, fixed at manufacture time.  The DRV and
+        # restore-threshold fields are float16 (sub-millivolt
+        # resolution, far below any physical effect modelled here) and
+        # built on first need: for now only the stream state each
+        # starts from and its extent are kept.
+        self._drv_state, self._drv_extent = self._gaussian_extent(
+            self.params.drv_mean_v, self.params.drv_sigma_v, self.DRV_FLOOR_V
+        )
+        self._restore_state, self._restore_extent = self._gaussian_extent(
             self.params.restore_mean_v,
             self.params.restore_sigma_v,
-            0.005,
-        ))
+            self.RESTORE_FLOOR_V,
+        )
         # Per-cell wake probability: the chance a cell powers up as 1.
         # Strongly-skewed cells sit near 0 or 1 (the stable PUF bits);
         # metastable cells sit near 0.5 and flip coin-like on every
@@ -178,10 +187,6 @@ class SramArray(ManufacturedArray):
             self.params.noisy_fraction,
             self.WAKE_SKEW_EPSILON,
         ))
-        # float32 widening of the wake field, cached because every
-        # power-up compares against it; refreshed whenever aging moves
-        # the probabilities.
-        self._wake32 = read_only(self._wake_p.astype(np.float32))
 
         # Electrical state: the stored image, eight cells per byte.
         self._cells = np.zeros(self._n_bits // 8, dtype=np.uint8)
@@ -240,17 +245,6 @@ class SramArray(ManufacturedArray):
         """
         return float(np.percentile(self._drv, percentile))
 
-    def cell_drv(self) -> np.ndarray:
-        """Copy of the per-cell data retention voltages.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``float32[n_bits]`` DRVs in volts (the stored ``float16``
-            field widened losslessly).
-        """
-        return self._drv.astype(np.float32)
-
     def wake_probabilities(self) -> np.ndarray:
         """Copy of the per-cell power-up-as-1 probabilities.
 
@@ -260,18 +254,6 @@ class SramArray(ManufacturedArray):
             ``float32[n_bits]`` probabilities in ``[0, 1]``.
         """
         return self._wake_p.astype(np.float32)
-
-    def noisy_cell_mask(self) -> np.ndarray:
-        """Cells whose power-up state is effectively a coin flip.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``bool[n_bits]`` mask of metastable cells (wake probability
-            inside ``(0.2, 0.8)``).
-        """
-        wake = self._wake_p.astype(np.float32)
-        return (wake > 0.2) & (wake < 0.8)
 
     # ------------------------------------------------------------------
     # Aging (NBTI imprinting — paper §9.2)
@@ -312,7 +294,6 @@ class SramArray(ManufacturedArray):
             self.WAKE_SKEW_EPSILON / 2,
             1.0 - self.WAKE_SKEW_EPSILON / 2,
         ))
-        self._wake32 = read_only(self._wake_p.astype(np.float32))
 
     # ------------------------------------------------------------------
     # Power state machine
@@ -404,10 +385,21 @@ class SramArray(ManufacturedArray):
         # disabled path reads no clock.
         start = wall_clock() if OBS.enabled else 0.0
         node_v = self._off_supply_v * self._unpowered_fraction
-        retained = ENGINE.restore_mask(node_v, self._restore_threshold)
         fresh = self._sample_powerup()
-        kept = ENGINE.select(retained, _unpack(self._cells), fresh)
-        self._cells = _pack(kept)
+        node16 = np.float16(node_v)
+        low, high = self._restore_extent
+        if 0 <= node16 <= low:
+            # At or below every threshold: no cell recovers.
+            retained = 0
+            self._cells = _pack(fresh)
+        elif node16 > high:
+            # Above every threshold: every cell recovers.
+            retained = self._n_bits
+        else:
+            mask = ENGINE.restore_mask(node_v, self._restore_threshold)
+            kept = ENGINE.select(mask, _unpack(self._cells), fresh)
+            self._cells = _pack(kept)
+            retained = int(np.count_nonzero(mask))
         self._mutations += 1
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
@@ -415,7 +407,7 @@ class SramArray(ManufacturedArray):
         # Restoring at a voltage below some cells' DRV immediately
         # collapses those cells as well.
         self._collapse_below(self._supply_v)
-        fraction = float(np.mean(retained))
+        fraction = retained / self._n_bits
         if OBS.enabled:
             observe_rate(
                 "sram.decay", self._n_bits, wall_clock() - start,
@@ -425,9 +417,7 @@ class SramArray(ManufacturedArray):
                 "sram.retained_fraction", fraction, array=self.name
             )
             OBS.counter_inc(
-                "sram.cells_decayed",
-                int(self._n_bits - int(retained.sum())),
-                array=self.name,
+                "sram.cells_decayed", self._n_bits - retained, array=self.name
             )
         return fraction
 
@@ -517,17 +507,61 @@ class SramArray(ManufacturedArray):
     # Internals
     # ------------------------------------------------------------------
 
+    def _gaussian_extent(
+        self, mean: float, sigma: float, floor: float
+    ) -> tuple[dict, tuple[np.float16, np.float16]]:
+        """Advance the stream past one Gaussian field, keeping only the
+        state it started from and the field's ``(min, max)``."""
+        state = self._rng.bit_generator.state
+        extent = ENGINE.gaussian_extent(
+            self._rng, self._n_bits, mean, sigma, floor
+        )
+        return state, extent
+
+    @cached_property
+    def _drv(self) -> np.ndarray:
+        """The ``float16`` DRV field, replayed from its saved state."""
+        return read_only(ENGINE.gaussian_field(
+            from_state(self._drv_state),
+            self._n_bits,
+            self.params.drv_mean_v,
+            self.params.drv_sigma_v,
+            self.DRV_FLOOR_V,
+        ))
+
+    @cached_property
+    def _restore_threshold(self) -> np.ndarray:
+        """The ``float16`` restore-threshold field, replayed likewise."""
+        return read_only(ENGINE.gaussian_field(
+            from_state(self._restore_state),
+            self._n_bits,
+            self.params.restore_mean_v,
+            self.params.restore_sigma_v,
+            self.RESTORE_FLOOR_V,
+        ))
+
     def _sample_powerup(self) -> np.ndarray:
-        return ENGINE.powerup(self._rng, self._wake32)
+        return ENGINE.powerup(self._rng, self._wake_p)
 
     def _collapse_below(self, voltage: float) -> int:
-        lost = ENGINE.drv_collapse_mask(self._drv, voltage)
-        if not lost.any():
-            return 0
-        fresh = self._sample_powerup()
-        self._cells = _pack(ENGINE.select(lost, fresh, _unpack(self._cells)))
+        supply = np.float16(voltage)
+        low, high = self._drv_extent
+        if supply >= high:
+            return 0  # at or above every DRV: no cell collapses
+        if supply < low:
+            # Below every DRV: the whole image collapses.
+            self._cells = _pack(self._sample_powerup())
+            count = self._n_bits
+        else:
+            lost = ENGINE.drv_collapse_mask(self._drv, voltage)
+            if not lost.any():
+                return 0
+            fresh = self._sample_powerup()
+            self._cells = _pack(
+                ENGINE.select(lost, fresh, _unpack(self._cells))
+            )
+            count = int(lost.sum())
         self._mutations += 1
-        count = int(lost.sum())
         if OBS.enabled:
             OBS.counter_inc("sram.cells_below_drv", count, array=self.name)
         return count

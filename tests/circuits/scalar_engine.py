@@ -9,9 +9,9 @@ by the simulator itself.
 
 How bit-equality is achieved
 ----------------------------
-* **RNG draws are bulk**, identical to the vector kernels (the
-  engine-wide stream contract) — only the per-cell *arithmetic* is
-  scalar.
+* **RNG draws are bulk**, and return the same values as the vector
+  kernels' chunked draws (the engine-wide stream contract) — only the
+  per-cell *arithmetic* is scalar.
 * **IEEE-754 single roundings are replicated exactly.**  A product or
   sum of two ``float32`` values is exact in ``float64`` (<= 48
   significand bits), so rounding the Python-float result back to
@@ -142,11 +142,11 @@ class ScalarEngine:
     # ------------------------------------------------------------------
 
     def powerup(
-        self, rng: np.random.Generator, wake_p32: np.ndarray
+        self, rng: np.random.Generator, wake_p: np.ndarray
     ) -> np.ndarray:
         """Per-cell ``[U_i < p_i]`` on exact float64 liftings."""
-        draws = rng.random(len(wake_p32), dtype=np.float32).tolist()
-        probabilities = wake_p32.tolist()
+        draws = rng.random(len(wake_p), dtype=np.float32).tolist()
+        probabilities = wake_p.tolist()
         return np.array(
             [
                 1 if draw < p else 0
@@ -201,7 +201,7 @@ class ScalarEngine:
         level: np.ndarray,
         seconds: float,
         tau_s: float,
-        scale32: np.ndarray,
+        scale: np.ndarray,
     ) -> np.ndarray:
         """Per-cell ``L_i * exp(-dt / (tau * s_i))``.
 
@@ -212,7 +212,7 @@ class ScalarEngine:
         """
         neg_dt = np.float32(-seconds)
         tau32 = _f32(tau_s)
-        scales = scale32.tolist()
+        scales = scale.tolist()
         levels = level.tolist()
         out = []
         for cell_level, cell_scale in zip(levels, scales):

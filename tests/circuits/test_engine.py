@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.engine import ENGINE as VECTOR
+from repro.circuits.engine.vector import CHUNK
 from repro.rng import generator
 
 from .scalar_engine import ScalarEngine
@@ -66,9 +67,7 @@ class TestKernelDifferential:
         )
 
     def test_powerup(self, n):
-        wake = VECTOR.wake_field(
-            generator(7, "w"), n, 0.2, 0.005
-        ).astype(np.float32)
+        wake = VECTOR.wake_field(generator(7, "w"), n, 0.2, 0.005)
         r1, r2 = pair("pw", str(n))
         assert_same(VECTOR.powerup(r1, wake), SCALAR.powerup(r2, wake))
 
@@ -91,9 +90,7 @@ class TestKernelDifferential:
         )
 
     def test_charge_decay_and_mask(self, n):
-        scale = VECTOR.lognormal_field(generator(5, "s"), n, 0.4).astype(
-            np.float32
-        )
+        scale = VECTOR.lognormal_field(generator(5, "s"), n, 0.4)
         level = np.ones(n, dtype=np.float16)
         for dt, tau in ((0.5, 2.0), (37.0, 1.7), (1e-3, 1e-4)):
             decayed_v = VECTOR.charge_decay(level, dt, tau, scale)
@@ -113,7 +110,7 @@ class TestKernelDifferential:
 
     def test_age_wake(self, n):
         wake = VECTOR.wake_field(generator(7, "w"), n, 0.2, 0.005)
-        bits = VECTOR.powerup(generator(8, "b"), wake.astype(np.float32))
+        bits = VECTOR.powerup(generator(8, "b"), wake)
         assert_same(
             VECTOR.age_wake(wake, bits, 0.02, 0.0025, 0.9975),
             SCALAR.age_wake(wake, bits, 0.02, 0.0025, 0.9975),
@@ -133,6 +130,51 @@ class TestKernelDifferential:
         ]
         assert_same(
             VECTOR.vote_counts(reads, n), SCALAR.vote_counts(reads, n)
+        )
+
+
+class TestChunkedSampling:
+    """Sampling kernels draw in chunks; the values are one bulk draw's."""
+
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
+    @pytest.mark.parametrize(
+        "mean, sigma", [(0.25, 0.03), (0.25, 0.0), (0.01, 0.03)]
+    )
+    def test_gaussian_extent_is_the_field_extent(self, n, mean, sigma):
+        r1, r2 = pair("extent", str(n), str(mean), str(sigma))
+        field = VECTOR.gaussian_field(r1, n, mean, sigma, 0.01)
+        low, high = VECTOR.gaussian_extent(r2, n, mean, sigma, 0.01)
+        assert low.dtype == high.dtype == np.float16
+        assert (low, high) == (field.min(), field.max())
+        assert r2.bit_generator.state == r1.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "kernel, args",
+        [
+            ("gaussian_field", (0.25, 0.03, 0.01)),
+            ("lognormal_field", (0.4,)),
+            ("uniform_mask", (0.5,)),
+            ("wake_field", (0.2, 0.005)),
+        ],
+    )
+    def test_chunked_kernels_equal_the_bulk_oracle(self, kernel, args):
+        n = 2 * CHUNK + 3
+        r1, r2 = pair("chunks", kernel)
+        assert_same(
+            getattr(VECTOR, kernel)(r1, n, *args),
+            getattr(SCALAR, kernel)(r2, n, *args),
+        )
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    def test_chunked_charge_decay_equals_the_oracle(self):
+        n = 2 * CHUNK + 3
+        scale = VECTOR.lognormal_field(generator(5, "chunk-s"), n, 0.4)
+        level = VECTOR.charge_decay(
+            np.ones(n, dtype=np.float16), 0.5, 2.0, scale
+        )
+        assert_same(
+            VECTOR.charge_decay(level, 3.0, 1.7, scale),
+            SCALAR.charge_decay(level, 3.0, 1.7, scale),
         )
 
 
@@ -231,7 +273,7 @@ class TestKernelEdgeCases:
             assert np.array_equal(kept, now)
 
     def test_powerup_is_uint8_bits(self):
-        wake = np.array([0.0, 1.0, 0.5, 0.005, 0.995] * 40, dtype=np.float32)
+        wake = np.array([0.0, 1.0, 0.5, 0.005, 0.995] * 40, dtype=np.float16)
         r1, r2 = pair("pw-edge")
         bits = VECTOR.powerup(r1, wake)
         assert_same(bits, SCALAR.powerup(r2, wake))
@@ -266,9 +308,7 @@ class TestKernelProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_charge_decay_matches(self, seed, n, seconds, tau, spread):
-        scale = VECTOR.lognormal_field(
-            generator(seed, "hyp-scale"), n, spread
-        ).astype(np.float32)
+        scale = VECTOR.lognormal_field(generator(seed, "hyp-scale"), n, spread)
         level = np.ones(n, dtype=np.float16)
         assert_same(
             VECTOR.charge_decay(level, seconds, tau, scale),
@@ -286,10 +326,7 @@ class TestKernelProperties:
         wake = VECTOR.wake_field(generator(seed, "hyp-w"), n, noisy, 0.005)
         r1 = generator(seed, "hyp-pw")
         r2 = generator(seed, "hyp-pw")
-        assert_same(
-            VECTOR.powerup(r1, wake.astype(np.float32)),
-            SCALAR.powerup(r2, wake.astype(np.float32)),
-        )
+        assert_same(VECTOR.powerup(r1, wake), SCALAR.powerup(r2, wake))
         thresholds = VECTOR.gaussian_field(
             generator(seed, "hyp-t"), n, 0.10, 0.02, 0.005
         )

@@ -357,3 +357,99 @@ class TestPropertyBased:
                     )
                     assert array.read_bytes(offset, len(payload)) == expected
         assert list(array.read_bits()) == model
+
+
+#: A voltage: a plain value, or ``(extent, end, ulps)`` — a field's
+#: ``float16`` min (end 0) or max (end 1), nudged by ``ulps`` steps.
+VOLTS = st.one_of(
+    st.floats(min_value=1e-3, max_value=0.9),
+    st.tuples(
+        st.sampled_from(["_drv_extent", "_restore_extent"]),
+        st.sampled_from([0, 1]),
+        st.integers(min_value=-1, max_value=1),
+    ),
+)
+
+
+def _volts(array, spec):
+    if isinstance(spec, float):
+        return spec
+    extent, end, ulps = spec
+    value = getattr(array, extent)[end]
+    toward = np.float16(np.inf if ulps > 0 else 0.0)
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, toward)
+    return float(value)
+
+
+class TestFieldsOnFirstNeed:
+    """DRV and restore thresholds are replayed only when a voltage
+    inside a field's extent needs them; outside it, the draw-free
+    decision gives the field's answer."""
+
+    def test_manufacture_builds_neither_field(self):
+        array = fresh_array()
+        array.set_supply_voltage(0.8)
+        array.power_down()
+        array.elapse_unpowered(1e-3, 300.0)
+        assert array.restore_power() == 0.0
+        assert "_drv" not in vars(array)
+        assert "_restore_threshold" not in vars(array)
+
+    def test_replayed_field_is_read_only_and_built_once(self):
+        array = fresh_array()
+        drv = array._drv
+        assert not drv.flags.writeable
+        assert array._drv is drv
+        low, high = array._drv_extent
+        assert (drv.min(), drv.max()) == (low, high)
+
+    @staticmethod
+    def _outcome(seed, volts, off_s, read_fields):
+        """Returns, images and stream state of one voltage sequence.
+
+        With ``read_fields`` the array builds both fields and widens
+        both extents to ``[0, inf]``, so every decision reads a field.
+        """
+        supply, transient, node, restore = volts
+        array = fresh_array(seed=seed)
+        if read_fields:
+            array._drv, array._restore_threshold
+            array._drv_extent = array._restore_extent = (
+                np.float16(0.0), np.float16(np.inf)
+            )
+        array.fill_bytes(0x5A)
+        results = [
+            array.set_supply_voltage(supply),
+            array.apply_voltage_transient(transient),
+            array.set_supply_voltage(node),
+        ]
+        images = [array.read_bytes()]
+        array.power_down()
+        if off_s:
+            array.elapse_unpowered(off_s, 300.0)
+        results.append(array.restore_power(restore))
+        images.append(array.read_bytes())
+        return results, images, array._rng.bit_generator.state
+
+    @pytest.mark.parametrize("extent", ["_drv_extent", "_restore_extent"])
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_extent_edges_match_the_field(self, extent, end, ulps):
+        volts = (_volts(fresh_array(seed=3), (extent, end, ulps)),) * 4
+        assert self._outcome(3, volts, 0.0, False) == self._outcome(
+            3, volts, 0.0, True
+        )
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        specs=st.tuples(VOLTS, VOLTS, VOLTS, VOLTS),
+        off_s=st.sampled_from([0.0, 1e-6, 1e-3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_results_with_fields_built_or_not(self, seed, specs, off_s):
+        reference = fresh_array(seed=seed)
+        volts = tuple(_volts(reference, spec) for spec in specs)
+        assert self._outcome(seed, volts, off_s, False) == self._outcome(
+            seed, volts, off_s, True
+        )

@@ -108,11 +108,13 @@ def _arrays(board) -> list[SramArray | DramArray]:
 
 
 def _manufactured_ids(board) -> set[int]:
-    """Identities of every ``MANUFACTURED`` field on ``board``."""
+    """Identities of every built ``MANUFACTURED`` field on ``board``
+    (reading a field built on first need here would build it)."""
     return {
-        id(getattr(array, name))
+        id(vars(array)[name])
         for array in _arrays(board)
         for name in array.MANUFACTURED
+        if name in vars(array)
     }
 
 
@@ -188,7 +190,7 @@ class TestCloneIsolation:
         )
         for original, copied in zip(_arrays(template), _arrays(clone)):
             for name in original.MANUFACTURED:
-                assert getattr(copied, name) is getattr(original, name), name
+                assert vars(copied).get(name) is vars(original).get(name), name
             assert not np.shares_memory(_stored(original), _stored(copied))
             if isinstance(original, DramArray):
                 assert not np.shares_memory(original._level, copied._level)
@@ -219,8 +221,36 @@ class TestManufactureFieldsAreReadOnly:
         wake = shared.wake_probabilities()
         array.age(years=5.0)
         assert not array._wake_p.flags.writeable
-        assert not array._wake32.flags.writeable
+        assert array._wake_p is not shared._wake_p
         assert np.array_equal(shared.wake_probabilities(), wake)
+
+
+class TestFieldsBuiltOnFirstNeed:
+    """SRAM DRV and restore-threshold fields across snapshots."""
+
+    @staticmethod
+    def _srams(board) -> list[SramArray]:
+        return [a for a in _arrays(board) if isinstance(a, SramArray)]
+
+    @pytest.mark.parametrize("name", ["_drv", "_restore_threshold"])
+    def test_field_first_built_on_a_copy_equals_a_fresh_build(self, name):
+        template = _booted()
+        copied = self._srams(Snapshot(template).restore())
+        fresh = self._srams(_booted())
+        assert copied and len(copied) == len(fresh)
+        for copy, build in zip(copied, fresh):
+            assert name not in vars(copy)
+            assert np.array_equal(getattr(copy, name), getattr(build, name))
+        assert not any(name in vars(a) for a in self._srams(template))
+
+    @pytest.mark.parametrize("name", ["_drv", "_restore_threshold"])
+    def test_field_built_before_the_snapshot_is_shared(self, name):
+        template = _booted()
+        built = [getattr(array, name) for array in self._srams(template)]
+        copied = self._srams(_clone(template))
+        assert copied and len(copied) == len(built)
+        for field, copy in zip(built, copied):
+            assert vars(copy)[name] is field
 
 
 class TestBootedBoard:

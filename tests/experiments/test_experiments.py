@@ -7,6 +7,7 @@ configurations.
 
 import pytest
 
+from repro.circuits.sram import SramArray
 from repro.experiments import (
     accessibility,
     countermeasures,
@@ -33,6 +34,23 @@ class TestTable1:
             assert 0.05 < row.fhd_to_powerup < 0.15
         report = table1.report(rows)
         assert "Table 1" in report.render()
+
+    def test_cold_boot_builds_no_drv_or_restore_field(self, monkeypatch):
+        """Every voltage a Pi 4 cold boot applies lies outside the DRV
+        and restore-threshold extents, so no array replays a field."""
+        built = []
+        manufacture = SramArray.__init__
+
+        def record(array, *args, **kwargs):
+            manufacture(array, *args, **kwargs)
+            built.append(array)
+
+        monkeypatch.setattr(SramArray, "__init__", record)
+        table1._temperature_point(900, 0, table1.TABLE1_TEMPERATURES_C[0])
+        assert len(built) == 61
+        for array in built:
+            assert "_drv" not in vars(array), array.name
+            assert "_restore_threshold" not in vars(array), array.name
 
 
 class TestFigure3:
