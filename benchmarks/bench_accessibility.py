@@ -3,8 +3,8 @@
 from repro.experiments import accessibility
 
 
-def test_accessibility_fractions(run_once, record_report):
-    rows = run_once(accessibility.run, seed=62)
+def test_accessibility_fractions(record_report):
+    rows = accessibility.run(seed=62)
     record_report("accessibility", accessibility.report(rows).render())
     by_memory = {row.memory: row.available_fraction for row in rows}
     # Shape: L1 fully available, L2 destroyed by the VideoCore, iRAM ~95%.

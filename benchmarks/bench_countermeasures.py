@@ -3,8 +3,8 @@
 from repro.experiments import countermeasures
 
 
-def test_countermeasure_survey(run_once, record_report):
-    outcomes = run_once(countermeasures.run, seed=8)
+def test_countermeasure_survey(record_report):
+    outcomes = countermeasures.run(seed=8)
     record_report(
         "countermeasures", countermeasures.report(outcomes).render()
     )

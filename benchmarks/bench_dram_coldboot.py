@@ -3,8 +3,8 @@
 from repro.experiments import dram_coldboot
 
 
-def test_dram_coldboot_baseline(run_once, record_report):
-    result = run_once(dram_coldboot.run, seed=91)
+def test_dram_coldboot_baseline(record_report):
+    result = dram_coldboot.run(seed=91)
     record_report("dram_coldboot", dram_coldboot.report(result).render())
     # Shape: short chilled cuts recover the key, long ones do not; the
     # scrambler denies the attack entirely.

@@ -3,8 +3,8 @@
 from repro.experiments import figure10
 
 
-def test_figure10_hamming_profile(run_once, record_report):
-    result = run_once(figure10.run, seed=1010)
+def test_figure10_hamming_profile(record_report):
+    result = figure10.run(seed=1010)
     record_report("figure10", figure10.report(result).render())
     # Shape: exactly two clusters (start-of-iRAM scratchpad + tail), the
     # largest spanning the paper's 0x083C-0x18CC region.

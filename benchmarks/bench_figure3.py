@@ -5,8 +5,8 @@ from pathlib import Path
 from repro.experiments import figure3
 
 
-def test_figure3_cold_boot_snapshot(run_once, record_report):
-    result = run_once(figure3.run, seed=13)
+def test_figure3_cold_boot_snapshot(record_report):
+    result = figure3.run(seed=13)
     rendered = figure3.report(result).render()
     rendered += "\n\nWAY0 snapshot (8x downsampled):\n" + result.ascii_art()
     record_report("figure3", rendered)

@@ -3,8 +3,8 @@
 from repro.experiments import figure7
 
 
-def test_figure7_bare_metal_icache(run_once, record_report):
-    results = run_once(figure7.run, seed=77)
+def test_figure7_bare_metal_icache(record_report):
+    results = figure7.run(seed=77)
     record_report("figure7", figure7.report(results).render())
     assert {result.device for result in results} == {"BCM2711", "BCM2837"}
     for result in results:

@@ -3,8 +3,8 @@
 from repro.experiments import figure8
 
 
-def test_figure8_os_victim(run_once, record_report):
-    result = run_once(figure8.run, seed=88)
+def test_figure8_os_victim(record_report):
+    result = figure8.run(seed=88)
     record_report("figure8", figure8.report(result).render())
     # Shape: the 0xAA payload and the app's machine code both recovered.
     assert result.pattern_found

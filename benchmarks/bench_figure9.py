@@ -5,8 +5,8 @@ from pathlib import Path
 from repro.experiments import figure9
 
 
-def test_figure9_iram_bitmap_recovery(run_once, record_report):
-    result = run_once(figure9.run, seed=99)
+def test_figure9_iram_bitmap_recovery(record_report):
+    result = figure9.run(seed=99)
     rendered = figure9.report(result).render()
     rendered += "\n\nRecovered panel (a) (16x downsampled):\n"
     rendered += result.panel_ascii(0)

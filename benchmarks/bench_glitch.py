@@ -3,8 +3,8 @@
 from repro.experiments import glitch_campaign
 
 
-def test_glitch_campaign(run_once, record_report):
-    result = run_once(glitch_campaign.run, seed=66)
+def test_glitch_campaign(record_report):
+    result = glitch_campaign.run(seed=66)
     record_report(
         "glitch_campaign", glitch_campaign.report(result).render()
     )

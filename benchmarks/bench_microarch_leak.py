@@ -3,8 +3,8 @@
 from repro.experiments import microarch_leak
 
 
-def test_microarch_footprint_leak(run_once, record_report):
-    result = run_once(microarch_leak.run, seed=92)
+def test_microarch_footprint_leak(record_report):
+    result = microarch_leak.run(seed=92)
     record_report("microarch_leak", microarch_leak.report(result).render())
     # Shape: data wiped (control == 0) but the footprint fully exposed.
     assert result.data_lines_surviving == 0

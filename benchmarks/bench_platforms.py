@@ -3,8 +3,8 @@
 from repro.experiments import platforms
 
 
-def test_platform_inventory_cross_check(run_once, record_report):
-    rows = run_once(platforms.run, seed=23)
+def test_platform_inventory_cross_check(record_report):
+    rows = platforms.run(seed=23)
     record_report("platforms", platforms.report(rows).render())
     assert len(rows) == 3
     for row in rows:

@@ -3,8 +3,8 @@
 from repro.experiments import policy_ablation
 
 
-def test_replacement_policy_ablation(run_once, record_report):
-    points = run_once(policy_ablation.run, seed=94)
+def test_replacement_policy_ablation(record_report):
+    points = policy_ablation.run(seed=94)
     record_report(
         "policy_ablation", policy_ablation.report(points).render()
     )

@@ -3,8 +3,8 @@
 from repro.experiments import probe_sweep
 
 
-def test_probe_adequacy_sweeps(run_once, record_report):
-    points = run_once(probe_sweep.run, seed=66)
+def test_probe_adequacy_sweeps(record_report):
+    points = probe_sweep.run(seed=66)
     record_report("probe_sweep", probe_sweep.report(points).render())
     current = {
         p.current_limit_a: p.accuracy_percent

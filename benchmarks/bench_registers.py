@@ -3,8 +3,8 @@
 from repro.experiments import registers
 
 
-def test_registers_vector_file_retention(run_once, record_report):
-    results = run_once(registers.run, seed=72)
+def test_registers_vector_file_retention(record_report):
+    results = registers.run(seed=72)
     record_report("registers", registers.report(results).render())
     # Shape: every v-register of every core on both devices retained.
     for result in results:

@@ -3,8 +3,8 @@
 from repro.experiments import standby_retention
 
 
-def test_standby_retention_tradeoff(run_once, record_report):
-    points = run_once(standby_retention.run, seed=93)
+def test_standby_retention_tradeoff(record_report):
+    points = standby_retention.run(seed=93)
     record_report(
         "standby_retention", standby_retention.report(points).render()
     )

@@ -3,8 +3,8 @@
 from repro.experiments import table1
 
 
-def test_table1_cold_boot_temperature_sweep(run_once, record_report):
-    rows = run_once(table1.run, seed=11)
+def test_table1_cold_boot_temperature_sweep(record_report):
+    rows = table1.run(seed=11)
     record_report("table1", table1.report(rows).render())
     # Shape: ~50% error at every temperature; fHD to power-on ~0.10.
     assert [row.temperature_c for row in rows] == [0.0, -5.0, -40.0]

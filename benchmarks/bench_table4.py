@@ -3,9 +3,8 @@
 from repro.experiments import table4
 
 
-def test_table4_array_size_sweep(run_once, record_report):
-    cells = run_once(
-        table4.run,
+def test_table4_array_size_sweep(record_report):
+    cells = table4.run(
         seed=44,
         array_sizes_kib=table4.TABLE4_ARRAY_KIB,
         trials=table4.TRIALS,

@@ -4,19 +4,21 @@ A memory array's process variation (per-cell DRV, restore thresholds,
 wake probabilities, DRAM anti-cell layout and retention multipliers) is
 drawn once, when the array is built, and never written again: every
 kernel in :mod:`repro.circuits.engine` returns a fresh array, and the
-only later change — aging — rebinds the field to a new one.  (SRAM
-keeps only the stream state of its DRV and restore-threshold draws
-until a result reads those fields, then replays the same draw.)  Those
-fields are marked read-only, so copies of the array can share them
-instead of copying megabytes of ``float16``; only the electrical state
-(the bit image, DRAM charge levels, the RNG stream, scalar supply
+only later change — aging — rebinds the field to a new one.  (An SRAM
+array defers all of its draws until something reads its cells, and
+even then keeps only the stream state of its DRV and restore-threshold
+draws until a result reads those fields; each replays the same draw.)
+Those fields are marked read-only, so copies of the array can share
+them instead of copying megabytes of ``float16``; only the electrical
+state (the bit image, DRAM charge levels, the RNG stream, scalar supply
 state) is per-copy.
 
-A :class:`Snapshot` is the one way to copy a board.  It pickles the
-board once, sharing exactly the fields each array names in
-``MANUFACTURED`` and freezing the board's other arrays as the source
-of every copy, and every :meth:`Snapshot.restore` unpickles a private
-copy that is indistinguishable from a fresh build.  This is
+A :class:`Snapshot` is the one way to copy a board.  It materializes
+every array (so copies share its fields instead of each drawing its
+own) and pickles the board once, sharing exactly the fields each array
+names in ``MANUFACTURED`` and freezing the board's other arrays as the
+source of every copy, and every :meth:`Snapshot.restore` unpickles a
+private copy that is indistinguishable from a fresh build.  This is
 what makes :func:`repro.exec.runtime.booted_board` cheap: one booted
 board is built and snapshotted per process, and every work unit
 receives a restored copy.
@@ -54,15 +56,18 @@ class ManufacturedArray:
     #: Attribute names of the read-only, copy-shared fields.
     MANUFACTURED: ClassVar[tuple[str, ...]] = ()
 
+    def materialize(self) -> None:
+        """Take any draws the array deferred; a no-op unless overridden."""
+
 
 class _SnapshotPickler(pickle.Pickler):
     """Pickles an object graph for :class:`Snapshot`.
 
-    Each array named in a :class:`ManufacturedArray`'s ``MANUFACTURED``
-    is noted in ``shared`` when the pickler meets the array object and
-    then saved as a persistent reference into that list; a field built
-    on first need that is not built yet is absent from the object's
-    ``__dict__`` and is neither shared nor built.  Every other
+    Each :class:`ManufacturedArray` is materialized when the pickler
+    meets it; each array named in its ``MANUFACTURED`` is then noted in
+    ``shared`` and saved as a persistent reference into that list; a
+    field built on first need that is not built yet is absent from the
+    object's ``__dict__`` and is neither shared nor built.  Every other
     array is noted in ``arrays`` and its data goes out of band to
     ``buffers``.  Generators are saved as their ``bit_generator.state``
     and rebuilt by :func:`repro.rng.from_state`.
@@ -80,6 +85,7 @@ class _SnapshotPickler(pickle.Pickler):
 
     def reducer_override(self, obj: Any) -> Any:
         if isinstance(obj, ManufacturedArray):
+            obj.materialize()
             for name in obj.MANUFACTURED:
                 field = vars(obj).get(name)
                 if field is not None and id(field) not in self._shared_ids:

@@ -121,9 +121,23 @@ class SramArray(ManufacturedArray):
     board copies (:class:`~repro.circuits.manufacture.Snapshot`); the
     cells are per copy.
 
-    The DRV and restore-threshold fields are kept only once a result
-    reads them.  Manufacture still advances the stream past each one,
-    but keeps the stream state it started from and the field's
+    Manufacture is deferred until something reads the cells.  The
+    array owns its generator (nothing else may draw from it), and a
+    new array has taken no draw: it saves the generator's state and
+    counts the power-up draws it owes, the image being either concrete
+    (``_cells``) or pending — the latest of those draws.  Full-array
+    writes make the image concrete, and two draw-free bounds decide
+    the power events every cell agrees on (a restore from a node
+    voltage at the restore-threshold floor loses every cell; a supply
+    at or above :attr:`DRV_CAP_Z` sigmas over the mean DRV collapses
+    none).  Anything else — reading a pending image, a partial write
+    to it, aging, a field read, a voltage the bounds leave open —
+    calls :meth:`materialize`, which replays the owed draws in order,
+    so every result and the stream equal an array that drew eagerly.
+
+    Even then, the DRV and restore-threshold fields are kept only once
+    a result reads them.  Manufacture advances the stream past each
+    one, but keeps the stream state it started from and the field's
     ``float16`` extent; a supply or node voltage outside the extent
     decides every cell without the field, and any other value builds
     it once by replaying the draw from the saved state.
@@ -139,9 +153,16 @@ class SramArray(ManufacturedArray):
     #: (volts): no cell parameter is zero or negative.
     DRV_FLOOR_V = millivolts(10)
     RESTORE_FLOOR_V = millivolts(5)
+    #: The floor as the restore field stores it: no threshold is lower.
+    _RESTORE_FLOOR16 = np.float16(np.float32(RESTORE_FLOOR_V))
 
     #: Residual flip probability of a strongly-skewed cell at power-up.
     WAKE_SKEW_EPSILON = 0.005
+
+    #: A bound on ``|Z|`` for numpy's ``float32`` normal draws (the
+    #: ziggurat returns at most ~8.207; see ``docs/physics.md``), so
+    #: no cell's DRV exceeds its mean plus this many sigmas.
+    DRV_CAP_Z = 8.25
 
     #: Wake-probability shift per year of continuously imprinting one
     #: value (NBTI-style aging; paper §9.2's decade-scale attacks).
@@ -163,33 +184,23 @@ class SramArray(ManufacturedArray):
         self._rng = rng if rng is not None else from_entropy(0)
         self._n_bits = int(n_bits)
 
-        # Process variation, fixed at manufacture time.  The DRV and
-        # restore-threshold fields are float16 (sub-millivolt
-        # resolution, far below any physical effect modelled here) and
-        # built on first need: for now only the stream state each
-        # starts from and its extent are kept.
-        self._drv_state, self._drv_extent = self._gaussian_extent(
-            self.params.drv_mean_v, self.params.drv_sigma_v, self.DRV_FLOOR_V
+        # Process variation is drawn by materialize(), first of all
+        # from the stream state saved here (the DRV field's).
+        self._drv_state = self._rng.bit_generator.state
+        self._manufactured = False
+        self._powerups = 0  # power-up draws owed until materialize()
+        self._drv_cap = ENGINE.gaussian_value(
+            self.DRV_CAP_Z,
+            self.params.drv_mean_v,
+            self.params.drv_sigma_v,
+            self.DRV_FLOOR_V,
         )
-        self._restore_state, self._restore_extent = self._gaussian_extent(
-            self.params.restore_mean_v,
-            self.params.restore_sigma_v,
-            self.RESTORE_FLOOR_V,
-        )
-        # Per-cell wake probability: the chance a cell powers up as 1.
-        # Strongly-skewed cells sit near 0 or 1 (the stable PUF bits);
-        # metastable cells sit near 0.5 and flip coin-like on every
-        # power-up.  Aging (NBTI imprinting) later shifts these values
-        # toward whatever the cell spent its life holding (paper §9.2).
-        self._wake_p = read_only(ENGINE.wake_field(
-            self._rng,
-            self._n_bits,
-            self.params.noisy_fraction,
-            self.WAKE_SKEW_EPSILON,
-        ))
 
-        # Electrical state: the stored image, eight cells per byte.
-        self._cells = np.zeros(self._n_bits // 8, dtype=np.uint8)
+        # Electrical state: the stored image, eight cells per byte
+        # (None while it is the latest owed power-up draw).
+        self._cells: np.ndarray | None = np.zeros(
+            self._n_bits // 8, dtype=np.uint8
+        )
         self._powered = False
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0  # V/V0 accumulated while off
@@ -253,6 +264,7 @@ class SramArray(ManufacturedArray):
         numpy.ndarray
             ``float32[n_bits]`` probabilities in ``[0, 1]``.
         """
+        self.materialize()
         return self._wake_p.astype(np.float32)
 
     # ------------------------------------------------------------------
@@ -285,6 +297,7 @@ class SramArray(ManufacturedArray):
         if years < 0.0 or not 0.0 <= duty_cycle <= 1.0:
             raise CalibrationError("aging needs years >= 0, duty in [0, 1]")
         self._require_powered("age")
+        self.materialize()
         # Rebinds (never writes) the fields, so copies sharing the
         # old ones are unaffected.
         self._wake_p = read_only(ENGINE.age_wake(
@@ -313,7 +326,7 @@ class SramArray(ManufacturedArray):
             stream (see :meth:`repro.circuits.engine.vector.VectorEngine.powerup`).
         """
         self._require_voltage(voltage)
-        self._cells = _pack(self._sample_powerup())
+        self._power_up_image()
         self._mutations += 1
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
@@ -385,21 +398,28 @@ class SramArray(ManufacturedArray):
         # disabled path reads no clock.
         start = wall_clock() if OBS.enabled else 0.0
         node_v = self._off_supply_v * self._unpowered_fraction
-        fresh = self._sample_powerup()
         node16 = np.float16(node_v)
-        low, high = self._restore_extent
-        if 0 <= node16 <= low:
-            # At or below every threshold: no cell recovers.
+        if not self._manufactured and 0 <= node16 <= self._RESTORE_FLOOR16:
+            # At or below the manufacture floor of every threshold: no
+            # cell recovers, and the image is one more owed draw.
             retained = 0
-            self._cells = _pack(fresh)
-        elif node16 > high:
-            # Above every threshold: every cell recovers.
-            retained = self._n_bits
+            self._power_up_image()
         else:
-            mask = ENGINE.restore_mask(node_v, self._restore_threshold)
-            kept = ENGINE.select(mask, _unpack(self._cells), fresh)
-            self._cells = _pack(kept)
-            retained = int(np.count_nonzero(mask))
+            self.materialize()
+            fresh = self._sample_powerup()
+            low, high = self._restore_extent
+            if 0 <= node16 <= low:
+                # At or below every threshold: no cell recovers.
+                retained = 0
+                self._cells = _pack(fresh)
+            elif node16 > high:
+                # Above every threshold: every cell recovers.
+                retained = self._n_bits
+            else:
+                mask = ENGINE.restore_mask(node_v, self._restore_threshold)
+                kept = ENGINE.select(mask, _unpack(self._cells), fresh)
+                self._cells = _pack(kept)
+                retained = int(np.count_nonzero(mask))
         self._mutations += 1
         self._powered = True
         self._supply_v = self.params.nominal_v if voltage is None else voltage
@@ -466,6 +486,8 @@ class SramArray(ManufacturedArray):
         start, count = self._bit_range(start, count)
         lo, hi = start // 8, (start + count + 7) // 8
         skip = start - 8 * lo
+        if self._cells is None:
+            self.materialize()
         return _unpack(self._cells[lo:hi])[skip : skip + count]
 
     def write_bits(self, start: int, values: np.ndarray) -> None:
@@ -474,6 +496,8 @@ class SramArray(ManufacturedArray):
         values = np.asarray(values, dtype=np.uint8) & 1
         start, count = self._bit_range(start, len(values))
         lo, hi = start // 8, (start + count + 7) // 8
+        if self._cells is None:
+            self.materialize()
         bits = _unpack(self._cells[lo:hi])
         bits[start - 8 * lo : start - 8 * lo + count] = values
         self._cells[lo:hi] = _pack(bits)
@@ -485,6 +509,8 @@ class SramArray(ManufacturedArray):
         if count is None:
             count = self.n_bytes - offset
         self._bit_range(offset * 8, count * 8)
+        if self._cells is None:
+            self.materialize()
         return self._cells[offset : offset + count].tobytes()
 
     def write_bytes(self, offset: int, data: bytes) -> None:
@@ -492,7 +518,12 @@ class SramArray(ManufacturedArray):
         self._require_powered("write")
         raw = np.frombuffer(bytes(data), dtype=np.uint8)
         self._bit_range(offset * 8, len(raw) * 8)
-        self._cells[offset : offset + len(raw)] = raw
+        if self._cells is None and len(raw) == self.n_bytes:
+            self._cells = raw.copy()  # replaces the pending image whole
+        else:
+            if self._cells is None:
+                self.materialize()
+            self._cells[offset : offset + len(raw)] = raw
         self._mutations += 1
 
     def fill_bytes(self, value: int) -> None:
@@ -504,23 +535,84 @@ class SramArray(ManufacturedArray):
         return self.read_bits()
 
     # ------------------------------------------------------------------
-    # Internals
+    # Deferred manufacture
     # ------------------------------------------------------------------
 
-    def _gaussian_extent(
-        self, mean: float, sigma: float, floor: float
-    ) -> tuple[dict, tuple[np.float16, np.float16]]:
-        """Advance the stream past one Gaussian field, keeping only the
-        state it started from and the field's ``(min, max)``."""
-        state = self._rng.bit_generator.state
-        extent = ENGINE.gaussian_extent(
-            self._rng, self._n_bits, mean, sigma, floor
+    def materialize(self) -> None:
+        """Take every draw the array owes its stream, in order.
+
+        Manufacture first: the DRV and restore-threshold fields (their
+        extents and the restore field's start state are kept, the
+        fields themselves are not) and the wake field.  Then the
+        power-up draws taken since, skipped without sampling, but the
+        last one becomes the image if the image is still pending.  The
+        stream, the fields and the image are then exactly those of an
+        array that drew each one when it was asked for.  Does nothing
+        once the array is materialized.
+
+        Raises
+        ------
+        CircuitError
+            If some cell's DRV exceeds the cap the draw-free collapse
+            bound assumed (:attr:`DRV_CAP_Z`).
+        """
+        if self._manufactured:
+            return
+        params = self.params
+        self._drv_extent = ENGINE.gaussian_extent(
+            self._rng,
+            self._n_bits,
+            params.drv_mean_v,
+            params.drv_sigma_v,
+            self.DRV_FLOOR_V,
         )
-        return state, extent
+        if self._drv_extent[1] > self._drv_cap:
+            raise CircuitError(
+                f"{self.name}: a DRV of {self._drv_extent[1]} V exceeds "
+                f"the {self._drv_cap} V cap"
+            )
+        self._restore_state = self._rng.bit_generator.state
+        self._restore_extent = ENGINE.gaussian_extent(
+            self._rng,
+            self._n_bits,
+            params.restore_mean_v,
+            params.restore_sigma_v,
+            self.RESTORE_FLOOR_V,
+        )
+        # Per-cell wake probability: the chance a cell powers up as 1.
+        # Strongly-skewed cells sit near 0 or 1 (the stable PUF bits);
+        # metastable cells sit near 0.5 and flip coin-like on every
+        # power-up.  Aging (NBTI imprinting) later shifts these values
+        # toward whatever the cell spent its life holding (paper §9.2).
+        self._wake_p = read_only(ENGINE.wake_field(
+            self._rng,
+            self._n_bits,
+            params.noisy_fraction,
+            self.WAKE_SKEW_EPSILON,
+        ))
+        pending = self._cells is None
+        ENGINE.skip_powerups(self._rng, self._n_bits, self._powerups - pending)
+        if pending:
+            self._cells = _pack(self._sample_powerup())
+        self._manufactured = True
+
+    def _power_up_image(self) -> None:
+        """Replace the whole image with one power-up draw, which stays
+        owed (the image pending) until the array is materialized."""
+        if self._manufactured:
+            self._cells = _pack(self._sample_powerup())
+        else:
+            self._powerups += 1
+            self._cells = None
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
 
     @cached_property
     def _drv(self) -> np.ndarray:
         """The ``float16`` DRV field, replayed from its saved state."""
+        self.materialize()
         return read_only(ENGINE.gaussian_field(
             from_state(self._drv_state),
             self._n_bits,
@@ -532,6 +624,7 @@ class SramArray(ManufacturedArray):
     @cached_property
     def _restore_threshold(self) -> np.ndarray:
         """The ``float16`` restore-threshold field, replayed likewise."""
+        self.materialize()
         return read_only(ENGINE.gaussian_field(
             from_state(self._restore_state),
             self._n_bits,
@@ -545,6 +638,9 @@ class SramArray(ManufacturedArray):
 
     def _collapse_below(self, voltage: float) -> int:
         supply = np.float16(voltage)
+        if not self._manufactured and supply >= self._drv_cap:
+            return 0  # at or above the cap on every DRV: none collapses
+        self.materialize()
         low, high = self._drv_extent
         if supply >= high:
             return 0  # at or above every DRV: no cell collapses

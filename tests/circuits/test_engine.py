@@ -166,6 +166,25 @@ class TestChunkedSampling:
         )
         assert r1.bit_generator.state == r2.bit_generator.state
 
+    @pytest.mark.parametrize("epsilon", [0.005, 0.0])
+    def test_chunked_powerup_equals_the_oracle(self, epsilon):
+        """Across chunk borders, on bit patterns (normal wake values)
+        and on floats (``epsilon = 0`` puts zeros in the field)."""
+        n = 2 * CHUNK + 3
+        wake = VECTOR.wake_field(generator(6, "chunk-w"), n, 0.2, epsilon)
+        r1, r2 = pair("chunk-pw", str(epsilon))
+        assert_same(VECTOR.powerup(r1, wake), SCALAR.powerup(r2, wake))
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_skip_powerups_takes_the_powerup_draws(self, count):
+        n = CHUNK + 3
+        r1, r2 = pair("skip", str(count))
+        VECTOR.skip_powerups(r1, n, count)
+        for _ in range(count):
+            VECTOR.powerup(r2, np.full(n, 0.5, dtype=np.float16))
+        assert r1.bit_generator.state == r2.bit_generator.state
+
     def test_chunked_charge_decay_equals_the_oracle(self):
         n = 2 * CHUNK + 3
         scale = VECTOR.lognormal_field(generator(5, "chunk-s"), n, 0.4)
@@ -271,6 +290,29 @@ class TestKernelEdgeCases:
         VECTOR.select(mask, a, b)
         for kept, now in zip(before, (mask, a, b)):
             assert np.array_equal(kept, now)
+
+    def test_powerup_widens_every_normal_pattern_exactly(self):
+        """The bit-pattern compare's premise: each normal, positive
+        ``float16`` widens to ``(h << 13) + 0x38000000``."""
+        patterns = np.arange(0x0400, 0x7C00, dtype=np.uint16)
+        widened = (patterns.astype(np.uint32) << 13) + np.uint32(0x38000000)
+        assert np.array_equal(
+            widened.view(np.float32),
+            patterns.view(np.float16).astype(np.float32),
+        )
+
+    @pytest.mark.parametrize(
+        "extra", [None, 0.0, -0.0, 3e-5, 1.0, 65504.0, np.inf, -0.5, np.nan]
+    )
+    def test_powerup_on_every_normal_probability(self, extra):
+        """Every normal probability in ``(0, 1]`` (the bit-pattern
+        path), and with one zero, subnormal, infinite, negative or NaN
+        cell added (the float compare)."""
+        wake = np.arange(0x0400, 0x3C01, dtype=np.uint16).view(np.float16)
+        if extra is not None:
+            wake = np.append(wake, np.float16(extra))
+        r1, r2 = pair("pw-normal", str(extra))
+        assert_same(VECTOR.powerup(r1, wake), SCALAR.powerup(r2, wake))
 
     def test_powerup_is_uint8_bits(self):
         wake = np.array([0.0, 1.0, 0.5, 0.005, 0.995] * 40, dtype=np.float16)

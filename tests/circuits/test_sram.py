@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.engine.vector import CHUNK
 from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import CalibrationError, CircuitError
 from repro.units import celsius_to_kelvin
@@ -375,6 +376,7 @@ def _volts(array, spec):
     if isinstance(spec, float):
         return spec
     extent, end, ulps = spec
+    array.materialize()
     value = getattr(array, extent)[end]
     toward = np.float16(np.inf if ulps > 0 else 0.0)
     for _ in range(abs(ulps)):
@@ -452,4 +454,261 @@ class TestFieldsOnFirstNeed:
         volts = tuple(_volts(reference, spec) for spec in specs)
         assert self._outcome(seed, volts, off_s, False) == self._outcome(
             seed, volts, off_s, True
+        )
+
+
+#: A voltage for the deferred-manufacture differential: a plain value,
+#: or ``(bound, ulps)`` — the DRV cap or the restore floor, nudged by
+#: ``ulps`` ``float16`` steps.
+BOUND_VOLTS = st.one_of(
+    st.floats(min_value=1e-3, max_value=0.9),
+    st.tuples(
+        st.sampled_from(["cap", "floor"]),
+        st.integers(min_value=-1, max_value=1),
+    ),
+)
+
+#: One operation on an array of :data:`OPS_BITS` cells.
+OPS_BITS = 8 * 64
+OP = st.one_of(
+    st.tuples(st.just("power_up"), BOUND_VOLTS),
+    st.tuples(st.just("power_down")),
+    st.tuples(st.just("elapse"), st.sampled_from([1e-9, 1e-6, 1e-4, 1e-2])),
+    st.tuples(st.just("restore"), BOUND_VOLTS),
+    st.tuples(st.just("supply"), BOUND_VOLTS),
+    st.tuples(st.just("transient"), BOUND_VOLTS),
+    st.tuples(st.just("fill"), st.integers(min_value=0, max_value=255)),
+    st.tuples(st.just("write_all"), st.integers(min_value=0, max_value=2**16)),
+    st.tuples(
+        st.just("write_bytes"),
+        st.integers(min_value=0, max_value=OPS_BITS // 8),
+        st.binary(min_size=1, max_size=8),
+    ),
+    st.tuples(
+        st.just("write_bits"),
+        st.integers(min_value=0, max_value=OPS_BITS),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
+    ),
+    st.tuples(st.just("read_bytes")),
+    st.tuples(
+        st.just("read_bits"),
+        st.integers(min_value=0, max_value=OPS_BITS - 1),
+        st.integers(min_value=1, max_value=16),
+    ),
+)
+
+
+def _bound_volts(array, spec):
+    if isinstance(spec, float):
+        return spec
+    bound, ulps = spec
+    value = array._drv_cap if bound == "cap" else array._RESTORE_FLOOR16
+    toward = np.float16(np.inf if ulps > 0 else 0.0)
+    for _ in range(abs(ulps)):
+        value = np.nextafter(value, toward)
+    return float(value)
+
+
+def _apply(array, op, args):
+    """Run one :data:`OP` on ``array``; returns what the call returns."""
+    if op == "power_up":
+        return array.power_up(_bound_volts(array, args[0]))
+    if op == "power_down":
+        return array.power_down()
+    if op == "elapse":
+        return array.elapse_unpowered(args[0], 300.0)
+    if op in ("restore", "supply", "transient"):
+        method = {
+            "restore": array.restore_power,
+            "supply": array.set_supply_voltage,
+            "transient": array.apply_voltage_transient,
+        }[op]
+        return method(_bound_volts(array, args[0]))
+    if op == "fill":
+        return array.fill_bytes(args[0])
+    if op == "write_all":
+        payload = np.random.default_rng(args[0]).bytes(array.n_bytes)
+        return array.write_bytes(0, payload)
+    if op == "write_bytes":
+        offset, payload = args
+        return array.write_bytes(min(offset, array.n_bytes - len(payload)), payload)
+    if op == "write_bits":
+        start, bits = args
+        start = min(start, array.n_bits - len(bits))
+        return array.write_bits(start, np.array(bits, dtype=np.uint8))
+    if op == "read_bytes":
+        return array.read_bytes()
+    start, count = args
+    return array.read_bits(start, min(count, array.n_bits - start)).tobytes()
+
+
+class TestDeferredManufacture:
+    """A lazy array gives the results, images and stream of one that
+    took every draw when it was asked for."""
+
+    @staticmethod
+    def _outcome(seed, ops, lazy):
+        array = SramArray(OPS_BITS, rng=np.random.default_rng(seed))
+        if not lazy:
+            array.materialize()
+        log = []
+        for op, *args in ops:
+            try:
+                result = _apply(array, op, args)
+            except CircuitError as error:
+                result = ("error", str(error))
+            log.append((op, result, array.mutations))
+        array.materialize()
+        return log, array._cells.tobytes(), array._rng.bit_generator.state
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        ops=st.lists(OP, max_size=14),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lazy_array_matches_one_materialized_at_once(self, seed, ops):
+        assert self._outcome(seed, ops, True) == self._outcome(seed, ops, False)
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_restore_at_the_floor_draws_nothing(self, ulps):
+        """A node voltage at or below the restore floor loses every cell
+        without a draw; one ulp above it needs the field."""
+        ops = [("power_up", ("floor", ulps)), ("power_down",), ("restore", 0.8)]
+        array = SramArray(OPS_BITS, rng=np.random.default_rng(5))
+        for op, *args in ops:
+            _apply(array, op, args)
+        assert array._manufactured == (ulps > 0)
+        assert self._outcome(5, ops, True) == self._outcome(5, ops, False)
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_supply_at_the_cap_draws_nothing(self, ulps):
+        """A supply at or above the DRV cap collapses no cell without a
+        draw; one ulp below it needs the field."""
+        ops = [("power_up", 0.8), ("fill", 0xA5), ("supply", ("cap", ulps))]
+        array = SramArray(OPS_BITS, rng=np.random.default_rng(6))
+        for op, *args in ops:
+            _apply(array, op, args)
+        assert array._manufactured == (ulps < 0)
+        assert self._outcome(6, ops, True) == self._outcome(6, ops, False)
+
+    def test_owed_power_ups_across_chunks(self):
+        """Several owed power-ups of an array larger than a chunk are
+        skipped to the same stream position, the last one read."""
+        ops = [("power_up", 0.8)] + [
+            ("power_down",), ("elapse", 1e-2), ("restore", 0.8)
+        ] * 3 + [("read_bytes",)]
+        n_bits = 8 * (CHUNK // 8 + 5)
+
+        def outcome(lazy):
+            array = SramArray(n_bits, rng=np.random.default_rng(9))
+            if not lazy:
+                array.materialize()
+            results = [_apply(array, op, args) for op, *args in ops]
+            return results, array._rng.bit_generator.state
+
+        assert outcome(True) == outcome(False)
+
+    def test_full_write_makes_a_pending_image_concrete(self):
+        array = fresh_array()
+        array.fill_bytes(0x3C)
+        assert not array._manufactured
+        assert array.read_bytes() == b"\x3c" * array.n_bytes
+        assert not array._manufactured
+
+    @pytest.mark.parametrize(
+        "force",
+        [
+            lambda a: a.read_bytes(0, 1),
+            lambda a: a.write_bytes(1, b"\x00"),
+            lambda a: a.age(1.0),
+            lambda a: a.drv_percentile(50),
+            lambda a: a.wake_probabilities(),
+            lambda a: a.set_supply_voltage(0.3),
+        ],
+    )
+    def test_what_forces_materialization(self, force):
+        array = fresh_array()
+        assert not array._manufactured
+        force(array)
+        assert array._manufactured
+
+    def test_manufacture_above_the_cap_raises(self):
+        array = SramArray(64, rng=np.random.default_rng(1))
+        array._drv_cap = np.float16(0.0)
+        with pytest.raises(CircuitError):
+            array.materialize()
+
+
+def _untemper(word: int) -> int:
+    """The MT19937 key word whose tempered output is ``word``."""
+    y = word ^ (word >> 18)
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+def _emitting(words: list[int]) -> np.random.Generator:
+    """A generator whose MT19937 emits ``words`` next (then
+    ``0xFFFFFFFF`` up to the end of its key)."""
+    bit_generator = np.random.MT19937(0)
+    state = bit_generator.state
+    key = np.full(624, _untemper(0xFFFFFFFF), dtype=np.uint32)
+    key[: len(words)] = [_untemper(word) for word in words]
+    state["state"] = {"key": key, "pos": 0}
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+#: numpy's ziggurat tail start ``r`` and the largest ``|Z|`` its
+#: ``float32`` sampler can return: ``r + 24 ln 2 / r``, reached when
+#: both tail uniforms are ``1 - 2**-24`` (``next_float`` has 24 bits).
+ZIGGURAT_R = 3.6541528853610088
+Z_EXTREME = ZIGGURAT_R + 24 * np.log(2) / ZIGGURAT_R
+
+
+class TestDrvCap:
+    def test_the_emitted_words_are_the_generator_output(self):
+        words = [0x12345678, 0xFFFFFE00, 0]
+        raw = _emitting(words).bit_generator.random_raw(3)
+        assert raw.tolist() == words
+
+    @pytest.mark.parametrize("word", [0xFFFFFE00, 0xFFFDFE00])
+    def test_cap_bounds_numpys_largest_float32_normal(self, word):
+        """Strip 0 with a tail-sized mantissa (each sign), then both
+        tail uniforms at their maximum: the extreme ``Z``."""
+        z = _emitting([word, 0xFFFFFFFF, 0xFFFFFFFF]).standard_normal(
+            dtype=np.float32
+        )
+        assert abs(float(z)) == pytest.approx(Z_EXTREME, rel=1e-6)
+        assert abs(float(z)) <= SramArray.DRV_CAP_Z
+
+    @given(
+        word=st.integers(min_value=0, max_value=2**32 - 1),
+        u1=st.integers(min_value=0, max_value=2**32 - 1),
+        u2=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_strip_zero_draw_exceeds_the_extreme(self, word, u1, u2):
+        z = _emitting([word & ~0xFF, u1, u2]).standard_normal(dtype=np.float32)
+        assert abs(float(z)) <= np.float32(Z_EXTREME) * (1 + 1e-6)
+
+    def test_cap_bounds_the_field_at_the_extreme(self):
+        array = SramArray(64)
+        z = np.array([Z_EXTREME], dtype=np.float32)
+        params = array.params
+        field = (
+            np.maximum(
+                z * np.float32(params.drv_sigma_v) + np.float32(params.drv_mean_v),
+                np.float32(array.DRV_FLOOR_V),
+            ).astype(np.float16)
+        )
+        assert field[0] <= array._drv_cap
+        assert float(array._drv_cap) == pytest.approx(
+            params.drv_mean_v + array.DRV_CAP_Z * params.drv_sigma_v, abs=1e-3
         )

@@ -73,7 +73,12 @@ def _parts(board) -> list[tuple[str, object]]:
 
 
 def _stored(part: SramArray | DramArray) -> np.ndarray:
-    """The stored image: packed SRAM cells, or DRAM's one byte per bit."""
+    """The stored image: packed SRAM cells, or DRAM's one byte per bit.
+
+    A lazy SRAM array is materialized first, so its image and stream
+    compare with those of an array that took its draws already.
+    """
+    part.materialize()
     return part._cells if isinstance(part, SramArray) else part._bits
 
 
@@ -155,6 +160,10 @@ class TestCloneEqualsFreshBuild:
     def test_every_device_round_trips(self, key):
         board = build_device(key, seed=SEED)
         clone = _clone(board)
+        assert all(
+            part._manufactured for part in _arrays(clone)
+            if isinstance(part, SramArray)
+        )
         assert type(clone) is type(board)
         assert _state(clone) == _state(board)
         assert _shared_array_ids(board, clone) == _manufactured_ids(board)
@@ -210,6 +219,7 @@ class TestManufactureFieldsAreReadOnly:
     @pytest.mark.parametrize("array_type", [SramArray, DramArray])
     def test_in_place_write_raises(self, array_type):
         array = array_type(64)
+        array.materialize()
         for name in array.MANUFACTURED:
             with pytest.raises(ValueError):
                 getattr(array, name)[0] = 0
@@ -251,6 +261,34 @@ class TestFieldsBuiltOnFirstNeed:
         assert copied and len(copied) == len(built)
         for field, copy in zip(built, copied):
             assert vars(copy)[name] is field
+
+
+class TestLazyArrays:
+    """A snapshot materializes a lazy array, so restored copies share
+    its fields and equal a fresh build."""
+
+    @staticmethod
+    def _lazy(seed: int) -> SramArray:
+        """An array owing its manufacture and three power-up draws,
+        the image pending."""
+        array = SramArray(8 * 4096, rng=np.random.default_rng(seed))
+        array.power_up()
+        for _ in range(2):
+            array.power_down()
+            array.elapse_unpowered(1e-2)
+            array.restore_power()
+        return array
+
+    def test_snapshot_of_a_lazy_array_equals_a_fresh_build(self):
+        array = self._lazy(3)
+        assert not array._manufactured and array._cells is None
+        snapshot = Snapshot(array)
+        assert array._manufactured
+        first, second = snapshot.restore(), snapshot.restore()
+        fresh = self._lazy(3)
+        assert _state(first) == _state(fresh)
+        assert first._wake_p is array._wake_p
+        assert second._wake_p is array._wake_p
 
 
 class TestBootedBoard:

@@ -35,9 +35,9 @@ class TestTable1:
         report = table1.report(rows)
         assert "Table 1" in report.render()
 
-    def test_cold_boot_builds_no_drv_or_restore_field(self, monkeypatch):
-        """Every voltage a Pi 4 cold boot applies lies outside the DRV
-        and restore-threshold extents, so no array replays a field."""
+    @pytest.fixture
+    def cold_boot_arrays(self, monkeypatch):
+        """Every SRAM array one Pi 4 cold-boot soak builds, after it."""
         built = []
         manufacture = SramArray.__init__
 
@@ -48,9 +48,26 @@ class TestTable1:
         monkeypatch.setattr(SramArray, "__init__", record)
         table1._temperature_point(900, 0, table1.TABLE1_TEMPERATURES_C[0])
         assert len(built) == 61
-        for array in built:
+        return built
+
+    def test_cold_boot_builds_no_drv_or_restore_field(self, cold_boot_arrays):
+        """Every voltage a Pi 4 cold boot applies lies outside the DRV
+        and restore-threshold extents, so no array replays a field."""
+        for array in cold_boot_arrays:
             assert "_drv" not in vars(array), array.name
             assert "_restore_threshold" not in vars(array), array.name
+
+    def test_cold_boot_never_materializes_the_l2_data_ways(
+        self, cold_boot_arrays
+    ):
+        """The VideoCore clobbers the shared L2 at every boot and no
+        result reads it (paper §6.2), so no L2 data way draws its
+        fields or a power-up image."""
+        ways = [a for a in cold_boot_arrays if ".l2.data." in a.name]
+        assert len(ways) == 16
+        for array in ways:
+            assert not array._manufactured, array.name
+            assert "_wake_p" not in vars(array), array.name
 
 
 class TestFigure3:
