@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import CalibrationError, CircuitError
 from ..obs import OBS
-from ..obs.timing import observe_rate, wall_clock
 from ..rng import from_entropy
 from ..units import ROOM_TEMPERATURE_K, milliseconds
 from .engine import ENGINE
@@ -169,10 +168,6 @@ class DramArray(ManufacturedArray):
         """
         if self._powered:
             raise CircuitError(f"{self.name}: already powered")
-        # Profiling hook: cells/s through the bulk decay kernel.  The
-        # "perf." gauge is stripped from manifest fingerprints; the
-        # disabled path reads no clock.
-        start = wall_clock() if OBS.enabled else 0.0
         retained = ENGINE.charge_mask(self._level)
         ground = self._ground_state()
         self._bits = ENGINE.select(retained, self._bits, ground)
@@ -182,10 +177,6 @@ class DramArray(ManufacturedArray):
         self._powered = True
         fraction = float(np.mean(retained))
         if OBS.enabled:
-            observe_rate(
-                "dram.decay", self._n_bits, wall_clock() - start,
-                array=self.name,
-            )
             OBS.histogram_record(
                 "dram.retained_fraction", fraction, array=self.name
             )

@@ -38,7 +38,6 @@ import numpy as np
 
 from ..errors import CalibrationError, CircuitError
 from ..obs import OBS
-from ..obs.timing import observe_rate, wall_clock
 from ..rng import from_entropy, from_state
 from ..units import ROOM_TEMPERATURE_K, millivolts
 from .engine import ENGINE
@@ -393,10 +392,6 @@ class SramArray(ManufacturedArray):
         if self._powered:
             raise CircuitError(f"{self.name}: already powered")
         self._require_voltage(voltage)
-        # Profiling hook: cells/s through the bulk decay kernel.  The
-        # "perf." gauge is stripped from manifest fingerprints; the
-        # disabled path reads no clock.
-        start = wall_clock() if OBS.enabled else 0.0
         node_v = self._off_supply_v * self._unpowered_fraction
         node16 = np.float16(node_v)
         if not self._manufactured and 0 <= node16 <= self._RESTORE_FLOOR16:
@@ -429,10 +424,6 @@ class SramArray(ManufacturedArray):
         self._collapse_below(self._supply_v)
         fraction = retained / self._n_bits
         if OBS.enabled:
-            observe_rate(
-                "sram.decay", self._n_bits, wall_clock() - start,
-                array=self.name,
-            )
             OBS.histogram_record(
                 "sram.retained_fraction", fraction, array=self.name
             )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AttackError
-from ..obs import OBS, RunManifest, SectionTimer
+from ..obs import OBS, RunManifest
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from .extraction import CacheImages, attacker_context, extract_l1_images
@@ -60,17 +60,14 @@ class ColdBootAttack:
 
     def execute(self, extract_caches: bool = True) -> ColdBootResult:
         """Chill, power cycle, reboot, and (optionally) dump the L1s."""
-        timer = SectionTimer()
         with OBS.span(
             "attack.coldboot",
             device=self.board.name,
             temperature_c=self.temperature_c,
-        ):
-            with timer.section("chill"), OBS.span(
-                "attack.chill", temperature_c=self.temperature_c
-            ):
+        ) as root:
+            with OBS.span("attack.chill", temperature_c=self.temperature_c):
                 self.board.set_temperature_c(self.temperature_c)
-            with timer.section("power-cycle"), OBS.span(
+            with OBS.span(
                 "attack.power-cycle", off_time_s=self.off_time_s
             ) as cycle_span:
                 self.board.unplug()
@@ -85,15 +82,13 @@ class ColdBootAttack:
                 off_time_s=self.off_time_s,
                 retained_fractions=retained,
             )
-            with timer.section("reboot"), OBS.span(
+            with OBS.span(
                 "attack.reboot",
                 media=self.boot_media.name if self.boot_media else "internal ROM",
             ):
                 self.board.boot(self.boot_media)
             if extract_caches:
-                with timer.section("extract"), OBS.span(
-                    "attack.extract", target="l1-caches"
-                ):
+                with OBS.span("attack.extract", target="l1-caches"):
                     result.cache_images = extract_l1_images(
                         self.board, attacker_context(self.board)
                     )
@@ -116,7 +111,7 @@ class ColdBootAttack:
                             self.boot_media.name if self.boot_media else None
                         ),
                     },
-                    phases=timer.phases(),
+                    phases=root.phases("attack."),
                     headline={
                         "mean_retained_fraction_by_domain": mean_retained
                     },

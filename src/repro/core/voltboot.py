@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..circuits.supply import BenchSupply
 from ..errors import AttackError
-from ..obs import OBS, RunManifest, SectionTimer
+from ..obs import OBS, RunManifest
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..soc.jtag import JtagProbe
@@ -184,20 +184,14 @@ class VoltBootAttack:
 
     def execute(self) -> VoltBootResult:
         """Run all four steps and return the extraction result."""
-        timer = SectionTimer()
         with OBS.span(
             "attack.voltboot", device=self.board.name, target=self.target
-        ):
-            with timer.section("identify"):
-                self.identify()
-            with timer.section("attach"):
-                self.attach()
-            with timer.section("power-cycle"):
-                self._surge_losses = self.power_cycle()
-            with timer.section("reboot"):
-                self.reboot()
-            with timer.section("extract"):
-                result = self.extract()
+        ) as root:
+            self.identify()
+            self.attach()
+            self._surge_losses = self.power_cycle()
+            self.reboot()
+            result = self.extract()
         if OBS.enabled:
             OBS.record_manifest(
                 RunManifest(
@@ -212,7 +206,7 @@ class VoltBootAttack:
                             self.boot_media.name if self.boot_media else None
                         ),
                     },
-                    phases=timer.phases(),
+                    phases=root.phases("attack."),
                     headline={
                         "surge_clean": result.surge_clean,
                         "cells_lost_in_surge": result.cells_lost_in_surge,

@@ -57,7 +57,7 @@ from ..errors import (
     failure_class,
 )
 from ..obs import OBS
-from ..obs.timing import observe_rate, wall_clock
+from ..obs.timing import wall_clock
 from . import runtime, supervise
 from .journal import CheckpointJournal, UnitRecord, plan_fingerprint
 from .plan import ShardPlan, WorkUnit
@@ -169,65 +169,56 @@ def execute(
         if observed:
             OBS.counter_inc("exec.units", len(plan))
             OBS.gauge_set("exec.jobs", jobs)
-        # Profiling hook: the engine's end-to-end dispatch throughput
-        # (units/s).  Lands under the "perf." prefix, which manifest
-        # fingerprints strip, so jobs-equivalence is untouched.  The
-        # disabled path reads no clock for it.
-        start = wall_clock() if observed else 0.0
+        bank = _Bank.open(plan)
+        capture = observed or bank.journal is not None
+        remaining = [u for u in plan.units if u.index not in bank.records]
         try:
-            bank = _Bank.open(plan)
-            capture = observed or bank.journal is not None
-            remaining = [u for u in plan.units if u.index not in bank.records]
-            try:
-                failed = None
-                if jobs > 1 and len(remaining) > 1:
-                    size = plan.chunk_size(jobs, chunk_size)
-                    chunks = [
-                        tuple(remaining[at : at + size])
-                        for at in range(0, len(remaining), size)
-                    ]
-                    tasks = [
-                        _ShardTask(i, chunk, capture)
-                        for i, chunk in enumerate(chunks)
-                    ]
-                    try:
-                        failed = supervise.run_supervised(
-                            tasks,
-                            jobs=min(jobs, len(tasks)),
-                            timeout_s=timeout_s,
-                            policy=supervision,
-                            worker_fn=_shard_worker,
-                            on_outcome=lambda outcome: bank.land(
-                                tasks[outcome.shard_index],
-                                outcome.records,
-                                outcome.wall_s,
-                            ),
-                        )
-                    except PoolUnavailable as error:
-                        # No pool at all: everything runs in-process.
-                        # The downgrade is not a shard failure, so it
-                        # charges no retry budget.
-                        _note_fallback(error)
-                if failed is None:
-                    for position, unit in enumerate(remaining):
-                        task = _ShardTask(position, (unit,), capture)
-                        _settle(bank, task, retries, supervision)
-                else:
-                    _note_failures(failed, timeout_s)
-                    for task, cause in failed:
-                        _settle(bank, task, retries, supervision, 1, cause)
-            except (KeyboardInterrupt, SimulatedFailure) as error:
-                if bank.journal is None:
-                    raise
-                raise CampaignInterrupted(
-                    bank.journal.path, len(bank.records), len(plan)
-                ) from error
-            finally:
-                bank.close()
-            return bank.merge(plan)
+            failed = None
+            if jobs > 1 and len(remaining) > 1:
+                size = plan.chunk_size(jobs, chunk_size)
+                chunks = [
+                    tuple(remaining[at : at + size])
+                    for at in range(0, len(remaining), size)
+                ]
+                tasks = [
+                    _ShardTask(i, chunk, capture)
+                    for i, chunk in enumerate(chunks)
+                ]
+                try:
+                    failed = supervise.run_supervised(
+                        tasks,
+                        jobs=min(jobs, len(tasks)),
+                        timeout_s=timeout_s,
+                        policy=supervision,
+                        worker_fn=_shard_worker,
+                        on_outcome=lambda outcome: bank.land(
+                            tasks[outcome.shard_index],
+                            outcome.records,
+                            outcome.wall_s,
+                        ),
+                    )
+                except PoolUnavailable as error:
+                    # No pool at all: everything runs in-process.
+                    # The downgrade is not a shard failure, so it
+                    # charges no retry budget.
+                    _note_fallback(error)
+            if failed is None:
+                for position, unit in enumerate(remaining):
+                    task = _ShardTask(position, (unit,), capture)
+                    _settle(bank, task, retries, supervision)
+            else:
+                _note_failures(failed, timeout_s)
+                for task, cause in failed:
+                    _settle(bank, task, retries, supervision, 1, cause)
+        except (KeyboardInterrupt, SimulatedFailure) as error:
+            if bank.journal is None:
+                raise
+            raise CampaignInterrupted(
+                bank.journal.path, len(bank.records), len(plan)
+            ) from error
         finally:
-            if observed:
-                observe_rate("exec.units", len(plan), wall_clock() - start)
+            bank.close()
+        return bank.merge(plan)
 
 
 def _settle(

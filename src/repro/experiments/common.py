@@ -18,7 +18,7 @@ from ..cpu.assembler import assemble
 from ..cpu.core import Core
 from ..cpu.programs import nop_fill, vector_fill
 from ..exec import runtime as exec_runtime
-from ..obs import OBS, RunManifest, SectionTimer
+from ..obs import OBS, RunManifest
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..soc.soc import CoreUnit
@@ -180,10 +180,8 @@ def manifested(
             bound = signature.bind_partial(*args, **kwargs)
             bound.apply_defaults()
             params = {k: _plain(v) for k, v in bound.arguments.items()}
-            timer = SectionTimer()
-            with OBS.span(f"experiment.{experiment}", device=device):
-                with timer.section("run"):
-                    result = run_fn(*args, **kwargs)
+            with OBS.span(f"experiment.{experiment}", device=device) as span:
+                result = run_fn(*args, **kwargs)
             summarise = headline or auto_headline
             seed = bound.arguments.get("seed")
             OBS.record_manifest(
@@ -193,7 +191,7 @@ def manifested(
                     seed=seed if isinstance(seed, int) else None,
                     device=device,
                     parameters=params,
-                    phases=timer.phases(),
+                    phases=[{"name": "run", "wall_s": span.wall_s}],
                     headline=_plain(summarise(result)),
                     metrics=OBS.metrics.snapshot(),
                     partial=_partial_section(),

@@ -37,7 +37,6 @@ from ..devices import glitch_rig
 from ..errors import CpuFault, GlitchError
 from ..exec import ShardPlan, WorkUnit, booted_board, shard_unit
 from ..obs import OBS
-from ..obs.timing import observe_rate, wall_clock
 from ..rng import generator
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
@@ -329,10 +328,6 @@ def run_point(
     model = default_fault_model(spec.nominal_v)
     brownout = spec.brownout(leg)
     attempts = []
-    # Profiling hook: attempts/s through one campaign point.  The
-    # "perf." gauge is stripped from manifest fingerprints, and the
-    # disabled path reads no clock.
-    start = wall_clock() if OBS.enabled else 0.0
     for repeat in range(repeats):
         rng = generator(
             seed, "glitch", leg, point_label, f"repeat{repeat}"
@@ -342,10 +337,6 @@ def run_point(
                 board, machine_code, waveform, model, rng, spec,
                 brownout, leg, source, pulse,
             )
-        )
-    if OBS.enabled:
-        observe_rate(
-            "glitch.attempts", len(attempts), wall_clock() - start, leg=leg
         )
     return attempts
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 #: Call targets (suffix-matched on the resolved dotted name) whose
 #: ``fn`` argument registers a shard-unit entry point.
@@ -63,10 +62,10 @@ _SET_METHODS = frozenset({
 #: (``phases`` is excluded: the fingerprint strips ``wall_s`` keys).
 _MANIFEST_FIELDS = ("parameters", "headline", "metrics")
 
-#: OBS metric emitters: a non-``perf.``/``exec.``-prefixed metric name
-#: makes the value a fingerprinted sink (RL009).
+#: OBS metric emitters: a non-``exec.``-prefixed metric name makes the
+#: value a fingerprinted sink (RL009).
 _METRIC_EMITTERS = frozenset({"gauge_set", "counter_inc", "histogram_record"})
-_STRIPPED_METRIC_PREFIXES = ("perf.", "exec.")
+_STRIPPED_METRIC_PREFIXES = ("exec.",)
 
 
 @dataclass
@@ -379,7 +378,7 @@ class _FunctionWalker:
         self.is_module_body = fn.qualname == "<module>"
         self.locals: set[str] = set()
         self.globals_declared: set[str] = set()
-        #: local var -> resolved constructor dotted name ("...SectionTimer").
+        #: local var -> resolved constructor dotted name ("...Tracer").
         self.ctor_types: dict[str, str] = {}
         #: local var -> "set" | "scan" (RL008 kind tracking).
         self.iter_kinds: dict[str, str] = {}
@@ -454,7 +453,7 @@ class _FunctionWalker:
         """Resolve a dotted reference to an absolute-ish name.
 
         Locals hide module bindings; constructor-typed locals resolve
-        method calls (``timer.section`` -> ``...SectionTimer.section``);
+        method calls (``tracer.span`` -> ``...Tracer.span``);
         ``self``/``cls`` resolve into the enclosing class.
         """
         head, _, rest = dotted.partition(".")
@@ -821,28 +820,9 @@ class _FunctionWalker:
                 calls.append(resolved)
                 if is_timing_source(resolved):
                     source = True
-            elif isinstance(sub, ast.Attribute) and sub.attr == "total_s":
-                base = _dotted(sub.value)
-                if base is not None:
-                    ctor = self.ctor_types.get(base.split(".")[0], "")
-                    if ctor.endswith("SectionTimer"):
-                        source = True
         return tuple(dict.fromkeys(reads)), tuple(dict.fromkeys(calls)), source
 
 
 def is_timing_source(resolved: str) -> bool:
     """Whether a resolved call name originates wall-clock taint."""
-    return (
-        resolved.startswith(_TIMING_MODULE + ".")
-        and resolved.split(".")[-1] != "observe_rate"
-    )
-
-
-def iter_all_functions(
-    summaries: dict[str, ModuleSummary]
-) -> Iterator[tuple[str, ModuleSummary, FunctionSummary]]:
-    """Yield ``(canonical_name, module_summary, fn_summary)`` triples."""
-    for module in sorted(summaries):
-        summary = summaries[module]
-        for qualname in sorted(summary.functions):
-            yield f"{module}.{qualname}", summary, summary.functions[qualname]
+    return resolved.startswith(_TIMING_MODULE + ".")

@@ -92,7 +92,7 @@ class ObsContractRule(Rule):
                 attr in _REGISTRY_METHODS and receiver == "metrics"
             ):
                 family, known = "metric", taxonomy.is_known_metric
-                prefixes = taxonomy.METRIC_PREFIXES
+                prefixes = ()
             else:
                 continue
             name, complete = _literal_prefix(node.args[0])
@@ -112,7 +112,7 @@ class ObsContractRule(Rule):
                 yield self.finding(
                     ctx, node.args[0],
                     f"dynamic {family} name must open with a declared "
-                    f"family prefix ({', '.join(prefixes)})",
+                    f"family prefix ({', '.join(prefixes) or 'none'})",
                     hint="declare the family prefix in repro/obs/names.py",
                 )
 

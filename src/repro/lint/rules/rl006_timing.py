@@ -5,11 +5,10 @@ the narrower, sharper line for *clock reads* specifically — including
 in harness code (tools, benchmarks) where importing :mod:`time` is
 legitimate for ``time.sleep``.  A direct ``time.time()`` /
 ``time.perf_counter()`` call scatters untracked timing through the
-codebase: the profiling hooks cannot see it, the disabled-observability
-zero-overhead guarantee cannot account for it, and manifests cannot
-strip it.  Every duration measurement must come from
-:func:`repro.obs.timing.wall_clock` (or the hooks built on it), so
-there is exactly one clock to audit.
+codebase: spans cannot see it, the disabled-observability zero-overhead
+guarantee cannot account for it, and manifests cannot strip it.  Every
+duration measurement must come from :func:`repro.obs.timing.wall_clock`
+(or the spans built on it), so there is exactly one clock to audit.
 
 ``time.sleep`` stays legal — it spends time rather than reading it.
 """
@@ -40,8 +39,7 @@ _CLOCK_FNS = {
 }
 
 _HINT = (
-    "measure durations with repro.obs.timing.wall_clock (or the "
-    "observe_rate hook)"
+    "measure durations with repro.obs.timing.wall_clock (or an OBS.span)"
 )
 
 

@@ -5,17 +5,18 @@ Run-manifest fingerprints are the repo's reproducibility currency:
 fault matrix (both under ``tests/chaos``) all compare them.  The
 fingerprint survives wall-clock jitter only because the stripping
 logic in :mod:`repro.obs.manifest` removes ``phases[].wall_s`` and the
-``perf.*``/``exec.*`` metric namespaces — a *runtime* convention.  Any timing value that reaches a field the
-fingerprint keeps (``parameters``, ``headline``, ``metrics`` outside
-the stripped prefixes) silently breaks every one of those guarantees.
+``exec.*`` metric namespace — a *runtime* convention.  Any timing
+value that reaches a field the fingerprint keeps (``parameters``,
+``headline``, ``metrics`` outside the stripped prefix) silently breaks
+every one of those guarantees.
 
-This rule proves the convention statically: values originating in
-:mod:`repro.obs.timing` (``wall_clock()``, ``SectionTimer.total_s``)
-are tainted; taint propagates through local assignments and across
-function returns project-wide (:mod:`repro.lint.flow.taint`); a
-tainted value reaching a fingerprinted ``RunManifest`` kwarg, a
-``manifest.headline[...] =`` store, or an ``OBS`` metric whose name is
-not ``perf.``/``exec.``-prefixed is a finding.
+This rule proves the convention statically: values returned by calls
+into :mod:`repro.obs.timing` (``wall_clock()``) are tainted; taint
+propagates through local assignments and across function returns
+project-wide (:mod:`repro.lint.flow.taint`); a tainted value reaching a
+fingerprinted ``RunManifest`` kwarg, a ``manifest.headline[...] =``
+store, or an ``OBS`` metric whose name is not ``exec.``-prefixed is a
+finding.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..flow import taint
 from .base import FlowRule, register_flow
 
 _HINT = (
-    "emit timing through perf.*/exec.* metrics or phases[].wall_s "
+    "emit timing through exec.* metrics or phases[].wall_s "
     "(all stripped from fingerprints); fingerprinted manifest fields "
     "must stay wall-clock-free"
 )
@@ -47,7 +48,7 @@ class FingerprintPurityRule(FlowRule):
     name = "fingerprint-purity"
     description = (
         "wall-clock-derived values must not flow into fingerprinted "
-        "manifest fields or non-perf./exec. metrics"
+        "manifest fields or non-exec. metrics"
     )
 
     def check_project(self, project) -> Iterator[Finding]:

@@ -41,7 +41,6 @@ from .export import (
 )
 from .manifest import RunManifest, manifest_fingerprint
 from .metrics import MetricsRegistry
-from .timing import SectionTimer
 from .trace import NULL_SPAN, Span, Tracer
 
 if TYPE_CHECKING:
@@ -53,7 +52,6 @@ __all__ = [
     "names",
     "RunManifest",
     "MetricsRegistry",
-    "SectionTimer",
     "Tracer",
     "Span",
     "JsonlWriter",

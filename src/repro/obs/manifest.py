@@ -23,9 +23,9 @@ from .export import SCHEMA_VERSION, _jsonable, validate_manifest
 EXECUTION_PARAMETERS = ("jobs",)
 
 #: Metric-name prefixes that carry wall-clock-derived values (engine
-#: accounting and the repro.obs.timing profiling hooks).  They vary run
-#: to run and with ``--jobs``, so the fingerprint strips them.
-TIMING_METRIC_PREFIXES = ("exec.", "perf.")
+#: accounting).  They vary run to run and with ``--jobs``, so the
+#: fingerprint strips them.
+TIMING_METRIC_PREFIXES = ("exec.",)
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RunManifest:
 
     ``kind`` is ``"attack"`` or ``"experiment"``;
     ``phases`` is a list of ``{"name": ..., "wall_s": ...}`` dicts (see
-    :class:`~repro.obs.timing.SectionTimer`); ``headline`` carries the
+    :meth:`~repro.obs.trace.Span.phases`); ``headline`` carries the
     few numbers a human would quote; ``metrics`` is a registry snapshot.
 
     ``partial`` is set only when the run completed *around* quarantined
@@ -58,17 +58,8 @@ class RunManifest:
     partial: dict[str, Any] | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self, include_timings: bool = True) -> dict[str, Any]:
-        """Manifest as a schema-conformant plain dict.
-
-        With ``include_timings=False``, wall-clock fields are dropped —
-        the deterministic view used for run-to-run comparison.
-        """
-        phases = [dict(p) for p in self.phases]
-        if not include_timings:
-            phases = [
-                {k: v for k, v in p.items() if k != "wall_s"} for p in phases
-            ]
+    def to_dict(self) -> dict[str, Any]:
+        """Manifest as a schema-conformant plain dict."""
         doc = {
             "schema_version": self.schema_version,
             "kind": self.kind,
@@ -76,7 +67,7 @@ class RunManifest:
             "device": self.device,
             "seed": self.seed,
             "parameters": _jsonable(self.parameters),
-            "phases": phases,
+            "phases": [dict(p) for p in self.phases],
             "headline": _jsonable(self.headline),
             "metrics": _jsonable(self.metrics),
         }
@@ -90,10 +81,10 @@ class RunManifest:
         Two runs with identical seeds and physics must produce equal
         fingerprints; wall-clock jitter and execution topology
         (``--jobs``, see :data:`EXECUTION_PARAMETERS`) are excluded by
-        construction, alongside the ``exec.*``/``perf.*`` metrics they
-        influence (:data:`TIMING_METRIC_PREFIXES`).
+        construction, alongside the ``exec.*`` metrics they influence
+        (:data:`TIMING_METRIC_PREFIXES`).
         """
-        return manifest_fingerprint(self.to_dict(include_timings=False))
+        return manifest_fingerprint(self.to_dict())
 
     def validate(self) -> "RunManifest":
         """Schema-check the manifest; returns self for chaining."""
@@ -107,8 +98,7 @@ def manifest_fingerprint(doc: dict[str, Any]) -> str:
     Applies the same normalisation as :meth:`RunManifest.fingerprint`
     — wall-clock timings, :data:`EXECUTION_PARAMETERS`, and the
     wall-clock-derived :data:`TIMING_METRIC_PREFIXES` metrics
-    (``exec.*`` engine accounting plus the ``perf.*`` profiling hooks)
-    are stripped before hashing — so a manifest hashed from a JSON
+    (``exec.*`` engine accounting) are stripped before hashing — so a manifest hashed from a JSON
     document compares equal to one hashed in-process.  The CLI kill -9
     test (``tests/chaos/test_kill_resume.py``) relies on this to check
     an interrupted-then-resumed campaign against an uninterrupted

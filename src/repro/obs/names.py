@@ -135,11 +135,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
     }
 )
 
-#: Metric families named dynamically: the fingerprint-stripped
-#: profiling hooks (``perf.*`` — scoped phase timers and hot-path
-#: throughput gauges, see :mod:`repro.obs.timing`).
-METRIC_PREFIXES: tuple[str, ...] = ("perf.",)
-
 
 def _known(name: str, names: frozenset[str], prefixes: tuple[str, ...]) -> bool:
     return name in names or any(name.startswith(p) for p in prefixes)
@@ -156,5 +151,6 @@ def is_known_event(name: str) -> bool:
 
 
 def is_known_metric(name: str) -> bool:
-    """Whether ``name`` is a declared metric name or metric-family prefix."""
-    return _known(name, METRIC_NAMES, METRIC_PREFIXES)
+    """Whether ``name`` is a declared metric name (no metric family is
+    named dynamically)."""
+    return name in METRIC_NAMES

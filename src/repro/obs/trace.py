@@ -7,7 +7,9 @@ span, so a trace reader can see exactly which power-timeline activity
 happened inside, say, ``attack.power-cycle``.
 
 Spans carry both wall-clock duration (profiling) and, where the caller
-provides it, simulated time (physics).  Records stream to a JSONL sink
+provides it, simulated time (physics).  A span keeps the spans that
+closed inside it, so a pipeline builds its manifest phases from its
+root span's children instead of timing each step a second time.  Records stream to a JSONL sink
 as they close, so a crashed run still leaves a usable trace prefix.
 """
 
@@ -28,13 +30,15 @@ class TraceSink(Protocol):
 
 @dataclass
 class Span:
-    """One traced step: a named interval with attributes and child events."""
+    """One traced step: a named interval with attributes, child events,
+    and the child spans that closed inside it."""
 
     name: str
     attributes: dict[str, Any] = field(default_factory=dict)
     events: list[dict[str, Any]] = field(default_factory=list)
     status: str = "ok"
     wall_s: float = 0.0
+    children: list["Span"] = field(default_factory=list)
 
     def set_attribute(self, key: str, value: Any) -> None:
         """Attach or overwrite one attribute."""
@@ -47,6 +51,17 @@ class Span:
     def add_event(self, name: str, **attributes: Any) -> None:
         """Attach a point-in-time child event to this span."""
         self.events.append({"name": name, **attributes})
+
+    def phases(self, prefix: str) -> list[dict[str, Any]]:
+        """The closed children as manifest phases, in closing order.
+
+        Each phase is the child's name with ``prefix`` removed and the
+        child's wall time, so a pipeline's step spans are its only clock.
+        """
+        return [
+            {"name": child.name.removeprefix(prefix), "wall_s": child.wall_s}
+            for child in self.children
+        ]
 
     def to_record(self) -> dict[str, Any]:
         """The JSONL representation of the finished span."""
@@ -111,6 +126,8 @@ class Tracer:
         finally:
             span.wall_s = wall_clock() - start
             self._stack.pop()
+            if self._stack:
+                self._stack[-1].children.append(span)
             self.finished.append(span)
             if self.sink is not None:
                 self.sink.write(span.to_record())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.circuits.supply import BenchSupply
 from repro.core.coldboot import ColdBootAttack
 from repro.core.extraction import (
@@ -125,6 +126,40 @@ class TestColdBootPipeline:
             extract_caches=False
         )
         assert board.temperature_c == -110.0
+
+
+class TestManifestPhases:
+    """Each phase is one ``attack.<step>`` span: same name, same clock."""
+
+    @staticmethod
+    def _phases_and_spans(attack):
+        with obs.capture() as o:
+            attack.execute()
+            phases = o.last_manifest.phases
+            spans = {
+                s.name: s.wall_s
+                for s in o.tracer.finished
+                if s.name.startswith("attack.")
+            }
+        return phases, spans
+
+    def _check(self, attack, steps):
+        phases, spans = self._phases_and_spans(attack)
+        assert [p["name"] for p in phases] == steps
+        for phase in phases:
+            assert phase["wall_s"] == spans[f"attack.{phase['name']}"]
+
+    def test_voltboot_phases_are_its_step_spans(self):
+        attack = VoltBootAttack(
+            victim_pi4(seed=621), target="l1-caches", boot_media=MEDIA
+        )
+        self._check(
+            attack, ["identify", "attach", "power-cycle", "reboot", "extract"]
+        )
+
+    def test_coldboot_phases_are_its_step_spans(self):
+        attack = ColdBootAttack(victim_pi4(seed=622), boot_media=MEDIA)
+        self._check(attack, ["chill", "power-cycle", "reboot", "extract"])
 
 
 class TestSupplySizing:

@@ -1,9 +1,14 @@
-"""Tests for the experiment victim-preparation helpers."""
+"""Tests for the experiment victim-preparation helpers and the
+manifest decorator."""
+
+import pytest
 
 from repro import obs
+from repro.experiments import figure3, glitch_campaign, table1
 from repro.experiments.common import (
     VICTIM_MEDIA,
     fill_dcache,
+    manifested,
     victim_buffer_base,
     victim_code_base,
 )
@@ -102,3 +107,31 @@ class TestVictimAddresses:
         for core in range(len(board.soc.cores)):
             assert victim_buffer_base(core) % line == 0
             assert victim_code_base(core) % line == 0
+
+
+@manifested("toy")
+def _toy_run(seed: int = 1) -> dict:
+    return {"seed": seed}
+
+
+class TestManifested:
+    def test_run_phase_is_the_experiment_span(self):
+        with obs.capture() as o:
+            _toy_run(seed=7)
+            (span,) = o.tracer.spans_named("experiment.toy")
+            manifest = o.last_manifest
+        assert manifest.phases == [{"name": "run", "wall_s": span.wall_s}]
+        assert manifest.headline == {"seed": 7}
+
+    @pytest.mark.parametrize(
+        "module, metrics",
+        [(figure3, 258), (table1, 265), (glitch_campaign, 54)],
+        ids=["figure3", "table1", "glitch-campaign"],
+    )
+    def test_manifests_carry_no_perf_metrics(self, module, metrics):
+        # Pinned at seed 2022: a new metric family shows up here.
+        with obs.capture() as o:
+            module.run(seed=2022)
+            manifest = o.last_manifest
+        assert not [k for k in manifest.metrics if k.startswith("perf.")]
+        assert len(manifest.metrics) == metrics

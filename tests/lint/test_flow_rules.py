@@ -252,14 +252,14 @@ class TestFingerprintPurityRL009:
         assert found[0].path.endswith("report.py")
         assert "'headline'" in found[0].message
 
-    def test_section_timer_total_into_manifest_item_store(self, make_tree):
+    def test_wall_clock_into_manifest_item_store(self, make_tree):
         root = make_tree({
             "pkg/__init__.py": "",
             "pkg/report.py": (
-                "from repro.obs.timing import SectionTimer\n"
+                "from repro.obs.timing import wall_clock\n"
                 "def annotate(manifest):\n"
-                "    timer = SectionTimer()\n"
-                "    manifest.headline['wall'] = timer.total_s\n"
+                "    start = wall_clock()\n"
+                "    manifest.headline['wall'] = wall_clock() - start\n"
             ),
         })
         found = findings_over(root, ["RL009"])
@@ -281,8 +281,25 @@ class TestFingerprintPurityRL009:
         assert len(found) == 1
         assert "'attack.duration'" in found[0].message
 
+    def test_perf_metrics_are_no_longer_stripped(self, make_tree):
+        # The fingerprint keeps every metric outside exec.*, so a
+        # perf.-named metric carrying timing is a finding like any other.
+        root = make_tree({
+            "pkg/__init__.py": "",
+            "pkg/report.py": (
+                "from repro.obs import OBS\n"
+                "from repro.obs.timing import wall_clock\n"
+                "def emit():\n"
+                "    t0 = wall_clock()\n"
+                "    OBS.gauge_set('perf.wall_s', wall_clock() - t0)\n"
+            ),
+        })
+        found = findings_over(root, ["RL009"])
+        assert len(found) == 1
+        assert "'perf.wall_s'" in found[0].message
+
     def test_stripped_destinations_are_clean(self, make_tree):
-        # perf.*/exec.* metrics and phases[] are fingerprint-stripped at
+        # exec.* metrics and phases[] are fingerprint-stripped at
         # runtime, so timing may flow there freely; untainted values may
         # go anywhere.
         root = make_tree({
@@ -294,7 +311,6 @@ class TestFingerprintPurityRL009:
                 "def report(cells):\n"
                 "    t0 = wall_clock()\n"
                 "    wall = wall_clock() - t0\n"
-                "    OBS.gauge_set('perf.wall_s', wall)\n"
                 "    OBS.histogram_record('exec.shard_wall_s', wall)\n"
                 "    return RunManifest(run_id='r',\n"
                 "                       parameters={'cells': cells},\n"

@@ -15,7 +15,7 @@ from repro.obs.export import (
     validate_manifest,
     write_json,
 )
-from repro.obs.manifest import RunManifest
+from repro.obs.manifest import RunManifest, manifest_fingerprint
 
 
 def _manifest(**overrides) -> RunManifest:
@@ -146,3 +146,32 @@ class TestFingerprint:
         a = _manifest(headline={"surge_clean": True})
         b = _manifest(headline={"surge_clean": False})
         assert a.fingerprint() != b.fingerprint()
+
+
+class TestFingerprintImmunity:
+    def test_timing_never_reaches_the_fingerprint(self):
+        base = RunManifest(
+            kind="experiment", name="x", seed=1,
+            phases=[{"name": "run", "wall_s": 0.5}],
+            metrics={"sram.cells_decayed": 10},
+        ).to_dict()
+        noisy = RunManifest(
+            kind="experiment", name="x", seed=1,
+            phases=[{"name": "run", "wall_s": 7.5}],
+            metrics={
+                "sram.cells_decayed": 10,
+                "exec.shard_wall_s": {"count": 2, "mean": 1.0,
+                                      "min": 0.5, "max": 1.5},
+            },
+        ).to_dict()
+        assert manifest_fingerprint(base) == manifest_fingerprint(noisy)
+
+    def test_perf_metrics_are_fingerprinted(self):
+        # Only exec.* is stripped: a perf.* metric is physics to the
+        # fingerprint, so a new emitter must extend the stripped prefixes.
+        base = RunManifest(kind="experiment", name="x", seed=1)
+        perf = RunManifest(
+            kind="experiment", name="x", seed=1,
+            metrics={"perf.exec.units.per_s": 123.0},
+        )
+        assert base.fingerprint() != perf.fingerprint()

@@ -39,6 +39,22 @@ class TestTracer:
         assert [s.name for s in tracer.finished] == ["inner", "outer"]
         assert tracer.current is None
 
+    def test_span_keeps_its_direct_children_as_phases(self):
+        tracer = Tracer()
+        with tracer.span("attack.x") as root:
+            with tracer.span("attack.a"):
+                with tracer.span("detail"):
+                    pass
+            with tracer.span("attack.b"):
+                pass
+        a, b = root.children
+        assert [c.name for c in a.children] == ["detail"]
+        assert root.phases("attack.") == [
+            {"name": "a", "wall_s": a.wall_s},
+            {"name": "b", "wall_s": b.wall_s},
+        ]
+        assert "children" not in root.to_record()
+
     def test_events_attach_to_innermost_open_span(self):
         tracer = Tracer()
         with tracer.span("attack.power-cycle"):
