@@ -32,7 +32,6 @@ from collections.abc import Sequence
 from contextlib import nullcontext
 
 from . import __version__, experiments, obs
-from .chaos import targets as chaos_targets
 from .core.coldboot import ColdBootAttack
 from .core.report import AttackReport
 from .core.voltboot import VoltBootAttack
@@ -80,7 +79,6 @@ EXPERIMENTS = {
     "policy-ablation": experiments.policy_ablation,
     "glitch-campaign": experiments.glitch_campaign,
     "noisy-rig": experiments.noisy_rig,
-    "chaos-probe": chaos_targets,
 }
 
 #: Targets the attack command accepts per device.

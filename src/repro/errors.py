@@ -118,18 +118,16 @@ class CheckpointError(ExecError):
 #: The supervised runtime's failure taxonomy (docs/robustness.md).
 #: Every failure the engine survives — or degrades under — maps to
 #: exactly one of these classes, and the ``exec.failures`` counter is
-#: labelled with it, so chaos runs can assert that an injected fault
-#: was classified, not merely survived.
+#: labelled with it, so the fault tests can assert that a fault was
+#: classified, not merely survived.
 FAILURE_CLASSES = (
     "poison",          # a work unit raised deterministically
-    "timeout",         # a shard exceeded its per-shard timeout budget
     "hang",            # a worker stopped making heartbeat progress
     "crash",           # a worker died without shipping an outcome
     "pool-loss",       # worker processes could not be (re)spawned
     "journal-enospc",  # journal append failed with ENOSPC
     "journal-io",      # journal append failed on write/flush/fsync
-    "journal-torn",    # a journal record was torn mid-write
-    "interrupt",       # the campaign was interrupted (SIGINT / chaos)
+    "interrupt",       # the campaign was interrupted (SIGINT)
 )
 
 
@@ -200,29 +198,12 @@ class JournalWriteError(CheckpointError):
         self.errno = cause.errno
 
 
-class SimulatedFailure(BaseException):
-    """A chaos-injected *hard* failure (simulated crash or power loss).
-
-    Deliberately derived from :class:`BaseException`, not
-    :class:`ReproError`: the engine's bounded-retry handlers catch
-    ``Exception``, and a simulated ``kill -9`` must sail straight
-    through them exactly as a real one would — only the engine's
-    interrupt handler (which banks the journal) may intercept it.
-    """
-
-
-class ChaosError(ReproError):
-    """The chaos harness was misconfigured or its invariant check
-    could not be carried out (an unknown fault kind, a faulted
-    campaign that never converged)."""
-
-
 def failure_class(error: BaseException) -> str:
     """Map an exception to its :data:`FAILURE_CLASSES` entry.
 
     The single classification point: the engine labels its
     ``exec.failures`` counter with this, quarantine records carry it,
-    and the chaos matrix asserts on it.
+    and the fault tests assert on it.
     """
     if isinstance(error, WorkerHang):
         return "hang"
@@ -232,13 +213,8 @@ def failure_class(error: BaseException) -> str:
         return "pool-loss"
     if isinstance(error, JournalWriteError):
         return error.failure_class
-    if isinstance(error, TimeoutError):
-        return "timeout"
     if isinstance(error, (KeyboardInterrupt, CampaignInterrupted)):
         return "interrupt"
-    if isinstance(error, SimulatedFailure):
-        simulated = getattr(error, "failure_class", None)
-        return simulated if simulated in FAILURE_CLASSES else "crash"
     return "poison"
 
 

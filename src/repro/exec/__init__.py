@@ -37,7 +37,6 @@ from .runtime import (
     checkpointing,
     clear_incidents,
     incidents,
-    injected,
     supervised,
     supervision_policy,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "clear_incidents",
     "execute",
     "incidents",
-    "injected",
     "plan_fingerprint",
     "shard_unit",
     "supervised",

@@ -16,8 +16,7 @@ takes the same path:
    worker can be spawned at all (an ``exec.fallback`` event records the
    downgrade).  Otherwise chunked shards run on supervised worker
    processes (:mod:`repro.exec.supervise`), which kill a shard that
-   exceeds ``timeout_s`` or stops its heartbeat, and contain a crashed
-   worker to its own shard;
+   stops its heartbeat and contain a crashed worker to its own shard;
 3. **settle** — every in-process shard, and every shard the pool lost,
    goes through one bounded retry/quarantine loop in the parent.  Each
    failure is classified (:func:`repro.errors.failure_class`) and
@@ -51,7 +50,6 @@ from ..errors import (
     JournalWriteError,
     PoolUnavailable,
     ShardError,
-    SimulatedFailure,
     WorkerCrash,
     WorkerHang,
     failure_class,
@@ -129,7 +127,6 @@ def execute(
     plan: ShardPlan,
     jobs: int = 1,
     *,
-    timeout_s: float | None = None,
     retries: int = 1,
     chunk_size: int | None = None,
 ) -> list[Any]:
@@ -137,9 +134,7 @@ def execute(
 
     ``jobs=1`` runs every unit in-process; ``jobs>1`` dispatches
     chunked shards to supervised worker processes.  Both return the
-    same bytes.  ``timeout_s`` bounds each shard's time on the pool
-    (in-process attempts are not timed — the parent cannot interrupt
-    itself); ``retries`` bounds re-attempts per shard before
+    same bytes.  ``retries`` bounds re-attempts per shard before
     :class:`~repro.errors.ShardError` is raised — or, when the
     installed :class:`~repro.exec.runtime.SupervisionPolicy` enables
     ``quarantine``, before the failing units are quarantined (result
@@ -151,8 +146,7 @@ def execute(
     run — with a final metrics state identical to an uninterrupted
     run.  A journal write failure (ENOSPC, I/O error) degrades the
     journal to the in-memory bank and lands in the incident ledger.
-    An interrupt (SIGINT, or a chaos :class:`~repro.errors.
-    SimulatedFailure`) closes the journal and raises
+    An interrupt (SIGINT) closes the journal and raises
     :class:`~repro.errors.CampaignInterrupted`, which points at
     ``--resume``; without a journal it propagates unchanged.
     """
@@ -188,7 +182,6 @@ def execute(
                     failed = supervise.run_supervised(
                         tasks,
                         jobs=min(jobs, len(tasks)),
-                        timeout_s=timeout_s,
                         policy=supervision,
                         worker_fn=_shard_worker,
                         on_outcome=lambda outcome: bank.land(
@@ -207,10 +200,10 @@ def execute(
                     task = _ShardTask(position, (unit,), capture)
                     _settle(bank, task, retries, supervision)
             else:
-                _note_failures(failed, timeout_s)
+                _note_failures(failed)
                 for task, cause in failed:
                     _settle(bank, task, retries, supervision, 1, cause)
-        except (KeyboardInterrupt, SimulatedFailure) as error:
+        except KeyboardInterrupt as error:
             if bank.journal is None:
                 raise
             raise CampaignInterrupted(
@@ -247,7 +240,7 @@ def _settle(
             outcome = _shard_worker(task)
         except Exception as error:
             failures, cause = failures + 1, error
-            _note_failures([(task, error)], None)
+            _note_failures([(task, error)])
             continue
         bank.land(task, outcome.records, wall_clock() - start)
         return
@@ -412,25 +405,18 @@ class _Bank:
 # ----------------------------------------------------------------------
 
 
-def _note_failures(
-    failures: "Sequence[tuple[Any, BaseException]]",
-    timeout_s: float | None,
-) -> None:
+def _note_failures(failures: "Sequence[tuple[Any, BaseException]]") -> None:
     """Classify and count every failure the engine is about to survive.
 
     Each failure increments ``exec.failures`` labelled with its
-    :func:`repro.errors.failure_class`; timeouts, hangs, and crashes
-    also get a trace event naming the shard.
+    :func:`repro.errors.failure_class`; hangs and crashes also get a
+    trace event naming the shard.
     """
     if not OBS.enabled:
         return
     for task, cause in failures:
         OBS.counter_inc("exec.failures", failure_class=failure_class(cause))
-        if isinstance(cause, TimeoutError):
-            OBS.event(
-                "exec.timeout", shard=task.describe(), timeout_s=timeout_s
-            )
-        elif isinstance(cause, WorkerHang):
+        if isinstance(cause, WorkerHang):
             OBS.event("exec.hang", shard=task.describe())
         elif isinstance(cause, WorkerCrash):
             OBS.event(

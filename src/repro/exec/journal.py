@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import CheckpointError, JournalWriteError
-from . import runtime
 from .plan import ShardPlan
 
 #: Bumped when the journal line format changes incompatibly.
@@ -247,13 +246,7 @@ class CheckpointJournal:
     def _write_line(self, doc: dict[str, Any]) -> None:
         line = (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
         assert self._handle is not None
-        injector = runtime.fault_injector()
         try:
-            if injector is not None:
-                # May raise OSError (ENOSPC/EIO simulation), tear the
-                # line by writing a prefix and raising SimulatedFailure,
-                # or wrap the handle in an OSError-raising file proxy.
-                injector.on_journal_write(self, line)
             self._handle.write(line)
             self._handle.flush()
             os.fsync(self._handle.fileno())

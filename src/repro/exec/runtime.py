@@ -1,17 +1,15 @@
 """Process-global runtime policies for :func:`repro.exec.execute`.
 
-Checkpointing, supervision, and fault injection are *operational*
-concerns — the CLI (or a test harness) decides them, not the
-experiment code.  Experiments call ``execute(plan, jobs=jobs)``
-exactly as before; when policies are installed here, every ``execute``
-call transparently picks them up:
+Checkpointing and supervision are *operational* concerns — the CLI
+(or a test harness) decides them, not the experiment code.
+Experiments call ``execute(plan, jobs=jobs)`` exactly as before; when
+policies are installed here, every ``execute`` call transparently
+picks them up:
 
 * a :class:`CheckpointPolicy` journals completed units under a
   directory and, on ``resume``, completes only the missing ones;
 * a :class:`SupervisionPolicy` tunes the supervised worker pool
-  (heartbeat hang detection and poison-unit quarantine);
-* a fault injector (:mod:`repro.chaos`) intercepts the unit and
-  journal choke points to inject deterministic failures.
+  (heartbeat hang detection and poison-unit quarantine).
 
 Each ``execute`` call in a run claims the next journal path in a
 deterministic sequence (``journal-000.jsonl``, ``journal-001.jsonl``,
@@ -40,7 +38,6 @@ from typing import Any, Callable, Iterator
 from ..circuits.manufacture import Snapshot
 from ..errors import CheckpointError
 from ..obs import OBS, MetricsRegistry, Tracer
-from ..units import milliseconds
 
 
 @dataclass(frozen=True)
@@ -101,21 +98,17 @@ class SupervisionPolicy:
 
     ``hang_timeout_s`` is how long a worker may go without a heartbeat
     tick (one per completed unit) before it is killed and its shard
-    re-attempted; ``None`` disables hang detection.  ``poll_interval_s``
-    paces the supervisor's result/health loop.  ``quarantine`` turns
-    exhausted-retry failures into per-unit quarantine records instead
-    of a fatal :class:`~repro.errors.ShardError`.
+    re-attempted; ``None`` disables hang detection.  ``quarantine``
+    turns exhausted-retry failures into per-unit quarantine records
+    instead of a fatal :class:`~repro.errors.ShardError`.
     """
 
     hang_timeout_s: float | None = 120.0
-    poll_interval_s: float = milliseconds(20)
     quarantine: bool = False
 
     def __post_init__(self) -> None:
         if self.hang_timeout_s is not None and self.hang_timeout_s <= 0.0:
             raise CheckpointError("hang_timeout_s must be positive or None")
-        if self.poll_interval_s <= 0.0:
-            raise CheckpointError("poll_interval_s must be positive")
 
 
 #: The default when nothing is installed: supervision on, quarantine off.
@@ -141,45 +134,18 @@ def supervised(policy: SupervisionPolicy) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# Fault injection (the repro.chaos hook points)
+# Unit execution
 # ----------------------------------------------------------------------
-
-_injector: Any = None
-
-
-def fault_injector() -> Any:
-    """The installed fault injector, if any."""
-    return _injector
-
-
-@contextmanager
-def injected(injector: Any) -> Iterator[None]:
-    """Install a fault injector for a block, restoring the old one.
-
-    The injector is duck-typed — ``on_unit(unit)`` fires before every
-    work unit runs (in the parent *and*, via fork inheritance, in
-    every worker), and ``on_journal_write(journal, line)`` fires
-    before every journal line hits the disk — so the exec layer never
-    imports :mod:`repro.chaos`.
-    """
-    global _injector
-    previous, _injector = _injector, injector
-    try:
-        yield
-    finally:
-        _injector = previous
 
 
 def run_unit(unit: Any) -> Any:
     """The single unit-execution choke point.
 
     The engine's one worker function runs every unit through here —
-    in-process, on a pool worker, or on a re-attempt — so an installed
-    fault injector sees each execution exactly once however the unit
-    was dispatched.
+    in-process, on a pool worker, or on a re-attempt — and calls it
+    through this module, so a profiler that wraps this one function
+    sees each execution exactly once however the unit was dispatched.
     """
-    if _injector is not None:
-        _injector.on_unit(unit)
     return unit.run()
 
 

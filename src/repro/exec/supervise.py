@@ -14,8 +14,7 @@ slow one.  This module replaces it with one ``fork``-context
 * a worker that dies without shipping its outcome (after a short
   grace period for results racing the death) becomes a
   :class:`~repro.errors.WorkerCrash` failure — the *other* workers
-  keep running, which a shared executor cannot promise;
-* the per-shard ``timeout_s`` budget is enforced from spawn time.
+  keep running, which a shared executor cannot promise.
 
 Outcomes travel back over a ``multiprocessing`` queue and are handed
 to the caller's ``on_outcome`` callback as they land.  Failures are
@@ -32,7 +31,12 @@ from typing import Any, Callable
 
 from ..errors import ExecError, PoolUnavailable, WorkerCrash, WorkerHang
 from ..obs.timing import wall_clock
+from ..units import milliseconds
 from .runtime import SupervisionPolicy
+
+#: How long the supervisor's result/health loop waits for an outcome
+#: before it polices its workers again.
+POLL_INTERVAL_S = milliseconds(20)
 
 #: How long a dead worker's queued outcome may lag its death before
 #: the supervisor declares a crash (multiples of the poll interval).
@@ -90,7 +94,6 @@ class _Worker:
     task: Any
     process: Any
     beat: Any
-    started_t: float
     last_beat: int = 0
     last_progress_t: float = 0.0
     died_t: float | None = None
@@ -101,7 +104,6 @@ class _Supervisor:
     """One ``run_supervised`` call's state machine."""
 
     jobs: int
-    timeout_s: float | None
     policy: SupervisionPolicy
     worker_fn: Callable[..., Any]
     on_outcome: Callable[[Any], None]
@@ -159,13 +161,11 @@ class _Supervisor:
                     self.failures[task.shard_index] = (task, cause)
                 return []
             pending.pop(0)
-            now = wall_clock()
             self.live[task.shard_index] = _Worker(
                 task=task,
                 process=process,
                 beat=beat,
-                started_t=now,
-                last_progress_t=now,
+                last_progress_t=wall_clock(),
             )
         return pending
 
@@ -175,7 +175,7 @@ class _Supervisor:
         """Collect every queued outcome; optionally block one poll."""
         if block:
             try:
-                item = queue.get(timeout=self.policy.poll_interval_s)
+                item = queue.get(timeout=POLL_INTERVAL_S)
             except Empty:
                 return
             self._handle(*item)
@@ -205,10 +205,10 @@ class _Supervisor:
     # -- health ----------------------------------------------------------
 
     def _police(self) -> None:
-        """Check every live worker for timeout, hang, or death."""
+        """Check every live worker for a hang or death."""
         now = wall_clock()
         hang_timeout = self.policy.hang_timeout_s
-        grace = _DEATH_GRACE_POLLS * self.policy.poll_interval_s
+        grace = _DEATH_GRACE_POLLS * POLL_INTERVAL_S
         for index in sorted(self.live):
             worker = self.live[index]
             beat = int(worker.beat.value)
@@ -227,17 +227,7 @@ class _Supervisor:
                         ),
                     )
                 continue
-            if self.timeout_s is not None and (
-                now - worker.started_t > self.timeout_s
-            ):
-                self._kill(
-                    index,
-                    TimeoutError(
-                        f"shard {worker.task.describe()!r} exceeded its "
-                        f"{self.timeout_s:g}s timeout"
-                    ),
-                )
-            elif hang_timeout is not None and (
+            if hang_timeout is not None and (
                 now - worker.last_progress_t > hang_timeout
             ):
                 self._kill(
@@ -258,7 +248,6 @@ class _Supervisor:
 def run_supervised(
     tasks: list[Any],
     jobs: int,
-    timeout_s: float | None,
     policy: SupervisionPolicy,
     worker_fn: Callable[..., Any],
     on_outcome: Callable[[Any], None],
@@ -276,7 +265,6 @@ def run_supervised(
     """
     supervisor = _Supervisor(
         jobs=max(1, jobs),
-        timeout_s=timeout_s,
         policy=policy,
         worker_fn=worker_fn,
         on_outcome=on_outcome,

@@ -1,8 +1,8 @@
 """RL009 — fingerprint purity: no wall-clock taint in fingerprinted fields.
 
 Run-manifest fingerprints are the repo's reproducibility currency:
-``--jobs`` equivalence, kill-9 ``--resume`` identity and the chaos
-fault matrix (both under ``tests/chaos``) all compare them.  The
+``--jobs`` equivalence, kill-9 ``--resume`` identity and the fault
+cells (both in ``tests/exec/test_faults.py``) all compare them.  The
 fingerprint survives wall-clock jitter only because the stripping
 logic in :mod:`repro.obs.manifest` removes ``phases[].wall_s`` and the
 ``exec.*`` metric namespace — a *runtime* convention.  Any timing

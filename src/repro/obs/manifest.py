@@ -100,7 +100,7 @@ def manifest_fingerprint(doc: dict[str, Any]) -> str:
     wall-clock-derived :data:`TIMING_METRIC_PREFIXES` metrics
     (``exec.*`` engine accounting) are stripped before hashing — so a manifest hashed from a JSON
     document compares equal to one hashed in-process.  The CLI kill -9
-    test (``tests/chaos/test_kill_resume.py``) relies on this to check
+    test (``tests/exec/test_faults.py``) relies on this to check
     an interrupted-then-resumed campaign against an uninterrupted
     reference run.
     """

@@ -59,7 +59,7 @@ EVENT_NAMES: frozenset[str] = frozenset(
 )
 
 #: Event families named dynamically (``power.<event-kind>``,
-#: ``exec.<engine-event>`` — fallback/retry/timeout/checkpoint notices,
+#: ``exec.<engine-event>`` — fallback/retry/hang/checkpoint notices,
 #: ``resilience.<driver-event>`` — retry/backoff/degraded notices).
 EVENT_PREFIXES: tuple[str, ...] = ("power.", "exec.", "resilience.")
 
@@ -106,12 +106,6 @@ METRIC_NAMES: frozenset[str] = frozenset(
         "exec.resumed_units",
         "exec.journal_bytes",
         "exec.journal_failures",
-        # Chaos harness: injector firing accounting (exec.* so it is
-        # stripped from fingerprints) and the probe target's physics.
-        "exec.chaos_faults",
-        "chaos.units",
-        "chaos.probe_sum",
-        "chaos.probe_extreme",
         # Imperfect-rig instrumentation noise.
         "rig.bit_flips",
         "rig.bits_read",

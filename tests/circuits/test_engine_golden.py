@@ -17,7 +17,6 @@ same change).
 import pytest
 
 from repro import obs
-from repro.chaos import targets as chaos_targets
 from repro.experiments import (
     accessibility,
     countermeasures,
@@ -187,20 +186,16 @@ class TestCacheExperimentStability:
 
 
 class TestRemainingExperimentStability:
-    """Pins for the last five ``list-experiments`` names.
+    """Pins for the last four ``list-experiments`` names.
 
-    ``chaos-probe`` (the chaos harness's sharded probe target) and
-    ``probe-sweep`` are sharded, so like the sweeps above they are
-    pinned at ``--jobs 1`` and ``--jobs 4``.  Figure 7's power-domain
+    ``probe-sweep`` is sharded, so like the sweeps above it is pinned
+    at ``--jobs 1`` and ``--jobs 4``.  Figure 7's power-domain
     traces, the platform survey and the standby-retention sweep run
     serially.  Together with the classes above and the glitch-campaign
     pin in ``tests/exec/test_jobs_equivalence.py``, every experiment the
     CLI lists now has a committed fingerprint.
     """
 
-    CHAOS_PROBE_FP = (
-        "2d8a8a0a5e5fa2d60a8e2f2a9ac4382a7dfffcd7283680793f240a223fda3069"
-    )
     FIGURE7_FP = (
         "23a6b79c2fe3bc5892bc0346bd419129ffeca5961dfb849746d32c50fde6bd38"
     )
@@ -213,11 +208,6 @@ class TestRemainingExperimentStability:
     STANDBY_RETENTION_FP = (
         "be94d2477ae846967ec53bc144065dc94b7a2fbbbb523f18bb366025da55cfcd"
     )
-
-    @pytest.mark.parametrize("jobs", [1, 4])
-    def test_chaos_probe_pin(self, jobs):
-        fingerprint = _run_fingerprint(chaos_targets.run, jobs=jobs)
-        assert fingerprint == self.CHAOS_PROBE_FP
 
     def test_figure7_pin(self):
         assert _run_fingerprint(figure7.run) == self.FIGURE7_FP

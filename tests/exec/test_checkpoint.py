@@ -8,11 +8,12 @@ tests assert that a resume runs **only** the missing units.
 import base64
 import json
 import pickle
+import types
 from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import cli, obs
 from repro.errors import CampaignInterrupted, CheckpointError
 from repro.exec import (
     CheckpointJournal,
@@ -311,3 +312,64 @@ class TestInterruption:
         with checkpointing(ckpt, resume=True):
             assert execute(plan, jobs=1) == [i * i for i in range(6)]
         assert _ran(tmp_path) == {4, 5}
+
+
+def _fragile_experiment(workdir: str) -> types.ModuleType:
+    """A 4-unit experiment interrupted at unit 2 on its first run."""
+    module = types.ModuleType("fragile_experiment")
+
+    def run(seed: int = 0):
+        plan = _plan(workdir, n=4, fn=_interrupt_at, extra=(2,))
+        return execute(plan, jobs=1)
+
+    def report(result):
+        return types.SimpleNamespace(
+            render=lambda: f"fragile campaign: {result}"
+        )
+
+    module.run = run
+    module.report = report
+    return module
+
+
+class TestSigintContract:
+    def test_interrupt_exits_with_code_3_and_resume_hint(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        ckpt = str(tmp_path / "ckpt")
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "fragile", _fragile_experiment(str(tmp_path))
+        )
+        rc = cli.main(
+            ["experiment", "fragile", "--seed", "7", "--checkpoint", ckpt]
+        )
+        assert rc == cli.EXIT_INTERRUPTED == 3
+        err = capsys.readouterr().err
+        assert err.startswith("interrupted:")
+        assert "2/4 unit(s) checkpointed" in err
+        assert (
+            "`repro experiment fragile --seed 7 "
+            f"--checkpoint {ckpt} --resume`" in err
+        )
+
+        # The hinted rerun completes the campaign and exits cleanly.
+        rc = cli.main(
+            [
+                "experiment", "fragile", "--seed", "7",
+                "--checkpoint", ckpt, "--resume",
+            ]
+        )
+        assert rc == cli.EXIT_OK
+        assert "fragile campaign: [0, 1, 4, 9]" in capsys.readouterr().out
+
+    def test_interrupt_without_checkpoint_still_raises_cleanly(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Without --checkpoint there is no journal to bank into; the
+        # interrupt surfaces as the raw KeyboardInterrupt (Ctrl-C
+        # semantics are untouched outside checkpointed campaigns).
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "fragile", _fragile_experiment(str(tmp_path))
+        )
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["experiment", "fragile", "--seed", "7"])

@@ -1,14 +1,13 @@
-"""Tests for the parallel execution engine: dispatch, timeout, retry,
-fallback, and observability merging.
+"""Tests for the parallel execution engine: dispatch, retry, fallback,
+and observability merging.
 
 Worker functions are module-level so the pool can pickle them by
 reference.  Failure injection uses marker files on disk: a unit that
-fails (or stalls) only while its marker is absent fails on the pool
-attempt and succeeds on the in-process re-attempt, exercising the
-bounded retry path deterministically.
+fails only while its marker is absent fails on the pool attempt and
+succeeds on the in-process re-attempt, exercising the bounded retry
+path deterministically.
 """
 
-import time
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -30,15 +29,6 @@ def _fail_once(marker: str, value: int):
     if not path.exists():
         path.write_text("attempted")
         raise RuntimeError("injected first-attempt failure")
-    return value
-
-
-def _stall_once(marker: str, value: int):
-    """Stall past any reasonable timeout on the first call only."""
-    path = Path(marker)
-    if not path.exists():
-        path.write_text("attempted")
-        time.sleep(5.0)
     return value
 
 
@@ -272,22 +262,6 @@ class TestQuarantine:
         assert snapshot["exec.quarantined_units"] == 1
         assert snapshot["exec.shards"] == 2
         assert len(observed.tracer.spans_named("exec.shard")) == 2
-
-
-class TestTimeout:
-    def test_timed_out_shard_is_reattempted(self, tmp_path, observed):
-        marker = str(tmp_path / "stall-once")
-        plan = ShardPlan.enumerate(
-            _stall_once, [(marker, 11), (str(tmp_path / "other"), 22)]
-        )
-        Path(tmp_path / "other").write_text("pre-satisfied")
-        result = execute(
-            plan, jobs=2, chunk_size=1, timeout_s=0.25, retries=1
-        )
-        assert result == [11, 22]
-        snapshot = observed.metrics.snapshot()
-        assert snapshot["exec.failures{failure_class=timeout}"] >= 1
-        assert snapshot["exec.retries"] >= 1
 
 
 class TestSerialFallback:

@@ -1,4 +1,4 @@
-"""The supervised worker pool: crashes, hangs, timeouts, pool loss.
+"""The supervised worker pool: crashes, hangs, pool loss.
 
 Workers are real forked processes; the tests exercise the supervisor's
 health machinery with genuinely dying/stalling children, so the sleeps
@@ -21,7 +21,7 @@ from repro.errors import (
 from repro.exec import SupervisionPolicy, supervise
 
 #: A tight policy so hang/death detection lands in test time.
-_FAST = SupervisionPolicy(hang_timeout_s=0.5, poll_interval_s=0.02)
+_FAST = SupervisionPolicy(hang_timeout_s=0.5)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def _worker(task: _Task, heartbeat=None) -> tuple[int, int]:
         tick()
         time.sleep(60.0)  # no further heartbeat progress
     if task.mode == "slow-but-alive":
-        for _ in range(200):
+        for _ in range(20):
             tick()
             time.sleep(0.05)
     if task.mode == "raise":
@@ -53,11 +53,11 @@ def _worker(task: _Task, heartbeat=None) -> tuple[int, int]:
     return task.shard_index, task.shard_index * 10
 
 
-def _run(tasks, jobs=4, timeout_s=None, policy=_FAST):
+def _run(tasks, jobs=4, policy=_FAST):
     """Run the pool; returns ``({shard: outcome}, failures)``."""
     landed = []
     failures = supervise.run_supervised(
-        tasks, jobs=jobs, timeout_s=timeout_s, policy=policy,
+        tasks, jobs=jobs, policy=policy,
         worker_fn=_worker, on_outcome=landed.append,
     )
     return dict(landed), failures
@@ -105,18 +105,14 @@ class TestHangs:
         assert failure_class(cause) == "hang"
 
     def test_heartbeat_progress_is_not_a_hang(self):
-        # Slower than hang_timeout_s overall, but ticking throughout.
-        policy = SupervisionPolicy(hang_timeout_s=0.3, poll_interval_s=0.02)
+        # The shard ticks for ~1 s, over three times hang_timeout_s,
+        # but never goes 0.3 s without a tick.
         outcomes, failures = _run(
-            [_Task(0, "slow-but-alive")], jobs=1, timeout_s=1.0,
-            policy=policy,
+            [_Task(0, "slow-but-alive")], jobs=1,
+            policy=SupervisionPolicy(hang_timeout_s=0.3),
         )
-        # The shard runs ~10s of ticking sleep, so the 1s *timeout*
-        # fires — but never the hang detector.
-        assert outcomes == {}
-        [(_, cause)] = failures
-        assert isinstance(cause, TimeoutError)
-        assert failure_class(cause) == "timeout"
+        assert outcomes == {0: 0}
+        assert failures == []
 
 
 class TestPoolLoss:

@@ -72,7 +72,7 @@ class TestBackoffDeterminism:
     """Same policy + same fault sequence => same simulated schedule.
 
     The engine records ``backoff_s(n)`` per re-attempt round (it never
-    sleeps), so schedule determinism is exactly what makes a chaos run
+    sleeps), so schedule determinism is exactly what makes a faulted run
     with N injected faults byte-reproducible across retries.
     """
 

@@ -87,10 +87,7 @@ class TestExperimentCommand:
             getattr(experiments, name).__name__
             for name in experiments.__all__
         }
-        # The chaos probe is the one deliberate outsider: it lives in
-        # repro.chaos so the harness has a tiny, fault-friendly target.
-        assert registered - available == {"repro.chaos.targets"}
-        assert available <= registered
+        assert registered == available
 
 
 class TestObservabilityFlags:
