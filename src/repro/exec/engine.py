@@ -128,7 +128,6 @@ def execute(
     jobs: int = 1,
     *,
     retries: int = 1,
-    chunk_size: int | None = None,
 ) -> list[Any]:
     """Run every unit of ``plan``; returns results in unit order.
 
@@ -169,7 +168,7 @@ def execute(
         try:
             failed = None
             if jobs > 1 and len(remaining) > 1:
-                size = plan.chunk_size(jobs, chunk_size)
+                size = plan.chunk_size(jobs)
                 chunks = [
                     tuple(remaining[at : at + size])
                     for at in range(0, len(remaining), size)

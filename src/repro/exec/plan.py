@@ -2,11 +2,11 @@
 
 A :class:`ShardPlan` is the deterministic half of the execution engine:
 it enumerates an experiment's independent work units (sweep grid
-points, trials, per-device runs) in one **stable order**, and chunks
-them into shards for dispatch.  Everything that affects the *result* —
-which units exist, their arguments, their RNG streams, and the order
-results merge back — is fixed at plan-build time in the parent
-process, so running the same plan with ``jobs=1`` or ``jobs=N``
+points, trials, per-device runs) in one **stable order**, and sizes
+the contiguous shards the engine dispatches.  Everything that affects
+the *result* — which units exist, their arguments, their RNG streams,
+and the order results merge back — is fixed at plan-build time in the
+parent process, so running the same plan with ``jobs=1`` or ``jobs=N``
 produces byte-identical output.
 
 Per-unit RNG streams come from :func:`repro.rng.spawn` drawn in unit
@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ExecError
 from ..rng import spawn
 
-#: Shards dispatched per worker by default: small enough to amortise
+#: Shards dispatched per worker: small enough to amortise
 #: process startup, large enough that a slow unit does not serialise
 #: the whole campaign behind it.
 CHUNKS_PER_JOB = 4
@@ -36,7 +36,7 @@ def shard_unit(fn: Callable[..., Any]) -> Callable[..., Any]:
 
     The marker is declarative: it returns ``fn`` unchanged (no wrapper,
     so pool pickling still sees the original module-level function) and
-    only tags it for tooling.  ``repro-lint --project`` roots its
+    only tags it for tooling.  ``repro-lint`` roots its
     shard-race analysis (RL007) at every marked function in addition to
     those it can discover syntactically from ``WorkUnit(fn=...)`` /
     ``ShardPlan.enumerate(fn, ...)`` call sites — marking closes the
@@ -75,8 +75,9 @@ class WorkUnit:
 class ShardPlan:
     """An ordered enumeration of work units plus their shard layout.
 
-    The plan is immutable once built; :meth:`shards` never reorders
-    units, and the engine merges results by unit index, so dispatch
+    The plan is immutable once built; the engine cuts it into
+    contiguous shards of :meth:`chunk_size` units without reordering
+    them, and merges results by unit index, so dispatch
     order (and completion order) cannot leak into the output.
     """
 
@@ -148,27 +149,13 @@ class ShardPlan:
     def __len__(self) -> int:
         return len(self._units)
 
-    def chunk_size(self, jobs: int, chunk_size: int | None = None) -> int:
-        """Units per shard for a worker count (explicit size wins)."""
-        if chunk_size is not None:
-            if chunk_size < 1:
-                raise ExecError(f"chunk_size must be >= 1, got {chunk_size}")
-            return chunk_size
+    def chunk_size(self, jobs: int) -> int:
+        """Units per shard for a worker count.
+
+        Chunked dispatch: each worker gets several smaller shards
+        (:data:`CHUNKS_PER_JOB`) rather than one big one, so a slow grid
+        point only delays its own chunk.
+        """
         if jobs < 1:
             raise ExecError(f"jobs must be >= 1, got {jobs}")
         return max(1, -(-len(self._units) // (jobs * CHUNKS_PER_JOB)))
-
-    def shards(
-        self, jobs: int, chunk_size: int | None = None
-    ) -> list[tuple[WorkUnit, ...]]:
-        """Contiguous, order-preserving shards of the unit list.
-
-        Chunked dispatch: by default each worker gets several smaller
-        shards (:data:`CHUNKS_PER_JOB`) rather than one big one, so a
-        slow grid point only delays its own chunk.
-        """
-        size = self.chunk_size(jobs, chunk_size)
-        return [
-            self._units[start : start + size]
-            for start in range(0, len(self._units), size)
-        ]

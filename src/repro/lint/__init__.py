@@ -10,47 +10,34 @@ checks them statically, with a pluggable rule framework and a
 a file a rule itself sanctions, by that rule's ``exempt`` hook; no
 comment, configuration file or recorded finding list silences one.
 
-On top of the per-file rules sits a project-wide *flow* layer
-(:mod:`repro.lint.flow`): every module is distilled into an in-memory
-summary (imports, call sites, shared-state writes, unordered
-iterations, timing taint), the summaries are linked into a
-:class:`~repro.lint.flow.ProjectModel` with a cross-module call graph,
-and interprocedural rules check it — shard-race freedom (RL007),
-iteration-order determinism (RL008), and fingerprint purity (RL009).
-``repro-lint --project`` runs both families, parsing every file afresh
-and writing nothing to disk.
+Three rules are project-wide (:mod:`repro.lint.flow`): every module is
+distilled into an in-memory summary (imports, call sites, shared-state
+writes, unordered iterations, timing taint), the summaries are linked
+into a :class:`~repro.lint.flow.ProjectModel` with a cross-module call
+graph, and interprocedural rules check it — shard-race freedom
+(RL007), iteration-order determinism (RL008), and fingerprint purity
+(RL009).  Every ``repro-lint`` run checks RL001–RL009 from one parse
+of each file and writes nothing to disk.
 
 Library use::
 
-    from repro.lint import lint_paths, lint_project
+    from repro.lint import lint
 
-    findings = lint_paths(["src"])      # per-file rules, [] when clean
-    findings = lint_project(["src"])    # + RL007/RL008/RL009
+    findings = lint(["src"])                     # [] when clean
+    findings = lint(["src"], select=["RL008"])   # one rule
 """
 
 from __future__ import annotations
 
-from .engine import (
-    PARSE_ERROR_RULE,
-    flow_findings,
-    iter_python_files,
-    lint_file,
-    lint_paths,
-    lint_project,
-    lint_source,
-)
+from .engine import PARSE_ERROR_RULE, iter_python_files, lint
 from .findings import Finding
 from .flow import ProjectModel, build_project
 from .rules import (
     FileContext,
     FlowRule,
     Rule,
-    all_flow_rules,
     all_rules,
-    known_rule_ids,
     register,
-    register_flow,
-    select_flow_rules,
     select_rules,
 )
 
@@ -61,18 +48,10 @@ __all__ = [
     "PARSE_ERROR_RULE",
     "ProjectModel",
     "Rule",
-    "all_flow_rules",
     "all_rules",
     "build_project",
-    "flow_findings",
     "iter_python_files",
-    "known_rule_ids",
-    "lint_file",
-    "lint_paths",
-    "lint_project",
-    "lint_source",
+    "lint",
     "register",
-    "register_flow",
-    "select_flow_rules",
     "select_rules",
 ]

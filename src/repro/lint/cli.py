@@ -4,9 +4,11 @@ Exit codes follow the PR 1 CLI convention: 0 for a clean tree, 1 when
 findings are reported, 2 for usage/IO failures — the latter always as
 a one-line error on stderr, never a traceback.
 
-``--project`` adds the whole-program flow rules (RL007 shard-race,
-RL008 iteration-order, RL009 fingerprint-purity) on top of the
-per-file checks, linking every module into one call graph.
+Every run checks all rules, RL001–RL009, from one parse of each file:
+the per-file checks plus the project-wide flow rules (RL007 shard-race,
+RL008 iteration-order, RL009 fingerprint-purity), which link every
+module into one call graph.  ``--rule`` narrows the run; a run that
+selects no flow rule builds no call graph.
 
 The linter is a pure function of the files it is given: it reads no
 configuration and writes nothing but its report.  With no ``PATH``
@@ -22,8 +24,8 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from ..errors import LintError
-from .engine import iter_python_files, lint_paths, lint_project
-from .rules import all_flow_rules, all_rules
+from .engine import iter_python_files, lint
+from .rules import FlowRule, all_rules
 
 #: Version of the ``--format json`` document layout.
 JSON_SCHEMA_VERSION = 1
@@ -50,11 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only this rule (repeatable; default: all rules)",
     )
     parser.add_argument(
-        "--project", action="store_true",
-        help="also run the project-wide flow rules (RL007+): call-graph "
-        "shard-race, iteration-order, and fingerprint-taint analysis",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -63,12 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _list_rules() -> int:
     for rule in all_rules():
-        print(f"{rule.id}  {rule.name}: {rule.description}")
-    for flow_rule in all_flow_rules():
-        print(
-            f"{flow_rule.id}  {flow_rule.name} (project-wide): "
-            f"{flow_rule.description}"
-        )
+        scope = " (project-wide)" if isinstance(rule, FlowRule) else ""
+        print(f"{rule.id}  {rule.name}{scope}: {rule.description}")
     return 0
 
 
@@ -83,8 +76,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _list_rules()
     try:
         files = iter_python_files(args.paths or _default_paths())
-        lint = lint_project if args.project else lint_paths
-        findings = sorted(lint(files, tuple(args.rule) or None))
+        findings = lint(files, args.rule)
     except LintError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2

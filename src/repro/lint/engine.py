@@ -1,7 +1,9 @@
 """The lint engine: file discovery, parsing, rule dispatch.
 
 The engine is deliberately import-light (ast + stdlib only) so the
-linter itself never perturbs the simulation it polices.  Parse failures
+linter itself never perturbs the simulation it polices.  It parses each
+file once and hands the same tree to the per-file rules and, when a
+project-wide rule is selected, to the flow layer.  Parse failures
 are reported as rule ``RL000`` findings rather than crashing the run;
 unreadable paths raise :class:`~repro.errors.LintError`, which the CLI
 maps to exit code 2.
@@ -19,7 +21,11 @@ from typing import Iterable, Sequence
 
 from ..errors import LintError
 from .findings import Finding
-from .rules import FileContext, Rule, select_rules
+
+# The rules load first: the flow layer imports ``rules.base``, and the
+# flow rules import the flow layer.
+from .rules import FileContext, FlowRule, Rule, select_rules  # isort: skip
+from .flow import build_project  # isort: skip
 
 #: Pseudo-rule id for files that do not parse.
 PARSE_ERROR_RULE = "RL000"
@@ -50,82 +56,62 @@ def iter_python_files(paths: Iterable[str | Path]) -> list[Path]:
     return unique
 
 
-def lint_source(
-    source: str, path: str, rules: Sequence[Rule] | None = None
-) -> list[Finding]:
-    """Lint one in-memory module; returns its sorted findings."""
-    if rules is None:
-        rules = select_rules(None)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return [
-            Finding(
-                path=path,
-                line=error.lineno or 1,
-                col=(error.offset or 1),
-                rule=PARSE_ERROR_RULE,
-                severity="error",
-                message=f"file does not parse: {error.msg}",
-            )
-        ]
-    context = FileContext(path=path, source=source, tree=tree)
-    return sorted(
-        finding for rule in rules for finding in rule.check(context)
-    )
+def _parse(path: Path) -> ast.Module | Finding:
+    """Read and parse one file: its tree, or an ``RL000`` finding.
 
-
-def lint_file(path: Path, rules: Sequence[Rule] | None = None) -> list[Finding]:
-    """Lint one file on disk; unreadable files raise :class:`LintError`."""
+    An unreadable file raises :class:`LintError`.
+    """
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as error:
         raise LintError(f"cannot read {path}: {error}")
     except UnicodeDecodeError as error:
         raise LintError(f"cannot decode {path}: {error}")
-    return lint_source(source, str(path), rules)
+    try:
+        return ast.parse(source, filename=str(path))
+    except SyntaxError as error:
+        return Finding(
+            path=str(path),
+            line=error.lineno or 1,
+            col=(error.offset or 1),
+            rule=PARSE_ERROR_RULE,
+            severity="error",
+            message=f"file does not parse: {error.msg}",
+        )
 
 
-def lint_paths(
+def lint(
     paths: Iterable[str | Path],
-    select: tuple[str, ...] | None = None,
+    select: Sequence[str] | None = None,
 ) -> list[Finding]:
-    """Lint files and directory trees; the library-level entry point."""
+    """Lint files and directory trees; returns the sorted findings.
+
+    Each file is read and parsed once.  The selected per-file rules
+    (default: every rule) check each tree; when a project-wide flow rule
+    is selected, the same trees are linked into one
+    :class:`~repro.lint.flow.ProjectModel` for it.
+    """
     rules = select_rules(tuple(select) if select else None)
+    file_rules = [rule for rule in rules if isinstance(rule, Rule)]
+    flow_rules = [rule for rule in rules if isinstance(rule, FlowRule)]
     findings: list[Finding] = []
+    trees: dict[Path, ast.Module | None] = {}
     for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rules))
-    return findings
-
-
-def flow_findings(
-    files: Sequence[Path], select: tuple[str, ...] | None = None
-) -> list[Finding]:
-    """Run the project-wide flow rules (RL007+) over ``files``.
-
-    Builds one linked :class:`~repro.lint.flow.ProjectModel` and checks
-    every selected flow rule against it.
-    """
-    from .flow import build_project
-    from .rules import select_flow_rules
-
-    rules = select_flow_rules(tuple(select) if select else None)
-    if not rules:
-        return []
-    project = build_project(files)
-    return sorted(
-        finding for rule in rules for finding in rule.check_project(project)
-    )
-
-
-def lint_project(
-    paths: Iterable[str | Path],
-    select: tuple[str, ...] | None = None,
-) -> list[Finding]:
-    """Per-file rules plus project-wide flow rules over whole trees.
-
-    The library-level equivalent of ``repro-lint --project``: findings
-    from both rule families, merged and sorted.
-    """
-    files = iter_python_files(paths)
-    return sorted([*lint_paths(files, select), *flow_findings(files, select)])
+        parsed = _parse(path)
+        if isinstance(parsed, Finding):
+            findings.append(parsed)
+            trees[path] = None
+            continue
+        trees[path] = parsed
+        context = FileContext(path=str(path), tree=parsed)
+        findings.extend(
+            finding for rule in file_rules for finding in rule.check(context)
+        )
+    if flow_rules:
+        project = build_project(trees)
+        findings.extend(
+            finding
+            for rule in flow_rules
+            for finding in rule.check_project(project)
+        )
+    return sorted(findings)

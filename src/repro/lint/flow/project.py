@@ -1,6 +1,6 @@
 """The project model: linked module summaries plus the call graph.
 
-:func:`build_project` summarizes every file and returns a
+:func:`build_project` summarizes every parsed file and returns a
 :class:`ProjectModel`, which resolves dotted references across
 modules — chasing import re-exports like ``repro.exec.ShardPlan`` ->
 ``repro.exec.plan.ShardPlan`` and method lookups through base classes
@@ -11,14 +11,15 @@ is reachable from them.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .summarize import (
     FunctionSummary,
     ModuleSummary,
     module_name_for,
-    summarize_file,
+    summarize_tree,
 )
 
 #: Guard against pathological import-alias cycles while chasing
@@ -183,20 +184,24 @@ class ProjectModel:
         return origin
 
 
-def build_project(files: Iterable[str | Path]) -> ProjectModel:
-    """Summarize ``files`` into a linked model.
+def build_project(trees: Mapping[Path, ast.Module | None]) -> ProjectModel:
+    """Summarize the parsed ``trees`` (path -> module AST) into a model.
 
-    Files that fail to parse contribute an empty summary — the per-file
-    engine already reports them as ``RL000`` findings, so the flow
-    layer just skips them.
+    A file that does not parse (tree ``None``) contributes an empty
+    summary: the engine already reports it as an ``RL000`` finding.
     """
     summaries: dict[str, ModuleSummary] = {}
-    for raw in files:
-        summary = summarize_file(Path(raw))
+    for path, tree in trees.items():
+        module = module_name_for(path)
+        summary = (
+            ModuleSummary(module=module, path=str(path))
+            if tree is None
+            else summarize_tree(tree, str(path), module)
+        )
         # Last-one-wins on module-name collisions (e.g. two fixture
         # trees both containing ``conftest``); project rules only ever
         # see one of them, which keeps resolution deterministic.
-        summaries[summary.module] = summary
+        summaries[module] = summary
     return ProjectModel(summaries)
 
 

@@ -1,8 +1,9 @@
 """Per-module flow summaries: the unit of project-wide analysis.
 
-The flow layer never imports the code it analyses.  Instead each file
-is parsed once (``ast`` only) and reduced to a :class:`ModuleSummary` —
-a digest of exactly the facts the interprocedural rules need:
+The flow layer never imports the code it analyses.  Instead the tree
+the lint engine parsed for each file (``ast`` only) is reduced to a
+:class:`ModuleSummary` — a digest of exactly the facts the
+interprocedural rules need:
 
 * **bindings** — what every top-level name refers to, with imports
   resolved to absolute dotted targets (``from ..rng import spawn`` in
@@ -18,8 +19,8 @@ a digest of exactly the facts the interprocedural rules need:
   ``ShardPlan.enumerate(fn, ...)``) or via the explicit
   :func:`repro.exec.plan.shard_unit` marker decorator.
 
-Summaries live only in memory: every ``repro-lint --project`` run
-parses each file afresh.
+Summaries live only in memory: every ``repro-lint`` run that selects a
+flow rule summarizes each file afresh.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from ..rules.base import dotted_name
 
 #: Call targets (suffix-matched on the resolved dotted name) whose
 #: ``fn`` argument registers a shard-unit entry point.
@@ -151,7 +154,6 @@ class ModuleSummary:
     toplevel: list[str] = field(default_factory=list)
     #: Resolved references registered as shard-unit entry points.
     shard_entries: list[str] = field(default_factory=list)
-    parse_error: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -197,46 +199,16 @@ def _resolve_import_from(
     return ".".join(base_parts) if base_parts else None
 
 
-def _dotted(node: ast.AST) -> str | None:
-    """A ``Name``/``Attribute`` chain as ``"a.b.c"``, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 # ----------------------------------------------------------------------
 # Extraction
 # ----------------------------------------------------------------------
 
 
-def summarize_source(source: str, path: str, module: str) -> ModuleSummary:
-    """Reduce one module's source text to its flow summary."""
+def summarize_tree(tree: ast.Module, path: str, module: str) -> ModuleSummary:
+    """Reduce one parsed module to its flow summary."""
     summary = ModuleSummary(module=module, path=path)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError:
-        summary.parse_error = True
-        return summary
     _Extractor(summary, tree).run()
     return summary
-
-
-def summarize_file(path: Path, module: str | None = None) -> ModuleSummary:
-    """Parse and summarize one file on disk."""
-    if module is None:
-        module = module_name_for(path)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        summary = ModuleSummary(module=module, path=str(path))
-        summary.parse_error = True
-        return summary
-    return summarize_source(source, str(path), module)
 
 
 class _Extractor:
@@ -304,7 +276,7 @@ class _Extractor:
     def _add_class(self, node: ast.ClassDef) -> None:
         cls = ClassSummary(name=node.name)
         for base in node.bases:
-            dotted = _dotted(base)
+            dotted = dotted_name(base)
             if dotted:
                 cls.bases.append(self._substitute(dotted))
         for member in node.body:
@@ -325,7 +297,7 @@ class _Extractor:
         fn.line, fn.col = node.lineno, node.col_offset + 1
         self.summary.functions[qualname] = fn
         for decorator in node.decorator_list:
-            name = _dotted(
+            name = dotted_name(
                 decorator.func if isinstance(decorator, ast.Call) else decorator
             )
             if name and self._substitute(name).split(".")[-1] == _UNIT_MARKER:
@@ -495,7 +467,7 @@ class _FunctionWalker:
     # -- calls ----------------------------------------------------------
 
     def _handle_call(self, node: ast.Call) -> None:
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return
         resolved = self._resolve(dotted)
@@ -543,7 +515,7 @@ class _FunctionWalker:
                 fn_arg = node.args[0]
         if fn_arg is None:
             return
-        dotted = _dotted(fn_arg)
+        dotted = dotted_name(fn_arg)
         if dotted is None:
             return
         ref = self._resolve(dotted)
@@ -623,7 +595,7 @@ class _FunctionWalker:
             self.iter_kinds.pop(name, None)
         self.ctor_types.pop(name, None)
         if isinstance(value, ast.Call):
-            dotted = _dotted(value.func)
+            dotted = dotted_name(value.func)
             if dotted is not None:
                 resolved = self._resolve(dotted)
                 if resolved and resolved.split(".")[-1][:1].isupper():
@@ -642,7 +614,7 @@ class _FunctionWalker:
                 ))
             return
         if isinstance(target, ast.Subscript):
-            base = _dotted(target.value)
+            base = dotted_name(target.value)
             if base is None:
                 return
             state = self._module_state_target(base)
@@ -658,7 +630,10 @@ class _FunctionWalker:
             if state is not None:
                 self.fn.writes.append(WriteEvent(
                     target=state,
-                    detail=f"attribute store {_dotted(target) or target.attr}",
+                    detail=(
+                        "attribute store "
+                        f"{dotted_name(target) or target.attr}"
+                    ),
                     line=line, col=col,
                 ))
 
@@ -682,7 +657,7 @@ class _FunctionWalker:
                 and value.value.id == "self"
             ):
                 return f"{self.x.module}.{self.class_name}.{target.attr}"
-        base = _dotted(value)
+        base = dotted_name(value)
         if base is None:
             return None
         state = self._module_state_target(base)
@@ -745,7 +720,7 @@ class _FunctionWalker:
             # Any ``<expr>.glob/rglob/iterdir(...)`` — including bases
             # that aren't name chains, like ``Path(root).glob(...)``.
             return "scan"
-        dotted = _dotted(expr.func)
+        dotted = dotted_name(expr.func)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -772,7 +747,7 @@ class _FunctionWalker:
         kind = self._iter_kind(iterable)
         if kind is None:
             return
-        desc = _dotted(iterable if not isinstance(iterable, ast.Call)
+        desc = dotted_name(iterable if not isinstance(iterable, ast.Call)
                        else iterable.func)
         if (
             desc is None
@@ -811,7 +786,7 @@ class _FunctionWalker:
                 if sub.id in self.locals:
                     reads.append(sub.id)
             elif isinstance(sub, ast.Call):
-                dotted = _dotted(sub.func)
+                dotted = dotted_name(sub.func)
                 if dotted is None:
                     continue
                 resolved = self._resolve(dotted)

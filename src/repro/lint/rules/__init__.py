@@ -1,9 +1,9 @@
 """The rule registry.
 
 Importing this package imports every rule module, which registers its
-rule class via the :func:`~repro.lint.rules.base.register` (per-file)
-or :func:`~repro.lint.rules.base.register_flow` (project-wide)
-decorator.
+per-file :class:`~repro.lint.rules.base.Rule` or project-wide
+:class:`~repro.lint.rules.base.FlowRule` via the
+:func:`~repro.lint.rules.base.register` decorator.
 """
 
 from __future__ import annotations
@@ -23,12 +23,8 @@ from .base import (
     FileContext,
     FlowRule,
     Rule,
-    all_flow_rules,
     all_rules,
-    known_rule_ids,
     register,
-    register_flow,
-    select_flow_rules,
     select_rules,
 )
 
@@ -36,11 +32,7 @@ __all__ = [
     "FileContext",
     "FlowRule",
     "Rule",
-    "all_flow_rules",
     "all_rules",
-    "known_rule_ids",
     "register",
-    "register_flow",
-    "select_flow_rules",
     "select_rules",
 ]

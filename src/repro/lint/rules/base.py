@@ -28,7 +28,6 @@ class FileContext:
     """Everything a rule needs to know about one parsed file."""
 
     path: str
-    source: str
     tree: ast.Module
     #: POSIX-style path used for role matching (exemptions, scoping).
     posix: str = field(init=False)
@@ -105,10 +104,9 @@ class Rule(ABC):
 class FlowRule(ABC):
     """One project-wide rule: checks a linked :class:`ProjectModel`.
 
-    Flow rules only run under ``repro-lint --project`` — they need the
-    whole module graph, so there is no per-file ``visit``.  Subclasses
-    implement :meth:`check_project` and yield findings pinned to the
-    file/line of the offending event.
+    A flow rule needs the whole module graph, so there is no per-file
+    ``visit``.  Subclasses implement :meth:`check_project` and yield
+    findings pinned to the file/line of the offending event.
     """
 
     id: ClassVar[str]
@@ -140,69 +138,29 @@ class FlowRule(ABC):
         )
 
 
-_REGISTRY: dict[str, Rule] = {}
-_FLOW_REGISTRY: dict[str, FlowRule] = {}
+_REGISTRY: dict[str, Rule | FlowRule] = {}
 
 
-def register(cls: type[Rule]) -> type[Rule]:
+def register(cls: type[Rule | FlowRule]) -> type[Rule | FlowRule]:
     """Class decorator adding a rule (by instance) to the registry."""
     _REGISTRY[cls.id] = cls()
     return cls
 
 
-def register_flow(cls: type[FlowRule]) -> type[FlowRule]:
-    """Class decorator adding a flow rule to the project registry."""
-    _FLOW_REGISTRY[cls.id] = cls()
-    return cls
-
-
-def all_rules() -> tuple[Rule, ...]:
-    """Every registered per-file rule, ordered by id."""
+def all_rules() -> tuple[Rule | FlowRule, ...]:
+    """Every registered rule, per-file and project-wide, ordered by id."""
     return tuple(rule for _, rule in sorted(_REGISTRY.items()))
 
 
-def all_flow_rules() -> tuple[FlowRule, ...]:
-    """Every registered project-wide flow rule, ordered by id."""
-    return tuple(rule for _, rule in sorted(_FLOW_REGISTRY.items()))
-
-
-def known_rule_ids() -> tuple[str, ...]:
-    """Every rule id, per-file and flow, ordered."""
-    return tuple(sorted({*_REGISTRY, *_FLOW_REGISTRY}))
-
-
-def select_rules(ids: tuple[str, ...] | None) -> tuple[Rule, ...]:
-    """Resolve rule ids to per-file rules.
-
-    With explicit ids, unknown ones raise :class:`LintError` — unless
-    the id names a flow rule, which is simply not a per-file rule and
-    resolves to nothing here (the CLI selects flow rules separately).
-    """
+def select_rules(ids: tuple[str, ...] | None) -> tuple[Rule | FlowRule, ...]:
+    """Resolve rule ids to rules; unknown ids raise :class:`LintError`."""
     if not ids:
         return all_rules()
     rules = []
     for rule_id in ids:
         key = rule_id.upper()
-        if key in _FLOW_REGISTRY:
-            continue
         if key not in _REGISTRY:
-            known = ", ".join(known_rule_ids())
+            known = ", ".join(sorted(_REGISTRY))
             raise LintError(f"unknown rule {rule_id!r} (known rules: {known})")
         rules.append(_REGISTRY[key])
-    return tuple(dict.fromkeys(rules))
-
-
-def select_flow_rules(ids: tuple[str, ...] | None) -> tuple[FlowRule, ...]:
-    """Resolve rule ids to flow rules (unknown ids raise, like above)."""
-    if not ids:
-        return all_flow_rules()
-    rules = []
-    for rule_id in ids:
-        key = rule_id.upper()
-        if key in _REGISTRY:
-            continue
-        if key not in _FLOW_REGISTRY:
-            known = ", ".join(known_rule_ids())
-            raise LintError(f"unknown rule {rule_id!r} (known rules: {known})")
-        rules.append(_FLOW_REGISTRY[key])
     return tuple(dict.fromkeys(rules))

@@ -1,7 +1,7 @@
 """RL005 — observability contract: names come from the taxonomy.
 
-Trace consumers, ``repro-verify``'s span check, and trend tooling all
-key off the literal span/event/metric names, so an instrumentation point
+Trace consumers, the CLI trace tests, and trend tooling all key off
+the literal span/event/metric names, so an instrumentation point
 whose name is not declared in :mod:`repro.obs.names` is invisible to all
 of them.  This rule checks
 

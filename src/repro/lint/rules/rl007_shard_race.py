@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..findings import Finding
-from .base import FlowRule, register_flow
+from .base import FlowRule, register
 
 #: State the exec/obs layers own and reconcile across processes.
 _WHITELIST_PREFIXES = ("repro.exec.runtime", "repro.obs.OBS")
@@ -38,7 +38,7 @@ _HINT = (
 )
 
 
-@register_flow
+@register
 class ShardRaceRule(FlowRule):
     id = "RL007"
     name = "shard-race"

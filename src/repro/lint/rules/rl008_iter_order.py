@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..findings import Finding
-from .base import FlowRule, register_flow
+from .base import FlowRule, register
 
 _HINT = (
     "wrap the iterable in sorted(...) (with an explicit key if element "
@@ -30,7 +30,7 @@ _HINT = (
 )
 
 
-@register_flow
+@register
 class IterationOrderRule(FlowRule):
     id = "RL008"
     name = "iteration-order"

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from ..findings import Finding
 from ..flow import taint
-from .base import FlowRule, register_flow
+from .base import FlowRule, register
 
 _HINT = (
     "emit timing through exec.* metrics or phases[].wall_s "
@@ -42,7 +42,7 @@ def _describe(sink) -> str:
     return f"fingerprinted metric {sink.field!r}"
 
 
-@register_flow
+@register
 class FingerprintPurityRule(FlowRule):
     id = "RL009"
     name = "fingerprint-purity"

@@ -3,8 +3,8 @@
 Everything the observability layer persists — run manifests, JSONL
 traces, metrics snapshots, the CLI's ``--json`` documents — flows
 through this module so that every export carries a ``schema_version``
-field and downstream tooling (``repro-verify``, CI validators) can
-evolve against a stable contract.
+field and downstream tooling (the CLI tests, CI validators) can evolve
+against a stable contract.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The span/event/metric name taxonomy.
 
 Every name the simulator emits through :data:`repro.obs.OBS` is declared
-here, so that trace consumers, the ``repro-verify`` span check, and the
-RL005 lint rule all agree on one vocabulary.  Adding an instrumentation
+here, so that trace consumers, the CLI trace tests, and the RL005 lint
+rule all agree on one vocabulary.  Adding an instrumentation
 point means adding its name here first — a literal that is not in the
 taxonomy fails ``repro-lint``.
 

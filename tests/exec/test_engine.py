@@ -73,11 +73,6 @@ class TestParallelPath:
     def test_parallel_equals_serial(self):
         assert execute(_squares(13), jobs=4) == execute(_squares(13), jobs=1)
 
-    def test_explicit_chunk_size(self):
-        assert execute(_squares(7), jobs=2, chunk_size=1) == [
-            i * i for i in range(7)
-        ]
-
 
 class TestRetry:
     def test_failed_shard_is_retried_serially(self, tmp_path, observed):
@@ -88,7 +83,7 @@ class TestRetry:
             _fail_once, [(marker, 42), (str(tmp_path / "other"), 7)]
         )
         Path(tmp_path / "other").write_text("pre-satisfied")
-        assert execute(plan, jobs=2, chunk_size=1, retries=1) == [42, 7]
+        assert execute(plan, jobs=2, retries=1) == [42, 7]
         assert observed.metrics.snapshot()["exec.retries"] == 1
 
     def test_retries_exhausted_raises_shard_error(self):
@@ -96,7 +91,7 @@ class TestRetry:
             _always_fail, [(1,), (2,)], labels=["bad[1]", "bad[2]"]
         )
         with pytest.raises(ShardError) as excinfo:
-            execute(plan, jobs=2, chunk_size=1, retries=1)
+            execute(plan, jobs=2, retries=1)
         assert excinfo.value.attempts == 2
         assert "bad[" in excinfo.value.label
         assert "RuntimeError" in excinfo.value.cause
@@ -107,7 +102,7 @@ class TestRetry:
             _fail_once, [(marker, 42), (marker, 42)]
         )
         with pytest.raises(ShardError) as excinfo:
-            execute(plan, jobs=2, chunk_size=1, retries=0)
+            execute(plan, jobs=2, retries=0)
         assert excinfo.value.attempts == 1
 
     def test_shard_error_is_in_the_repro_taxonomy(self):
@@ -179,7 +174,6 @@ class TestSerialRetryParity:
                 results = execute(
                     ShardPlan(units),
                     jobs=1 if path == "serial" else 2,
-                    chunk_size=1 if path == "pooled" else None,
                     retries=1,
                 )
             counts = {
@@ -239,29 +233,29 @@ class TestQuarantine:
     def test_pooled_shard_quarantines_only_its_failing_unit(
         self, observed
     ):
-        # Shard 0 holds a healthy and a poisoned unit.  Once the shard's
-        # budget is spent it splits, so only the poisoned unit is lost.
+        # 16 units over 2 jobs run as 8 shards of 2, so shard 0 holds a
+        # healthy and a poisoned unit.  Once the shard's budget is spent
+        # it splits, so only the poisoned unit is lost.
         units = [
-            WorkUnit(i, _square, (i,), label=f"sq[{i}]") for i in range(4)
+            WorkUnit(i, _square, (i,), label=f"sq[{i}]") for i in range(16)
         ]
         units[1] = WorkUnit(1, _always_fail, (1,), label="bad[1]")
+        assert ShardPlan(units).chunk_size(jobs=2) == 2
         runtime.clear_incidents()
         try:
             with runtime.supervised(SupervisionPolicy(quarantine=True)):
-                results = execute(
-                    ShardPlan(units), jobs=2, chunk_size=2, retries=1
-                )
+                results = execute(ShardPlan(units), jobs=2, retries=1)
             incidents = runtime.incidents()
         finally:
             runtime.clear_incidents()
-        assert results == [0, None, 4, 9]
+        assert results == [None if i == 1 else i * i for i in range(16)]
         assert [incident.detail["label"] for incident in incidents] == [
             "bad[1]"
         ]
         snapshot = observed.metrics.snapshot()
         assert snapshot["exec.quarantined_units"] == 1
-        assert snapshot["exec.shards"] == 2
-        assert len(observed.tracer.spans_named("exec.shard")) == 2
+        assert snapshot["exec.shards"] == 8
+        assert len(observed.tracer.spans_named("exec.shard")) == 8
 
 
 class TestSerialFallback:
@@ -286,20 +280,29 @@ class TestSerialFallback:
 
 class TestObservabilityMerge:
     def test_shard_spans_are_adopted(self, observed):
-        execute(_squares(8), jobs=2, chunk_size=4)
+        # 20 units over 2 jobs run as contiguous shards of 3, in order.
+        execute(_squares(20), jobs=2)
         names = [span.name for span in observed.tracer.finished]
-        assert names.count("exec.shard") == 2
+        assert names.count("exec.shard") == 7
         assert "exec.run" in names
+        shards = sorted(
+            observed.tracer.spans_named("exec.shard"),
+            key=lambda span: span.attributes["shard"],
+        )
+        assert [span.attributes["labels"] for span in shards] == [
+            [f"sq[{i}]" for i in range(start, min(start + 3, 20))]
+            for start in range(0, 20, 3)
+        ]
 
     def test_engine_metrics_are_recorded(self, observed):
-        execute(_squares(8), jobs=2, chunk_size=4)
+        execute(_squares(8), jobs=2)
         snapshot = observed.metrics.snapshot()
         assert snapshot["exec.units"] == 8
-        assert snapshot["exec.shards"] == 2
+        assert snapshot["exec.shards"] == 8
         assert snapshot["exec.jobs"] == 2.0
-        assert snapshot["exec.shard_wall_s"]["count"] == 2
+        assert snapshot["exec.shard_wall_s"]["count"] == 8
 
     def test_disabled_obs_stays_silent(self):
-        execute(_squares(8), jobs=2, chunk_size=4)
+        execute(_squares(8), jobs=2)
         assert obs.OBS.metrics.snapshot() == {}
         assert obs.OBS.tracer.finished == []

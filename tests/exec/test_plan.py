@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecError
-from repro.exec import CHUNKS_PER_JOB, ShardPlan, WorkUnit
+from repro.exec import CHUNKS_PER_JOB, ShardPlan, WorkUnit, execute
 
 
 def _double(x):
@@ -17,6 +17,11 @@ def _draw(rng):
 
 def _plan(n):
     return ShardPlan.enumerate(_double, [(i,) for i in range(n)])
+
+
+def _drawing_plan(parent):
+    plan = ShardPlan.enumerate(_draw, [() for _ in range(6)])
+    return plan.with_spawned_streams(parent)
 
 
 class TestWorkUnit:
@@ -58,27 +63,23 @@ class TestSharding:
         plan = _plan(32)
         assert plan.chunk_size(jobs=4) == max(1, 32 // (4 * CHUNKS_PER_JOB))
 
-    def test_explicit_chunk_size_wins(self):
-        assert _plan(32).chunk_size(jobs=4, chunk_size=7) == 7
-
     def test_chunk_size_validation(self):
         with pytest.raises(ExecError):
             _plan(4).chunk_size(jobs=0)
-        with pytest.raises(ExecError):
-            _plan(4).chunk_size(jobs=2, chunk_size=0)
 
     def test_shards_preserve_unit_order(self):
-        plan = _plan(10)
-        shards = plan.shards(jobs=3, chunk_size=3)
-        flattened = [u.index for shard in shards for u in shard]
-        assert flattened == list(range(10))
-        assert [len(s) for s in shards] == [3, 3, 3, 1]
+        # The engine cuts the units into contiguous shards of
+        # chunk_size(jobs), so 10 units over 1 job run as 3+3+3+1 and
+        # over 3 jobs one unit per shard.
+        assert _plan(10).chunk_size(jobs=1) == 3
+        assert _plan(10).chunk_size(jobs=3) == 1
 
     def test_shard_layout_never_depends_on_completion(self):
-        # The layout is a pure function of (len, jobs, chunk_size).
-        assert _plan(10).shards(jobs=3, chunk_size=3) == _plan(10).shards(
-            jobs=3, chunk_size=3
-        )
+        # The layout is a pure function of (len, jobs): the units'
+        # arguments, and which of them already ran, do not enter it.
+        other = ShardPlan.enumerate(_double, [(i,) for i in range(90, 100)])
+        for jobs in (1, 2, 3, 8):
+            assert _plan(10).chunk_size(jobs) == other.chunk_size(jobs)
 
 
 class TestSpawnedStreams:
@@ -100,8 +101,9 @@ class TestSpawnedStreams:
         # in the same state regardless of how the plan is later sharded.
         parent_a = np.random.default_rng(7)
         parent_b = np.random.default_rng(7)
-        _plan(6).with_spawned_streams(parent_a).shards(jobs=1)
-        _plan(6).with_spawned_streams(parent_b).shards(jobs=4)
+        serial = execute(_drawing_plan(parent_a), jobs=1)
+        sharded = execute(_drawing_plan(parent_b), jobs=4)
+        assert serial == sharded
         assert _draw(parent_a) == _draw(parent_b)
 
     def test_custom_kwarg_name(self):

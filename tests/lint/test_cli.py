@@ -88,6 +88,12 @@ UNSORTED_SCAN = (
 )
 
 
+PER_FILE_RULES = [
+    arg for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006")
+    for arg in ("--rule", rule_id)
+]
+
+
 class TestProjectMode:
     def test_project_adds_flow_findings(self, capsys, tmp_path):
         pkg = tmp_path / "pkg"
@@ -95,10 +101,11 @@ class TestProjectMode:
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
         # Per-file rules alone: clean.
-        assert cli.main([str(pkg)]) == 0
+        assert cli.main([str(pkg), *PER_FILE_RULES]) == 0
         capsys.readouterr()
-        # Project mode: the RL008 scan fires.
-        assert cli.main([str(pkg), "--project"]) == 1
+        # A default run includes the project-wide rules: the RL008 scan
+        # fires.
+        assert cli.main([str(pkg)]) == 1
         out = capsys.readouterr().out
         assert "RL008" in out
         assert "pkg.m.scan" in out
@@ -108,7 +115,7 @@ class TestProjectMode:
         pkg.mkdir()
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
-        assert cli.main([str(pkg), "--project", "--format", "json"]) == 1
+        assert cli.main([str(pkg), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in doc["findings"]] == ["RL008"]
 
@@ -120,11 +127,11 @@ class TestProjectMode:
             "import random\n" + UNSORTED_SCAN, encoding="utf-8"
         )
         # Selecting only the flow rule masks the per-file RL001.
-        assert cli.main([str(pkg), "--project", "--rule", "RL008"]) == 1
+        assert cli.main([str(pkg), "--rule", "RL008"]) == 1
         out = capsys.readouterr().out
         assert "RL008" in out and "RL001" not in out
         # And the reverse.
-        assert cli.main([str(pkg), "--project", "--rule", "RL001"]) == 1
+        assert cli.main([str(pkg), "--rule", "RL001"]) == 1
         out = capsys.readouterr().out
         assert "RL001" in out and "RL008" not in out
 
@@ -144,7 +151,7 @@ class TestStatelessContract:
             "  # repro-lint: ignore[RL008]\n",
             encoding="utf-8",
         )
-        assert cli.main([str(pkg), "--project", "--format", "json"]) == 1
+        assert cli.main([str(pkg), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert [(f["rule"], f["line"]) for f in doc["findings"]] == [
             ("RL001", 2), ("RL008", 4),
@@ -158,7 +165,7 @@ class TestStatelessContract:
         (pkg / "__init__.py").write_text("", encoding="utf-8")
         (pkg / "m.py").write_text(UNSORTED_SCAN, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        assert cli.main([str(pkg), "--project"]) == 1
+        assert cli.main([str(pkg)]) == 1
         assert list(tmp_path.iterdir()) == []
         assert sorted(pkg.iterdir()) == [pkg / "__init__.py", pkg / "m.py"]
 
@@ -179,6 +186,6 @@ class TestStatelessContract:
         (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exit_info:
-            cli.main([str(module), "--project", *flag])
+            cli.main([str(module), *flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -5,12 +5,21 @@ importing them* — the linter's own contract — via the ``make_tree``
 fixture.
 """
 
+import ast
+
 from repro.lint.engine import iter_python_files
-from repro.lint.flow import build_project, module_name_for, summarize_source
+from repro.lint.flow import build_project, module_name_for, summarize_tree
 
 
 def project_over(root):
-    return build_project(iter_python_files([root]))
+    # Like the lint engine: a file that does not parse maps to None.
+    trees = {}
+    for path in iter_python_files([root]):
+        try:
+            trees[path] = ast.parse(path.read_text(encoding="utf-8"))
+        except SyntaxError:
+            trees[path] = None
+    return build_project(trees)
 
 
 class TestModuleNaming:
@@ -184,15 +193,15 @@ class TestParseErrors:
             "pkg/fine.py": "def ok():\n    return 1\n",
         })
         project = project_over(root)
-        assert project.modules["pkg.broken"].parse_error
-        assert not project.modules["pkg.broken"].functions
+        broken = project.modules["pkg.broken"]
+        assert not broken.functions and not broken.imports
         assert "pkg.fine.ok" in project.functions
 
 
 class TestSummarizeSource:
     def test_module_body_gets_a_pseudo_function(self):
-        summary = summarize_source(
-            "VALUES = [x for x in {1, 2, 3}]\n", "m.py", "m"
+        summary = summarize_tree(
+            ast.parse("VALUES = [x for x in {1, 2, 3}]\n"), "m.py", "m"
         )
         body = summary.functions["<module>"]
         assert [event.kind for event in body.iters] == ["set"]

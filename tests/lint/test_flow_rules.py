@@ -5,13 +5,17 @@ and false-positive fixtures (the idioms it must leave alone).  The
 fixtures are real package trees analysed from disk, never imported.
 """
 
+import ast
+
 from repro.exec import ShardPlan, WorkUnit, execute
-from repro.lint.engine import flow_findings, iter_python_files
-from repro.lint.flow import summarize_source
+from repro.lint import lint
+from repro.lint.flow import summarize_tree
+
+FLOW_RULES = ("RL007", "RL008", "RL009")
 
 
 def findings_over(root, rules=None):
-    return flow_findings(iter_python_files([root]), select=rules)
+    return lint([root], select=rules or FLOW_RULES)
 
 
 class TestShardRaceRL007:
@@ -215,7 +219,9 @@ class TestIterationOrderRL008:
         pre_fix = shipped.replace(fixed, broken)
 
         def rl008_events(source):
-            summary = summarize_source(source, "bench.py", "pkg.bench")
+            summary = summarize_tree(
+                ast.parse(source), "bench.py", "pkg.bench"
+            )
             return [
                 event
                 for fn in summary.functions.values()

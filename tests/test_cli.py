@@ -117,6 +117,7 @@ class TestObservabilityFlags:
         records = obs.read_jsonl(trace)
         assert records[0]["type"] == "header"
         spans = {r["name"] for r in records if r["type"] == "span"}
+        assert "attack.voltboot" in spans  # the root span of the attack
         for step in ("identify", "attach", "power-cycle", "reboot", "extract"):
             assert f"attack.{step}" in spans
         power_cycle = next(
