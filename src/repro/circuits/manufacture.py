@@ -7,11 +7,14 @@ kernel in :mod:`repro.circuits.engine` returns a fresh array, and the
 only later change — aging — rebinds the field to a new one.  (An SRAM
 array defers all of its draws until something reads its cells, and
 even then keeps only the stream state of its DRV and restore-threshold
-draws until a result reads those fields; each replays the same draw.)
+draws until a result reads those fields; each replays the same draw.
+A DRAM array draws its anti-cell layout when a ground-state image is
+first read, and its retention field only when a restore cannot be
+decided without it.)
 Those fields are marked read-only, so copies of the array can share
 them instead of copying megabytes of ``float16``; only the electrical
-state (the bit image, DRAM charge levels, the RNG stream, scalar supply
-state) is per-copy.
+state (the bit image, DRAM's start charge level and owed decays, the
+RNG stream, scalar supply state) is per-copy.
 
 A :class:`Snapshot` is the one way to copy a board.  It materializes
 every array (so copies share its fields instead of each drawing its
@@ -39,6 +42,16 @@ def read_only(array: np.ndarray) -> np.ndarray:
     """Mark ``array`` read-only in place and return it."""
     array.flags.writeable = False
     return array
+
+
+def pack_cells(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 cells eight to a byte, cell ``8k + i`` into bit ``i``."""
+    return np.packbits(bits, bitorder="little")
+
+
+def unpack_cells(cells: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`pack_cells`: one ``uint8`` 0/1 per cell."""
+    return np.unpackbits(cells, bitorder="little")
 
 
 class ManufacturedArray:

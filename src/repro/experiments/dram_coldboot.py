@@ -69,7 +69,7 @@ class DramColdBootResult:
 def _build_dram(seed: int) -> tuple[DramArray, np.ndarray]:
     dram = DramArray(8 * 65536, rng=generator(seed, "dram-cb"))
     dram.restore_power()
-    ground = dram._ground_state()  # the attacker profiles this per chip
+    ground = dram.ground_state()  # the attacker profiles this per chip
     return dram, ground
 
 

@@ -148,6 +148,14 @@ class TestChunkedSampling:
         assert (low, high) == (field.min(), field.max())
         assert r2.bit_generator.state == r1.bit_generator.state
 
+    @pytest.mark.parametrize("spread", [0.4, 0.0, 1.0])
+    def test_lognormal_value_is_the_fields_value(self, spread):
+        r1, r2 = pair("lognormal-value", str(spread))
+        field = VECTOR.lognormal_field(r1, 257, spread)
+        z = r2.standard_normal(257, dtype=np.float32).tolist()
+        values = [VECTOR.lognormal_value(v, spread) for v in z]
+        assert_same(np.array(values, dtype=np.float16), field)
+
     @pytest.mark.parametrize(
         "kernel, args",
         [

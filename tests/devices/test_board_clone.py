@@ -73,17 +73,18 @@ def _parts(board) -> list[tuple[str, object]]:
 
 
 def _stored(part: SramArray | DramArray) -> np.ndarray:
-    """The stored image: packed SRAM cells, or DRAM's one byte per bit.
+    """The stored image: the packed cells of either array.
 
-    A lazy SRAM array is materialized first, so its image and stream
+    A lazy array is materialized first, so its image and stream
     compare with those of an array that took its draws already.
     """
     part.materialize()
-    return part._cells if isinstance(part, SramArray) else part._bits
+    return part._cells
 
 
 def _state(board) -> dict[str, object]:
-    """Stored images, DRAM charge levels and RNG states, by path."""
+    """Stored images, DRAM charge (the start level and the decays
+    owed since power-down) and RNG states, by path."""
     state: dict[str, object] = {}
     for path, part in _parts(board):
         if isinstance(part, np.random.Generator):
@@ -92,7 +93,7 @@ def _state(board) -> dict[str, object]:
         state[f"{path}.stored"] = _stored(part).tobytes()
         state[f"{path}._rng"] = part._rng.bit_generator.state
         if isinstance(part, DramArray):
-            state[f"{path}._level"] = part._level.tobytes()
+            state[f"{path}.charge"] = (part._start_level, list(part._decays))
     return state
 
 
@@ -202,7 +203,7 @@ class TestCloneIsolation:
                 assert vars(copied).get(name) is vars(original).get(name), name
             assert not np.shares_memory(_stored(original), _stored(copied))
             if isinstance(original, DramArray):
-                assert not np.shares_memory(original._level, copied._level)
+                assert copied._decays is not original._decays
             assert original._rng is not copied._rng
 
     def test_read_only_array_outside_manufactured_is_copied(self):
@@ -289,6 +290,29 @@ class TestLazyArrays:
         assert _state(first) == _state(fresh)
         assert first._wake_p is array._wake_p
         assert second._wake_p is array._wake_p
+
+
+class TestLazyDram:
+    """A snapshot materializes a never-read DRAM array, so restored
+    copies share both of its fields and equal a fresh build."""
+
+    @staticmethod
+    def _unread(seed: int) -> DramArray:
+        """A powered array that has drawn neither field."""
+        array = DramArray(8 * 4096, rng=np.random.default_rng(seed))
+        array.restore_power()
+        return array
+
+    def test_snapshot_of_a_never_read_array_shares_both_fields(self):
+        array = self._unread(4)
+        assert not set(array.MANUFACTURED) & set(vars(array))
+        snapshot = Snapshot(array)
+        assert set(array.MANUFACTURED) <= set(vars(array))
+        first, second = snapshot.restore(), snapshot.restore()
+        assert _state(first) == _state(self._unread(4))
+        for name in array.MANUFACTURED:
+            assert vars(first)[name] is vars(array)[name], name
+            assert vars(second)[name] is vars(array)[name], name
 
 
 class TestBootedBoard:

@@ -7,6 +7,7 @@ configurations.
 
 import pytest
 
+from repro.circuits.dram import DramArray
 from repro.circuits.sram import SramArray
 from repro.experiments import (
     accessibility,
@@ -56,6 +57,27 @@ class TestTable1:
         for array in cold_boot_arrays:
             assert "_drv" not in vars(array), array.name
             assert "_restore_threshold" not in vars(array), array.name
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_cold_boot_never_draws_the_dram_retention_field(
+        self, monkeypatch, position
+    ):
+        """A soak's DRAM decays (4 ms, chilled) keep a cell even at the
+        lowest retention multiplier, so the retained table decides
+        every restore and no board draws the field."""
+        built = []
+        manufacture = DramArray.__init__
+
+        def record(array, *args, **kwargs):
+            manufacture(array, *args, **kwargs)
+            built.append(array)
+
+        monkeypatch.setattr(DramArray, "__init__", record)
+        table1._temperature_point(
+            900, position, table1.TABLE1_TEMPERATURES_C[position]
+        )
+        (dram,) = built
+        assert "_retention_scale" not in vars(dram)
 
     def test_cold_boot_never_materializes_the_l2_data_ways(
         self, cold_boot_arrays
