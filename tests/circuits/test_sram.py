@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.engine import ENGINE
 from repro.circuits.engine.vector import CHUNK
 from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import CalibrationError, CircuitError
@@ -686,7 +687,7 @@ class TestDrvCap:
             dtype=np.float32
         )
         assert abs(float(z)) == pytest.approx(Z_EXTREME, rel=1e-6)
-        assert abs(float(z)) <= SramArray.DRV_CAP_Z
+        assert abs(float(z)) <= ENGINE.NORMAL_Z_CAP
 
     @given(
         word=st.integers(min_value=0, max_value=2**32 - 1),
@@ -710,5 +711,5 @@ class TestDrvCap:
         )
         assert field[0] <= array._drv_cap
         assert float(array._drv_cap) == pytest.approx(
-            params.drv_mean_v + array.DRV_CAP_Z * params.drv_sigma_v, abs=1e-3
+            params.drv_mean_v + ENGINE.NORMAL_Z_CAP * params.drv_sigma_v, abs=1e-3
         )
