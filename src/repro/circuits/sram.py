@@ -231,7 +231,7 @@ class SramArray(ManufacturedArray):
         return self._supply_v if self._powered else 0.0
 
     def drv_percentile(self, percentile: float) -> float:
-        """Per-cell DRV percentile — used by probe-planning heuristics.
+        """Per-cell DRV percentile of the array's manufacture field.
 
         Parameters
         ----------

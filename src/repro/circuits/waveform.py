@@ -21,13 +21,11 @@ from .supply import BenchSupply
 
 
 @dataclass(frozen=True)
-class RailWaveform:
-    """A reconstructed V(t) trace around the disconnect event."""
+class VoltageTrace:
+    """A rail voltage sampled on a uniform time axis."""
 
     time_s: np.ndarray
     voltage_v: np.ndarray
-    floor_v: float
-    steady_v: float
 
     def minimum(self) -> float:
         """Lowest voltage in the trace."""
@@ -35,11 +33,16 @@ class RailWaveform:
 
     def time_below(self, threshold_v: float) -> float:
         """Total time the rail spends below ``threshold_v`` (seconds)."""
-        below = self.voltage_v < threshold_v
-        if not below.any():
-            return 0.0
         dt = float(self.time_s[1] - self.time_s[0])
-        return float(np.count_nonzero(below)) * dt
+        return float(np.count_nonzero(self.voltage_v < threshold_v)) * dt
+
+
+@dataclass(frozen=True)
+class RailWaveform(VoltageTrace):
+    """A reconstructed V(t) trace around the disconnect event."""
+
+    floor_v: float
+    steady_v: float
 
     def ascii_plot(self, width: int = 72, height: int = 12) -> str:
         """Render the trace as ASCII art (voltage on the y axis)."""

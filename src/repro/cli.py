@@ -31,7 +31,7 @@ import sys
 from collections.abc import Sequence
 from contextlib import nullcontext
 
-from . import __version__, experiments, obs
+from . import __version__, obs
 from .core.coldboot import ColdBootAttack
 from .core.report import AttackReport
 from .core.voltboot import VoltBootAttack
@@ -44,6 +44,7 @@ from .exec import (
     incidents,
     supervised,
 )
+from .experiments import EXPERIMENTS
 from .soc.bootrom import BootMedia
 
 #: Process exit codes (documented in docs/robustness.md).
@@ -57,29 +58,6 @@ EXIT_INTERRUPTED = 3
 #: work units and/or a degraded (in-memory) checkpoint journal.  The
 #: report and manifest were still produced; details went to stderr.
 EXIT_DEGRADED = 4
-
-#: Experiment name -> (module, needs-report-arg) registry for the CLI.
-EXPERIMENTS = {
-    "table1": experiments.table1,
-    "figure3": experiments.figure3,
-    "table4": experiments.table4,
-    "figure7": experiments.figure7,
-    "figure8": experiments.figure8,
-    "figure9": experiments.figure9,
-    "figure10": experiments.figure10,
-    "registers": experiments.registers,
-    "accessibility": experiments.accessibility,
-    "retention-sweep": experiments.retention_sweep,
-    "probe-sweep": experiments.probe_sweep,
-    "countermeasures": experiments.countermeasures,
-    "platforms": experiments.platforms,
-    "dram-coldboot": experiments.dram_coldboot,
-    "microarch-leak": experiments.microarch_leak,
-    "standby-retention": experiments.standby_retention,
-    "policy-ablation": experiments.policy_ablation,
-    "glitch-campaign": experiments.glitch_campaign,
-    "noisy-rig": experiments.noisy_rig,
-}
 
 #: Targets the attack command accepts per device.
 _DEVICE_TARGETS = {

@@ -68,18 +68,15 @@ class Core:
 
     def _tlb_fill(self, addr: int) -> None:
         tlb = self.unit.tlb
-        if tlb is None:
-            return
         page = addr >> tlb.PAGE_SHIFT
         if page not in self._utlb_pages:
             self._utlb_pages.add(page)
             tlb.touch_address(self.asid, addr)
 
     def _btb_record(self, branch_pc: int, target_pc: int) -> None:
-        btb = self.unit.btb
-        if btb is not None and branch_pc not in self._ubtb_branches:
+        if branch_pc not in self._ubtb_branches:
             self._ubtb_branches.add(branch_pc)
-            btb.record(branch_pc, target_pc)
+            self.unit.btb.record(branch_pc, target_pc)
 
     def _dread(self, addr: int, size: int) -> bytes:
         self._tlb_fill(addr)

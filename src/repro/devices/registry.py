@@ -1,10 +1,11 @@
 """Device metadata registry — paper Tables 2 and 3 as data.
 
-The registry is the single source of truth for platform facts quoted in
-reports: board/SoC/CPU identity, targeted memories, probe pads, and
-nominal rail voltages.  The builders in
-:mod:`repro.devices.builders` consume the same records, so the registry
-and the simulated hardware cannot drift apart.
+The registry is the source of the platform facts quoted in reports:
+board/SoC/CPU identity, targeted memories, probe pads, and nominal rail
+voltages.  The builders in :mod:`repro.devices.builders` do not read
+these records; they declare the simulated hardware themselves, and the
+device tests check that the registry's pads and voltages match the
+boards they build.
 """
 
 from __future__ import annotations

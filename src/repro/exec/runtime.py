@@ -98,17 +98,17 @@ class SupervisionPolicy:
 
     ``hang_timeout_s`` is how long a worker may go without a heartbeat
     tick (one per completed unit) before it is killed and its shard
-    re-attempted; ``None`` disables hang detection.  ``quarantine``
+    re-attempted.  ``quarantine``
     turns exhausted-retry failures into per-unit quarantine records
     instead of a fatal :class:`~repro.errors.ShardError`.
     """
 
-    hang_timeout_s: float | None = 120.0
+    hang_timeout_s: float = 120.0
     quarantine: bool = False
 
     def __post_init__(self) -> None:
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0.0:
-            raise CheckpointError("hang_timeout_s must be positive or None")
+        if self.hang_timeout_s <= 0.0:
+            raise CheckpointError("hang_timeout_s must be positive")
 
 
 #: The default when nothing is installed: supervision on, quarantine off.

@@ -76,8 +76,7 @@ def _start_worker(
 ) -> tuple[Any, Any]:
     """Spawn one shard worker; returns ``(process, heartbeat)``.
 
-    Module-level so tests can monkeypatch the spawn seam (the old
-    tests patched ``engine.ProcessPoolExecutor`` for the same effect).
+    Module-level so tests can monkeypatch the spawn seam.
     """
     beat = ctx.Value("Q", 0, lock=False)
     process = ctx.Process(
@@ -227,9 +226,7 @@ class _Supervisor:
                         ),
                     )
                 continue
-            if hang_timeout is not None and (
-                now - worker.last_progress_t > hang_timeout
-            ):
+            if now - worker.last_progress_t > hang_timeout:
                 self._kill(
                     index, WorkerHang(worker.task.describe(), hang_timeout)
                 )

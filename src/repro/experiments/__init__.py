@@ -19,6 +19,10 @@ the paper-shaped tables and assert on the result shapes.
 | :mod:`~repro.experiments.probe_sweep` | §6 — probe current/voltage adequacy ablation |
 | :mod:`~repro.experiments.countermeasures` | §8 — defense survey |
 | :mod:`~repro.experiments.platforms` | Tables 2 & 3 — platform/pad inventory |
+| :mod:`~repro.experiments.dram_coldboot` | §9.1 — DRAM cold boot and its mitigation |
+| :mod:`~repro.experiments.microarch_leak` | §2.1 — execution footprint in the TLB and BTB |
+| :mod:`~repro.experiments.standby_retention` | §2.1 — standby voltage scaling vs retention |
+| :mod:`~repro.experiments.policy_ablation` | design ablation — L1 replacement policy vs Table 4 |
 | :mod:`~repro.experiments.glitch_campaign` | ``repro.glitch`` — voltage-glitch parameter search |
 | :mod:`~repro.experiments.noisy_rig` | ``repro.resilience`` — naive vs resilient driver on a flaky bench |
 """
@@ -45,24 +49,25 @@ from . import (
     table4,
 )
 
-__all__ = [
-    "table1",
-    "figure3",
-    "table4",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "registers",
-    "accessibility",
-    "retention_sweep",
-    "probe_sweep",
-    "countermeasures",
-    "platforms",
-    "dram_coldboot",
-    "microarch_leak",
-    "standby_retention",
-    "policy_ablation",
-    "glitch_campaign",
-    "noisy_rig",
-]
+#: Experiment name -> module: the one registry, read by the CLI.
+EXPERIMENTS = {
+    "table1": table1,
+    "figure3": figure3,
+    "table4": table4,
+    "figure7": figure7,
+    "figure8": figure8,
+    "figure9": figure9,
+    "figure10": figure10,
+    "registers": registers,
+    "accessibility": accessibility,
+    "retention-sweep": retention_sweep,
+    "probe-sweep": probe_sweep,
+    "countermeasures": countermeasures,
+    "platforms": platforms,
+    "dram-coldboot": dram_coldboot,
+    "microarch-leak": microarch_leak,
+    "standby-retention": standby_retention,
+    "policy-ablation": policy_ablation,
+    "glitch-campaign": glitch_campaign,
+    "noisy-rig": noisy_rig,
+}

@@ -24,6 +24,7 @@ import numpy as np
 
 from ..circuits.passives import DecouplingNetwork, SupplyLineParasitics
 from ..circuits.supply import BenchSupply
+from ..circuits.waveform import VoltageTrace
 from ..errors import CalibrationError
 from ..units import nanoseconds
 
@@ -97,31 +98,20 @@ class GlitchPulse:
 
 
 @dataclass(frozen=True)
-class GlitchWaveform:
+class GlitchWaveform(VoltageTrace):
     """The filtered, die-seen rail voltage over one glitch attempt."""
 
-    time_s: np.ndarray
-    voltage_v: np.ndarray
     nominal_v: float
 
     def __post_init__(self) -> None:
         if self.time_s.shape != self.voltage_v.shape or self.time_s.size < 2:
             raise CalibrationError("waveform needs matching time/voltage axes")
 
-    def minimum(self) -> float:
-        """Deepest excursion the die sees."""
-        return float(self.voltage_v.min())
-
     def voltage_at(self, t_s: float) -> float:
         """Rail voltage at ``t_s`` (nominal after the sampled window)."""
         if t_s >= float(self.time_s[-1]):
             return self.nominal_v
         return float(np.interp(t_s, self.time_s, self.voltage_v))
-
-    def time_below(self, threshold_v: float) -> float:
-        """Total time spent below ``threshold_v``."""
-        dt = float(self.time_s[1] - self.time_s[0])
-        return float(np.count_nonzero(self.voltage_v < threshold_v)) * dt
 
 
 def die_waveform(

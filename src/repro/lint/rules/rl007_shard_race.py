@@ -3,8 +3,8 @@
 ``repro.exec`` promises that ``--jobs N`` is byte-identical to serial
 execution.  That holds only because work units are pure functions of
 their arguments: a unit that mutates module-level or class-level state
-sees that state *shared* on the serial path but *fork-isolated* on the
-``ProcessPoolExecutor`` path, so the two diverge silently — exactly
+sees that state *shared* on the serial path but *fork-isolated* in
+the supervised worker processes, so the two diverge silently — exactly
 the class of bug the runtime jobs-equivalence tests exist to catch,
 caught here at lint time instead.
 

@@ -54,10 +54,8 @@ class SimKernel:
             if not core.l1i.enabled:
                 core.l1i.invalidate_all()
                 core.l1i.enabled = True
-            if core.tlb is not None:
-                core.tlb.invalidate_all()
-            if core.btb is not None:
-                core.btb.invalidate_all()
+            core.tlb.invalidate_all()
+            core.btb.invalidate_all()
 
     def warm_caches(self) -> None:
         """Fill every d-cache with kernel working-set lines.

@@ -9,14 +9,14 @@ paper's attack does.
 
 from .board import Board
 from .bootrom import BootMedia, BootRom, ClobberRegion
-from .cache import BackingStore, CacheGeometry, SetAssociativeCache, TagArray
+from .cache import CacheGeometry, SetAssociativeCache
 from .context import EL0_NS, EL1_NS, EL2_NS, EL3_SECURE, ExecutionContext
 from .cp15 import Cp15Interface, RamId
 from .iram import Iram
 from .jtag import JtagProbe
 from .mbist import MbistEngine
 from .memory_map import MainMemory, MemoryMap, MemoryPort, Region, RomWindow
-from .regfile import RegisterFile, general_purpose_file, vector_file
+from .regfile import RegisterFile, WordRam, general_purpose_file, vector_file
 from .soc import CoreUnit, DomainSpec, Soc, SocConfig
 from .videocore import VideoCore
 
@@ -25,10 +25,8 @@ __all__ = [
     "BootMedia",
     "BootRom",
     "ClobberRegion",
-    "BackingStore",
     "CacheGeometry",
     "SetAssociativeCache",
-    "TagArray",
     "ExecutionContext",
     "EL0_NS",
     "EL1_NS",
@@ -45,6 +43,7 @@ __all__ = [
     "Region",
     "RomWindow",
     "RegisterFile",
+    "WordRam",
     "general_purpose_file",
     "vector_file",
     "CoreUnit",

@@ -250,8 +250,7 @@ class Board:
         for core in self.soc.cores:
             core.l1d.reset_architectural_state()
             core.l1i.reset_architectural_state()
-            if core.tlb is not None:
-                core.tlb.reset_architectural_state()
+            core.tlb.reset_architectural_state()
             # Boot code burns through the general-purpose registers; the
             # vector file is not part of any boot sequence (paper §7.2).
             for reg in range(core.gpr.count):

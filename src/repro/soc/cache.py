@@ -23,7 +23,6 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
 
 import numpy as np
 
@@ -31,16 +30,8 @@ from ..errors import CalibrationError, CircuitError, MemoryMapError
 from ..circuits.sram import SramArray, SramParameters
 from ..obs import OBS
 from ..rng import spawn
-
-
-class BackingStore(Protocol):
-    """Next level of the memory hierarchy (an L2, or main memory)."""
-
-    def read_block(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes at physical address ``addr``."""
-
-    def write_block(self, addr: int, data: bytes) -> None:
-        """Write ``data`` at physical address ``addr``."""
+from .memory_map import MemoryPort
+from .regfile import WordRam
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,11 @@ class CacheGeometry:
         return addr & ~(self.line_bytes - 1)
 
 
-# Tag-entry packing: one 64-bit word per line in the tag RAM.
+# Tag-entry packing: one 64-bit word per line in the tag RAM.  The tag
+# bits live in an SramArray, so they obey the same retention physics as
+# the data payloads — a power cycle without a probe randomises the valid
+# bits along with everything else.
+TAG_BYTES = 8
 _TAG_SHIFT = 0
 _TAG_MASK = (1 << 48) - 1
 _VALID_BIT = 1 << 48
@@ -109,9 +104,11 @@ _VALID_DIRTY = _VALID_BIT | _DIRTY_BIT
 _ALL_BUT_VALID = np.uint64(((1 << 64) - 1) ^ _VALID_BIT)
 
 
-def _tag_word(tag: int, dirty: bool, ns: bool) -> int:
-    """The word of a valid entry holding ``tag``."""
-    word = ((tag & _TAG_MASK) << _TAG_SHIFT) | _VALID_BIT
+def encode_tag(tag: int, valid: bool, dirty: bool, ns: bool) -> int:
+    """The tag-RAM word of one entry."""
+    word = (tag & _TAG_MASK) << _TAG_SHIFT
+    if valid:
+        word |= _VALID_BIT
     if dirty:
         word |= _DIRTY_BIT
     if ns:
@@ -119,63 +116,14 @@ def _tag_word(tag: int, dirty: bool, ns: bool) -> int:
     return word
 
 
-class TagArray:
-    """Tag/valid/dirty/NS metadata stored in a real SRAM macro.
-
-    Each entry occupies 64 bits of tag RAM.  Because the bits live in an
-    :class:`SramArray`, they obey the same retention physics as the data
-    payloads — a power cycle without a probe randomises the valid bits
-    along with everything else.
-    """
-
-    ENTRY_BYTES = 8
-
-    def __init__(self, sram: SramArray, entries: int) -> None:
-        if sram.n_bytes < entries * self.ENTRY_BYTES:
-            raise CalibrationError("tag RAM too small for the entry count")
-        self._sram = sram
-        self._entries = entries
-
-    @property
-    def sram(self) -> SramArray:
-        """The underlying tag SRAM macro."""
-        return self._sram
-
-    def _read_word(self, entry: int) -> int:
-        raw = self._sram.read_bytes(entry * self.ENTRY_BYTES, self.ENTRY_BYTES)
-        return int.from_bytes(raw, "little")
-
-    def write_word(self, entry: int, word: int) -> None:
-        """Store one entry's raw 64-bit word."""
-        self._sram.write_bytes(
-            entry * self.ENTRY_BYTES, word.to_bytes(self.ENTRY_BYTES, "little")
-        )
-
-    def all_words(self) -> np.ndarray:
-        """Every entry's raw word as a little-endian ``uint64`` array."""
-        raw = self._sram.read_bytes(0, self._entries * self.ENTRY_BYTES)
-        return np.frombuffer(raw, dtype="<u8")
-
-    def write_all(self, words: np.ndarray) -> None:
-        """Store every entry's raw word in one SRAM write."""
-        self._sram.write_bytes(0, words.astype("<u8", copy=False).tobytes())
-
-    def read(self, entry: int) -> tuple[int, bool, bool, bool]:
-        """Return (tag, valid, dirty, ns) for one entry."""
-        word = self._read_word(entry)
-        return (
-            (word >> _TAG_SHIFT) & _TAG_MASK,
-            bool(word & _VALID_BIT),
-            bool(word & _DIRTY_BIT),
-            bool(word & _NS_BIT),
-        )
-
-    def write(
-        self, entry: int, tag: int, valid: bool, dirty: bool, ns: bool
-    ) -> None:
-        """Overwrite one entry."""
-        word = _tag_word(tag, dirty, ns)
-        self.write_word(entry, word if valid else word & ~_VALID_BIT)
+def decode_tag(word: int) -> tuple[int, bool, bool, bool]:
+    """``(tag, valid, dirty, ns)`` of one tag-RAM word."""
+    return (
+        (word >> _TAG_SHIFT) & _TAG_MASK,
+        bool(word & _VALID_BIT),
+        bool(word & _DIRTY_BIT),
+        bool(word & _NS_BIT),
+    )
 
 
 class SetAssociativeCache:
@@ -204,7 +152,7 @@ class SetAssociativeCache:
         self,
         name: str,
         geometry: CacheGeometry,
-        backing: BackingStore,
+        backing: MemoryPort,
         sram_params: SramParameters,
         rng: np.random.Generator,
         line_interleave: bool = False,
@@ -230,12 +178,12 @@ class SetAssociativeCache:
             for way in range(g.ways)
         ]
         tag_sram = SramArray(
-            g.sets * g.ways * TagArray.ENTRY_BYTES * 8,
+            g.sets * g.ways * TAG_BYTES * 8,
             sram_params,
             spawn(rng),
             name=f"{name}.tag",
         )
-        self.tags = TagArray(tag_sram, g.sets * g.ways)
+        self.tags = WordRam(tag_sram, TAG_BYTES, g.sets * g.ways)
         # Tag mirror (see the class docstring).  An ``array`` copies as
         # one buffer; ``-1`` forces a load on first use.
         self._tag_words = array("Q")
@@ -285,14 +233,15 @@ class SetAssociativeCache:
         sram = self.tags.sram
         if sram.mutations != self._tag_seen:
             words = array("Q")
-            words.frombytes(self.tags.all_words().astype(np.uint64).tobytes())
+            raw = np.frombuffer(self.tags.image(), dtype="<u8")
+            words.frombytes(raw.astype(np.uint64).tobytes())
             self._tag_words = words
             self._tag_seen = sram.mutations
 
     def _store_tag(self, entry: int, word: int) -> None:
         """Write one tag word through the mirror to the tag RAM."""
         self._tag_words[entry] = word
-        self.tags.write_word(entry, word)
+        self.tags.write(entry, word)
         self._tag_seen = self.tags.sram.mutations
 
     def _mark_dirty(self, entry: int) -> None:
@@ -304,7 +253,8 @@ class SetAssociativeCache:
         """One masked clear of every valid bit, mirror and tag RAM."""
         words = np.frombuffer(self._tag_words, dtype=np.uint64)
         words &= _ALL_BUT_VALID
-        self.tags.write_all(words)
+        raw = words.astype("<u8", copy=False).tobytes()
+        self.tags.sram.write_bytes(0, raw)
         self._tag_seen = self.tags.sram.mutations
 
     def _lookup(self, tag: int, index: int) -> int | None:
@@ -379,11 +329,11 @@ class SetAssociativeCache:
         self._access(addr, len(data), bytes(data), ns)
 
     def read_block(self, addr: int, size: int) -> bytes:
-        """BackingStore port: lets this cache back a smaller cache."""
+        """Memory port: lets this cache back a smaller cache."""
         return self.read(addr, size)
 
     def write_block(self, addr: int, data: bytes) -> None:
-        """BackingStore port: lets this cache back a smaller cache."""
+        """Memory port: lets this cache back a smaller cache."""
         self.write(addr, data)
 
     def _access(
@@ -470,7 +420,7 @@ class SetAssociativeCache:
         if piece is not None:
             line = line[:offset] + piece + line[offset + len(piece) :]
         self._write_line(way, index, line)
-        self._store_tag(entry, _tag_word(tag, piece is not None, ns))
+        self._store_tag(entry, encode_tag(tag, True, piece is not None, ns))
         if OBS.enabled:
             OBS.counter_inc("cache.line_fills", 1, cache=self.name)
         return way, line
@@ -543,7 +493,7 @@ class SetAssociativeCache:
             way = self._choose_victim(index)
             entry = self._entry(index, way)
             self._write_back(index, way, self._tag_words[entry])
-            self._store_tag(entry, _tag_word(tag, True, ns))
+            self._store_tag(entry, encode_tag(tag, True, True, ns))
         else:
             self._mark_dirty(self._entry(index, way))
         self._write_line(way, index, bytes(self.geometry.line_bytes))
@@ -593,9 +543,8 @@ class SetAssociativeCache:
 
     def raw_tag_entry(self, index: int, way: int) -> tuple[int, bool, bool, bool]:
         """Dump one raw tag entry (tag, valid, dirty, ns)."""
-        return self.tags.read(self._entry(index, way))
+        return decode_tag(self.tags.read(self._entry(index, way)))
 
     def line_security(self, index: int, way: int) -> bool:
         """Whether a line is marked secure (NS bit clear)."""
-        _tag, _valid, _dirty, ns = self.tags.read(self._entry(index, way))
-        return not ns
+        return not self.tags.read(self._entry(index, way)) & _NS_BIT

@@ -22,9 +22,10 @@ import enum
 from dataclasses import dataclass
 
 from ..errors import AccessViolation, SecureAccessViolation
-from .cache import SetAssociativeCache
+from .cache import TAG_BYTES, SetAssociativeCache, encode_tag
 from .context import ExecutionContext
 from .readnoise import BitErrorModel
+from .tlb import Btb, Tlb
 
 
 class RamId(enum.Enum):
@@ -67,9 +68,9 @@ class Cp15Interface:
         core_index: int,
         l1d: SetAssociativeCache,
         l1i: SetAssociativeCache,
+        tlb: Tlb,
+        btb: Btb,
         trustzone_enforced: bool = False,
-        tlb=None,
-        btb=None,
     ) -> None:
         self.core_index = core_index
         self._l1d = l1d
@@ -98,11 +99,8 @@ class Cp15Interface:
             return self._l1d
         return self._l1i
 
-    def _entry_array_for(self, ram: RamId):
-        structure = self._tlb if ram is RamId.TLB else self._btb
-        if structure is None:
-            raise AccessViolation(f"this core exposes no {ram.value} RAM")
-        return structure
+    def _entry_ram_for(self, ram: RamId) -> Tlb | Btb:
+        return self._tlb if ram is RamId.TLB else self._btb
 
     # ------------------------------------------------------------------
     # Low-level instruction-equivalent operations
@@ -114,8 +112,8 @@ class Cp15Interface:
         """Issue the RAMINDEX system operation (the ``SYS`` instruction)."""
         ctx.require_el(self.REQUIRED_EL, "RAMINDEX")
         if ram in (RamId.TLB, RamId.BTB):
-            structure = self._entry_array_for(ram)
-            if not 0 <= index < structure.entries:
+            structure = self._entry_ram_for(ram)
+            if not 0 <= index < structure.count:
                 raise AccessViolation(
                     f"RAMINDEX: no entry {index} in {structure.name}"
                 )
@@ -149,24 +147,17 @@ class Cp15Interface:
         if pending is None or not (pending.dsb_done and pending.isb_done):
             return self._data_register  # stale: barriers not honoured
         if pending.ram in (RamId.TLB, RamId.BTB):
-            payload = self._entry_array_for(pending.ram).raw_entry(
-                pending.index
-            )
-            if self.read_noise is not None:
-                payload = self.read_noise.corrupt(payload)
-            self._data_register = payload
-            self._pending = None
-            return payload
-        cache = self._cache_for(pending.ram)
-        if pending.ram in (RamId.L1D_TAG, RamId.L1I_TAG):
-            tag, valid, dirty, ns = cache.raw_tag_entry(pending.index, pending.way)
-            self._check_security(ctx, ns)
-            word = tag | (int(valid) << 48) | (int(dirty) << 49) | (int(ns) << 50)
-            payload = word.to_bytes(8, "little")
+            payload = self._entry_ram_for(pending.ram).read_bytes(pending.index)
         else:
-            _t, _v, _d, ns = cache.raw_tag_entry(pending.index, pending.way)
-            self._check_security(ctx, ns)
-            payload = cache.raw_line(pending.way, pending.index)
+            cache = self._cache_for(pending.ram)
+            entry = cache.raw_tag_entry(pending.index, pending.way)
+            self._check_security(ctx, entry[3])
+            if pending.ram in (RamId.L1D_TAG, RamId.L1I_TAG):
+                # The repacked entry: bits 51-63 of the raw word are not
+                # part of it.
+                payload = encode_tag(*entry).to_bytes(TAG_BYTES, "little")
+            else:
+                payload = cache.raw_line(pending.way, pending.index)
         if self.read_noise is not None:
             payload = self.read_noise.corrupt(payload)
         self._data_register = payload
@@ -205,7 +196,7 @@ class Cp15Interface:
         cache = self._cache_for(ram)
         chunks: list[bytes] = []
         entry_size = (
-            8 if ram in (RamId.L1D_TAG, RamId.L1I_TAG)
+            TAG_BYTES if ram in (RamId.L1D_TAG, RamId.L1I_TAG)
             else cache.geometry.line_bytes
         )
         for index in range(cache.geometry.sets):
@@ -219,8 +210,7 @@ class Cp15Interface:
 
     def dump_entry_ram(self, ctx: ExecutionContext, ram: RamId) -> bytes:
         """Dump a TLB or BTB entry RAM through RAMINDEX."""
-        structure = self._entry_array_for(ram)
         return b"".join(
             self.read_line(ctx, ram, 0, index)
-            for index in range(structure.entries)
+            for index in range(self._entry_ram_for(ram).count)
         )

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MemoryMapError
 from ..circuits.sram import SramArray, SramParameters
+from .memory_map import AddressWindow
 
 
-class Iram:
+class Iram(AddressWindow):
     """Memory-mapped internal SRAM."""
 
     def __init__(
@@ -31,23 +31,6 @@ class Iram:
         self.base_addr = base_addr
         self.size_bytes = size_bytes
         self.sram = SramArray(size_bytes * 8, sram_params, rng, name=f"{name}.sram")
-
-    @property
-    def end_addr(self) -> int:
-        """One past the last mapped address."""
-        return self.base_addr + self.size_bytes
-
-    def contains(self, addr: int) -> bool:
-        """Whether ``addr`` falls inside the iRAM window."""
-        return self.base_addr <= addr < self.end_addr
-
-    def _offset(self, addr: int, size: int) -> int:
-        if not (self.contains(addr) and addr + size <= self.end_addr):
-            raise MemoryMapError(
-                f"{self.name}: [{addr:#x}, {addr + size:#x}) outside "
-                f"[{self.base_addr:#x}, {self.end_addr:#x})"
-            )
-        return addr - self.base_addr
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at absolute address ``addr``."""

@@ -2,9 +2,9 @@
 
 The simulated CPU and the debug interfaces address one flat physical
 space; this module routes each access to the region that owns it — main
-DRAM, iRAM, or a boot ROM window.  Regions expose the same
-``read_block``/``write_block`` port protocol the caches use, so a cache's
-backing store can simply be the memory map.
+DRAM, iRAM, or a boot ROM window.  Regions, caches and the map itself
+all expose one ``read_block``/``write_block`` port (:class:`MemoryPort`),
+so a cache's backing store can simply be the memory map.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ..circuits.dram import DramArray
 
 
 class MemoryPort(Protocol):
-    """Anything addressable by the map (DRAM, iRAM, ROM windows)."""
+    """Anything addressable by physical address: a region, a cache, the map."""
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes at absolute address ``addr``."""
@@ -26,22 +26,37 @@ class MemoryPort(Protocol):
         """Write ``data`` at absolute address ``addr``."""
 
 
-class MainMemory:
+class AddressWindow:
+    """A port mapped at ``[base_addr, base_addr + size_bytes)``."""
+
+    name: str
+    base_addr: int
+    size_bytes: int
+
+    def contains(self, addr: int) -> bool:
+        """Whether ``addr`` falls inside the window."""
+        return self.base_addr <= addr < self.base_addr + self.size_bytes
+
+    def _offset(self, addr: int, size: int) -> int:
+        """Offset of ``[addr, addr + size)``, which must lie in the window."""
+        end = self.base_addr + self.size_bytes
+        if not (self.base_addr <= addr and addr + size <= end):
+            raise MemoryMapError(
+                f"{self.name}: [{addr:#x}, {addr + size:#x}) outside "
+                f"[{self.base_addr:#x}, {end:#x})"
+            )
+        return addr - self.base_addr
+
+
+class MainMemory(AddressWindow):
     """DRAM module exposed as a memory-mapped port."""
+
+    name = "dram"
 
     def __init__(self, dram: DramArray, base_addr: int = 0) -> None:
         self.dram = dram
         self.base_addr = base_addr
         self.size_bytes = dram.n_bytes
-
-    def _offset(self, addr: int, size: int) -> int:
-        end = self.base_addr + self.size_bytes
-        if not (self.base_addr <= addr and addr + size <= end):
-            raise MemoryMapError(
-                f"dram: [{addr:#x}, {addr + size:#x}) outside "
-                f"[{self.base_addr:#x}, {end:#x})"
-            )
-        return addr - self.base_addr
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read from DRAM at an absolute physical address."""
@@ -52,19 +67,18 @@ class MainMemory:
         self.dram.write_bytes(self._offset(addr, len(data)), data)
 
 
-class RomWindow:
+class RomWindow(AddressWindow):
     """A read-only region (boot ROM image)."""
 
     def __init__(self, base_addr: int, image: bytes, name: str = "rom") -> None:
         self.base_addr = base_addr
         self.image_bytes = bytes(image)
+        self.size_bytes = len(self.image_bytes)
         self.name = name
 
     def read_block(self, addr: int, size: int) -> bytes:
         """Read from the ROM image."""
-        offset = addr - self.base_addr
-        if offset < 0 or offset + size > len(self.image_bytes):
-            raise MemoryMapError(f"{self.name}: read outside ROM window")
+        offset = self._offset(addr, size)
         return self.image_bytes[offset : offset + size]
 
     def write_block(self, addr: int, data: bytes) -> None:

@@ -28,7 +28,7 @@ from .iram import Iram
 from .mbist import MbistEngine
 from .memory_map import MemoryMap
 from .regfile import RegisterFile, general_purpose_file, vector_file
-from .tlb import Btb, Tlb
+from .tlb import BTB_ENTRIES, TLB_ENTRIES, Btb, Tlb
 from .videocore import VideoCore
 
 #: Domain-membership keywords accepted in :class:`DomainSpec.members`.
@@ -70,8 +70,6 @@ class SocConfig:
     l2_geometry: CacheGeometry | None = None
     l2_shared_with_videocore: bool = False
     l1i_interleave: bool = False
-    tlb_entries: int = 64
-    btb_entries: int = 128
     l1_replacement: str = "lru"
     iram_base: int | None = None
     iram_size: int | None = None
@@ -92,9 +90,9 @@ class CoreUnit:
         l1i: SetAssociativeCache,
         gpr: RegisterFile,
         vreg: RegisterFile,
+        tlb: Tlb,
+        btb: Btb,
         trustzone_enforced: bool,
-        tlb: Tlb | None = None,
-        btb: Btb | None = None,
     ) -> None:
         self.index = index
         self.l1d = l1d
@@ -103,23 +101,7 @@ class CoreUnit:
         self.vreg = vreg
         self.tlb = tlb
         self.btb = btb
-        self.cp15 = Cp15Interface(
-            index, l1d, l1i, trustzone_enforced, tlb=tlb, btb=btb
-        )
-
-    def sram_macros(self):
-        """All SRAM macros private to this core."""
-        macros = [
-            *self.l1d.sram_macros(),
-            *self.l1i.sram_macros(),
-            self.gpr.sram,
-            self.vreg.sram,
-        ]
-        if self.tlb is not None:
-            macros.append(self.tlb.sram)
-        if self.btb is not None:
-            macros.append(self.btb.sram)
-        return macros
+        self.cp15 = Cp15Interface(index, l1d, l1i, tlb, btb, trustzone_enforced)
 
 
 class Soc:
@@ -138,6 +120,10 @@ class Soc:
         self.dram = dram
         self.log = log
         self._seeds = seeds
+        # One process corner for the whole die; the nominal voltage per
+        # domain is applied by the power layer, so the macro default is
+        # only a fallback.
+        params = SramParameters()
 
         # Optional shared L2 between the memory map and the L1s.
         self.l2: SetAssociativeCache | None = None
@@ -147,7 +133,7 @@ class Soc:
                 f"{config.name}.l2",
                 config.l2_geometry,
                 memory_map,
-                self._sram_params_for("l2"),
+                params,
                 seeds.generator("l2"),
             )
             l1_backing = self.l2
@@ -155,7 +141,6 @@ class Soc:
         self.cores: list[CoreUnit] = []
         for index in range(config.core_count):
             core_seeds = seeds.child(f"core{index}")
-            params = self._sram_params_for("core")
             l1d = SetAssociativeCache(
                 f"{config.name}.c{index}.l1d",
                 config.l1d_geometry,
@@ -180,17 +165,17 @@ class Soc:
                 params, core_seeds.generator("vreg"), name=f"c{index}.vreg"
             )
             tlb = Tlb(
-                config.tlb_entries, params, core_seeds.generator("tlb"),
+                TLB_ENTRIES, params, core_seeds.generator("tlb"),
                 name=f"c{index}.tlb",
             )
             btb = Btb(
-                config.btb_entries, params, core_seeds.generator("btb"),
+                BTB_ENTRIES, params, core_seeds.generator("btb"),
                 name=f"c{index}.btb",
             )
             self.cores.append(
                 CoreUnit(
-                    index, l1d, l1i, gpr, vreg, config.trustzone_enforced,
-                    tlb=tlb, btb=btb,
+                    index, l1d, l1i, gpr, vreg, tlb, btb,
+                    config.trustzone_enforced,
                 )
             )
 
@@ -200,7 +185,7 @@ class Soc:
                 f"{config.name}.iram",
                 config.iram_base,
                 config.iram_size,
-                self._sram_params_for("iram"),
+                params,
                 seeds.generator("iram"),
             )
             memory_map.add_region(
@@ -228,12 +213,6 @@ class Soc:
     # Assembly helpers
     # ------------------------------------------------------------------
 
-    def _sram_params_for(self, _block: str) -> SramParameters:
-        # One process corner for the whole die; the nominal voltage per
-        # domain is applied by the power layer, so the macro default is
-        # only a fallback.
-        return SramParameters()
-
     def _domain_members(self, spec: DomainSpec):
         members = []
         for kind in spec.members:
@@ -243,10 +222,7 @@ class Soc:
                 for core in self.cores:
                     members.extend(core.l1d.sram_macros())
                     members.extend(core.l1i.sram_macros())
-                    if core.tlb is not None:
-                        members.append(core.tlb.sram)
-                    if core.btb is not None:
-                        members.append(core.btb.sram)
+                    members.extend((core.tlb.sram, core.btb.sram))
             elif kind == "registers":
                 for core in self.cores:
                     members.append(core.gpr.sram)

@@ -22,9 +22,14 @@ import numpy as np
 
 from ..circuits.sram import SramArray, SramParameters
 from ..errors import MemoryMapError
+from .regfile import WordRam
 
 #: Bytes per TLB/BTB entry in the backing SRAM.
 ENTRY_BYTES = 16
+
+#: Entries per core: the TLB is fully associative, the BTB direct-mapped.
+TLB_ENTRIES = 64
+BTB_ENTRIES = 128
 
 _VALID_BIT = 1 << 127
 
@@ -46,8 +51,8 @@ class BtbEntry:
     target_pc: int
 
 
-class _EntryArray:
-    """Shared plumbing: fixed-size entries in one SRAM macro."""
+class _EntryRam(WordRam):
+    """Shared plumbing: valid-bit entries in one SRAM word store."""
 
     def __init__(
         self,
@@ -57,35 +62,32 @@ class _EntryArray:
         rng: np.random.Generator,
     ) -> None:
         self.name = name
-        self.entries = entries
-        self.sram = SramArray(
+        sram = SramArray(
             entries * ENTRY_BYTES * 8, sram_params, rng, name=f"{name}.sram"
         )
-
-    def _read_word(self, index: int) -> int:
-        raw = self.sram.read_bytes(index * ENTRY_BYTES, ENTRY_BYTES)
-        return int.from_bytes(raw, "little")
-
-    def _write_word(self, index: int, word: int) -> None:
-        self.sram.write_bytes(
-            index * ENTRY_BYTES, word.to_bytes(ENTRY_BYTES, "little")
-        )
+        super().__init__(sram, ENTRY_BYTES, entries)
 
     def invalidate_all(self) -> None:
         """Drop every valid bit (contents stay, like cache maintenance)."""
-        for index in range(self.entries):
-            self._write_word(index, self._read_word(index) & ~_VALID_BIT)
+        for index in range(self.count):
+            self.write(index, self.read(index) & ~_VALID_BIT)
 
-    def raw_image(self) -> bytes:
-        """The raw entry RAM — what RAMINDEX hands the attacker."""
-        return self.sram.read_bytes()
+    def valid_entries(self) -> list:
+        """All currently valid entries."""
+        return self.decode_raw_image(self.image())
 
-    def raw_entry(self, index: int) -> bytes:
-        """One raw entry of :meth:`raw_image`."""
-        return self.sram.read_bytes(index * ENTRY_BYTES, ENTRY_BYTES)
+    @classmethod
+    def decode_raw_image(cls, image: bytes) -> list:
+        """Attacker-side decode of a raw RAMINDEX dump."""
+        entries = []
+        for offset in range(0, len(image), ENTRY_BYTES):
+            word = int.from_bytes(image[offset : offset + ENTRY_BYTES], "little")
+            if word & _VALID_BIT:
+                entries.append(cls._decode(word))
+        return entries
 
 
-class Tlb(_EntryArray):
+class Tlb(_EntryRam):
     """A fully-associative TLB with a round-robin fill pointer."""
 
     PAGE_SHIFT = 12
@@ -123,8 +125,8 @@ class Tlb(_EntryArray):
 
     def lookup(self, asid: int, vpn: int) -> TlbEntry | None:
         """Find a valid translation."""
-        for index in range(self.entries):
-            word = self._read_word(index)
+        for index in range(self.count):
+            word = self.read(index)
             if word & _VALID_BIT:
                 entry = self._decode(word)
                 if entry.asid == asid and entry.vpn == vpn:
@@ -134,8 +136,8 @@ class Tlb(_EntryArray):
     def insert(self, asid: int, vpn: int, ppn: int) -> int:
         """Fill a translation (page-walker behaviour); returns the slot."""
         slot = self._fill_pointer
-        self._write_word(slot, self._encode(asid, vpn, ppn))
-        self._fill_pointer = (self._fill_pointer + 1) % self.entries
+        self.write(slot, self._encode(asid, vpn, ppn))
+        self._fill_pointer = (self._fill_pointer + 1) % self.count
         return slot
 
     def touch_address(self, asid: int, addr: int) -> None:
@@ -143,27 +145,8 @@ class Tlb(_EntryArray):
         vpn = addr >> self.PAGE_SHIFT
         self.insert(asid, vpn, vpn)
 
-    def valid_entries(self) -> list[TlbEntry]:
-        """All currently valid entries."""
-        out = []
-        for index in range(self.entries):
-            word = self._read_word(index)
-            if word & _VALID_BIT:
-                out.append(self._decode(word))
-        return out
 
-    @staticmethod
-    def decode_raw_image(image: bytes) -> list[TlbEntry]:
-        """Attacker-side decode of a raw RAMINDEX dump."""
-        entries = []
-        for offset in range(0, len(image), ENTRY_BYTES):
-            word = int.from_bytes(image[offset : offset + ENTRY_BYTES], "little")
-            if word & _VALID_BIT:
-                entries.append(Tlb._decode(word))
-        return entries
-
-
-class Btb(_EntryArray):
+class Btb(_EntryRam):
     """A direct-mapped branch target buffer."""
 
     def __init__(
@@ -193,37 +176,18 @@ class Btb(_EntryArray):
         )
 
     def _slot(self, branch_pc: int) -> int:
-        return (branch_pc >> 2) & (self.entries - 1)
+        return (branch_pc >> 2) & (self.count - 1)
 
     def record(self, branch_pc: int, target_pc: int) -> int:
         """Record a taken branch; returns the slot used."""
         slot = self._slot(branch_pc)
-        self._write_word(slot, self._encode(branch_pc, target_pc))
+        self.write(slot, self._encode(branch_pc, target_pc))
         return slot
 
     def predict(self, branch_pc: int) -> int | None:
         """The predicted target for a branch, if any."""
-        word = self._read_word(self._slot(branch_pc))
+        word = self.read(self._slot(branch_pc))
         if not word & _VALID_BIT:
             return None
         entry = self._decode(word)
         return entry.target_pc if entry.branch_pc == branch_pc else None
-
-    def valid_entries(self) -> list[BtbEntry]:
-        """All currently valid entries."""
-        out = []
-        for index in range(self.entries):
-            word = self._read_word(index)
-            if word & _VALID_BIT:
-                out.append(self._decode(word))
-        return out
-
-    @staticmethod
-    def decode_raw_image(image: bytes) -> list[BtbEntry]:
-        """Attacker-side decode of a raw RAMINDEX dump."""
-        entries = []
-        for offset in range(0, len(image), ENTRY_BYTES):
-            word = int.from_bytes(image[offset : offset + ENTRY_BYTES], "little")
-            if word & _VALID_BIT:
-                entries.append(Btb._decode(word))
-        return entries

@@ -20,6 +20,7 @@ from repro.soc.memory_map import MainMemory, MemoryMap
 from repro.soc.soc import CoreUnit
 from repro.soc.cache import CacheGeometry, SetAssociativeCache
 from repro.soc.regfile import general_purpose_file, vector_file
+from repro.soc.tlb import Btb, Tlb
 
 
 def make_rig(seed=21):
@@ -39,9 +40,12 @@ def make_rig(seed=21):
     )
     gpr = general_purpose_file(params, np.random.default_rng(seed + 4))
     vreg = vector_file(params, np.random.default_rng(seed + 5))
-    for macro in (*l1d.sram_macros(), *l1i.sram_macros(), gpr.sram, vreg.sram):
+    tlb = Tlb(16, params, np.random.default_rng(seed + 6))
+    btb = Btb(16, params, np.random.default_rng(seed + 7))
+    parts = (gpr, vreg, tlb, btb)
+    for macro in (*l1d.sram_macros(), *l1i.sram_macros(), *(p.sram for p in parts)):
         macro.power_up()
-    unit = CoreUnit(0, l1d, l1i, gpr, vreg, trustzone_enforced=False)
+    unit = CoreUnit(0, l1d, l1i, *parts, trustzone_enforced=False)
     return Core(unit, memmap), memmap
 
 

@@ -110,7 +110,7 @@ def _cache_state(cache):
     """Everything a quantum can change in one cache, LRU as an order."""
     return {
         "data": [ram.read_bytes() for ram in cache.data_rams],
-        "tags": cache.tags.all_words().tolist(),
+        "tags": cache.tags.dump(),
         "lru_order": np.argsort(cache._lru, axis=1, kind="stable").tolist(),
         "rr_pointer": cache._rr_pointer.tolist(),
         "victim_rng": cache._victim_rng.bit_generator.state,

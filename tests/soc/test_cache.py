@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.errors import CalibrationError, CircuitError
-from repro.soc.cache import CacheGeometry
+from repro.soc.cache import CacheGeometry, decode_tag, encode_tag
 
 from ..conftest import DictBacking, make_cache
 
@@ -178,7 +178,7 @@ def _reference_maintenance(cache, write_back: bool) -> None:
     for index in range(g.sets):
         for way in range(g.ways):
             entry = index * g.ways + way
-            tag, valid, dirty, _ns = cache.tags.read(entry)
+            tag, valid, dirty, _ns = decode_tag(cache.tags.read(entry))
             if write_back and valid and dirty:
                 addr = (tag << (g.offset_bits + g.index_bits)) | (
                     index << g.offset_bits
@@ -224,11 +224,12 @@ class TestBulkMaintenance:
             assert bulk.backing.written == reference.backing.written
 
     def test_keeps_tag_dirty_and_ns(self, small_cache):
-        small_cache.tags.write(3, tag=0xABC, valid=True, dirty=True, ns=False)
-        small_cache.tags.write(4, tag=0x123, valid=True, dirty=False, ns=True)
+        tags = small_cache.tags
+        tags.write(3, encode_tag(0xABC, valid=True, dirty=True, ns=False))
+        tags.write(4, encode_tag(0x123, valid=True, dirty=False, ns=True))
         small_cache.invalidate_all()
-        assert small_cache.tags.read(3) == (0xABC, False, True, False)
-        assert small_cache.tags.read(4) == (0x123, False, False, True)
+        assert decode_tag(tags.read(3)) == (0xABC, False, True, False)
+        assert decode_tag(tags.read(4)) == (0x123, False, False, True)
 
 
 def _assert_mirror(cache, written_through=True):
@@ -241,7 +242,7 @@ def _assert_mirror(cache, written_through=True):
     sram = cache.tags.sram
     assert (cache._tag_seen == sram.mutations) is written_through
     cache._sync_tags()
-    assert list(cache._tag_words) == cache.tags.all_words().tolist()
+    assert list(cache._tag_words) == cache.tags.dump()
 
 
 class TestTagMirror:

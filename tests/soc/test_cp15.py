@@ -2,9 +2,13 @@
 
 import pytest
 
+import numpy as np
+
+from repro.circuits.sram import SramParameters
 from repro.errors import AccessViolation, PrivilegeViolation, SecureAccessViolation
 from repro.soc.context import EL1_NS, EL2_NS, EL3_SECURE
 from repro.soc.cp15 import Cp15Interface, RamId
+from repro.soc.tlb import Btb, Tlb
 
 from ..conftest import DictBacking, make_cache
 
@@ -13,7 +17,10 @@ def make_cp15(trustzone=False):
     backing = DictBacking()
     l1d = make_cache(backing, seed=1)
     l1i = make_cache(backing, seed=2)
-    return Cp15Interface(0, l1d, l1i, trustzone_enforced=trustzone), l1d, l1i
+    tlb = Tlb(16, SramParameters(), np.random.default_rng(3))
+    btb = Btb(16, SramParameters(), np.random.default_rng(4))
+    cp15 = Cp15Interface(0, l1d, l1i, tlb, btb, trustzone_enforced=trustzone)
+    return cp15, l1d, l1i
 
 
 class TestPrivilege:
@@ -106,6 +113,13 @@ class TestTagReads:
             (word & ((1 << 48) - 1)) == tag and word & (1 << 48)
             for word in words
         )
+
+    def test_only_the_entry_bits_are_served(self):
+        """Bits 51-63 of a tag word hold no entry field (power-up noise)."""
+        cp15, l1d, _ = make_cp15()
+        l1d.tags.write(5, (1 << 64) - 1)  # entry 5 = set 2, way 1
+        raw = cp15.read_line(EL3_SECURE, RamId.L1D_TAG, 1, 2)
+        assert int.from_bytes(raw, "little") == (1 << 51) - 1
 
 
 class TestTrustZone:

@@ -95,23 +95,23 @@ class TestTlb:
     def test_invalidate_keeps_payload_bits(self):
         tlb = make_tlb()
         tlb.insert(asid=1, vpn=0x1234, ppn=0x1234)
-        raw_before = tlb.raw_image()
+        raw_before = tlb.image()
         tlb.invalidate_all()
         assert not tlb.valid_entries()
         # Only valid bits changed; the vpn payload survives in the RAM.
-        assert raw_before != tlb.raw_image()
+        assert raw_before != tlb.image()
 
     def test_raw_image_decodes(self):
         tlb = make_tlb()
         tlb.insert(asid=9, vpn=0x77, ppn=0x77)
-        entries = Tlb.decode_raw_image(tlb.raw_image())
+        entries = Tlb.decode_raw_image(tlb.image())
         assert any(e.asid == 9 and e.vpn == 0x77 for e in entries)
 
     def test_raw_entries_tile_raw_image(self):
         tlb = make_tlb()
         tlb.insert(asid=3, vpn=0x42, ppn=0x42)
-        entries = b"".join(tlb.raw_entry(i) for i in range(tlb.entries))
-        assert entries == tlb.raw_image()
+        entries = b"".join(tlb.read_bytes(i) for i in range(tlb.count))
+        assert entries == tlb.image()
 
     def test_reboot_resets_fill_pointer_only(self):
         tlb = make_tlb(entries=4)
@@ -144,7 +144,7 @@ class TestBtb:
     def test_raw_image_decodes(self):
         btb = make_btb()
         btb.record(0xABCD0, 0xABC00)
-        entries = Btb.decode_raw_image(btb.raw_image())
+        entries = Btb.decode_raw_image(btb.image())
         assert any(
             e.branch_pc == 0xABCD0 and e.target_pc == 0xABC00 for e in entries
         )

@@ -1,4 +1,4 @@
-"""Tag RAM packing and flag manipulation."""
+"""Tag RAM packing and flag manipulation on the SRAM word store."""
 
 import numpy as np
 import pytest
@@ -7,17 +7,18 @@ from hypothesis import strategies as st
 
 from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import CalibrationError
-from repro.soc.cache import TagArray
+from repro.soc.cache import TAG_BYTES, decode_tag, encode_tag
+from repro.soc.regfile import WordRam
 
 
 def make_tags(entries=16):
     sram = SramArray(
-        entries * TagArray.ENTRY_BYTES * 8,
+        entries * TAG_BYTES * 8,
         SramParameters(),
         np.random.default_rng(0),
     )
     sram.power_up()
-    return TagArray(sram, entries)
+    return WordRam(sram, TAG_BYTES, entries)
 
 
 class TestBasics:
@@ -25,13 +26,12 @@ class TestBasics:
         sram = SramArray(64, rng=np.random.default_rng(0))
         sram.power_up()
         with pytest.raises(CalibrationError):
-            TagArray(sram, entries=4)
+            WordRam(sram, TAG_BYTES, count=4)
 
     def test_write_read_roundtrip(self):
         tags = make_tags()
-        tags.write(3, tag=0xBEEF, valid=True, dirty=False, ns=True)
-        assert tags.read(3) == (0xBEEF, True, False, True)
-
+        tags.write(3, encode_tag(0xBEEF, valid=True, dirty=False, ns=True))
+        assert decode_tag(tags.read(3)) == (0xBEEF, True, False, True)
 
 
 class TestPropertyBased:
@@ -45,5 +45,5 @@ class TestPropertyBased:
     @settings(max_examples=40, deadline=None)
     def test_any_entry_roundtrips(self, entry, tag, valid, dirty, ns):
         tags = make_tags()
-        tags.write(entry, tag=tag, valid=valid, dirty=dirty, ns=ns)
-        assert tags.read(entry) == (tag, valid, dirty, ns)
+        tags.write(entry, encode_tag(tag, valid, dirty, ns))
+        assert decode_tag(tags.read(entry)) == (tag, valid, dirty, ns)
