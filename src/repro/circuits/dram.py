@@ -87,16 +87,17 @@ class DramArray(ManufacturedArray):
     depends only on that start level, its ``float16`` retention
     multiplier and the ``(seconds, tau)`` decays owed since power went.
     :meth:`restore_power` runs the decay kernel once per multiplier
-    bit pattern within the retention cap and reads each cell's
-    outcome from that table.
+    bit pattern within the retention cap; survival is monotone in the
+    multiplier, so a cell keeps its value exactly when its pattern is
+    at or above the first one kept.
 
     Manufacture is deferred.  The array owns its generator (nothing
     else may draw from it), and a new array saves its state and draws
     nothing.  The anti-cell layout is drawn when a ground-state image
     is first read or partly written (``_cells`` is ``None`` while the
     image is the pending ground state).  The retention field is drawn
-    only when a restore's table neither keeps nor loses every cell
-    within the cap, after a replay of the anti-cell draw that comes
+    only when a restore neither keeps nor loses every cell within the
+    cap, after a replay of the anti-cell draw that comes
     before it in the stream.  Every result, the image and, after
     :meth:`materialize`, the stream equal those of an array that drew
     both fields when it was built.
@@ -207,20 +208,20 @@ class DramArray(ManufacturedArray):
         ------
         CircuitError
             If the restore draws the retention field and some
-            multiplier lies outside the retention cap.
+            multiplier lies outside the retention cap, or if the decay
+            kernel keeps some multiplier but loses a larger one.
         """
         if self._powered:
             raise CircuitError(f"{self.name}: already powered")
-        table = self._retained_table()
+        first = self._first_kept()
         low, high = self._cap_patterns()
-        within = table[low : high + 1]
-        if within.all():
+        if first <= low:
             retained = self._n_bits
-        elif not within.any():
+        elif first > high:
             retained = 0
             self._cells = None
         else:
-            kept = table[self._retention_scale.view(np.uint16)]
+            kept = self._retention_scale.view(np.uint16) >= first
             retained = int(np.count_nonzero(kept))
             if self._cells is not None:
                 # A ground-state image stays one: lost cells fall to it.
@@ -331,8 +332,8 @@ class DramArray(ManufacturedArray):
 
         ``float16`` keeps megabyte-scale modules affordable, and the
         decay kernel widens it exactly.  Raises :class:`CircuitError`
-        if a multiplier lies outside the cap the retained table
-        assumed (``ENGINE.NORMAL_Z_CAP``).
+        if a multiplier lies outside the cap every restore evaluates
+        (``ENGINE.NORMAL_Z_CAP``).
         """
         # Replay the anti-cell draw to reach the field's place in the stream.
         rng = from_state(self._manufacture_state)
@@ -356,19 +357,27 @@ class DramArray(ManufacturedArray):
         low, high = self._retention_cap
         return int(low.view(np.uint16)), int(high.view(np.uint16))
 
-    def _retained_table(self) -> np.ndarray:
-        """``bool[65536]``: whether a cell whose retention multiplier
-        has each ``float16`` bit pattern still reads correctly.
+    def _first_kept(self) -> int:
+        """The lowest ``float16`` multiplier pattern within the
+        retention cap whose cell still reads correctly (one past the
+        cap's top if none does).
 
-        Only the patterns within the retention cap are evaluated,
-        through the same decay and sense kernels a per-cell charge
-        array would run; the rest are ``False``.
+        Every pattern within the cap is evaluated through the same
+        decay and sense kernels a per-cell charge array would run.
+        Positive ``float16`` patterns order as their values, and a
+        larger multiplier decays no further, so the outcomes must be
+        one step from lost to kept; a cell is kept exactly when its
+        pattern is at or above the step.
         """
         low, high = self._cap_patterns()
         scale = np.arange(low, high + 1, dtype=np.uint16).view(np.float16)
         level = np.full(len(scale), self._start_level, dtype=np.float16)
         for seconds, tau in self._decays:
             level = ENGINE.charge_decay(level, seconds, tau, scale)
-        table = np.zeros(1 << 16, dtype=np.bool_)
-        table[low : high + 1] = ENGINE.charge_mask(level)
-        return table
+        kept = ENGINE.charge_mask(level)
+        step = kept.size - int(np.count_nonzero(kept))
+        if not np.array_equal(kept, np.arange(kept.size) >= step):
+            raise CircuitError(
+                f"{self.name}: retention is not monotone in the multiplier"
+            )
+        return low + step

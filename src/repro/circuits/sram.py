@@ -128,7 +128,8 @@ class SramArray(ManufacturedArray):
     partial write to it, aging, a field read, a voltage the bounds
     leave open — calls :meth:`materialize`, which replays the owed
     draws in order, so every result and the stream equal an array
-    that drew eagerly.
+    that drew eagerly.  A word mask (:meth:`and_words`) on a pending
+    image is owed too, and applied once the owed power-up is the image.
 
     Even then, the DRV and restore-threshold fields are kept only once
     a result reads them.  Manufacture advances the stream past each
@@ -191,6 +192,8 @@ class SramArray(ManufacturedArray):
         self._cells: np.ndarray | None = np.zeros(
             self._n_bits // 8, dtype=np.uint8
         )
+        # AND mask owed by a pending image, one word of bytes (or None).
+        self._owed_mask: np.ndarray | None = None
         self._powered = False
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0  # V/V0 accumulated while off
@@ -220,8 +223,9 @@ class SramArray(ManufacturedArray):
     def mutations(self) -> int:
         """Count of image changes and power events so far.
 
-        Bumped by every write, power-up, power-down and restore, and by
-        a DRV collapse that loses cells; reads never bump it.
+        Bumped by every write (word masks included), power-up,
+        power-down and restore, and by a DRV collapse that loses cells;
+        reads never bump it.
         """
         return self._mutations
 
@@ -502,6 +506,7 @@ class SramArray(ManufacturedArray):
         self._bit_range(offset * 8, len(raw) * 8)
         if self._cells is None and len(raw) == self.n_bytes:
             self._cells = raw.copy()  # replaces the pending image whole
+            self._owed_mask = None
         else:
             if self._cells is None:
                 self.materialize()
@@ -511,6 +516,38 @@ class SramArray(ManufacturedArray):
     def fill_bytes(self, value: int) -> None:
         """Fill the whole array with one repeated byte value."""
         self.write_bytes(0, bytes([value & 0xFF]) * self.n_bytes)
+
+    def and_words(self, mask: bytes) -> None:
+        """AND every ``len(mask)``-byte word of the array with ``mask``.
+
+        One bulk write (a cache or TLB invalidate clears a bit in every
+        entry).  A pending image takes no draw: the mask is owed,
+        AND-composed with any mask owed before, until the owed power-up
+        becomes the image.
+
+        Raises
+        ------
+        CircuitError
+            If the array is unpowered, or ``mask`` is empty or does not
+            tile the array.
+        """
+        self._require_powered("write")
+        word = np.frombuffer(bytes(mask), dtype=np.uint8)
+        if not word.size or self.n_bytes % word.size:
+            raise CircuitError(
+                f"{self.name}: a {word.size}-byte mask does not tile "
+                f"{self.n_bytes} bytes"
+            )
+        if self._cells is not None:
+            self._apply_mask(word)
+        elif self._owed_mask is None:
+            self._owed_mask = word
+        else:
+            width = np.lcm(word.size, self._owed_mask.size)
+            self._owed_mask = np.resize(word, width) & np.resize(
+                self._owed_mask, width
+            )
+        self._mutations += 1
 
     def image(self) -> np.ndarray:
         """Snapshot of the raw bit image (uint8 0/1 array)."""
@@ -527,10 +564,11 @@ class SramArray(ManufacturedArray):
         extents and the restore field's start state are kept, the
         fields themselves are not) and the wake field.  Then the
         power-up draws taken since, skipped without sampling, but the
-        last one becomes the image if the image is still pending.  The
-        stream, the fields and the image are then exactly those of an
-        array that drew each one when it was asked for.  Does nothing
-        once the array is materialized.
+        last one becomes the image if the image is still pending, and
+        any word mask the image owes is applied to it.  The stream, the
+        fields and the image are then exactly those of an array that
+        drew each one when it was asked for.  Does nothing once the
+        array is materialized.
 
         Raises
         ------
@@ -576,6 +614,9 @@ class SramArray(ManufacturedArray):
         ENGINE.skip_powerups(self._rng, self._n_bits, self._powerups - pending)
         if pending:
             self._cells = pack_cells(self._sample_powerup())
+            if self._owed_mask is not None:
+                self._apply_mask(self._owed_mask)
+                self._owed_mask = None
         self._manufactured = True
 
     def _power_up_image(self) -> None:
@@ -586,6 +627,12 @@ class SramArray(ManufacturedArray):
         else:
             self._powerups += 1
             self._cells = None
+            self._owed_mask = None
+
+    def _apply_mask(self, word: np.ndarray) -> None:
+        """AND the concrete image with ``word``, tiled over it."""
+        words = self._cells.reshape(-1, word.size)  # a view
+        words &= word
 
     # ------------------------------------------------------------------
     # Internals

@@ -59,7 +59,8 @@ class ColdBootAttack:
         self.boot_media = boot_media
 
     def execute(self, extract_caches: bool = True) -> ColdBootResult:
-        """Chill, power cycle, reboot, and (optionally) dump the L1s."""
+        """Chill, power cycle, reboot, and (optionally) dump the L1
+        d-caches (every cold-boot result reads only those)."""
         with OBS.span(
             "attack.coldboot",
             device=self.board.name,

@@ -37,10 +37,23 @@ def attacker_context(board: Board) -> ExecutionContext:
 
 @dataclass
 class CacheImages:
-    """Raw L1 way images for every core of a board."""
+    """Raw L1 way images for every core of a board.
+
+    ``i_ways`` is ``None`` when the dump skipped the i-caches; reading
+    :attr:`l1i` or :meth:`icache` then raises :class:`AttackError`.
+    """
 
     l1d: dict[int, list[bytes]] = field(default_factory=dict)
-    l1i: dict[int, list[bytes]] = field(default_factory=dict)
+    i_ways: dict[int, list[bytes]] | None = None
+
+    @property
+    def l1i(self) -> dict[int, list[bytes]]:
+        """The i-cache way images by core (the dump must include them)."""
+        if self.i_ways is None:
+            raise AttackError(
+                "this dump skipped the i-caches; extract with icache=True"
+            )
+        return self.i_ways
 
     def dcache(self, core: int) -> bytes:
         """All d-cache ways of one core, concatenated."""
@@ -51,12 +64,12 @@ class CacheImages:
         return b"".join(self.l1i[core])
 
     def everything(self) -> bytes:
-        """Every dumped byte (key-search convenience)."""
+        """Every dumped byte (key-search convenience): d-caches, then
+        i-caches if dumped."""
         blobs = []
-        for core in sorted(self.l1d):
-            blobs.extend(self.l1d[core])
-        for core in sorted(self.l1i):
-            blobs.extend(self.l1i[core])
+        for ways in (self.l1d, self.i_ways or {}):
+            for core in sorted(ways):
+                blobs.extend(ways[core])
         return b"".join(blobs)
 
 
@@ -65,17 +78,21 @@ def extract_l1_images(
     ctx: ExecutionContext | None = None,
     cores: list[int] | None = None,
     skip_secure: bool = False,
+    icache: bool = False,
 ) -> CacheImages:
-    """Dump every L1 way of the selected cores over CP15 RAMINDEX.
+    """Dump the L1 ways of the selected cores over CP15 RAMINDEX.
 
-    The board must be booted (the extraction program has to run); the
-    caches themselves stay disabled, so the dump does not disturb them.
+    Every d-cache way is dumped, and with ``icache`` every i-cache way
+    too (per core, d-cache ways first, then i-cache ways; a read-noise
+    model sees that order).  The board must be booted (the extraction
+    program has to run); the caches themselves stay disabled, so the
+    dump does not disturb them.
     """
     if not board.booted:
         raise AttackError("extraction software needs a booted system")
     ctx = ctx or attacker_context(board)
     cores = list(range(len(board.soc.cores))) if cores is None else cores
-    images = CacheImages()
+    images = CacheImages(i_ways={} if icache else None)
     for core_index in cores:
         unit = board.soc.core(core_index)
         if unit.l1d.enabled or unit.l1i.enabled:
@@ -87,10 +104,13 @@ def extract_l1_images(
             unit.cp15.dump_way(ctx, RamId.L1D_DATA, way, skip_secure=skip_secure)
             for way in range(unit.l1d.geometry.ways)
         ]
-        images.l1i[core_index] = [
-            unit.cp15.dump_way(ctx, RamId.L1I_DATA, way, skip_secure=skip_secure)
-            for way in range(unit.l1i.geometry.ways)
-        ]
+        if icache:
+            images.i_ways[core_index] = [
+                unit.cp15.dump_way(
+                    ctx, RamId.L1I_DATA, way, skip_secure=skip_secure
+                )
+                for way in range(unit.l1i.geometry.ways)
+            ]
     return images
 
 

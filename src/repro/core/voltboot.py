@@ -54,7 +54,12 @@ class VoltBootResult:
 
 
 class VoltBootAttack:
-    """One attacker, one victim board, one target memory kind."""
+    """One attacker, one victim board, one target memory kind.
+
+    Each target extracts only its own RAMs: ``"l1-caches"`` dumps the
+    d-cache ways of every core (and the i-cache ways with ``icache``),
+    ``"registers"`` the vector files, ``"iram"`` the iRAM.
+    """
 
     def __init__(
         self,
@@ -63,9 +68,11 @@ class VoltBootAttack:
         supply: BenchSupply | None = None,
         boot_media: BootMedia | None = None,
         off_time_s: float = DEFAULT_OFF_TIME_S,
+        icache: bool = False,
     ) -> None:
         self.board = board
         self.target = target
+        self.icache = icache
         self.boot_media = boot_media
         self.off_time_s = off_time_s
         self.plan: ProbePlan | None = None
@@ -144,20 +151,21 @@ class VoltBootAttack:
             off_time_s=self.off_time_s,
         )
         with OBS.span("attack.extract", target=self.target) as span:
-            ctx = attacker_context(self.board)
-            if self.target in ("l1-caches", "registers"):
+            cores = len(self.board.soc.cores)
+            if self.target == "l1-caches":
                 result.cache_images = extract_l1_images(
                     self.board,
-                    ctx,
+                    attacker_context(self.board),
                     skip_secure=self.board.soc.config.trustzone_enforced,
+                    icache=self.icache,
                 )
-                for core_index in range(len(self.board.soc.cores)):
+                span.set_attribute("cores_dumped", cores)
+            elif self.target == "registers":
+                for core_index in range(cores):
                     result.vector_registers[core_index] = (
                         extract_vector_registers(self.board, core_index)
                     )
-                span.set_attribute(
-                    "cores_dumped", len(self.board.soc.cores)
-                )
+                span.set_attribute("cores_dumped", cores)
             elif self.target == "iram":
                 jtag = JtagProbe(
                     self.board.soc.memory_map,

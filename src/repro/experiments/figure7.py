@@ -55,7 +55,7 @@ def run_device(builder_name: str, seed: int = DEFAULT_SEED) -> Figure7Result:
         ground_truth[core.index] = snapshot_l1i(core)
 
     attack = VoltBootAttack(board, target="l1-caches",
-                            boot_media=ATTACKER_MEDIA)
+                            boot_media=ATTACKER_MEDIA, icache=True)
     attack_result = attack.execute()
     assert attack_result.cache_images is not None
 

@@ -75,7 +75,7 @@ def run(seed: int = DEFAULT_SEED) -> Figure8Result:
     kernel.run()
 
     attack = VoltBootAttack(board, target="l1-caches",
-                            boot_media=ATTACKER_MEDIA)
+                            boot_media=ATTACKER_MEDIA, icache=True)
     result = attack.execute()
     assert result.cache_images is not None
 

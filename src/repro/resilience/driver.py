@@ -176,7 +176,7 @@ class ResilientVoltBoot:
             skip_secure = board.soc.config.trustzone_enforced
             for _ in range(self.policy.reads_per_extraction):
                 images = extract_l1_images(
-                    board, ctx, skip_secure=skip_secure
+                    board, ctx, skip_secure=skip_secure, icache=True
                 )
                 reads.append(images.everything())
         else:  # iram

@@ -100,8 +100,6 @@ _VALID_BIT = 1 << 48
 _DIRTY_BIT = 1 << 49
 _NS_BIT = 1 << 50
 _VALID_DIRTY = _VALID_BIT | _DIRTY_BIT
-#: Every tag-word bit except valid, for the bulk masked clear.
-_ALL_BUT_VALID = np.uint64(((1 << 64) - 1) ^ _VALID_BIT)
 
 
 def encode_tag(tag: int, valid: bool, dirty: bool, ns: bool) -> int:
@@ -137,12 +135,13 @@ class SetAssociativeCache:
     up disabled with undefined contents.
 
     The controller reads tag words from a mirror, one Python int per
-    entry, and writes every change through to the tag RAM.  The mirror
-    is reloaded from the tag RAM whenever the RAM's
+    entry, and writes every per-line change through to the tag RAM.
+    The mirror is reloaded from the tag RAM whenever the RAM's
     :attr:`~repro.circuits.sram.SramArray.mutations` counter differs
-    from the value recorded after the cache's own last write, so MBIST
-    fills, power events, DRV collapse and foreign writes are all seen,
-    and an access with the tag RAM unpowered still raises.
+    from the value recorded after the cache's own last write, so bulk
+    invalidation (one word mask on the tag RAM), MBIST fills, power
+    events, DRV collapse and foreign writes are all seen, and an access
+    with the tag RAM unpowered still raises.
     """
 
     #: Supported replacement policies.
@@ -248,14 +247,6 @@ class SetAssociativeCache:
         word = self._tag_words[entry]
         if not word & _DIRTY_BIT:
             self._store_tag(entry, word | _DIRTY_BIT)
-
-    def _clear_all_valid(self) -> None:
-        """One masked clear of every valid bit, mirror and tag RAM."""
-        words = np.frombuffer(self._tag_words, dtype=np.uint64)
-        words &= _ALL_BUT_VALID
-        raw = words.astype("<u8", copy=False).tobytes()
-        self.tags.sram.write_bytes(0, raw)
-        self._tag_seen = self.tags.sram.mutations
 
     def _lookup(self, tag: int, index: int) -> int | None:
         words = self._tag_words
@@ -453,7 +444,7 @@ class SetAssociativeCache:
         for entry in np.flatnonzero((words & _VALID_DIRTY) == _VALID_DIRTY):
             index, way = divmod(int(entry), self.geometry.ways)
             self._write_back(index, way, int(words[entry]))
-        self._clear_all_valid()
+        self.invalidate_all()
 
     def clean_invalidate_line(self, addr: int) -> bool:
         """Clean+invalidate the line containing ``addr`` (DMA maintenance).
@@ -474,9 +465,12 @@ class SetAssociativeCache:
         return True
 
     def invalidate_all(self) -> None:
-        """Drop all valid bits without writing anything back."""
-        self._sync_tags()
-        self._clear_all_valid()
+        """Drop all valid bits without writing anything back.
+
+        One word mask on the tag RAM: a tag RAM still owing its power-up
+        draw takes none, and the mirror reloads on the next access.
+        """
+        self.tags.and_all(~_VALID_BIT)
 
     def zero_line(self, addr: int, ns: bool = True) -> None:
         """``DC ZVA``: allocate the line containing ``addr`` and zero it.

@@ -68,6 +68,13 @@ class WordRam:
             )
         self.sram.write_bytes(self._offset(index), data)
 
+    def and_all(self, mask: int) -> None:
+        """AND every word with ``mask`` in one SRAM write (draws nothing
+        while the image is a pending power-up)."""
+        self.sram.and_words(
+            (mask & self._mask).to_bytes(self.width_bytes, "little")
+        )
+
     def dump(self) -> list[int]:
         """All words, in index order."""
         return [self.read(i) for i in range(self.count)]

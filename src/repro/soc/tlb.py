@@ -69,8 +69,7 @@ class _EntryRam(WordRam):
 
     def invalidate_all(self) -> None:
         """Drop every valid bit (contents stay, like cache maintenance)."""
-        for index in range(self.count):
-            self.write(index, self.read(index) & ~_VALID_BIT)
+        self.and_all(~_VALID_BIT)
 
     def valid_entries(self) -> list:
         """All currently valid entries."""

@@ -358,8 +358,9 @@ class TestRetentionCap:
 
 
 class TestRetainedTable:
-    """Each table entry is the per-cell decay of the scalar oracle on
-    a cell with that multiplier pattern."""
+    """The scalar oracle's per-cell decay over every multiplier pattern
+    of the cap is one step from lost to kept, at the restore's first
+    kept pattern."""
 
     @pytest.mark.parametrize(
         "decays",
@@ -381,9 +382,21 @@ class TestRetainedTable:
         for seconds, kelvin in decays:
             tau = array.params.decay.time_constant(kelvin)
             level = SCALAR.charge_decay(level, seconds, tau, scale)
-        expected = np.zeros(1 << 16, dtype=np.bool_)
-        expected[low : high + 1] = SCALAR.charge_mask(level)
-        table = array._retained_table()
-        assert np.array_equal(table, expected)
-        assert table.any() == (start > 0.0)
-        assert not table[low : high + 1].all()
+        expected = SCALAR.charge_mask(level)
+        first = array._first_kept()
+        assert np.array_equal(expected, np.arange(low, high + 1) >= first)
+        assert (first <= high) == (start > 0.0)
+        assert first > low
+
+    def test_outcomes_that_are_not_one_step_raise(self, monkeypatch):
+        """A kernel that keeps some multiplier but loses a larger one
+        breaks the restore's threshold, which then refuses to run."""
+        array = DramArray(64)
+        array.restore_power()
+        array.power_down()
+        array.elapse_unpowered(1.0, 298.0)
+        monkeypatch.setattr(
+            ENGINE, "charge_mask", lambda level: np.arange(level.size) % 2 == 0
+        )
+        with pytest.raises(CircuitError, match="monotone"):
+            array.restore_power()

@@ -490,6 +490,12 @@ OP = st.one_of(
         st.integers(min_value=0, max_value=OPS_BITS),
         st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=12),
     ),
+    st.tuples(
+        st.just("and_words"),
+        st.sampled_from([1, 2, 8, 16]).flatmap(
+            lambda width: st.binary(min_size=width, max_size=width)
+        ),
+    ),
     st.tuples(st.just("read_bytes")),
     st.tuples(
         st.just("read_bits"),
@@ -533,6 +539,8 @@ def _apply(array, op, args):
     if op == "write_bytes":
         offset, payload = args
         return array.write_bytes(min(offset, array.n_bytes - len(payload)), payload)
+    if op == "and_words":
+        return array.and_words(args[0])
     if op == "write_bits":
         start, bits = args
         start = min(start, array.n_bits - len(bits))
@@ -608,6 +616,29 @@ class TestDeferredManufacture:
             return results, array._rng.bit_generator.state
 
         assert outcome(True) == outcome(False)
+
+    def test_word_masks_on_a_pending_image_draw_nothing(self):
+        """Masks on a pending image are owed and AND-composed (also
+        across widths), then applied to the owed power-up."""
+        ops = [
+            ("power_up", 0.8),
+            ("and_words", b"\xf0\x7f"),
+            ("and_words", b"\x3f" * 8),
+        ]
+        array = SramArray(OPS_BITS, rng=np.random.default_rng(8))
+        for op, *args in ops:
+            _apply(array, op, args)
+        assert not array._manufactured and array.mutations == 3
+        image = np.frombuffer(array.read_bytes(), dtype=np.uint8)
+        assert not (image[0::2] & 0xCF).any()
+        assert not (image[1::2] & 0xC0).any()
+        assert self._outcome(8, ops, True) == self._outcome(8, ops, False)
+
+    @pytest.mark.parametrize("mask", [b"", b"\x00" * 3, b"\x00" * 1024])
+    def test_a_mask_that_does_not_tile_raises(self, mask):
+        array = fresh_array()
+        with pytest.raises(CircuitError):
+            array.and_words(mask)
 
     def test_full_write_makes_a_pending_image_concrete(self):
         array = fresh_array()

@@ -72,6 +72,26 @@ class TestVoltBootPipeline:
         attack = VoltBootAttack(board, target="registers", boot_media=MEDIA)
         result = attack.execute()
         assert result.vector_registers[0][0] == b"\x5a" * 16
+        assert result.cache_images is None  # registers only
+
+    def test_cache_dump_skips_the_icache_unless_asked(self):
+        board = victim_pi4(seed=616)
+        attack = VoltBootAttack(board, target="l1-caches", boot_media=MEDIA)
+        images = attack.execute().cache_images
+        assert attack.extract().vector_registers == {}
+        with pytest.raises(AttackError):
+            images.icache(0)
+        with pytest.raises(AttackError):
+            images.l1i
+        both = extract_l1_images(board, icache=True)
+        assert both.l1d == images.l1d
+        unit = board.soc.core(0)
+        assert both.icache(0) == b"".join(
+            unit.l1i.raw_way_image(way) for way in range(unit.l1i.geometry.ways)
+        )
+        assert both.everything() == images.everything() + b"".join(
+            both.icache(core) for core in sorted(both.l1i)
+        )
 
 
 class TestExtractionGuards:

@@ -291,6 +291,21 @@ class TestLazyArrays:
         assert first._wake_p is array._wake_p
         assert second._wake_p is array._wake_p
 
+    def test_snapshot_of_a_masked_pending_image_equals_a_fresh_build(self):
+        """A word mask owed by a pending image survives the snapshot."""
+
+        def masked(seed: int) -> SramArray:
+            array = self._lazy(seed)
+            array.and_words(b"\x0f\xff")
+            return array
+
+        array = masked(4)
+        assert not array._manufactured
+        clone = Snapshot(array).restore()
+        assert _state(clone) == _state(masked(4))
+        image = np.frombuffer(clone.read_bytes(), dtype=np.uint8)
+        assert not (image[0::2] & 0xF0).any()
+
 
 class TestLazyDram:
     """A snapshot materializes a never-read DRAM array, so restored

@@ -26,6 +26,31 @@ from repro.experiments import (
 )
 
 
+def _sram_built_by(monkeypatch, run) -> list[SramArray]:
+    """Every SRAM array that ``run()`` builds, after it."""
+    built = []
+    manufacture = SramArray.__init__
+
+    def record(array, *args, **kwargs):
+        manufacture(array, *args, **kwargs)
+        built.append(array)
+
+    monkeypatch.setattr(SramArray, "__init__", record)
+    run()
+    return built
+
+
+def _unread_by_d_cache_attacks(arrays) -> list[SramArray]:
+    """The L1I data and tag ways and the L2 tag RAM, each checked
+    present: 4 cores x (3 ways + tag) + 1 on a Pi 4."""
+    unread = [
+        array for array in arrays
+        if ".l1i." in array.name or array.name.endswith(".l2.tag")
+    ]
+    assert len(unread) == 17
+    return unread
+
+
 class TestTable1:
     def test_cold_boot_errors_near_chance(self):
         rows = table1.run(seed=900)
@@ -39,15 +64,12 @@ class TestTable1:
     @pytest.fixture
     def cold_boot_arrays(self, monkeypatch):
         """Every SRAM array one Pi 4 cold-boot soak builds, after it."""
-        built = []
-        manufacture = SramArray.__init__
-
-        def record(array, *args, **kwargs):
-            manufacture(array, *args, **kwargs)
-            built.append(array)
-
-        monkeypatch.setattr(SramArray, "__init__", record)
-        table1._temperature_point(900, 0, table1.TABLE1_TEMPERATURES_C[0])
+        built = _sram_built_by(
+            monkeypatch,
+            lambda: table1._temperature_point(
+                900, 0, table1.TABLE1_TEMPERATURES_C[0]
+            ),
+        )
         assert len(built) == 61
         return built
 
@@ -63,7 +85,7 @@ class TestTable1:
         self, monkeypatch, position
     ):
         """A soak's DRAM decays (4 ms, chilled) keep a cell even at the
-        lowest retention multiplier, so the retained table decides
+        lowest retention multiplier, so the first kept pattern decides
         every restore and no board draws the field."""
         built = []
         manufacture = DramArray.__init__
@@ -90,6 +112,14 @@ class TestTable1:
         for array in ways:
             assert not array._manufactured, array.name
             assert "_wake_p" not in vars(array), array.name
+
+    def test_cold_boot_never_materializes_the_l1i_or_l2_tags(
+        self, cold_boot_arrays
+    ):
+        """Cold boot dumps only the d-caches, and invalidating the L2
+        at boot is a word mask on its pending tag image."""
+        for array in _unread_by_d_cache_attacks(cold_boot_arrays):
+            assert not array._manufactured, array.name
 
 
 class TestFigure3:
@@ -121,6 +151,16 @@ class TestTable4:
         cells = table4.run(seed=905, array_sizes_kib=(4,), trials=1)
         assert "Table 4" in table4.report(cells).render()
 
+    def test_trial_never_materializes_the_l1i_or_l2_tags(self, monkeypatch):
+        """The Linux victim runs no code through the i-caches (the
+        kernel only invalidates them) and the attack dumps only the
+        d-caches."""
+        built = _sram_built_by(
+            monkeypatch, lambda: table4._run_single_trial(4, 912)
+        )
+        for array in _unread_by_d_cache_attacks(built):
+            assert not array._manufactured, array.name
+
 
 class TestFigure7:
     def test_bare_metal_icache_100_percent(self):
@@ -128,6 +168,15 @@ class TestFigure7:
         assert {r.device for r in results} == {"BCM2711", "BCM2837"}
         for result in results:
             assert result.all_perfect
+
+    def test_reads_its_l1i_ways(self, monkeypatch):
+        built = _sram_built_by(
+            monkeypatch, lambda: figure7.run_device("BCM2711", seed=913)
+        )
+        ways = [array for array in built if ".l1i.data." in array.name]
+        assert len(ways) == 12
+        for array in ways:
+            assert array._manufactured, array.name
 
 
 class TestFigure8:

@@ -28,7 +28,8 @@ def _run_attack(seed: int):
     unit.l1d.invalidate_all()
     unit.l1d.enabled = True
     unit.l1d.write(0x40000, b"\x5a" * 64)
-    attack = VoltBootAttack(board, target="l1-caches", boot_media=ATTACKER)
+    attack = VoltBootAttack(board, target="l1-caches", boot_media=ATTACKER,
+                            icache=True)
     return attack.execute().cache_images
 
 

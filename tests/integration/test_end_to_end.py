@@ -106,7 +106,7 @@ class TestHeadlineClaims:
                 for w in range(unit.l1i.geometry.ways)
             ]
             result = VoltBootAttack(
-                board, target="l1-caches", boot_media=ATTACKER
+                board, target="l1-caches", boot_media=ATTACKER, icache=True
             ).execute()
             assert result.cache_images.l1i[0] == before
 

@@ -235,9 +235,10 @@ class TestBulkMaintenance:
 def _assert_mirror(cache, written_through=True):
     """The tag words the cache's next access uses equal the tag RAM.
 
-    After the cache's own operations the mirror must already match
-    (no reload pending); after a change made behind its back, the
-    mutation counter must show it stale.
+    After the cache's own per-line operations the mirror must already
+    match (no reload pending); after a bulk invalidate (one word mask
+    on the tag RAM) or a change made behind its back, the mutation
+    counter must show it stale.
     """
     sram = cache.tags.sram
     assert (cache._tag_seen == sram.mutations) is written_through
@@ -279,10 +280,10 @@ class TestTagMirror:
         small_cache.zero_line(0x1000)  # hit
         _assert_mirror(small_cache)
         small_cache.clean_invalidate_all()
-        _assert_mirror(small_cache)
+        _assert_mirror(small_cache, written_through=False)
         small_cache.write(0x40, b"again")
         small_cache.invalidate_all()
-        _assert_mirror(small_cache)
+        _assert_mirror(small_cache, written_through=False)
 
     def test_mbist_fill_is_seen(self, small_cache):
         small_cache.write(0x40, b"resident")
@@ -346,7 +347,7 @@ class TestTagMirror:
         clone.write(0x40 + way_span, b"clone-only")
         clone.invalidate_all()
         small_cache.write(0x80, b"parent-only")
-        _assert_mirror(clone)
+        _assert_mirror(clone, written_through=False)
         _assert_mirror(small_cache)
         assert small_cache.read(0x40, 8) == b"original"
         assert list(clone._tag_words) != list(small_cache._tag_words)
@@ -377,7 +378,7 @@ class TestTagMirror:
                 cache.zero_line(addr)
             else:
                 cache.clean_invalidate_all()
-            _assert_mirror(cache)
+            _assert_mirror(cache, written_through=op != "all")
 
 
 class TestArchitecturalReset:
