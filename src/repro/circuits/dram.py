@@ -95,12 +95,18 @@ class DramArray(ManufacturedArray):
     else may draw from it), and a new array saves its state and draws
     nothing.  The anti-cell layout is drawn when a ground-state image
     is first read or partly written (``_cells`` is ``None`` while the
-    image is the pending ground state).  The retention field is drawn
-    only when a restore neither keeps nor loses every cell within the
-    cap, after a replay of the anti-cell draw that comes
-    before it in the stream.  Every result, the image and, after
-    :meth:`materialize`, the stream equal those of an array that drew
-    both fields when it was built.
+    image is the pending ground state).  A restore that neither keeps
+    nor loses every cell within the cap only records that first kept
+    pattern: the image owes the keep mask, and owed restores compose
+    by taking the higher pattern (lost cells fall to the ground state
+    and stay there).  The next read, partial write, :meth:`image` or
+    :meth:`materialize` applies it, and a full write drops it.  The
+    retention field is drawn, after a replay of the anti-cell draw
+    that comes before it in the stream, only when an owed mask is
+    applied or :meth:`retained_fraction` counts a split restore.
+    Every result, the image and, after :meth:`materialize`, the stream
+    equal those of an array that drew both fields when it was built.
+    When metrics are on, each restore counts its fraction at once.
     """
 
     MANUFACTURED = ("_anticell", "_retention_scale")
@@ -133,6 +139,13 @@ class DramArray(ManufacturedArray):
         self._start_level = 0.0
         self._decays: list[tuple[float, float]] = []  # (seconds, tau)
         self._powered = False
+        # The keep mask the image owes, as its first kept multiplier
+        # pattern (None when nothing is owed).
+        self._owed_first: int | None = None
+        # The last restore's first kept pattern, and its kept-cell
+        # count once known (both None before the first restore).
+        self._restored_first: int | None = None
+        self._kept_cells: int | None = None
 
     @property
     def n_bits(self) -> int:
@@ -192,56 +205,77 @@ class DramArray(ManufacturedArray):
         if OBS.enabled:
             OBS.gauge_set("dram.tau_s", tau, array=self.name)
 
-    def restore_power(self, voltage: float | None = None) -> float:
+    def restore_power(self, voltage: float | None = None) -> None:
         """Restore power; decayed cells revert to their ground state.
 
         ``voltage`` is accepted for :class:`~repro.power.domain.PowerLoad`
         compatibility; DRAM retention is refresh-driven, not
-        supply-level-driven, so the value is ignored.
-
-        Returns
-        -------
-        float
-            Fraction of cells still holding their written value.
+        supply-level-driven, so the value is ignored.  A restore that
+        splits the cells leaves the image owing its keep mask (see the
+        class notes); :meth:`retained_fraction` reports how many kept
+        their value.
 
         Raises
         ------
         CircuitError
-            If the restore draws the retention field and some
-            multiplier lies outside the retention cap, or if the decay
-            kernel keeps some multiplier but loses a larger one.
+            If the decay kernel keeps some multiplier but loses a
+            larger one.
         """
         if self._powered:
             raise CircuitError(f"{self.name}: already powered")
         first = self._first_kept()
         low, high = self._cap_patterns()
         if first <= low:
-            retained = self._n_bits
+            self._kept_cells = self._n_bits
         elif first > high:
-            retained = 0
+            self._kept_cells = 0
             self._cells = None
+            self._owed_first = None
         else:
-            kept = self._retention_scale.view(np.uint16) >= first
-            retained = int(np.count_nonzero(kept))
+            self._kept_cells = None
             if self._cells is not None:
                 # A ground-state image stays one: lost cells fall to it.
-                keep = pack_cells(kept)
-                self._cells = self._cells & keep | self._anticell & ~keep
+                self._owed_first = (
+                    first if self._owed_first is None
+                    else max(first, self._owed_first)
+                )
+        self._restored_first = first
         # Refresh recharges every cell.
         self._start_level = 1.0
         self._decays = []
         self._powered = True
-        fraction = retained / self._n_bits
         if OBS.enabled:
+            fraction = self.retained_fraction()
             OBS.histogram_record(
                 "dram.retained_fraction", fraction, array=self.name
             )
             OBS.counter_inc(
                 "dram.cells_decayed",
-                self._n_bits - retained,
+                self._n_bits - self._kept_cells,
                 array=self.name,
             )
-        return fraction
+
+    def retained_fraction(self) -> float:
+        """Fraction of cells that kept their value through the last
+        :meth:`restore_power`.
+
+        Counting a restore that split the cells draws the retention
+        field (once; later calls reuse the count).
+
+        Raises
+        ------
+        CircuitError
+            If the array was never restored, or if the count draws the
+            retention field and some multiplier lies outside the cap.
+        """
+        if self._restored_first is None:
+            raise CircuitError(f"{self.name}: never restored")
+        if self._kept_cells is None:
+            patterns = self._retention_scale.view(np.uint16)
+            self._kept_cells = int(
+                np.count_nonzero(patterns >= self._restored_first)
+            )
+        return self._kept_cells / self._n_bits
 
     def set_supply_voltage(self, voltage: float) -> int:
         """PowerLoad hook: DRAM tolerates supply moves; no cells are lost.
@@ -281,8 +315,13 @@ class DramArray(ManufacturedArray):
             raise CircuitError(f"{self.name}: cannot write while unpowered")
         raw = np.frombuffer(bytes(data), dtype=np.uint8)
         self._check_range(offset, len(raw))
-        if self._cells is None and len(raw) == self.n_bytes:
-            self._cells = raw.copy()  # replaces the ground image whole
+        if len(raw) == self.n_bytes:
+            # Replaces the image whole, with any keep mask it owes.
+            if self._cells is None:
+                self._cells = raw.copy()
+            else:
+                self._cells[:] = raw
+            self._owed_first = None
         else:
             self._image()[offset : offset + len(raw)] = raw
 
@@ -302,7 +341,8 @@ class DramArray(ManufacturedArray):
     # ------------------------------------------------------------------
 
     def materialize(self) -> None:
-        """Draw both fields and make the image concrete.
+        """Draw both fields and make the image concrete, applying any
+        keep mask it owes.
 
         The generator then ends where an eager build's would, past the
         anti-cell and retention draws.  Does nothing the second time.
@@ -311,9 +351,16 @@ class DramArray(ManufacturedArray):
         self._image()
 
     def _image(self) -> np.ndarray:
-        """The packed image, made concrete if it is the ground state."""
+        """The packed image, made concrete if it is the ground state and
+        with the keep mask it owes applied."""
         if self._cells is None:
             self._cells = self._anticell.copy()
+        elif self._owed_first is not None:
+            keep = pack_cells(
+                self._retention_scale.view(np.uint16) >= self._owed_first
+            )
+            self._cells = self._cells & keep | self._anticell & ~keep
+            self._owed_first = None
         return self._cells
 
     @cached_property
@@ -333,7 +380,8 @@ class DramArray(ManufacturedArray):
         ``float16`` keeps megabyte-scale modules affordable, and the
         decay kernel widens it exactly.  Raises :class:`CircuitError`
         if a multiplier lies outside the cap every restore evaluates
-        (``ENGINE.NORMAL_Z_CAP``).
+        (``ENGINE.NORMAL_Z_CAP``); the check runs where the field is
+        drawn, so on the read or count that first needs it.
         """
         # Replay the anti-cell draw to reach the field's place in the stream.
         rng = from_state(self._manufacture_state)

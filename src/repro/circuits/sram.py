@@ -198,6 +198,7 @@ class SramArray(ManufacturedArray):
         self._supply_v = 0.0
         self._unpowered_fraction = 1.0  # V/V0 accumulated while off
         self._off_supply_v = 0.0  # supply level at the moment power was lost
+        self._retained: float | None = None  # the last restore's fraction
         self._mutations = 0
 
     # ------------------------------------------------------------------
@@ -364,12 +365,13 @@ class SramArray(ManufacturedArray):
                 array=self.name,
             )
 
-    def restore_power(self, voltage: float | None = None) -> float:
+    def restore_power(self, voltage: float | None = None) -> None:
         """Re-apply power after an unpowered interval.
 
         Cells whose decayed node voltage still exceeds their restore
         threshold recover their previous state; the rest settle into the
-        power-up fingerprint.
+        power-up fingerprint.  :meth:`retained_fraction` then reports
+        how many recovered.
 
         Parameters
         ----------
@@ -377,12 +379,6 @@ class SramArray(ManufacturedArray):
             Restored supply voltage in volts; ``None`` applies the
             nominal supply.  Restoring below some cells' DRV collapses
             those cells immediately as well.
-
-        Returns
-        -------
-        float
-            Fraction of cells that retained their data — the quantity
-            every remanence study reports.
         """
         if self._powered:
             raise CircuitError(f"{self.name}: already powered")
@@ -417,15 +413,28 @@ class SramArray(ManufacturedArray):
         # Restoring at a voltage below some cells' DRV immediately
         # collapses those cells as well.
         self._collapse_below(self._supply_v)
-        fraction = retained / self._n_bits
+        self._retained = retained / self._n_bits
         if OBS.enabled:
             OBS.histogram_record(
-                "sram.retained_fraction", fraction, array=self.name
+                "sram.retained_fraction", self._retained, array=self.name
             )
             OBS.counter_inc(
                 "sram.cells_decayed", self._n_bits - retained, array=self.name
             )
-        return fraction
+
+    def retained_fraction(self) -> float:
+        """Fraction of cells that retained their data through the last
+        :meth:`restore_power` — the quantity every remanence study
+        reports.
+
+        Raises
+        ------
+        CircuitError
+            If the array was never restored.
+        """
+        if self._retained is None:
+            raise CircuitError(f"{self.name}: never restored")
+        return self._retained
 
     def set_supply_voltage(self, voltage: float) -> int:
         """Adjust the supply while powered (DVFS, or an attacker's probe).

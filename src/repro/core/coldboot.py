@@ -73,7 +73,10 @@ class ColdBootAttack:
             ) as cycle_span:
                 self.board.unplug()
                 self.board.wait(self.off_time_s)
-                retained = self.board.plug_in()
+                retained = {
+                    domain.name: domain.retained_fractions()
+                    for domain in self.board.plug_in()
+                }
                 cycle_span.set_attribute(
                     "retention_metrics",
                     OBS.metrics.snapshot("sram.retained"),

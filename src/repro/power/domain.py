@@ -34,8 +34,13 @@ class PowerLoad(Protocol):
     def powered(self) -> bool:
         """Whether the load currently has a supply."""
 
-    def restore_power(self, voltage: float | None = None) -> float:
-        """Re-apply power; returns the retained-bit fraction."""
+    def restore_power(self, voltage: float | None = None) -> None:
+        """Re-apply power after an unpowered interval."""
+
+    def retained_fraction(self) -> float:
+        """Fraction of cells that kept their data through the last
+        :meth:`restore_power`.  A load may owe the work a restore's
+        outcome needs and take it here, on the first call."""
 
     def power_down(self) -> None:
         """Remove the supply."""
@@ -106,14 +111,16 @@ class PowerDomain:
     # Transitions
     # ------------------------------------------------------------------
 
-    def apply_power(self, voltage: float | None = None) -> dict[str, float]:
-        """Bring the rail up; returns per-load retained-bit fractions."""
+    def apply_power(self, voltage: float | None = None) -> None:
+        """Bring the rail up; every load restores from its decay.
+
+        :meth:`retained_fractions` then reports what each load kept.
+        """
         if self._powered:
             raise PowerError(f"{self.name}: domain already powered")
         voltage = self.nominal_v if voltage is None else voltage
-        retained = {
-            load.name: load.restore_power(voltage) for load in self._loads
-        }
+        for load in self._loads:
+            load.restore_power(voltage)
         self._powered = True
         self._held_externally = False
         self._voltage = voltage
@@ -122,12 +129,15 @@ class PowerDomain:
         )
         if OBS.enabled:
             OBS.gauge_set("power.domain.voltage_v", voltage, domain=self.name)
-            for load_name, fraction in retained.items():
+            for load_name, fraction in self.retained_fractions().items():
                 OBS.histogram_record(
                     "power.domain.retained_fraction", fraction,
                     domain=self.name, load=load_name,
                 )
-        return retained
+
+    def retained_fractions(self) -> dict[str, float]:
+        """Per-load retained-bit fractions of the last :meth:`apply_power`."""
+        return {load.name: load.retained_fraction() for load in self._loads}
 
     def cut_power(self) -> None:
         """Collapse the rail; all loads begin unpowered decay."""

@@ -48,17 +48,18 @@ class PowerManagementUnit:
 
     def power_up_sequence(
         self, rail_voltages: dict[str, float]
-    ) -> dict[str, dict[str, float]]:
+    ) -> list[PowerDomain]:
         """Bring up all domains in order from the given rail voltages.
 
         ``rail_voltages`` maps domain name -> live rail voltage.  Domains
         that are already powered (e.g. held alive by an attacker's probe)
         are handed back to the PMIC rather than re-powered — this is the
         exact moment Volt Boot's retained state survives a reboot.
-        Returns per-domain, per-load retained-bit fractions for the
-        domains that actually came up from dark.
+        Returns the domains that actually came up from dark, in order;
+        each reports what its loads retained
+        (:meth:`~repro.power.domain.PowerDomain.retained_fractions`).
         """
-        retained: dict[str, dict[str, float]] = {}
+        came_up: list[PowerDomain] = []
         for name in self._sequence:
             domain = self._domains[name]
             voltage = rail_voltages.get(name, domain.nominal_v)
@@ -66,8 +67,9 @@ class PowerManagementUnit:
                 if domain.held_externally:
                     domain.release_external_hold(voltage)
                 continue
-            retained[name] = domain.apply_power(voltage)
-        return retained
+            domain.apply_power(voltage)
+            came_up.append(domain)
+        return came_up
 
     def power_down_all(self) -> None:
         """Collapse every still-powered, non-held domain (input cut)."""
@@ -89,9 +91,11 @@ class PowerManagementUnit:
             raise PowerError(f"{name}: rail is externally held; gating fails")
         domain.cut_power()
 
-    def ungate(self, name: str, voltage: float | None = None) -> dict[str, float]:
-        """Re-enable a gated domain; returns retained-bit fractions."""
+    def ungate(self, name: str, voltage: float | None = None) -> None:
+        """Re-enable a gated domain; its
+        :meth:`~repro.power.domain.PowerDomain.retained_fractions` then
+        report what each load kept."""
         domain = self.domain(name)
         if domain.powered:
             raise PowerError(f"{name}: domain is already powered")
-        return domain.apply_power(voltage)
+        domain.apply_power(voltage)

@@ -21,6 +21,7 @@ from ..circuits.pdn import PowerDeliveryNetwork
 from ..circuits.pmic import Pmic
 from ..circuits.supply import BenchSupply, VoltageProbe
 from ..errors import BootError, PowerError, ProbeError
+from ..power.domain import PowerDomain
 from ..power.events import PowerEventKind, PowerEventLog
 from ..rng import SeedSequenceFactory
 from ..units import celsius_to_kelvin
@@ -116,12 +117,12 @@ class Board:
             voltages[domain.name] = self.pdn.live_voltage(net.name)
         return voltages
 
-    def plug_in(self) -> dict[str, dict[str, float]]:
+    def plug_in(self) -> list[PowerDomain]:
         """Connect the main supply; the PMIC sequences every domain up.
 
-        Returns per-domain retained-bit fractions for domains that came
-        up from dark (externally-held domains are handed back to the
-        PMIC, retaining everything — the attack's payoff moment).
+        Returns the domains that came up from dark, which report what
+        their loads retained (externally-held domains are handed back
+        to the PMIC, retaining everything — the attack's payoff moment).
         """
         if self.pmic.input_present:
             raise PowerError(f"{self.name}: already plugged in")
@@ -168,7 +169,7 @@ class Board:
         self.log.record(PowerEventKind.INPUT_DISCONNECTED, self.name)
         return losses
 
-    def power_cycle(self, off_seconds: float) -> dict[str, dict[str, float]]:
+    def power_cycle(self, off_seconds: float) -> list[PowerDomain]:
         """Unplug, sit dark for ``off_seconds``, plug back in."""
         self.unplug()
         self.wait(off_seconds)

@@ -4,7 +4,7 @@
 field when it is built, keeps one ``float16`` charge level per cell and
 runs every unpowered decay over every cell.  It is the model
 :class:`~repro.circuits.dram.DramArray` defers and tables, so the two
-must agree on every restore fraction, every byte read and the image,
+must agree on every retained fraction, every byte read and the image,
 and end on the same generator state (``tests/circuits/test_dram.py``).
 It is never run by the simulator itself.
 """
@@ -41,6 +41,7 @@ class EagerDramArray:
         self._bits = self._anticell.astype(np.uint8)
         self._level = np.zeros(n_bits, dtype=np.float16)
         self._powered = False
+        self._retained: float | None = None
 
     @property
     def n_bytes(self) -> int:
@@ -61,7 +62,7 @@ class EagerDramArray:
             self._level, seconds, tau, self._retention_scale
         )
 
-    def restore_power(self, voltage: float | None = None) -> float:
+    def restore_power(self, voltage: float | None = None) -> None:
         if self._powered:
             raise CircuitError("already powered")
         retained = ENGINE.charge_mask(self._level)
@@ -69,7 +70,12 @@ class EagerDramArray:
         self._bits = ENGINE.select(retained, self._bits, ground)
         self._level = np.ones(self._n_bits, dtype=np.float16)
         self._powered = True
-        return float(np.mean(retained))
+        self._retained = int(np.count_nonzero(retained)) / self._n_bits
+
+    def retained_fraction(self) -> float:
+        if self._retained is None:
+            raise CircuitError("never restored")
+        return self._retained
 
     def read_bytes(self, offset: int = 0, count: int | None = None) -> bytes:
         if not self._powered:

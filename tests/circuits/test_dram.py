@@ -73,7 +73,8 @@ class TestDecay:
         dram.write_bytes(0, b"\xab" * 64)
         dram.power_down()
         dram.elapse_unpowered(0.064, celsius_to_kelvin(25.0))
-        assert dram.restore_power() > 0.95
+        dram.restore_power()
+        assert dram.retained_fraction() > 0.95
         assert dram.read_bytes(0, 64) == b"\xab" * 64
 
     def test_long_room_temperature_cut_decays(self):
@@ -81,7 +82,8 @@ class TestDecay:
         dram.write_bytes(0, b"\xab" * 64)
         dram.power_down()
         dram.elapse_unpowered(60.0, celsius_to_kelvin(25.0))
-        assert dram.restore_power() < 0.2
+        dram.restore_power()
+        assert dram.retained_fraction() < 0.2
 
     def test_cold_boot_regime(self):
         """Chilled DRAM survives a minute-long migration (Halderman)."""
@@ -89,7 +91,8 @@ class TestDecay:
         dram.write_bytes(0, bytes(range(256)))
         dram.power_down()
         dram.elapse_unpowered(60.0, celsius_to_kelvin(-50.0))
-        assert dram.restore_power() > 0.9
+        dram.restore_power()
+        assert dram.retained_fraction() > 0.9
 
     def test_decayed_cells_fall_to_ground_state_not_zero(self):
         """Anti-cells decay to 1: a dead module is not all-zeros."""
@@ -149,7 +152,8 @@ class TestGroundState:
 
     def test_factory_restore_reads_the_ground_state(self):
         dram = DramArray(8 * 64, rng=np.random.default_rng(2))
-        assert dram.restore_power() == 0.0
+        dram.restore_power()
+        assert dram.retained_fraction() == 0.0
         ground = np.packbits(dram.ground_state(), bitorder="little")
         assert dram.read_bytes() == ground.tobytes()
 
@@ -163,13 +167,19 @@ DECAY = st.tuples(
     st.sampled_from([233.0, 298.0, 350.0]),
 )
 
+#: A cut that splits the cells, so its restore owes a keep mask.
+SPLIT = st.tuples(st.sampled_from([1.0, 10.0, 30.0]), st.just(298.0))
+
 #: One operation on an array of :data:`OPS_BITS` cells.
 OPS_BITS = 8 * 64
 OP = st.one_of(
     st.tuples(st.just("cycle"), st.lists(DECAY, min_size=1, max_size=3)),
+    st.tuples(st.just("cycle"), st.lists(SPLIT, min_size=1, max_size=2)),
+    st.tuples(st.just("cycle_twice"), SPLIT, SPLIT),
     st.tuples(st.just("power_down")),
     st.tuples(st.just("elapse"), DECAY),
     st.tuples(st.just("restore")),
+    st.tuples(st.just("fraction")),
     st.tuples(st.just("write_all"), st.integers(min_value=0, max_value=2**16)),
     st.tuples(
         st.just("write_bytes"),
@@ -192,19 +202,28 @@ def _buffered():
     return generator
 
 
+def _cycle(array, decays):
+    array.power_down()
+    for seconds, kelvin in decays:
+        array.elapse_unpowered(seconds, kelvin)
+    array.restore_power()
+
+
 def _apply(array, op, args):
     """Run one :data:`OP` on ``array``; returns what the call returns."""
     if op == "cycle":
-        array.power_down()
-        for seconds, kelvin in args[0]:
-            array.elapse_unpowered(seconds, kelvin)
-        return array.restore_power()
+        return _cycle(array, args[0])
+    if op == "cycle_twice":
+        _cycle(array, [args[0]])
+        return _cycle(array, [args[1]])
     if op == "power_down":
         return array.power_down()
     if op == "elapse":
         return array.elapse_unpowered(*args[0])
     if op == "restore":
         return array.restore_power()
+    if op == "fraction":
+        return array.retained_fraction()
     if op == "write_all":
         payload = np.random.default_rng(args[0]).bytes(array.n_bytes)
         return array.write_bytes(0, payload)
@@ -213,6 +232,20 @@ def _apply(array, op, args):
         return array.write_bytes(min(offset, array.n_bytes - len(payload)), payload)
     offset, count = args
     return array.read_bytes(offset, min(count, array.n_bytes - offset))
+
+
+#: Split restores no read follows, then what reads or replaces them.
+OWED = [
+    ("cycle", [(1.0, 298.0)]),
+    ("cycle_twice", (10.0, 298.0), (1.0, 298.0)),
+    ("cycle_twice", (1.0, 298.0), (30.0, 298.0)),
+]
+AFTER_OWED = [
+    ("read_bytes", 3, 9),
+    ("fraction",),
+    ("write_all", 5),
+    ("write_bytes", 7, b"\x00\xff\x5a"),
+]
 
 
 class TestDeferredManufacture:
@@ -232,7 +265,16 @@ class TestDeferredManufacture:
             log.append((op, result))
         if isinstance(array, DramArray):
             array.materialize()
-        return log, array.image().tobytes(), array._rng.bit_generator.state
+        try:
+            fraction = array.retained_fraction()
+        except CircuitError:
+            fraction = "error"
+        return (
+            log,
+            fraction,
+            array.image().tobytes(),
+            array._rng.bit_generator.state,
+        )
 
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
@@ -244,21 +286,57 @@ class TestDeferredManufacture:
             seed, ops, EagerDramArray
         )
 
+    @pytest.mark.parametrize("after", AFTER_OWED, ids=lambda op: op[0])
+    @pytest.mark.parametrize("owed", OWED, ids=["once", "falling", "rising"])
+    def test_owed_restores_match_the_eager_array(self, owed, after):
+        """Split restores that nothing reads owe their keep masks
+        (composed, when back to back) without drawing the field; what
+        comes next gives the eager array's results."""
+        ops = [("restore",), ("write_all", 1), owed]
+        array = DramArray(OPS_BITS, rng=np.random.default_rng(8))
+        for op, *args in ops:
+            _apply(array, op, args)
+        assert "_retention_scale" not in vars(array)
+        assert array._owed_first is not None
+        ops.append(after)
+        _apply(array, after[0], after[1:])
+        assert ("_retention_scale" in vars(array)) == (after[0] != "write_all")
+        assert self._outcome(8, ops, DramArray) == self._outcome(
+            8, ops, EagerDramArray
+        )
+
+    def test_a_split_restore_of_the_ground_image_owes_nothing(self):
+        array = DramArray(OPS_BITS, rng=np.random.default_rng(8))
+        array.restore_power()
+        _cycle(array, [(1.0, 298.0)])
+        assert array._cells is None and array._owed_first is None
+        array.read_bytes(0, 4)
+        assert "_retention_scale" not in vars(array)
+
+    @pytest.mark.parametrize("query", ["read", "fraction"])
     @pytest.mark.parametrize(
-        "decays, drawn",
+        "decays, split",
         [
             ([(1e-3, 298.0)], False),  # every cell kept
             ([(600.0, 298.0)], False),  # every cell lost
-            ([(1.0, 298.0)], True),  # the table splits the cap range
+            ([(1.0, 298.0)], True),  # the threshold splits the cap range
             ([(0.5, 298.0), (0.5, 298.0), (1e-3, 233.0)], True),
         ],
     )
-    def test_draws_the_retention_field_only_when_split(self, decays, drawn):
+    def test_draws_the_retention_field_only_when_split(
+        self, decays, split, query
+    ):
+        """A restore alone draws nothing; the first read or fraction
+        after it draws the field only if the restore split the cells."""
         ops = [("restore",), ("write_all", 1), ("cycle", decays)]
         array = DramArray(OPS_BITS, rng=np.random.default_rng(8))
         for op, *args in ops:
             _apply(array, op, args)
-        assert ("_retention_scale" in vars(array)) == drawn
+        assert "_retention_scale" not in vars(array)
+        op, *args = ("read_bytes", 0, 4) if query == "read" else ("fraction",)
+        _apply(array, op, args)
+        ops.append((op, *args))
+        assert ("_retention_scale" in vars(array)) == split
         assert self._outcome(8, ops, DramArray) == self._outcome(
             8, ops, EagerDramArray
         )
@@ -267,9 +345,14 @@ class TestDeferredManufacture:
         array = DramArray(OPS_BITS, rng=np.random.default_rng(4))
         state = array._rng.bit_generator.state
         array.elapse_unpowered(1e3)
-        assert array.restore_power() == 0.0
+        array.restore_power()
+        assert array.retained_fraction() == 0.0
         assert not set(array.MANUFACTURED) & set(vars(array))
         assert array._rng.bit_generator.state == state
+
+    def test_fraction_before_any_restore_raises(self):
+        with pytest.raises(CircuitError, match="never restored"):
+            DramArray(OPS_BITS).retained_fraction()
 
     def test_full_write_replaces_a_ground_image_without_a_draw(self):
         array = DramArray(OPS_BITS, rng=np.random.default_rng(4))
@@ -303,7 +386,10 @@ class TestDeferredManufacture:
         """The retention draw starts past the anti-cell draw for a
         PCG64 stream that holds a buffered half-word and for another
         bit generator."""
-        ops = [("restore",), ("write_all", 2), ("cycle", [(1.0, 298.0)])]
+        ops = [
+            ("restore",), ("write_all", 2), ("cycle", [(1.0, 298.0)]),
+            ("fraction",),
+        ]
         outcomes = []
         for array_type in (DramArray, EagerDramArray):
             array = array_type(OPS_BITS, rng=make_rng())
@@ -316,15 +402,18 @@ class TestDeferredManufacture:
         assert outcomes[0] == outcomes[1]
 
     def test_a_multiplier_outside_the_cap_raises(self):
-        """A split table draws the field and checks it against the cap."""
+        """A split restore owes the field, and the first read after it
+        draws the field and checks it against the cap."""
         array = DramArray(OPS_BITS, rng=np.random.default_rng(1))
         array._retention_cap = (np.float16(0.9), np.float16(1.1))
         tau = array.params.decay.time_constant(298.0)
         array.restore_power()
+        array.write_bytes(0, b"\xa5" * array.n_bytes)
         array.power_down()
         array.elapse_unpowered(tau * np.log(2.0), 298.0)
-        with pytest.raises(CircuitError):
-            array.restore_power()
+        array.restore_power()
+        with pytest.raises(CircuitError, match="cap"):
+            array.read_bytes(0, 1)
 
 
 class TestRetentionCap:

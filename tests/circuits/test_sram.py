@@ -101,8 +101,8 @@ class TestRetentionPhysics:
         reference = array.image()
         array.power_down()
         array.elapse_unpowered(0.5, celsius_to_kelvin(25.0))
-        retained = array.restore_power()
-        assert retained < 0.05
+        array.restore_power()
+        assert array.retained_fraction() < 0.05
         match = float(np.mean(array.image() == reference))
         assert match < 0.6  # chance level for a patterned image
 
@@ -112,8 +112,8 @@ class TestRetentionPhysics:
         reference = array.image()
         array.power_down()
         array.elapse_unpowered(1e-9, celsius_to_kelvin(25.0))
-        retained = array.restore_power()
-        assert retained > 0.99
+        array.restore_power()
+        assert array.retained_fraction() > 0.99
         assert (array.image() == reference).all()
 
     def test_retention_monotonic_in_off_time(self):
@@ -122,7 +122,8 @@ class TestRetentionPhysics:
             array = fresh_array(n_bits=8 * 2048)
             array.power_down()
             array.elapse_unpowered(off_time, celsius_to_kelvin(25.0))
-            results.append(array.restore_power())
+            array.restore_power()
+            results.append(array.retained_fraction())
         assert results == sorted(results, reverse=True)
 
     def test_cold_extends_retention(self):
@@ -132,7 +133,9 @@ class TestRetentionPhysics:
         cold = fresh_array(n_bits=8 * 2048)
         cold.power_down()
         cold.elapse_unpowered(1e-3, celsius_to_kelvin(-110.0))
-        assert cold.restore_power() > warm.restore_power()
+        cold.restore_power()
+        warm.restore_power()
+        assert cold.retained_fraction() > warm.retained_fraction()
 
     def test_segmented_decay_composes(self):
         split = fresh_array(seed=5)
@@ -142,7 +145,11 @@ class TestRetentionPhysics:
         whole = fresh_array(seed=5)
         whole.power_down()
         whole.elapse_unpowered(2e-3, 300.0)
-        assert split.restore_power() == pytest.approx(whole.restore_power())
+        split.restore_power()
+        whole.restore_power()
+        assert split.retained_fraction() == pytest.approx(
+            whole.retained_fraction()
+        )
 
 
 class TestVoltageEvents:
@@ -314,7 +321,9 @@ class TestPropertyBased:
         b = fresh_array(seed=11)
         b.power_down()
         b.elapse_unpowered(long, 300.0)
-        assert b.restore_power() <= a.restore_power() + 1e-9
+        a.restore_power()
+        b.restore_power()
+        assert b.retained_fraction() <= a.retained_fraction() + 1e-9
 
     @given(
         ops=st.lists(
@@ -395,7 +404,8 @@ class TestFieldsOnFirstNeed:
         array.set_supply_voltage(0.8)
         array.power_down()
         array.elapse_unpowered(1e-3, 300.0)
-        assert array.restore_power() == 0.0
+        array.restore_power()
+        assert array.retained_fraction() == 0.0
         assert "_drv" not in vars(array)
         assert "_restore_threshold" not in vars(array)
 
@@ -431,7 +441,8 @@ class TestFieldsOnFirstNeed:
         array.power_down()
         if off_s:
             array.elapse_unpowered(off_s, 300.0)
-        results.append(array.restore_power(restore))
+        array.restore_power(restore)
+        results.append(array.retained_fraction())
         images.append(array.read_bytes())
         return results, images, array._rng.bit_generator.state
 
@@ -524,9 +535,11 @@ def _apply(array, op, args):
         return array.power_down()
     if op == "elapse":
         return array.elapse_unpowered(args[0], 300.0)
-    if op in ("restore", "supply", "transient"):
+    if op == "restore":
+        array.restore_power(_bound_volts(array, args[0]))
+        return array.retained_fraction()
+    if op in ("supply", "transient"):
         method = {
-            "restore": array.restore_power,
             "supply": array.set_supply_voltage,
             "transient": array.apply_voltage_transient,
         }[op]

@@ -11,6 +11,8 @@ as its source and freezes them, so the template cannot reach the
 snapshot either.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -84,7 +86,8 @@ def _stored(part: SramArray | DramArray) -> np.ndarray:
 
 def _state(board) -> dict[str, object]:
     """Stored images, DRAM charge (the start level and the decays
-    owed since power-down) and RNG states, by path."""
+    owed since power-down) and last retained fraction, and RNG
+    states, by path."""
     state: dict[str, object] = {}
     for path, part in _parts(board):
         if isinstance(part, np.random.Generator):
@@ -94,6 +97,7 @@ def _state(board) -> dict[str, object]:
         state[f"{path}._rng"] = part._rng.bit_generator.state
         if isinstance(part, DramArray):
             state[f"{path}.charge"] = (part._start_level, list(part._decays))
+            state[f"{path}.retained"] = part.retained_fraction()
     return state
 
 
@@ -328,6 +332,26 @@ class TestLazyDram:
         for name in array.MANUFACTURED:
             assert vars(first)[name] is vars(array)[name], name
             assert vars(second)[name] is vars(array)[name], name
+
+    @staticmethod
+    def _owing(seed: int):
+        """A booted board whose DRAM owes a split restore's keep mask."""
+        board = _booted(seed)
+        board.soc.memory_map.write_block(0x2000, b"\xa5" * 64)
+        board.power_cycle(1.0)  # a second at room temperature splits
+        return board
+
+    @pytest.mark.parametrize(
+        "duplicate", [_clone, copy.deepcopy], ids=["snapshot", "deepcopy"]
+    )
+    def test_copy_of_a_board_owing_a_restore_equals_a_fresh_build(
+        self, duplicate
+    ):
+        board = self._owing(SEED)
+        dram = board.soc.dram
+        assert dram._owed_first is not None
+        assert "_retention_scale" not in vars(dram)
+        assert _state(duplicate(board)) == _state(self._owing(SEED))
 
 
 class TestBootedBoard:

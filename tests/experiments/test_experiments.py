@@ -5,8 +5,11 @@ factor) at test-friendly scale; the benchmark harness runs the full
 configurations.
 """
 
+import contextlib
+
 import pytest
 
+from repro import obs
 from repro.circuits.dram import DramArray
 from repro.circuits.sram import SramArray
 from repro.experiments import (
@@ -26,16 +29,16 @@ from repro.experiments import (
 )
 
 
-def _sram_built_by(monkeypatch, run) -> list[SramArray]:
-    """Every SRAM array that ``run()`` builds, after it."""
+def _built_by(monkeypatch, array_type, run) -> list:
+    """Every ``array_type`` array that ``run()`` builds, after it."""
     built = []
-    manufacture = SramArray.__init__
+    manufacture = array_type.__init__
 
     def record(array, *args, **kwargs):
         manufacture(array, *args, **kwargs)
         built.append(array)
 
-    monkeypatch.setattr(SramArray, "__init__", record)
+    monkeypatch.setattr(array_type, "__init__", record)
     run()
     return built
 
@@ -64,8 +67,9 @@ class TestTable1:
     @pytest.fixture
     def cold_boot_arrays(self, monkeypatch):
         """Every SRAM array one Pi 4 cold-boot soak builds, after it."""
-        built = _sram_built_by(
+        built = _built_by(
             monkeypatch,
+            SramArray,
             lambda: table1._temperature_point(
                 900, 0, table1.TABLE1_TEMPERATURES_C[0]
             ),
@@ -87,18 +91,13 @@ class TestTable1:
         """A soak's DRAM decays (4 ms, chilled) keep a cell even at the
         lowest retention multiplier, so the first kept pattern decides
         every restore and no board draws the field."""
-        built = []
-        manufacture = DramArray.__init__
-
-        def record(array, *args, **kwargs):
-            manufacture(array, *args, **kwargs)
-            built.append(array)
-
-        monkeypatch.setattr(DramArray, "__init__", record)
-        table1._temperature_point(
-            900, position, table1.TABLE1_TEMPERATURES_C[position]
+        (dram,) = _built_by(
+            monkeypatch,
+            DramArray,
+            lambda: table1._temperature_point(
+                900, position, table1.TABLE1_TEMPERATURES_C[position]
+            ),
         )
-        (dram,) = built
         assert "_retention_scale" not in vars(dram)
 
     def test_cold_boot_never_materializes_the_l2_data_ways(
@@ -155,11 +154,38 @@ class TestTable4:
         """The Linux victim runs no code through the i-caches (the
         kernel only invalidates them) and the attack dumps only the
         d-caches."""
-        built = _sram_built_by(
-            monkeypatch, lambda: table4._run_single_trial(4, 912)
+        built = _built_by(
+            monkeypatch, SramArray, lambda: table4._run_single_trial(4, 912)
         )
         for array in _unread_by_d_cache_attacks(built):
             assert not array._manufactured, array.name
+
+    @pytest.mark.parametrize("observed", [False, True], ids=["off", "on"])
+    def test_trial_draws_the_dram_retention_field_only_under_obs(
+        self, monkeypatch, observed
+    ):
+        """The attack's power cycle splits the DRAM cells, but nothing
+        reads DRAM after it, so with observability off no board draws
+        the retention field; with it on, the restore counts its
+        retained fraction and draws the field there."""
+        drawn_at_restore = []
+        restore = DramArray.restore_power
+
+        def record(array, *args, **kwargs):
+            restore(array, *args, **kwargs)
+            drawn_at_restore.append("_retention_scale" in vars(array))
+
+        monkeypatch.setattr(DramArray, "restore_power", record)
+        with obs.capture() if observed else contextlib.nullcontext():
+            (dram,) = _built_by(
+                monkeypatch,
+                DramArray,
+                lambda: table4._run_single_trial(4, 912),
+            )
+        # The build's factory restore loses every cell; the attack's splits.
+        assert drawn_at_restore == [False, observed]
+        assert ("_retention_scale" in vars(dram)) == observed
+        assert 0.0 < dram.retained_fraction() < 1.0
 
 
 class TestFigure7:
@@ -170,8 +196,8 @@ class TestFigure7:
             assert result.all_perfect
 
     def test_reads_its_l1i_ways(self, monkeypatch):
-        built = _sram_built_by(
-            monkeypatch, lambda: figure7.run_device("BCM2711", seed=913)
+        built = _built_by(
+            monkeypatch, SramArray, lambda: figure7.run_device("BCM2711", seed=913)
         )
         ways = [array for array in built if ".l1i.data." in array.name]
         assert len(ways) == 12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.dram import DramArray
 from repro.circuits.sram import SramArray
 from repro.errors import PowerError
 from repro.power.domain import PowerDomain, PowerLoad
@@ -24,6 +25,7 @@ def make_domain(n_loads=2, nominal=0.8):
 class TestComposition:
     def test_sram_satisfies_protocol(self):
         assert isinstance(SramArray(64), PowerLoad)
+        assert isinstance(DramArray(64), PowerLoad)
 
     def test_double_attach_rejected(self):
         domain, loads = make_domain(1)
@@ -63,7 +65,8 @@ class TestTransitions:
 
     def test_apply_returns_retention_per_load(self):
         domain, _ = make_domain()
-        retained = domain.apply_power()
+        assert domain.apply_power() is None
+        retained = domain.retained_fractions()
         assert set(retained) == {"m0", "m1"}
         assert all(0.0 <= v <= 1.0 for v in retained.values())
 
