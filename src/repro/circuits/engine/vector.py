@@ -46,9 +46,9 @@ _REBIAS_PATTERN = (127 - 15) << 23
 #: Cells per chunk in the sampling and power-up kernels and DRAM
 #: charge decay.  Each such kernel works through one reused buffer of
 #: this many values, so its ``float32``/``float64`` temporary stays
-#: small however large the array; consecutive draws return the same
-#: values as one bulk draw of the whole length.
-CHUNK = 1 << 16
+#: small however large the array (128 KiB at ``float64``); consecutive
+#: draws return the same values as one bulk draw of the whole length.
+CHUNK = 1 << 14
 
 
 def _spans(n: int) -> Iterator[tuple[slice, int]]:

@@ -8,9 +8,10 @@ only later change — aging — rebinds the field to a new one.  (An SRAM
 array defers all of its draws until something reads its cells, and
 even then keeps only the stream state of its DRV and restore-threshold
 draws until a result reads those fields; each replays the same draw.
-A DRAM array draws its anti-cell layout when a ground-state image is
-first read, and its retention field only when something reads the
-outcome of a restore that cannot be decided without it.)
+A DRAM array draws the anti-cell flags of each page of a ground-state
+image when that page is first read or written, the whole layout only
+when every page is needed, and its retention field only when something
+reads the outcome of a restore that cannot be decided without it.)
 Those fields are marked read-only, so copies of the array can share
 them instead of copying megabytes of ``float16``; only the electrical
 state (the bit image, DRAM's start charge level and owed decays, the

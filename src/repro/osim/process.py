@@ -90,6 +90,9 @@ class ArrayFillProcess(Process):
         self.n_elements = n_elements
         self.passes = passes
         self.elements_per_quantum = elements_per_quantum
+        self._payload = b"".join(
+            self.element_bytes(index) for index in range(n_elements)
+        )
         self._cursor = 0
         self._pass = 0
 
@@ -123,10 +126,8 @@ class ArrayFillProcess(Process):
                 budget,
                 self.n_elements - self._cursor,
             )
-            cache.write(addr, b"".join(
-                self.element_bytes(index)
-                for index in range(self._cursor, self._cursor + run)
-            ))
+            start = self._cursor * 8
+            cache.write(addr, self._payload[start : start + run * 8])
             cache.read(addr, run * 8)
             budget -= run
             self._cursor += run

@@ -194,11 +194,14 @@ class SetAssociativeCache:
         if line_interleave:
             perm_rng = spawn(rng)
             self._interleave = perm_rng.permutation(g.line_bytes * 8)
-        # Flip-flop state (lost at reboot, not SRAM-backed).
+        # Flip-flop state (lost at reboot, not SRAM-backed), in flat
+        # lists: a fill reads one set's few ages, where a numpy call
+        # costs more than the work.  Set ``i``'s ages start at
+        # ``i * ways``.
         self.enabled = False
-        self._lru = np.zeros((g.sets, g.ways), dtype=np.int64)
+        self._lru = [0] * (g.sets * g.ways)
         self._lru_tick = 0
-        self._rr_pointer = np.zeros(g.sets, dtype=np.int64)
+        self._rr_pointer = [0] * g.sets
         self._victim_rng = spawn(rng)
 
     # ------------------------------------------------------------------
@@ -216,9 +219,9 @@ class SetAssociativeCache:
         surface.
         """
         self.enabled = False
-        self._lru[:] = 0
+        self._lru = [0] * len(self._lru)
         self._lru_tick = 0
-        self._rr_pointer[:] = 0
+        self._rr_pointer = [0] * len(self._rr_pointer)
 
     # ------------------------------------------------------------------
     # Tag helpers
@@ -266,16 +269,17 @@ class SetAssociativeCache:
             if not words[base + way] & _VALID_BIT:
                 return way
         if self.replacement == "lru":
-            return int(np.argmin(self._lru[index]))
+            ages = self._lru[base : base + ways]
+            return ages.index(min(ages))  # the first oldest, as argmin
         if self.replacement == "round-robin":
-            victim = int(self._rr_pointer[index])
+            victim = self._rr_pointer[index]
             self._rr_pointer[index] = (victim + 1) % ways
             return victim
         return int(self._victim_rng.integers(0, ways))
 
     def _touch(self, index: int, way: int) -> None:
         self._lru_tick += 1
-        self._lru[index, way] = self._lru_tick
+        self._lru[index * self.geometry.ways + way] = self._lru_tick
 
     # ------------------------------------------------------------------
     # Data-RAM helpers

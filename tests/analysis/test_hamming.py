@@ -92,3 +92,31 @@ class TestPropertyBased:
         assert hamming_distance(a, c) <= (
             hamming_distance(a, b) + hamming_distance(b, c)
         )
+
+    @given(
+        pair=st.integers(min_value=0, max_value=48).flatmap(
+            lambda n: st.tuples(
+                st.binary(min_size=n, max_size=n),
+                st.binary(min_size=n, max_size=n),
+            )
+        ),
+        extra=st.binary(min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_packed_bytes_equal_unpacked_cells(self, pair, extra):
+        """The packed byte path counts what the per-cell path counts,
+        and a size mismatch raises on both."""
+        a, b = pair
+        bits = [
+            np.unpackbits(np.frombuffer(x, dtype=np.uint8), bitorder="little")
+            for x in (a, b, b + extra)
+        ]
+        assert hamming_distance(a, b) == hamming_distance(bits[0], bits[1])
+        assert hamming_distance(bytearray(a), b) == hamming_distance(a, b)
+        if a:
+            assert fractional_hamming_distance(a, b) == (
+                fractional_hamming_distance(bits[0], bits[1])
+            )
+        for mismatched in ((a, b + extra), (bits[0], bits[2])):
+            with pytest.raises(ReproError):
+                hamming_distance(*mismatched)

@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.circuits.sram import SramArray, SramParameters
 from repro.soc.cache import CacheGeometry, SetAssociativeCache
+
+#: CI runs ``pytest --hypothesis-profile=ci``: the same examples on
+#: every run, no per-example deadline, and a failure prints the blob
+#: that replays it locally (``@reproduce_failure``).
+settings.register_profile(
+    "ci", derandomize=True, deadline=None, print_blob=True
+)
 
 
 class DictBacking:

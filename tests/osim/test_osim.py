@@ -111,8 +111,11 @@ def _cache_state(cache):
     return {
         "data": [ram.read_bytes() for ram in cache.data_rams],
         "tags": cache.tags.dump(),
-        "lru_order": np.argsort(cache._lru, axis=1, kind="stable").tolist(),
-        "rr_pointer": cache._rr_pointer.tolist(),
+        "lru_order": np.argsort(
+            np.reshape(cache._lru, (cache.geometry.sets, -1)),
+            axis=1, kind="stable",
+        ).tolist(),
+        "rr_pointer": list(cache._rr_pointer),
         "victim_rng": cache._victim_rng.bit_generator.state,
     }
 
