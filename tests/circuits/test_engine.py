@@ -136,7 +136,19 @@ class TestKernelDifferential:
 class TestChunkedSampling:
     """Sampling kernels draw in chunks; the values are one bulk draw's."""
 
-    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK + 1, 3 * CHUNK])
+    # Chunk edges, and a partial chunk after several full ones.
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            CHUNK - 1,
+            CHUNK + 1,
+            3 * CHUNK,
+            (1 << 16) - 1,
+            (1 << 16) + 1,
+            3 << 16,
+        ],
+    )
     @pytest.mark.parametrize(
         "mean, sigma", [(0.25, 0.03), (0.25, 0.0), (0.01, 0.03)]
     )
