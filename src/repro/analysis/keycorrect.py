@@ -15,7 +15,8 @@ the observed window (AES-128 expansion relations)::
     w3 = obs(w3) = obs(w6)^obs(w7)      = obs(w6)^obs(w10)^obs(w11)
     w0 = obs(w0) = obs(w4)^g1(w3)       = obs(w8)^g2(obs(w7))^g1(w3)
 
-(where ``g_r`` is SubWord∘RotWord ⊕ Rcon_r).  A sparse error corrupts
+(where ``g_r`` is SubWord∘RotWord ⊕ Rcon_r,
+:func:`~repro.crypto.aes.key_schedule_core`).  A sparse error corrupts
 at most one estimate of any given bit, so per-bit majority voting over
 the three estimates recovers the true word.  A bounded steepest-descent
 pass then mops up any residual coincidences, and the result is accepted
@@ -32,14 +33,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..crypto.aes import SBOX, schedule_bytes
+from ..crypto.aes import (
+    INV_SBOX,
+    RCON,
+    SBOX,
+    key_schedule_core,
+    schedule_bytes,
+)
 from ..errors import ReproError
 from .hamming import hamming_distance
 
 #: Full AES-128 schedule length.
 SCHEDULE_BYTES = 176
-
-_RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 
 def _words(window: bytes) -> list[bytes]:
@@ -54,21 +59,16 @@ def _xor(*parts: bytes) -> bytes:
     return bytes(out)
 
 
-def _g(word: bytes, round_index: int) -> bytes:
-    """SubWord(RotWord(word)) ^ Rcon[round_index] (1-based round)."""
-    rotated = word[1:] + word[:1]
-    substituted = bytes(SBOX[b] for b in rotated)
-    return bytes(
-        (substituted[0] ^ _RCON[round_index - 1],) + tuple(substituted[1:])
-    )
-
-
 def _g_inverse_free_w0(words: list[bytes], w3: bytes) -> list[bytes]:
     """The three independent estimates of key word w0."""
     return [
         words[0],
-        _xor(words[4], _g(w3, 1)),
-        _xor(words[8], _g(words[7], 2), _g(w3, 1)),
+        _xor(words[4], key_schedule_core(w3, 1)),
+        _xor(
+            words[8],
+            key_schedule_core(words[7], 2),
+            key_schedule_core(w3, 1),
+        ),
     ]
 
 
@@ -107,13 +107,17 @@ def _repair_window(window: bytes) -> bytes:
         if i % 4 != 0:
             estimates.append(_xor(words[i - 4], words[i - 1]))
         else:
-            estimates.append(_xor(words[i - 4], _g(words[i - 1], i // 4)))
+            estimates.append(
+                _xor(words[i - 4], key_schedule_core(words[i - 1], i // 4))
+            )
         j = i + 4
         if j <= 43:
             if j % 4 != 0:
                 estimates.append(_xor(words[j], words[j - 1]))
             else:
-                estimates.append(_xor(words[j], _g(words[j - 1], j // 4)))
+                estimates.append(
+                    _xor(words[j], key_schedule_core(words[j - 1], j // 4))
+                )
         if len(estimates) == 3:
             repaired[i] = _bit_majority(estimates)
         else:
@@ -306,10 +310,6 @@ def reconstruct_with_decay_model(
         bits[bit_slice(word, byte)] = chunk
         known[bit_slice(word, byte)] = True
 
-    inv_sbox = [0] * 256
-    for source, target in enumerate(SBOX):
-        inv_sbox[target] = source
-
     for _ in range(max_peel_iterations):
         changed = False
         for i in range(4, 44):
@@ -331,7 +331,7 @@ def reconstruct_with_decay_model(
                         known[slices[target]] |= derivable
                         changed = True
             else:
-                rcon = _RCON[i // 4 - 1]
+                rcon = RCON[i // 4 - 1]
                 for j in range(4):
                     source_byte = (j + 1) % 4
                     adjust = rcon if j == 0 else 0
@@ -357,7 +357,7 @@ def reconstruct_with_decay_model(
                     elif know_out and know_prev and not know_in:
                         set_byte(
                             i - 1, source_byte,
-                            inv_sbox[
+                            INV_SBOX[
                                 byte_value(i, j)
                                 ^ byte_value(i - 4, j)
                                 ^ adjust

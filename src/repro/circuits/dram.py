@@ -41,11 +41,6 @@ from .manufacture import (
 #: ground-state image draws the anti-cell flags of the pages it covers.
 PAGE_BYTES = 4096
 
-#: Bit generators whose ``advance(k)`` skips exactly ``k`` 64-bit
-#: outputs, so ``k`` ``float64`` ``random()`` values.  (Philox advances
-#: by blocks of four outputs; MT19937 and SFC64 have no ``advance``.)
-_SEEKABLE = frozenset({"PCG64", "PCG64DXSM"})
-
 
 @dataclass(frozen=True)
 class DramParameters:
@@ -108,10 +103,11 @@ class DramArray(ManufacturedArray):
     partial write of such pages draws the anti-cell flags of only the
     pages it covers: page ``p`` takes the ``random()`` values that
     follow the first ``p * 8 * PAGE_BYTES`` of the saved stream,
-    reached with ``advance``.  Applying an owed mask, :meth:`image`,
-    :meth:`ground_state` and :meth:`materialize` draw the whole layout
-    (``_anticell``), a page at a time, and a generator that cannot
-    seek (see :data:`_SEEKABLE`) always draws it whole.  A restore
+    reached with ``advance``, which is why the generator must be PCG64
+    (its ``advance(k)`` skips exactly ``k`` ``float64`` ``random()``
+    values; :mod:`repro.rng` builds no other).  Applying an owed mask,
+    :meth:`image`, :meth:`ground_state` and :meth:`materialize` draw
+    the whole layout (``_anticell``), a page at a time.  A restore
     that neither keeps nor loses every cell within the cap only
     records that first kept pattern: the image owes the keep mask, and
     owed restores compose by taking the higher pattern (lost cells
@@ -142,6 +138,9 @@ class DramArray(ManufacturedArray):
         self._n_bits = int(n_bits)
         # Both fields are drawn on first need, from the state saved here.
         self._manufacture_state = self._rng.bit_generator.state
+        kind = self._manufacture_state["bit_generator"]
+        if kind != "PCG64":
+            raise CalibrationError(f"{name}: needs a PCG64 stream, got {kind}")
         # Every retention multiplier lies within the field's own
         # rounding of the ends of the normal draw's |Z| bound.
         spread = self.params.retention_spread
@@ -377,7 +376,7 @@ class DramArray(ManufacturedArray):
         A range with no mask owed draws only the anti-cell pages it
         covers; every other call draws the whole layout.
         """
-        if count is not None and self._owed_first is None and self._seekable:
+        if count is not None and self._owed_first is None:
             if self._cells is None:
                 self._cells = np.zeros(self.n_bytes, dtype=np.uint8)
                 self._ground_pages = set(range(self._n_pages))
@@ -404,11 +403,6 @@ class DramArray(ManufacturedArray):
                 self._owed_first = None
         self._ground_pages = set()
         return self._cells
-
-    @property
-    def _seekable(self) -> bool:
-        """Whether the saved stream can skip to any cell's draw."""
-        return self._manufacture_state["bit_generator"] in _SEEKABLE
 
     @property
     def _n_pages(self) -> int:

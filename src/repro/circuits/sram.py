@@ -139,8 +139,9 @@ class SramArray(ManufacturedArray):
     it once by replaying the draw from the saved state.
 
     :attr:`mutations` counts the events that change the stored image or
-    make reading it illegal, so a structure that mirrors part of the
-    image (the cache's tag words) can tell when its copy is stale.
+    make reading it illegal.  Its one reader is
+    :class:`~repro.soc.regfile.WordRam`, whose word mirror is stale
+    whenever the count moved past the one it recorded.
     """
 
     MANUFACTURED = ("_drv", "_restore_threshold", "_wake_p")

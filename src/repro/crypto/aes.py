@@ -73,9 +73,11 @@ def _build_sbox() -> tuple[list[int], list[int]]:
 
 SBOX, INV_SBOX = _build_sbox()
 
-_RCON = [1]
-while len(_RCON) < 14:
-    _RCON.append(_xtime(_RCON[-1]))
+#: Round constants: ``RCON[r - 1]`` is the first byte of Rcon for
+#: schedule round ``r``.
+RCON = [1]
+while len(RCON) < 14:
+    RCON.append(_xtime(RCON[-1]))
 
 
 def rounds_for_key(key: bytes) -> int:
@@ -88,6 +90,14 @@ def rounds_for_key(key: bytes) -> int:
         ) from None
 
 
+def key_schedule_core(word: bytes, round_index: int) -> bytes:
+    """``SubWord(RotWord(word)) ^ Rcon`` of schedule round
+    ``round_index`` (1-based): the non-linear step of the expansion."""
+    out = bytearray(SBOX[b] for b in word[1:] + word[:1])
+    out[0] ^= RCON[round_index - 1]
+    return bytes(out)
+
+
 def expand_key(key: bytes) -> list[bytes]:
     """Expand a key into the list of 16-byte round keys."""
     rounds = rounds_for_key(key)
@@ -96,9 +106,7 @@ def expand_key(key: bytes) -> list[bytes]:
     for i in range(nk, 4 * (rounds + 1)):
         temp = words[i - 1]
         if i % nk == 0:
-            rotated = temp[1:] + temp[:1]
-            temp = bytes(SBOX[b] for b in rotated)
-            temp = bytes((temp[0] ^ _RCON[i // nk - 1],)) + temp[1:]
+            temp = key_schedule_core(temp, i // nk)
         elif nk > 6 and i % nk == 4:
             temp = bytes(SBOX[b] for b in temp)
         words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))

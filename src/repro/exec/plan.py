@@ -36,13 +36,11 @@ def shard_unit(fn: Callable[..., Any]) -> Callable[..., Any]:
 
     The marker is declarative: it returns ``fn`` unchanged (no wrapper,
     so pool pickling still sees the original module-level function) and
-    only tags it for tooling.  ``repro-lint`` roots its
-    shard-race analysis (RL007) at every marked function in addition to
-    those it can discover syntactically from ``WorkUnit(fn=...)`` /
-    ``ShardPlan.enumerate(fn, ...)`` call sites — marking closes the
-    gap for units registered through indirection the linter cannot
-    follow.  Unit functions must be pure in their arguments: state in
-    through ``args``/``kwargs``, state out through the return value.
+    only tags it.  :class:`WorkUnit` refuses an unmarked ``fn``, and
+    ``repro-lint`` roots its shard-race analysis (RL007) at every
+    marked function, so no unit escapes the rule.  Unit functions must
+    be pure in their arguments: state in through ``args``/``kwargs``,
+    state out through the return value.
     """
     fn.__shard_unit__ = True
     return fn
@@ -52,9 +50,14 @@ def shard_unit(fn: Callable[..., Any]) -> Callable[..., Any]:
 class WorkUnit:
     """One independent unit of experiment work.
 
-    ``fn`` must be a module-level (picklable) callable; ``index`` is
-    the unit's position in the merge order; ``label`` names the unit in
-    shard errors and trace spans.
+    ``fn`` must be a module-level (picklable) callable marked
+    :func:`shard_unit`; ``index`` is the unit's position in the merge
+    order; ``label`` names the unit in shard errors and trace spans.
+
+    Raises
+    ------
+    ExecError
+        If ``fn`` is not marked :func:`shard_unit`.
     """
 
     index: int
@@ -62,6 +65,13 @@ class WorkUnit:
     args: tuple[Any, ...] = ()
     kwargs: dict[str, Any] = field(default_factory=dict)
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if not getattr(self.fn, "__shard_unit__", False):
+            raise ExecError(
+                f"work unit {self.describe()!r}: {self.fn!r} is not "
+                "marked @shard_unit"
+            )
 
     def run(self) -> Any:
         """Execute the unit in the current process."""

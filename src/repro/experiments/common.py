@@ -19,6 +19,7 @@ from ..cpu.core import Core
 from ..cpu.programs import nop_fill, vector_fill
 from ..exec import runtime as exec_runtime
 from ..obs import OBS, RunManifest
+from ..obs.export import _jsonable
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..soc.soc import CoreUnit
@@ -106,22 +107,6 @@ def snapshot_l1i(unit: CoreUnit) -> list[bytes]:
 # ----------------------------------------------------------------------
 
 
-def _plain(value: Any) -> Any:
-    """Reduce a parameter/headline value to JSON-friendly primitives."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set)):
-        return [_plain(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            f.name: _plain(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    return repr(value)
-
-
 def auto_headline(result: Any) -> dict[str, Any]:
     """A generic headline for experiments without a bespoke summariser.
 
@@ -179,7 +164,7 @@ def manifested(
             exec_runtime.clear_incidents()
             bound = signature.bind_partial(*args, **kwargs)
             bound.apply_defaults()
-            params = {k: _plain(v) for k, v in bound.arguments.items()}
+            params = {k: _jsonable(v) for k, v in bound.arguments.items()}
             with OBS.span(f"experiment.{experiment}", device=device) as span:
                 result = run_fn(*args, **kwargs)
             summarise = headline or auto_headline
@@ -192,7 +177,7 @@ def manifested(
                     device=device,
                     parameters=params,
                     phases=[{"name": "run", "wall_s": span.wall_s}],
-                    headline=_plain(summarise(result)),
+                    headline=_jsonable(summarise(result)),
                     metrics=OBS.metrics.snapshot(),
                     partial=_partial_section(),
                 )

@@ -31,8 +31,7 @@ import numpy as np
 from ..crypto.aes import (
     AES_BLOCK_BYTES,
     INV_SBOX,
-    SBOX,
-    _RCON,
+    key_schedule_core,
     _add_round_key,
     _mix_columns,
     _MIX,
@@ -135,15 +134,11 @@ def invert_aes128_schedule(last_round_key: bytes) -> bytes:
     for j in range(4):
         words[40 + j] = last_round_key[4 * j : 4 * j + 4]
     for i in range(43, 3, -1):
-        prev = words[i - 1] if i % 4 else None
+        temp = words[i - 1]
         if i % 4 == 0:
             # words[i] = words[i-4] ^ g(words[i-1]); invert for i-4 once
             # words[i-1] is known, which the descending walk guarantees.
-            rotated = words[i - 1][1:] + words[i - 1][:1]
-            temp = bytes(SBOX[b] for b in rotated)
-            temp = bytes((temp[0] ^ _RCON[i // 4 - 1],)) + temp[1:]
-        else:
-            temp = prev
+            temp = key_schedule_core(temp, i // 4)
         words[i - 4] = bytes(a ^ b for a, b in zip(words[i], temp))
     return b"".join(words[0:4])
 

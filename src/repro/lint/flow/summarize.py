@@ -14,10 +14,9 @@ interprocedural rules need:
   its unordered-iteration events (RL008), and a compact dataflow
   skeleton (assignments, returns, manifest/metric sinks) that the
   RL009 taint engine solves interprocedurally;
-* **shard entry points** — functions registered as shard units, found
-  either syntactically (``WorkUnit(fn=...)``,
-  ``ShardPlan.enumerate(fn, ...)``) or via the explicit
-  :func:`repro.exec.plan.shard_unit` marker decorator.
+* **shard entry points** — functions marked with the
+  :func:`repro.exec.plan.shard_unit` decorator, which
+  :class:`~repro.exec.plan.WorkUnit` requires of every unit function.
 
 Summaries live only in memory: every ``repro-lint`` run that selects a
 flow rule summarizes each file afresh.
@@ -31,12 +30,7 @@ from pathlib import Path
 
 from ..rules.base import dotted_name
 
-#: Call targets (suffix-matched on the resolved dotted name) whose
-#: ``fn`` argument registers a shard-unit entry point.
-_UNIT_CTORS = ("WorkUnit",)
-_UNIT_ENUMERATORS = ("ShardPlan.enumerate",)
-
-#: The explicit entry-point marker decorator (suffix-matched).
+#: The shard-unit entry-point marker decorator (suffix-matched).
 _UNIT_MARKER = "shard_unit"
 
 #: Functions whose return value carries wall-clock taint (RL009
@@ -477,7 +471,6 @@ class _FunctionWalker:
             (resolved, node.lineno, node.col_offset + 1)
         )
         self._check_mutator(node, dotted, resolved)
-        self._check_entry_registration(node, resolved)
         self._check_sinks(node, resolved)
 
     def _check_mutator(
@@ -495,38 +488,6 @@ class _FunctionWalker:
                 detail=f"mutating call {dotted}()",
                 line=node.lineno, col=node.col_offset + 1,
             ))
-
-    def _check_entry_registration(
-        self, node: ast.Call, resolved: str
-    ) -> None:
-        """Record ``fn=`` references of WorkUnit/ShardPlan.enumerate."""
-        fn_arg: ast.AST | None = None
-        if resolved.split(".")[-1] in _UNIT_CTORS:
-            for kw in node.keywords:
-                if kw.arg == "fn":
-                    fn_arg = kw.value
-            if fn_arg is None and len(node.args) >= 2:
-                fn_arg = node.args[1]
-        elif any(resolved.endswith(e) for e in _UNIT_ENUMERATORS):
-            for kw in node.keywords:
-                if kw.arg == "fn":
-                    fn_arg = kw.value
-            if fn_arg is None and node.args:
-                fn_arg = node.args[0]
-        if fn_arg is None:
-            return
-        dotted = dotted_name(fn_arg)
-        if dotted is None:
-            return
-        ref = self._resolve(dotted)
-        if ref is None:
-            return
-        if "." not in ref:
-            ref = f"{self.x.module}.{ref}"
-        self.summary_entries().append(ref)
-
-    def summary_entries(self) -> list[str]:
-        return self.x.summary.shard_entries
 
     # -- sinks (RL009) ---------------------------------------------------
 

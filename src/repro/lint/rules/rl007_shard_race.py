@@ -9,11 +9,11 @@ the class of bug the runtime jobs-equivalence tests exist to catch,
 caught here at lint time instead.
 
 The rule walks the project call graph from every shard-unit entry
-point — functions passed to ``WorkUnit(fn=...)`` or
-``ShardPlan.enumerate(...)``, or marked ``@shard_unit`` — and flags
-any reachable function that writes module/class-level state: ``global``
-assignments, item/attribute stores through module bindings, or
-mutating method calls (``append``/``update``/...) on them.
+point — every function marked ``@shard_unit``, which ``WorkUnit``
+requires of its ``fn`` — and flags any reachable function that writes
+module/class-level state: ``global`` assignments, item/attribute stores
+through module bindings, or mutating method calls
+(``append``/``update``/...) on them.
 
 Two destinations are whitelisted because the engine itself owns their
 process semantics: :mod:`repro.exec.runtime` (the checkpoint policy,

@@ -9,6 +9,7 @@ against a stable contract.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Any, IO
@@ -45,7 +46,9 @@ def stamp(payload: dict[str, Any]) -> dict[str, Any]:
 
 
 def _jsonable(value: Any) -> Any:
-    """Coerce a value into something ``json.dumps`` accepts."""
+    """Coerce a value into something ``json.dumps`` accepts: a
+    dataclass becomes a dict of its fields, bytes become hex, and
+    anything else unknown its ``repr``."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     if isinstance(value, dict):
@@ -54,6 +57,11 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(v) for v in value]
     if isinstance(value, bytes):
         return value.hex()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
     return repr(value)
 
 

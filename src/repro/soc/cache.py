@@ -20,7 +20,6 @@ touching them entirely — §6.2).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,14 +133,11 @@ class SetAssociativeCache:
     reset by a reboot — which matches hardware: post-reboot, caches come
     up disabled with undefined contents.
 
-    The controller reads tag words from a mirror, one Python int per
-    entry, and writes every per-line change through to the tag RAM.
-    The mirror is reloaded from the tag RAM whenever the RAM's
-    :attr:`~repro.circuits.sram.SramArray.mutations` counter differs
-    from the value recorded after the cache's own last write, so bulk
-    invalidation (one word mask on the tag RAM), MBIST fills, power
-    events, DRV collapse and foreign writes are all seen, and an access
-    with the tag RAM unpowered still raises.
+    The controller reads tag words from the tag RAM's word mirror
+    (:meth:`WordRam.words`) and writes every per-line change through
+    :meth:`WordRam.write`, so bulk invalidation (one word mask on the
+    tag RAM), MBIST fills, power events, DRV collapse and foreign writes
+    are all seen, and an access with the tag RAM unpowered still raises.
     """
 
     #: Supported replacement policies.
@@ -183,10 +179,6 @@ class SetAssociativeCache:
             name=f"{name}.tag",
         )
         self.tags = WordRam(tag_sram, TAG_BYTES, g.sets * g.ways)
-        # Tag mirror (see the class docstring).  An ``array`` copies as
-        # one buffer; ``-1`` forces a load on first use.
-        self._tag_words = array("Q")
-        self._tag_seen = -1
         # Optional undocumented in-line bit interleave (BCM2837 i-cache
         # stores instructions+ECC in a vendor-private order — paper
         # footnote 4).  The permutation is fixed per device.
@@ -230,29 +222,13 @@ class SetAssociativeCache:
     def _entry(self, index: int, way: int) -> int:
         return index * self.geometry.ways + way
 
-    def _sync_tags(self) -> None:
-        """Reload the tag mirror if the tag RAM changed behind it."""
-        sram = self.tags.sram
-        if sram.mutations != self._tag_seen:
-            words = array("Q")
-            raw = np.frombuffer(self.tags.image(), dtype="<u8")
-            words.frombytes(raw.astype(np.uint64).tobytes())
-            self._tag_words = words
-            self._tag_seen = sram.mutations
-
-    def _store_tag(self, entry: int, word: int) -> None:
-        """Write one tag word through the mirror to the tag RAM."""
-        self._tag_words[entry] = word
-        self.tags.write(entry, word)
-        self._tag_seen = self.tags.sram.mutations
-
     def _mark_dirty(self, entry: int) -> None:
-        word = self._tag_words[entry]
+        word = self.tags.words()[entry]
         if not word & _DIRTY_BIT:
-            self._store_tag(entry, word | _DIRTY_BIT)
+            self.tags.write(entry, word | _DIRTY_BIT)
 
     def _lookup(self, tag: int, index: int) -> int | None:
-        words = self._tag_words
+        words = self.tags.words()
         ways = self.geometry.ways
         base = index * ways
         for way in range(ways):
@@ -262,7 +238,7 @@ class SetAssociativeCache:
         return None
 
     def _choose_victim(self, index: int) -> int:
-        words = self._tag_words
+        words = self.tags.words()
         ways = self.geometry.ways
         base = index * ways
         for way in range(ways):
@@ -348,7 +324,6 @@ class SetAssociativeCache:
                 return self.backing.read_block(addr, size)
             self.backing.write_block(addr, data)
             return data
-        self._sync_tags()
         g = self.geometry
         out = bytearray()
         cursor = addr
@@ -404,7 +379,7 @@ class SetAssociativeCache:
         """
         way = self._choose_victim(index)
         entry = self._entry(index, way)
-        old = self._tag_words[entry]
+        old = self.tags.words()[entry]
         if old & _VALID_BIT:
             self._write_back(index, way, old)
             if OBS.enabled:
@@ -415,7 +390,7 @@ class SetAssociativeCache:
         if piece is not None:
             line = line[:offset] + piece + line[offset + len(piece) :]
         self._write_line(way, index, line)
-        self._store_tag(entry, encode_tag(tag, True, piece is not None, ns))
+        self.tags.write(entry, encode_tag(tag, True, piece is not None, ns))
         if OBS.enabled:
             OBS.counter_inc("cache.line_fills", 1, cache=self.name)
         return way, line
@@ -443,11 +418,10 @@ class SetAssociativeCache:
         the paper's §5.2.4 observation that clean/invalidate does not
         destroy data.
         """
-        self._sync_tags()
-        words = np.frombuffer(self._tag_words, dtype=np.uint64)
-        for entry in np.flatnonzero((words & _VALID_DIRTY) == _VALID_DIRTY):
-            index, way = divmod(int(entry), self.geometry.ways)
-            self._write_back(index, way, int(words[entry]))
+        for entry, word in enumerate(self.tags.words()):
+            if word & _VALID_DIRTY == _VALID_DIRTY:
+                index, way = divmod(entry, self.geometry.ways)
+                self._write_back(index, way, word)
         self.invalidate_all()
 
     def clean_invalidate_line(self, addr: int) -> bool:
@@ -457,15 +431,14 @@ class SetAssociativeCache:
         by VA before device access; like the bulk variant, it leaves the
         data RAM contents in place.  Returns True when a line matched.
         """
-        self._sync_tags()
         tag, index, _ = self.geometry.split(addr)
         way = self._lookup(tag, index)
         if way is None:
             return False
         entry = self._entry(index, way)
-        word = self._tag_words[entry]
+        word = self.tags.words()[entry]
         self._write_back(index, way, word)
-        self._store_tag(entry, word & ~_VALID_BIT)
+        self.tags.write(entry, word & ~_VALID_BIT)
         return True
 
     def invalidate_all(self) -> None:
@@ -484,14 +457,13 @@ class SetAssociativeCache:
         """
         if not self.enabled:
             raise CircuitError(f"{self.name}: DC ZVA needs the cache enabled")
-        self._sync_tags()
         tag, index, _ = self.geometry.split(addr)
         way = self._lookup(tag, index)
         if way is None:
             way = self._choose_victim(index)
             entry = self._entry(index, way)
-            self._write_back(index, way, self._tag_words[entry])
-            self._store_tag(entry, encode_tag(tag, True, True, ns))
+            self._write_back(index, way, self.tags.words()[entry])
+            self.tags.write(entry, encode_tag(tag, True, True, ns))
         else:
             self._mark_dirty(self._entry(index, way))
         self._write_line(way, index, bytes(self.geometry.line_bytes))

@@ -22,7 +22,19 @@ from ..circuits.sram import SramArray, SramParameters
 
 
 class WordRam:
-    """Fixed-width little-endian words stored in one SRAM macro."""
+    """Fixed-width little-endian words stored in one SRAM macro.
+
+    Reads come from a mirror, one Python int per word.  The mirror is
+    reloaded from the SRAM, each word decoded once, whenever the
+    SRAM's :attr:`~repro.circuits.sram.SramArray.mutations` counter
+    differs from the value recorded after this store's own last write,
+    so word masks, MBIST fills, power events, DRV collapse and writes
+    made straight to the SRAM are all seen, and a read with the SRAM
+    unpowered raises.  A write goes through to the SRAM and into the
+    mirror only if the mirror was current; one made while it is stale
+    leaves it stale, so a pending power-up is drawn only once something
+    reads the store.
+    """
 
     #: Raised for an index outside the RAM or a word of the wrong width.
     fault: type[Exception] = MemoryMapError
@@ -37,27 +49,51 @@ class WordRam:
         self.width_bytes = width_bytes
         self.count = count
         self._mask = (1 << (8 * width_bytes)) - 1
+        self._words: list[int] = []
+        self._seen = -1  # no SRAM count matches: load on first read
 
-    def _offset(self, index: int) -> int:
+    def _check(self, index: int) -> None:
         if not 0 <= index < self.count:
             raise self.fault(f"{self.sram.name}: no word {index}")
-        return index * self.width_bytes
+
+    def words(self) -> list[int]:
+        """All words in index order: the live mirror, reloaded first if
+        the SRAM changed behind it.  Read it; write through :meth:`write`.
+        """
+        sram = self.sram
+        if sram.mutations != self._seen:
+            width = self.width_bytes
+            raw = sram.read_bytes(0, self.count * width)
+            if width == 8:
+                self._words = np.frombuffer(raw, "<u8").tolist()
+            else:
+                self._words = [
+                    int.from_bytes(raw[i : i + width], "little")
+                    for i in range(0, len(raw), width)
+                ]
+            self._seen = sram.mutations
+        return self._words
 
     def read(self, index: int) -> int:
         """Read a word as an unsigned integer."""
-        raw = self.sram.read_bytes(self._offset(index), self.width_bytes)
-        return int.from_bytes(raw, "little")
+        self._check(index)
+        return self.words()[index]
 
     def write(self, index: int, value: int) -> None:
         """Write an unsigned integer, truncated to the word width."""
-        self.sram.write_bytes(
-            self._offset(index),
-            (value & self._mask).to_bytes(self.width_bytes, "little"),
-        )
+        self._check(index)
+        value &= self._mask
+        width = self.width_bytes
+        sram = self.sram
+        current = sram.mutations == self._seen
+        sram.write_bytes(index * width, value.to_bytes(width, "little"))
+        if current:
+            self._words[index] = value
+            self._seen = sram.mutations
 
     def read_bytes(self, index: int) -> bytes:
         """Read a word as little-endian bytes."""
-        return self.sram.read_bytes(self._offset(index), self.width_bytes)
+        return self.read(index).to_bytes(self.width_bytes, "little")
 
     def write_bytes(self, index: int, data: bytes) -> None:
         """Write a word from little-endian bytes (must be exact width)."""
@@ -66,18 +102,15 @@ class WordRam:
                 f"{self.sram.name}: word is {self.width_bytes} bytes, "
                 f"got {len(data)}"
             )
-        self.sram.write_bytes(self._offset(index), data)
+        self.write(index, int.from_bytes(data, "little"))
 
     def and_all(self, mask: int) -> None:
         """AND every word with ``mask`` in one SRAM write (draws nothing
-        while the image is a pending power-up)."""
+        while the image is a pending power-up; the mirror reloads on the
+        next read)."""
         self.sram.and_words(
             (mask & self._mask).to_bytes(self.width_bytes, "little")
         )
-
-    def dump(self) -> list[int]:
-        """All words, in index order."""
-        return [self.read(i) for i in range(self.count)]
 
     def image(self) -> bytes:
         """The raw SRAM image — what RAMINDEX hands the attacker."""

@@ -124,8 +124,7 @@ class Tlb(_EntryRam):
 
     def lookup(self, asid: int, vpn: int) -> TlbEntry | None:
         """Find a valid translation."""
-        for index in range(self.count):
-            word = self.read(index)
+        for word in self.words():
             if word & _VALID_BIT:
                 entry = self._decode(word)
                 if entry.asid == asid and entry.vpn == vpn:

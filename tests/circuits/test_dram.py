@@ -532,24 +532,21 @@ class TestDeferredManufacture:
         # Later pages are slices of the whole layout, not new draws.
         assert np.shares_memory(array._anticell_page(2), array._anticell)
 
-    def test_a_stream_that_cannot_seek_draws_the_whole_layout(self):
-        array = DramArray(
-            PAGED_BITS, rng=np.random.Generator(np.random.MT19937(11))
-        )
-        array.restore_power()
-        array.read_bytes(PAGE_BYTES, 1)
-        assert "_anticell" in vars(array)
-        assert array._ground_pages == set()
-
     @pytest.mark.parametrize(
-        "make_rng",
-        [_buffered, lambda: np.random.Generator(np.random.MT19937(11))],
-        ids=["pcg64-buffered", "mt19937"],
+        "bit_generator",
+        [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox],
+        ids=["mt19937", "pcg64dxsm", "philox"],
     )
+    def test_a_stream_other_than_pcg64_is_refused(self, bit_generator):
+        """Pages are reached with PCG64 ``advance``; nothing else seeks
+        by exactly one ``random()`` value per output."""
+        with pytest.raises(CalibrationError, match="PCG64"):
+            DramArray(PAGED_BITS, rng=np.random.Generator(bit_generator(11)))
+
+    @pytest.mark.parametrize("make_rng", [_buffered], ids=["pcg64-buffered"])
     def test_retention_stream_of_any_generator(self, make_rng):
         """The retention draw starts past the anti-cell draw for a
-        PCG64 stream that holds a buffered half-word and for another
-        bit generator."""
+        PCG64 stream that holds a buffered half-word."""
         ops = [
             ("restore",), ("write_all", 2), ("cycle", [(1.0, 298.0)]),
             ("fraction",),

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from repro.core.report import AttackReport
-from repro.exec import ShardPlan, execute
+from repro.exec import ShardPlan, execute, shard_unit
 from repro.experiments.common import manifested
 from repro.obs import OBS
 from repro.rng import DEFAULT_SEED, generator
@@ -55,6 +55,7 @@ def _fires(index: int) -> "str | None":
     return kind
 
 
+@shard_unit
 def probe_unit(index: int, rng: np.random.Generator) -> float:
     kind = _fires(index)
     if kind == "crash":

@@ -23,11 +23,13 @@ from repro.exec import (
     checkpointing,
     execute,
     plan_fingerprint,
+    shard_unit,
 )
 from repro.obs import OBS
 from repro.obs.manifest import TIMING_METRIC_PREFIXES
 
 
+@shard_unit
 def _observed_square(workdir: str, value: int):
     """A unit with observable side effects: metrics plus a run log."""
     (Path(workdir) / f"ran-{value}").touch()
@@ -37,6 +39,7 @@ def _observed_square(workdir: str, value: int):
     return value * value
 
 
+@shard_unit
 def _interrupt_at(workdir: str, value: int, trip: int):
     """Raise KeyboardInterrupt at ``trip`` — but only on the first run."""
     marker = Path(workdir) / "tripped"

@@ -15,14 +15,22 @@ import pytest
 
 from repro import obs
 from repro.errors import ExecError, ShardError
-from repro.exec import ShardPlan, SupervisionPolicy, WorkUnit, execute
+from repro.exec import (
+    ShardPlan,
+    SupervisionPolicy,
+    WorkUnit,
+    execute,
+    shard_unit,
+)
 from repro.exec import runtime, supervise
 
 
+@shard_unit
 def _square(x):
     return x * x
 
 
+@shard_unit
 def _fail_once(marker: str, value: int):
     """Raise on the first call (marker absent), succeed afterwards."""
     path = Path(marker)
@@ -32,6 +40,7 @@ def _fail_once(marker: str, value: int):
     return value
 
 
+@shard_unit
 def _always_fail(value: int):
     raise RuntimeError("injected permanent failure")
 

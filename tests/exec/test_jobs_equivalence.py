@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.exec import ShardPlan, WorkUnit, execute, runtime
+from repro.exec import ShardPlan, WorkUnit, execute, runtime, shard_unit
 from repro.experiments import figure10, glitch_campaign, retention_sweep
 from repro.glitch.campaign import CampaignSpec, run_os_attempt
 from repro.units import nanoseconds
@@ -28,6 +28,12 @@ GLITCH_SPEC = CampaignSpec(
     repeats=2,
     random_points=2,
 )
+
+
+@shard_unit
+def _os_attempt(*args):
+    """:func:`run_os_attempt` as a shard unit."""
+    return run_os_attempt(*args)
 
 
 class TestExperimentEquivalence:
@@ -83,7 +89,7 @@ class TestOsGlitchEquivalence:
             [
                 WorkUnit(
                     index=i,
-                    fn=run_os_attempt,
+                    fn=_os_attempt,
                     args=(41, offset, width, depth),
                     label=f"os-glitch[{i}]",
                 )

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecError
-from repro.exec import CHUNKS_PER_JOB, ShardPlan, WorkUnit, execute
+from repro.exec import CHUNKS_PER_JOB, ShardPlan, WorkUnit, execute, shard_unit
 
 
+@shard_unit
 def _double(x):
     return 2 * x
 
 
+@shard_unit
 def _draw(rng):
     return int(rng.integers(0, 2**31))
 
@@ -26,8 +28,19 @@ def _drawing_plan(parent):
 
 class TestWorkUnit:
     def test_run_applies_args_and_kwargs(self):
-        unit = WorkUnit(index=0, fn=lambda a, b=0: a + b, args=(2,), kwargs={"b": 3})
+        unit = WorkUnit(
+            index=0, fn=shard_unit(lambda a, b=0: a + b), args=(2,),
+            kwargs={"b": 3},
+        )
         assert unit.run() == 5
+
+    def test_an_unmarked_fn_is_refused(self):
+        """Every unit function carries ``@shard_unit``, so RL007 roots
+        at every one."""
+        with pytest.raises(ExecError, match="shard_unit"):
+            WorkUnit(index=0, fn=lambda: 0)
+        with pytest.raises(ExecError, match="shard_unit"):
+            ShardPlan.enumerate(abs, [(-1,)])
 
     def test_describe_prefers_label(self):
         assert WorkUnit(index=3, fn=_double, label="grid[3]").describe() == "grid[3]"

@@ -152,7 +152,9 @@ class TestCallGraph:
 
 
 class TestEntryPointDiscovery:
-    def test_workunit_keyword_and_positional_fn(self, make_tree):
+    def test_workunit_call_sites_register_nothing(self, make_tree):
+        """Only the marker registers: ``WorkUnit`` refuses an unmarked
+        ``fn`` at run time, so a call site adds no entry point."""
         root = make_tree({
             "pkg/__init__.py": "",
             "pkg/units.py": (
@@ -166,8 +168,7 @@ class TestEntryPointDiscovery:
                 "    ]\n"
             ),
         })
-        entries = project_over(root).entry_points()
-        assert set(entries) == {"pkg.units.kw_unit", "pkg.units.pos_unit"}
+        assert project_over(root).entry_points() == {}
 
     def test_enumerate_and_marker_registration(self, make_tree):
         root = make_tree({
@@ -182,7 +183,7 @@ class TestEntryPointDiscovery:
             ),
         })
         entries = project_over(root).entry_points()
-        assert set(entries) == {"pkg.units.grid_point", "pkg.units.marked"}
+        assert set(entries) == {"pkg.units.marked"}
 
 
 class TestParseErrors:

@@ -7,7 +7,7 @@ fixtures are real package trees analysed from disk, never imported.
 
 import ast
 
-from repro.exec import ShardPlan, WorkUnit, execute
+from repro.exec import ShardPlan, WorkUnit, execute, shard_unit
 from repro.lint import lint
 from repro.lint.flow import summarize_tree
 
@@ -47,13 +47,12 @@ class TestShardRaceRL007:
                 "    CACHE[key] = value\n"
             ),
             "pkg/units.py": (
-                "from repro.exec.plan import WorkUnit\n"
+                "from repro.exec import shard_unit\n"
                 "from .helpers import record\n"
+                "@shard_unit\n"
                 "def unit(x):\n"
                 "    record(x, x * 2)\n"
                 "    return x\n"
-                "def build():\n"
-                "    return [WorkUnit(0, unit, (1,), {}, 'u')]\n"
             ),
         })
         found = findings_over(root, ["RL007"])
@@ -373,6 +372,7 @@ class TestFingerprintPurityRL009:
 SHARED_TOTALS: list[int] = []
 
 
+@shard_unit
 def _impure_unit(x: int) -> int:
     # Deliberately broken: accumulates into module state, making the
     # unit's result depend on every unit that ran before it in the same
@@ -404,8 +404,9 @@ class TestRL007GuardsTheJobsEquivalenceContract:
         root = make_tree({
             "pkg/__init__.py": "",
             "pkg/units.py": (
-                "from repro.exec import ShardPlan, WorkUnit\n"
+                "from repro.exec import ShardPlan, WorkUnit, shard_unit\n"
                 "SHARED_TOTALS = []\n"
+                "@shard_unit\n"
                 "def impure_unit(x):\n"
                 "    SHARED_TOTALS.append(x)\n"
                 "    return sum(SHARED_TOTALS)\n"

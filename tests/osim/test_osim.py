@@ -110,7 +110,7 @@ def _cache_state(cache):
     """Everything a quantum can change in one cache, LRU as an order."""
     return {
         "data": [ram.read_bytes() for ram in cache.data_rams],
-        "tags": cache.tags.dump(),
+        "tags": list(cache.tags.words()),
         "lru_order": np.argsort(
             np.reshape(cache._lru, (cache.geometry.sets, -1)),
             axis=1, kind="stable",

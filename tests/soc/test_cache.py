@@ -240,10 +240,10 @@ def _assert_mirror(cache, written_through=True):
     on the tag RAM) or a change made behind its back, the mutation
     counter must show it stale.
     """
-    sram = cache.tags.sram
-    assert (cache._tag_seen == sram.mutations) is written_through
-    cache._sync_tags()
-    assert list(cache._tag_words) == cache.tags.dump()
+    tags = cache.tags
+    assert (tags._seen == tags.sram.mutations) is written_through
+    raw = np.frombuffer(tags.image(), dtype="<u8").tolist()
+    assert tags.words() == raw
 
 
 class TestTagMirror:
@@ -341,7 +341,7 @@ class TestTagMirror:
     def test_deepcopy_diverges_independently(self, small_cache):
         small_cache.write(0x40, b"original")
         clone = copy.deepcopy(small_cache)
-        assert clone._tag_words is not small_cache._tag_words
+        assert clone.tags._words is not small_cache.tags._words
         _assert_mirror(clone)
         way_span = small_cache.geometry.way_bytes
         clone.write(0x40 + way_span, b"clone-only")
@@ -350,7 +350,7 @@ class TestTagMirror:
         _assert_mirror(clone, written_through=False)
         _assert_mirror(small_cache)
         assert small_cache.read(0x40, 8) == b"original"
-        assert list(clone._tag_words) != list(small_cache._tag_words)
+        assert clone.tags.words() != small_cache.tags.words()
 
     @given(
         ops=st.lists(
