@@ -59,13 +59,6 @@ EXIT_INTERRUPTED = 3
 #: report and manifest were still produced; details went to stderr.
 EXIT_DEGRADED = 4
 
-#: Targets the attack command accepts per device.
-_DEVICE_TARGETS = {
-    "rpi4": ("l1-caches", "registers"),
-    "rpi3": ("l1-caches", "registers"),
-    "imx53": ("iram",),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -220,9 +213,10 @@ def _prepare_demo_victim(board, target: str) -> bytes:
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     device = args.device
-    target = args.target or _DEVICE_TARGETS[device][0]
-    if target not in _DEVICE_TARGETS[device]:
-        valid = ", ".join(_DEVICE_TARGETS[device])
+    targets = DEVICES[device].attack_targets
+    target = args.target or targets[0]
+    if target not in targets:
+        valid = ", ".join(targets)
         print(
             f"error: unknown target {target!r} for {device}; "
             f"valid targets: {valid}",

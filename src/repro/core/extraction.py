@@ -76,11 +76,10 @@ class CacheImages:
 def extract_l1_images(
     board: Board,
     ctx: ExecutionContext | None = None,
-    cores: list[int] | None = None,
     skip_secure: bool = False,
     icache: bool = False,
 ) -> CacheImages:
-    """Dump the L1 ways of the selected cores over CP15 RAMINDEX.
+    """Dump the L1 ways of every core over CP15 RAMINDEX.
 
     Every d-cache way is dumped, and with ``icache`` every i-cache way
     too (per core, d-cache ways first, then i-cache ways; a read-noise
@@ -91,9 +90,8 @@ def extract_l1_images(
     if not board.booted:
         raise AttackError("extraction software needs a booted system")
     ctx = ctx or attacker_context(board)
-    cores = list(range(len(board.soc.cores))) if cores is None else cores
     images = CacheImages(i_ways={} if icache else None)
-    for core_index in cores:
+    for core_index in range(len(board.soc.cores)):
         unit = board.soc.core(core_index)
         if unit.l1d.enabled or unit.l1i.enabled:
             raise AttackError(

@@ -170,18 +170,35 @@ def _add_round_key(state: list[int], round_key: bytes) -> list[int]:
     return [b ^ k for b, k in zip(state, round_key)]
 
 
-def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
-    """Encrypt one 16-byte block."""
+def encrypt_with_schedule(
+    round_keys: list[bytes],
+    plaintext: bytes,
+    flip: tuple[int, int] | None = None,
+) -> bytes:
+    """Encrypt one block from an already-expanded schedule.
+
+    ``flip=(byte, bit)`` flips that bit of the state between the final
+    ShiftRows and SubBytes, the single-bit fault that
+    :mod:`repro.glitch.dfa` exploits.  The two steps commute, so with
+    no flip this is plain AES.
+    """
     if len(plaintext) != AES_BLOCK_BYTES:
         raise ReproError(f"AES blocks are {AES_BLOCK_BYTES} bytes")
-    round_keys = expand_key(key)
     state = _add_round_key(list(plaintext), round_keys[0])
     for round_key in round_keys[1:-1]:
         state = _add_round_key(
             _mix_columns(_shift_rows(_sub_bytes(state)), _MIX), round_key
         )
-    state = _add_round_key(_shift_rows(_sub_bytes(state)), round_keys[-1])
-    return bytes(state)
+    state = _shift_rows(state)
+    if flip is not None:
+        byte_index, bit = flip
+        state[byte_index] ^= 1 << bit
+    return bytes(_add_round_key(_sub_bytes(state), round_keys[-1]))
+
+
+def encrypt_block(key: bytes, plaintext: bytes) -> bytes:
+    """Encrypt one 16-byte block."""
+    return encrypt_with_schedule(expand_key(key), plaintext)
 
 
 def decrypt_block(key: bytes, ciphertext: bytes) -> bytes:

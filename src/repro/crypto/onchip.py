@@ -19,23 +19,7 @@ from __future__ import annotations
 
 from ..errors import ReproError
 from ..soc.soc import CoreUnit
-from .aes import AES_BLOCK_BYTES, expand_key, rounds_for_key
-
-#: GF(2^8) multiplication matrix used inline by the runtimes.
-from .aes import SBOX, _MIX, _add_round_key, _mix_columns, _shift_rows, _sub_bytes
-
-
-def _encrypt_with_schedule(round_keys: list[bytes], plaintext: bytes) -> bytes:
-    """AES encryption from an already-expanded schedule."""
-    if len(plaintext) != AES_BLOCK_BYTES:
-        raise ReproError(f"AES blocks are {AES_BLOCK_BYTES} bytes")
-    state = _add_round_key(list(plaintext), round_keys[0])
-    for round_key in round_keys[1:-1]:
-        state = _add_round_key(
-            _mix_columns(_shift_rows(_sub_bytes(state)), _MIX), round_key
-        )
-    state = _add_round_key(_shift_rows(_sub_bytes(state)), round_keys[-1])
-    return bytes(state)
+from .aes import encrypt_with_schedule, expand_key, rounds_for_key
 
 
 class RegisterAes:
@@ -77,7 +61,7 @@ class RegisterAes:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt one block using only the register-resident schedule."""
-        return _encrypt_with_schedule(self._schedule_from_registers(), plaintext)
+        return encrypt_with_schedule(self._schedule_from_registers(), plaintext)
 
     def schedule(self) -> list[bytes]:
         """The register-resident round keys, as the engine would use them.
@@ -135,7 +119,7 @@ class IramAes:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt one block from the iRAM-resident schedule."""
-        return _encrypt_with_schedule(self._schedule_from_iram(), plaintext)
+        return encrypt_with_schedule(self._schedule_from_iram(), plaintext)
 
 
 class CacheLockedAes:
@@ -176,7 +160,7 @@ class CacheLockedAes:
 
     def encrypt(self, plaintext: bytes) -> bytes:
         """Encrypt one block from the cache-resident schedule."""
-        return _encrypt_with_schedule(self._schedule_from_cache(), plaintext)
+        return encrypt_with_schedule(self._schedule_from_cache(), plaintext)
 
     @staticmethod
     def rounds(key: bytes) -> int:

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from ..errors import AttackError
 
 
+#: Maps a registry target onto the attack planner's member keyword.
+_ATTACK_TARGET = {"L1D": "l1-caches", "L1I": "l1-caches",
+                  "registers": "registers", "iRAM": "iram"}
+
+
 @dataclass(frozen=True)
 class DeviceInfo:
     """Inventory record for one evaluation platform."""
@@ -30,6 +35,12 @@ class DeviceInfo:
     nominal_v: float
     power_domain: str
     extraction: str  # "cp15" or "jtag"
+
+    @property
+    def attack_targets(self) -> tuple[str, ...]:
+        """The planner keywords of ``targets``, in order and without
+        repeats; the first is the default attack target."""
+        return tuple(dict.fromkeys(_ATTACK_TARGET[t] for t in self.targets))
 
 
 DEVICES: dict[str, DeviceInfo] = {

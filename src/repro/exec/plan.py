@@ -130,10 +130,9 @@ class ShardPlan:
             ]
         )
 
-    def with_spawned_streams(
-        self, parent: np.random.Generator, kwarg: str = "rng"
-    ) -> "ShardPlan":
-        """Attach a per-unit child generator drawn via ``rng.spawn``.
+    def with_spawned_streams(self, parent: np.random.Generator) -> "ShardPlan":
+        """Attach a per-unit child generator, drawn via ``rng.spawn``, as
+        the unit's ``rng`` keyword.
 
         Streams are spawned from ``parent`` in unit-enumeration order —
         *before* any sharding — so the parent's stream position after
@@ -142,7 +141,7 @@ class ShardPlan:
         unit's ``kwargs`` (``numpy`` generators pickle losslessly).
         """
         units = [
-            replace(unit, kwargs={**unit.kwargs, kwarg: spawn(parent)})
+            replace(unit, kwargs={**unit.kwargs, "rng": spawn(parent)})
             for unit in self._units
         ]
         return ShardPlan(units)

@@ -14,10 +14,6 @@ from ..devices import DEVICES, build_device
 from ..rng import DEFAULT_SEED
 from .common import manifested
 
-#: Maps a registry target keyword onto the planner's member keyword.
-_TARGET_KEYWORD = {"L1D": "l1-caches", "L1I": "l1-caches",
-                   "registers": "registers", "iRAM": "iram"}
-
 
 @manifested("platforms", device="all")
 def run(seed: int = DEFAULT_SEED) -> list[dict[str, object]]:
@@ -25,7 +21,7 @@ def run(seed: int = DEFAULT_SEED) -> list[dict[str, object]]:
     rows = []
     for key, info in DEVICES.items():
         board = build_device(key, seed=seed)
-        plan = plan_probe(board, _TARGET_KEYWORD[info.targets[0]])
+        plan = plan_probe(board, info.attack_targets[0])
         rows.append(
             {
                 "board": info.board,

@@ -40,7 +40,6 @@ from ..obs import OBS
 from ..rng import generator
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
-from ..soc.soc import CoreUnit
 from ..units import nanoseconds
 from .faultmodel import BrownOutDetector, FaultModel, default_fault_model
 from .injector import (
@@ -219,31 +218,15 @@ def _rig_waveform(board: Board, pulse: GlitchPulse, nominal_v: float) -> GlitchW
     )
 
 
-def _victim_write(unit: CoreUnit, board: Board, addr: int, data: bytes) -> None:
-    """Write through the same path the victim uses (d-cache when on)."""
+def _unlock_flag(board: Board) -> int:
+    """The victim's unlock flag, read through the path the victim uses
+    (the d-cache when it is on)."""
+    unit = board.soc.core(0)
     if unit.l1d.enabled:
-        unit.l1d.write(addr, data)
+        raw = unit.l1d.read(FLAG_ADDR, 8)
     else:
-        board.soc.memory_map.write_block(addr, data)
-
-
-def _victim_read(unit: CoreUnit, board: Board, addr: int, size: int) -> bytes:
-    """Read through the same path the victim uses (d-cache when on)."""
-    if unit.l1d.enabled:
-        return unit.l1d.read(addr, size)
-    return board.soc.memory_map.read_block(addr, size)
-
-
-def _classify(
-    termination: str, unit: CoreUnit, board: Board
-) -> str:
-    """Map an injection termination + the unlock flag to an outcome."""
-    if termination == "reset":
-        return "reset"
-    if termination != "halted":
-        return "crash"
-    flag = int.from_bytes(_victim_read(unit, board, FLAG_ADDR, 8), "little")
-    return "exploitable" if flag == 1 else "normal"
+        raw = board.soc.memory_map.read_block(FLAG_ADDR, 8)
+    return int.from_bytes(raw, "little")
 
 
 @functools.cache
@@ -254,50 +237,18 @@ def _victim_code(delay_iterations: int) -> bytes:
     ).machine_code
 
 
-def _one_attempt(
-    board: Board,
-    machine_code: bytes,
-    waveform: GlitchWaveform,
-    model: FaultModel,
-    rng: np.random.Generator,
-    spec: CampaignSpec,
-    brownout: BrownOutDetector | None,
-    leg: str,
-    source: str,
-    pulse: GlitchPulse,
-) -> GlitchAttempt:
-    """Run and classify a single glitch attempt on a prepared rig."""
-    unit = board.soc.core(0)
-    _victim_write(unit, board, FLAG_ADDR, bytes(8))
-    core = Core(unit, board.soc.memory_map)
-    core.load_program(machine_code, CODE_ADDR)
-    injector = GlitchInjector(
-        core, waveform, model, rng, spec.instruction_period_s, brownout
-    )
-    with OBS.span(
-        "glitch.attempt",
-        leg=leg,
-        offset_s=pulse.offset_s,
-        width_s=pulse.width_s,
-        depth_v=pulse.depth_v,
-    ):
-        result = injector.run(max_steps=spec.max_steps)
-    outcome = _classify(result.termination, unit, board)
-    if OBS.enabled:
-        OBS.counter_inc("glitch.attempts")
-        OBS.counter_inc("glitch.outcomes", outcome=outcome)
-        OBS.histogram_record("glitch.min_rail_v", result.min_rail_v)
-    return GlitchAttempt(
-        leg=leg,
-        source=source,
-        offset_s=pulse.offset_s,
-        width_s=pulse.width_s,
-        depth_v=pulse.depth_v,
-        outcome=outcome,
-        termination=result.termination,
-        instructions=result.instructions,
-        min_rail_v=result.min_rail_v,
-        faults=result.faults,
+def _prepared_rig(
+    seed: int, pulse: GlitchPulse, spec: CampaignSpec
+) -> tuple[Board, bytes, GlitchWaveform, FaultModel]:
+    """A copy of the booted rig, the victim's code, the die-seen
+    waveform of ``pulse`` and the fault model: what every attempt
+    shares."""
+    board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
+    return (
+        board,
+        _victim_code(spec.delay_iterations),
+        _rig_waveform(board, pulse, spec.nominal_v),
+        default_fault_model(spec.nominal_v),
     )
 
 
@@ -321,21 +272,52 @@ def run_point(
     deterministic within the unit), with per-attempt RNG streams keyed
     by the point's label so the draws are independent of sharding.
     """
-    board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
-    machine_code = _victim_code(spec.delay_iterations)
     pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
-    waveform = _rig_waveform(board, pulse, spec.nominal_v)
-    model = default_fault_model(spec.nominal_v)
+    board, machine_code, waveform, model = _prepared_rig(seed, pulse, spec)
     brownout = spec.brownout(leg)
+    unit = board.soc.core(0)
     attempts = []
     for repeat in range(repeats):
         rng = generator(
             seed, "glitch", leg, point_label, f"repeat{repeat}"
         )
+        if unit.l1d.enabled:
+            unit.l1d.write(FLAG_ADDR, bytes(8))
+        else:
+            board.soc.memory_map.write_block(FLAG_ADDR, bytes(8))
+        core = Core(unit, board.soc.memory_map)
+        core.load_program(machine_code, CODE_ADDR)
+        injector = GlitchInjector(
+            core, waveform, model, rng, spec.instruction_period_s, brownout
+        )
+        with OBS.span(
+            "glitch.attempt",
+            leg=leg,
+            offset_s=offset_s,
+            width_s=width_s,
+            depth_v=depth_v,
+        ):
+            result = injector.run(max_steps=spec.max_steps)
+        if result.termination == "halted":
+            outcome = "exploitable" if _unlock_flag(board) == 1 else "normal"
+        else:
+            outcome = "reset" if result.termination == "reset" else "crash"
+        if OBS.enabled:
+            OBS.counter_inc("glitch.attempts")
+            OBS.counter_inc("glitch.outcomes", outcome=outcome)
+            OBS.histogram_record("glitch.min_rail_v", result.min_rail_v)
         attempts.append(
-            _one_attempt(
-                board, machine_code, waveform, model, rng, spec,
-                brownout, leg, source, pulse,
+            GlitchAttempt(
+                leg=leg,
+                source=source,
+                offset_s=offset_s,
+                width_s=width_s,
+                depth_v=depth_v,
+                outcome=outcome,
+                termination=result.termination,
+                instructions=result.instructions,
+                min_rail_v=result.min_rail_v,
+                faults=result.faults,
             )
         )
     return attempts
@@ -344,37 +326,25 @@ def run_point(
 def shard_plan(seed: int, spec: CampaignSpec = DEFAULT_SPEC) -> ShardPlan:
     """Shardable axis: one unit per (leg, grid point) and per
     (leg, random sample)."""
+    points = [
+        ("grid", f"grid{i}", "", point, spec.repeats)
+        for i, point in enumerate(spec.grid_points())
+    ] + [
+        ("random", f"rand{i}", "rand:", point, 1)
+        for i, point in enumerate(spec.random_pulses(seed))
+    ]
     units: list[WorkUnit] = []
-    random_points = spec.random_pulses(seed)
     for leg in spec.legs:
-        for grid_index, (offset_s, width_s, depth_v) in enumerate(
-            spec.grid_points()
-        ):
-            pulse = GlitchPulse(offset_s, width_s, depth_v)
+        for source, point_label, tag, point, repeats in points:
             units.append(
                 WorkUnit(
                     index=len(units),
                     fn=run_point,
                     args=(
-                        seed, leg, "grid", f"grid{grid_index}",
-                        offset_s, width_s, depth_v, spec.repeats, spec,
+                        seed, leg, source, point_label, *point, repeats,
+                        spec,
                     ),
-                    label=f"glitch[{leg}:{pulse.label()}]",
-                )
-            )
-        for rand_index, (offset_s, width_s, depth_v) in enumerate(
-            random_points
-        ):
-            pulse = GlitchPulse(offset_s, width_s, depth_v)
-            units.append(
-                WorkUnit(
-                    index=len(units),
-                    fn=run_point,
-                    args=(
-                        seed, leg, "random", f"rand{rand_index}",
-                        offset_s, width_s, depth_v, 1, spec,
-                    ),
-                    label=f"glitch[{leg}:rand:{pulse.label()}]",
+                    label=f"glitch[{leg}:{tag}{GlitchPulse(*point).label()}]",
                 )
             )
     return ShardPlan(units)
@@ -406,7 +376,9 @@ def run_os_attempt(
     from ..osim.kernel import SimKernel
     from ..osim.noise import NoiseProfile
 
-    board = booted_board(glitch_rig, seed, BootMedia("victim-os"))
+    spec = DEFAULT_SPEC
+    pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
+    board, machine_code, waveform, model = _prepared_rig(seed, pulse, spec)
     kernel = SimKernel(
         board,
         noise_profile=NoiseProfile(
@@ -415,17 +387,13 @@ def run_os_attempt(
         seed_label="glitch-os",
     )
     kernel.enable_caches()
-    spec = DEFAULT_SPEC
-    machine_code = _victim_code(spec.delay_iterations)
-    pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
-    waveform = _rig_waveform(board, pulse, spec.nominal_v)
     process = GlitchedInterpretedProcess(
         "pin-check",
         core_index=0,
         machine_code=machine_code,
         load_addr=CODE_ADDR,
         waveform=waveform,
-        model=default_fault_model(spec.nominal_v),
+        model=model,
         rng=generator(seed, "glitch", "os", pulse.label()),
         instruction_period_s=spec.instruction_period_s,
         steps_per_quantum=16,
@@ -440,8 +408,8 @@ def run_os_attempt(
         kernel.run(max_rounds=spec.max_steps)
     except CpuFault:
         pass  # victim spun past the round budget: classified as hung
-    unit = board.soc.core(0)
-    flag = int.from_bytes(_victim_read(unit, board, FLAG_ADDR, 8), "little")
-    outcome = process.outcome or "hung"
     retired = process._core.instructions_retired if process._core else 0
-    return outcome, flag, retired, kernel.noise_stats()
+    return (
+        process.outcome or "hung", _unlock_flag(board), retired,
+        kernel.noise_stats(),
+    )

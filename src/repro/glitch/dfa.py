@@ -31,12 +31,8 @@ import numpy as np
 from ..crypto.aes import (
     AES_BLOCK_BYTES,
     INV_SBOX,
+    encrypt_with_schedule,
     key_schedule_core,
-    _add_round_key,
-    _mix_columns,
-    _MIX,
-    _shift_rows,
-    _sub_bytes,
 )
 from ..crypto.onchip import RegisterAes
 from ..devices import glitch_rig
@@ -62,29 +58,21 @@ def glitched_encrypt(
 ) -> bytes:
     """Encrypt one block; maybe flip one state bit before the last round.
 
-    Replays :func:`~repro.crypto.onchip._encrypt_with_schedule` exactly,
-    except that with ``fault_probability`` a uniformly random bit of the
-    state is flipped after the last ShiftRows — the glitch landing in
-    the final-round datapath.  The draw discipline is fixed (one
-    uniform, then two integer draws only when it fires) so the stream
-    stays aligned across attempts.
+    :func:`~repro.crypto.aes.encrypt_with_schedule`, except that with
+    ``fault_probability`` a uniformly random bit of the state is flipped
+    after the last ShiftRows — the glitch landing in the final-round
+    datapath.  The draw discipline is fixed (one uniform, then two
+    integer draws only when it fires) so the stream stays aligned
+    across attempts.
     """
     if len(plaintext) != AES_BLOCK_BYTES:
         raise ReproError(f"AES blocks are {AES_BLOCK_BYTES} bytes")
     if not 0.0 <= fault_probability <= 1.0:
         raise GlitchError("fault probability must lie in [0, 1]")
-    state = _add_round_key(list(plaintext), round_keys[0])
-    for round_key in round_keys[1:-1]:
-        state = _add_round_key(
-            _mix_columns(_shift_rows(_sub_bytes(state)), _MIX), round_key
-        )
-    state = _shift_rows(state)
+    flip = None
     if float(rng.uniform()) < fault_probability:
-        byte_index = int(rng.integers(0, AES_BLOCK_BYTES))
-        bit = int(rng.integers(0, 8))
-        state[byte_index] ^= 1 << bit
-    state = _add_round_key(_sub_bytes(state), round_keys[-1])
-    return bytes(state)
+        flip = (int(rng.integers(0, AES_BLOCK_BYTES)), int(rng.integers(0, 8)))
+    return encrypt_with_schedule(round_keys, plaintext, flip)
 
 
 def recover_last_round_key(

@@ -224,9 +224,10 @@ class GlitchedInterpretedProcess(InterpretedProcess):
 
     Drop-in for :class:`~repro.osim.process.InterpretedProcess`: the
     kernel schedules it normally (and its cache noise interferes
-    normally), but every quantum steps through a
-    :class:`GlitchInjector`.  ``outcome`` records how the victim ended:
-    ``halted``, ``crashed``, or ``reset``.
+    normally), but every quantum is one :meth:`GlitchInjector.run` of
+    ``steps_per_quantum`` steps; a ``hung`` run has not finished yet.
+    ``outcome`` records how the victim ended: ``halted``, ``crashed``,
+    or ``reset``.
     """
 
     def __init__(
@@ -257,28 +258,18 @@ class GlitchedInterpretedProcess(InterpretedProcess):
         """One scheduler quantum of glitched execution."""
         if self.finished:
             return
-        if self._core is None:
-            self._core = Core(unit, memory_map)
-            self._core.load_program(self.machine_code, self.load_addr)
+        if self._injector is None:
+            core = self._core = Core(unit, memory_map)
+            core.load_program(self.machine_code, self.load_addr)
             self._injector = GlitchInjector(
-                self._core,
+                core,
                 self.waveform,
                 self.model,
                 self._rng,
                 self.instruction_period_s,
                 self.brownout,
             )
-        assert self._injector is not None
-        try:
-            for _ in range(self.steps_per_quantum):
-                if self._core.halted:
-                    self.finished = True
-                    self.outcome = "halted"
-                    return
-                self._injector.step()
-        except BrownOutReset:
+        result = self._injector.run(max_steps=self.steps_per_quantum)
+        if result.termination != "hung":
             self.finished = True
-            self.outcome = "reset"
-        except ReproError:
-            self.finished = True
-            self.outcome = "crashed"
+            self.outcome = result.termination

@@ -72,18 +72,20 @@ class _EntryRam(WordRam):
         self.and_all(~_VALID_BIT)
 
     def valid_entries(self) -> list:
-        """All currently valid entries."""
-        return self.decode_raw_image(self.image())
+        """All currently valid entries, decoded from the word mirror."""
+        return self._decode_valid(self.words())
 
     @classmethod
     def decode_raw_image(cls, image: bytes) -> list:
         """Attacker-side decode of a raw RAMINDEX dump."""
-        entries = []
-        for offset in range(0, len(image), ENTRY_BYTES):
-            word = int.from_bytes(image[offset : offset + ENTRY_BYTES], "little")
-            if word & _VALID_BIT:
-                entries.append(cls._decode(word))
-        return entries
+        return cls._decode_valid(
+            int.from_bytes(image[offset : offset + ENTRY_BYTES], "little")
+            for offset in range(0, len(image), ENTRY_BYTES)
+        )
+
+    @classmethod
+    def _decode_valid(cls, words) -> list:
+        return [cls._decode(word) for word in words if word & _VALID_BIT]
 
 
 class Tlb(_EntryRam):

@@ -118,9 +118,3 @@ class TestSpawnedStreams:
         sharded = execute(_drawing_plan(parent_b), jobs=4)
         assert serial == sharded
         assert _draw(parent_a) == _draw(parent_b)
-
-    def test_custom_kwarg_name(self):
-        plan = _plan(2).with_spawned_streams(
-            np.random.default_rng(7), kwarg="noise"
-        )
-        assert all("noise" in u.kwargs for u in plan.units)

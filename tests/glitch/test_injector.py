@@ -193,3 +193,59 @@ class TestGlitchedInterpretedProcess:
         assert process.finished
         assert process.outcome == "halted"
         assert process._core.read_x(1) == 12
+
+    @pytest.mark.parametrize("leg", ["unprotected", "brownout"])
+    def test_a_scheduled_victim_ends_like_a_bare_run(self, leg):
+        """Under the scheduler, ``max_rounds`` quanta of
+        ``steps_per_quantum`` steps end every campaign pulse as one
+        :meth:`GlitchInjector.run` of the same budget does, from the
+        same stream: same termination, instructions and faults."""
+        from repro.cpu.core import Core
+        from repro.errors import CpuFault
+        from repro.glitch.campaign import (
+            CODE_ADDR as VICTIM_ADDR,
+            DEFAULT_SPEC as spec,
+            FLAG_ADDR,
+            _prepared_rig,
+        )
+        from repro.glitch.waveform import GlitchPulse
+        from repro.osim.kernel import SimKernel
+        from repro.osim.noise import NoiseProfile
+
+        steps_per_quantum = 16
+        max_rounds, leftover = divmod(spec.max_steps, steps_per_quantum)
+        assert leftover == 0
+        brownout = spec.brownout(leg)
+        for index, point in enumerate(spec.grid_points()):
+            pulse = GlitchPulse(*point)
+            board, code, waveform, model = _prepared_rig(19, pulse, spec)
+            core = Core(board.soc.core(0), board.soc.memory_map)
+            core.load_program(code, VICTIM_ADDR)
+            bare = GlitchInjector(
+                core, waveform, model, generator(19, "loop", leg, f"grid{index}"),
+                spec.instruction_period_s, brownout,
+            ).run(max_steps=spec.max_steps)
+
+            board, code, waveform, model = _prepared_rig(19, pulse, spec)
+            kernel = SimKernel(
+                board,
+                noise_profile=NoiseProfile(
+                    kernel_base=0x8000, kernel_span=0x4000
+                ),
+            )
+            kernel.enable_caches()
+            process = GlitchedInterpretedProcess(
+                "pin-check", 0, code, VICTIM_ADDR, waveform, model,
+                generator(19, "loop", leg, f"grid{index}"),
+                spec.instruction_period_s, brownout, steps_per_quantum,
+            )
+            process.base_addr = FLAG_ADDR
+            process.array_bytes = 0x2000
+            kernel.spawn(process)
+            try:
+                kernel.run(max_rounds=max_rounds)
+            except CpuFault:
+                pass
+            assert (process.outcome or "hung") == bare.termination, pulse
+            assert process._core.instructions_retired == bare.instructions
+            assert process._injector.fault_counts == bare.faults, pulse

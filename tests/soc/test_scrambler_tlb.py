@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.dram import DramArray
-from repro.circuits.sram import SramParameters
+from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import MemoryMapError
 from repro.soc.memory_map import MainMemory
 from repro.soc.scrambler import ScrambledMemory
@@ -148,3 +148,27 @@ class TestBtb:
         assert any(
             e.branch_pc == 0xABCD0 and e.target_pc == 0xABC00 for e in entries
         )
+
+
+class TestEntryMirror:
+    @pytest.mark.parametrize(
+        "make, fill",
+        [
+            (make_tlb, lambda tlb: tlb.insert(asid=4, vpn=0x40, ppn=0x40)),
+            (make_btb, lambda btb: btb.record(0x8004, 0x8000)),
+        ],
+        ids=["tlb", "btb"],
+    )
+    def test_valid_entries_read_the_word_mirror(self, make, fill, monkeypatch):
+        """Once the mirror is current, listing the valid entries decodes
+        it and reads nothing from the SRAM."""
+        ram = make()
+        fill(ram)
+        expected = type(ram).decode_raw_image(ram.image())
+        ram.words()
+        reads = []
+        monkeypatch.setattr(
+            SramArray, "read_bytes", lambda *args, **kwargs: reads.append(args)
+        )
+        assert ram.valid_entries() == expected
+        assert expected and reads == []
