@@ -512,15 +512,23 @@ class SramArray(ManufacturedArray):
     def write_bytes(self, offset: int, data: bytes) -> None:
         """Write ``data`` starting at byte ``offset``."""
         self._require_powered("write")
-        raw = np.frombuffer(bytes(data), dtype=np.uint8)
-        self._bit_range(offset * 8, len(raw) * 8)
-        if self._cells is None and len(raw) == self.n_bytes:
-            self._cells = raw.copy()  # replaces the pending image whole
+        count = len(data)
+        self._bit_range(offset * 8, count * 8)
+        if self._cells is None and count == self.n_bytes:
+            # replaces the pending image whole
+            self._cells = np.frombuffer(data, dtype=np.uint8).copy()
             self._owed_mask = None
         else:
             if self._cells is None:
                 self.materialize()
-            self._cells[offset : offset + len(raw)] = raw
+            try:
+                memoryview(self._cells)[offset : offset + count] = data
+            except TypeError:
+                # A read-only image (a snapshot's source): numpy raises
+                # its usual ValueError.
+                self._cells[offset : offset + count] = np.frombuffer(
+                    data, dtype=np.uint8
+                )
         self._mutations += 1
 
     def fill_bytes(self, value: int) -> None:

@@ -24,6 +24,7 @@ toy OS scheduler, so kernel cache noise and glitch faults compose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,17 @@ class InjectionResult:
     detail: str = ""
 
 
+def _first_index_at(time_s: float, period_s: float) -> int:
+    """The first instruction index ``k`` with ``k * period_s >= time_s``,
+    in the float arithmetic :meth:`GlitchInjector.elapsed_s` uses."""
+    k = max(0, math.ceil(time_s / period_s))
+    while k > 0 and (k - 1) * period_s >= time_s:
+        k -= 1
+    while k * period_s < time_s:
+        k += 1
+    return k
+
+
 class GlitchInjector:
     """Applies a fault model to a core, one instruction at a time."""
 
@@ -103,6 +115,36 @@ class GlitchInjector:
         self.fault_counts: dict[str, int] = {k.value: 0 for k in FaultKind}
         self.min_rail_v = waveform.nominal_v
         self.brownout_tripped = False
+        self._quiet_rails, self._quiet_end = self._fault_free_steps()
+
+    def _fault_free_steps(self) -> tuple[list[float | None], float]:
+        """Where no fault can land, indexed by retired instructions.
+
+        Entry ``k`` of the list is the rail voltage :meth:`step` would
+        see at index ``k`` when that rail is at or above the fault
+        onset (``sample`` draws nothing there) and the brown-out has not
+        tripped, else ``None``.  Indices past the list's end lie past
+        the waveform, at its nominal rail; those below the returned
+        bound cannot fault.  The times are ``k * instruction_period_s``
+        and the rails one vectorised :func:`numpy.interp`, both exactly
+        what :meth:`elapsed_s` and ``voltage_at`` compute per step.
+        """
+        waveform = self.waveform
+        period = self.instruction_period_s
+        inside = _first_index_at(float(waveform.time_s[-1]), period)
+        times = np.arange(inside) * period
+        rails = np.interp(times, waveform.time_s, waveform.voltage_v).tolist()
+        trip_index = (
+            math.inf
+            if self._trip_time_s is None
+            else _first_index_at(self._trip_time_s, period)
+        )
+        onset = self.model.fault_onset_v
+        quiet = [
+            rail if rail >= onset and k < trip_index else None
+            for k, rail in enumerate(rails)
+        ]
+        return quiet, trip_index if waveform.nominal_v >= onset else 0
 
     def elapsed_s(self) -> float:
         """Execution time since injection started (retired × period)."""
@@ -139,14 +181,35 @@ class GlitchInjector:
             self._fault_corrupt_fetch()
 
     def run(self, max_steps: int = 10_000) -> InjectionResult:
-        """Step until HLT, a crash, a reset, or the step budget."""
+        """Step until HLT, a crash, a reset, or the step budget.
+
+        Where no fault can land (:meth:`_fault_free_steps`) the core
+        steps directly: :meth:`step` would draw nothing and apply no
+        fault there.  Every other instruction goes through :meth:`step`.
+        """
+        core = self.core
+        start = self._start_retired
+        quiet_rails = self._quiet_rails
+        n_rails = len(quiet_rails)
+        quiet_end = self._quiet_end
         termination = "hung"
         detail = ""
         try:
             for _ in range(max_steps):
-                if self.core.halted:
+                if core.halted:
                     termination = "halted"
                     break
+                index = core.instructions_retired - start
+                if index < n_rails:
+                    rail_v = quiet_rails[index]
+                    if rail_v is not None:
+                        if rail_v < self.min_rail_v:
+                            self.min_rail_v = rail_v
+                        core.step()
+                        continue
+                elif index < quiet_end:
+                    core.step()
+                    continue
                 self.step()
             else:
                 detail = f"no HLT within {max_steps} steps"

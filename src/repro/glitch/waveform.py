@@ -155,19 +155,42 @@ def die_waveform(
             f"raise resolution_s or shorten the pulse"
         )
     time_s = np.arange(n_samples, dtype=np.float64) * resolution_s
-    drive = np.array(
-        [pulse.drive_voltage(float(t), nominal) for t in time_s],
-        dtype=np.float64,
-    )
+    drive = _drive_samples(pulse, time_s, nominal)
     if tau <= 0.0:
         filtered = drive
     else:
         alpha = 1.0 - math.exp(-resolution_s / tau)
-        filtered = np.empty_like(drive)
+        # The level holds at exactly nominal until the drive first moves.
+        start = int(np.argmax(drive != nominal))
+        levels = [nominal] * start
         level = nominal
-        for i, target in enumerate(drive):
-            level += alpha * (float(target) - level)
-            filtered[i] = level
+        for target in drive[start:].tolist():
+            level += alpha * (target - level)
+            levels.append(level)
+        filtered = np.array(levels, dtype=np.float64)
     return GlitchWaveform(
         time_s=time_s, voltage_v=filtered, nominal_v=nominal
     )
+
+
+def _drive_samples(
+    pulse: GlitchPulse, time_s: np.ndarray, nominal_v: float
+) -> np.ndarray:
+    """:meth:`GlitchPulse.drive_voltage` at every sample, bit for bit:
+    the same comparisons and float operations, one mask per branch."""
+    into = time_s - pulse.offset_s
+    dipped = (into > 0.0) & (
+        into < pulse.rise_s + pulse.width_s + pulse.fall_s
+    )
+    rising = dipped & (into < pulse.rise_s)
+    into_flat = into - pulse.rise_s
+    flat = dipped & ~rising & (into_flat < pulse.width_s)
+    falling = dipped & ~rising & ~flat
+    into_fall = into_flat - pulse.width_s
+    drive = np.full_like(time_s, nominal_v)
+    drive[rising] = nominal_v - pulse.depth_v * (into[rising] / pulse.rise_s)
+    drive[flat] = nominal_v - pulse.depth_v
+    drive[falling] = nominal_v - pulse.depth_v * (
+        1.0 - into_fall[falling] / pulse.fall_s
+    )
+    return drive

@@ -53,10 +53,30 @@ def from_entropy(entropy: int | tuple[int, ...]) -> np.random.Generator:
 
 
 @functools.cache
-def _restore_seed() -> np.random.SeedSequence:
+def _restore_words(n_words: int, dtype: np.dtype) -> np.ndarray:
+    words = np.random.SeedSequence(0).generate_state(n_words, dtype)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _restore_seed() -> np.random.bit_generator.ISeedSequence:
     """Seeds the throwaway initial state of a restored bit generator
-    (every :func:`from_state` call overwrites it at once)."""
-    return np.random.SeedSequence(0)
+    (every :func:`from_state` call overwrites it at once) with words
+    generated once, so a restore hashes no seed.  Built on first use:
+    defining it imports :mod:`numpy.random`, which nothing else needs
+    at import time."""
+
+    class RestoreSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(
+            self, n_words: int, dtype: type = np.uint32
+        ) -> np.ndarray:
+            return _restore_words(n_words, np.dtype(dtype))
+
+        def __reduce__(self) -> tuple:
+            return _restore_seed, ()
+
+    return RestoreSeed()
 
 
 def from_state(state: dict) -> np.random.Generator:
@@ -65,9 +85,9 @@ def from_state(state: dict) -> np.random.Generator:
     ``state`` is a ``bit_generator.state`` dict, buffered half-words
     included, so the new generator's draws continue the original's.
     Board snapshots (:mod:`repro.circuits.manufacture`) restore their
-    streams through here: seeding from a fixed sequence and assigning
-    the state costs a fraction of ``copy.deepcopy`` or a pickle round
-    trip of the generator.
+    streams through here: seeding from fixed words and assigning the
+    state costs a fraction of ``copy.deepcopy`` or a pickle round trip
+    of the generator.
     """
     bit_generator = getattr(np.random, state["bit_generator"])(_restore_seed())
     bit_generator.state = state

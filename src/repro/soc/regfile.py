@@ -52,10 +52,6 @@ class WordRam:
         self._words: list[int] = []
         self._seen = -1  # no SRAM count matches: load on first read
 
-    def _check(self, index: int) -> None:
-        if not 0 <= index < self.count:
-            raise self.fault(f"{self.sram.name}: no word {index}")
-
     def words(self) -> list[int]:
         """All words in index order: the live mirror, reloaded first if
         the SRAM changed behind it.  Read it; write through :meth:`write`.
@@ -76,12 +72,16 @@ class WordRam:
 
     def read(self, index: int) -> int:
         """Read a word as an unsigned integer."""
-        self._check(index)
+        if not 0 <= index < self.count:
+            raise self.fault(f"{self.sram.name}: no word {index}")
+        if self.sram.mutations == self._seen:
+            return self._words[index]
         return self.words()[index]
 
     def write(self, index: int, value: int) -> None:
         """Write an unsigned integer, truncated to the word width."""
-        self._check(index)
+        if not 0 <= index < self.count:
+            raise self.fault(f"{self.sram.name}: no word {index}")
         value &= self._mask
         width = self.width_bytes
         sram = self.sram

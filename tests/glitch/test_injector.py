@@ -7,13 +7,17 @@ from repro.cpu.assembler import assemble
 from repro.cpu.core import Core
 from repro.cpu.isa import decode
 from repro.devices import glitch_rig
-from repro.errors import BrownOutReset, GlitchError
+from repro.errors import BrownOutReset, CpuFault, GlitchError, ReproError
 from repro.glitch.faultmodel import (
     BrownOutDetector,
     FaultModel,
     default_fault_model,
 )
-from repro.glitch.injector import GlitchInjector, GlitchedInterpretedProcess
+from repro.glitch.injector import (
+    GlitchInjector,
+    GlitchedInterpretedProcess,
+    InjectionResult,
+)
 from repro.glitch.waveform import GlitchWaveform
 from repro.rng import generator
 from repro.soc.bootrom import BootMedia
@@ -195,13 +199,15 @@ class TestGlitchedInterpretedProcess:
         assert process._core.read_x(1) == 12
 
     @pytest.mark.parametrize("leg", ["unprotected", "brownout"])
-    def test_a_scheduled_victim_ends_like_a_bare_run(self, leg):
+    def test_a_scheduled_victim_ends_like_a_bare_run(self, leg, monkeypatch):
         """Under the scheduler, ``max_rounds`` quanta of
         ``steps_per_quantum`` steps end every campaign pulse as one
         :meth:`GlitchInjector.run` of the same budget does, from the
-        same stream: same termination, instructions and faults."""
+        same stream: same termination, instructions and faults.  They
+        also end as they do with the one-``step()``-per-instruction
+        loop in place of ``run``, with the same rail minimum, draws and
+        kernel noise."""
         from repro.cpu.core import Core
-        from repro.errors import CpuFault
         from repro.glitch.campaign import (
             CODE_ADDR as VICTIM_ADDR,
             DEFAULT_SPEC as spec,
@@ -216,16 +222,9 @@ class TestGlitchedInterpretedProcess:
         max_rounds, leftover = divmod(spec.max_steps, steps_per_quantum)
         assert leftover == 0
         brownout = spec.brownout(leg)
-        for index, point in enumerate(spec.grid_points()):
-            pulse = GlitchPulse(*point)
-            board, code, waveform, model = _prepared_rig(19, pulse, spec)
-            core = Core(board.soc.core(0), board.soc.memory_map)
-            core.load_program(code, VICTIM_ADDR)
-            bare = GlitchInjector(
-                core, waveform, model, generator(19, "loop", leg, f"grid{index}"),
-                spec.instruction_period_s, brownout,
-            ).run(max_steps=spec.max_steps)
+        pulses = [GlitchPulse(*point) for point in spec.grid_points()]
 
+        def scheduled(index, pulse):
             board, code, waveform, model = _prepared_rig(19, pulse, spec)
             kernel = SimKernel(
                 board,
@@ -234,9 +233,9 @@ class TestGlitchedInterpretedProcess:
                 ),
             )
             kernel.enable_caches()
+            rng = generator(19, "loop", leg, f"grid{index}")
             process = GlitchedInterpretedProcess(
-                "pin-check", 0, code, VICTIM_ADDR, waveform, model,
-                generator(19, "loop", leg, f"grid{index}"),
+                "pin-check", 0, code, VICTIM_ADDR, waveform, model, rng,
                 spec.instruction_period_s, brownout, steps_per_quantum,
             )
             process.base_addr = FLAG_ADDR
@@ -246,6 +245,192 @@ class TestGlitchedInterpretedProcess:
                 kernel.run(max_rounds=max_rounds)
             except CpuFault:
                 pass
-            assert (process.outcome or "hung") == bare.termination, pulse
-            assert process._core.instructions_retired == bare.instructions
-            assert process._injector.fault_counts == bare.faults, pulse
+            injector = process._injector
+            return (
+                process.outcome or "hung",
+                process._core.instructions_retired,
+                injector.fault_counts,
+                injector.min_rail_v.hex(),
+                rng.bit_generator.state,
+                kernel.noise_stats(),
+            )
+
+        runs = [scheduled(index, pulse) for index, pulse in enumerate(pulses)]
+        for index, (pulse, run) in enumerate(zip(pulses, runs)):
+            board, code, waveform, model = _prepared_rig(19, pulse, spec)
+            core = Core(board.soc.core(0), board.soc.memory_map)
+            core.load_program(code, VICTIM_ADDR)
+            bare = GlitchInjector(
+                core, waveform, model, generator(19, "loop", leg, f"grid{index}"),
+                spec.instruction_period_s, brownout,
+            ).run(max_steps=spec.max_steps)
+            outcome, instructions, faults = run[:3]
+            assert outcome == bare.termination, pulse
+            assert instructions == bare.instructions
+            assert faults == bare.faults, pulse
+        monkeypatch.setattr(GlitchInjector, "run", _stepwise_run)
+        assert [
+            scheduled(index, pulse) for index, pulse in enumerate(pulses)
+        ] == runs
+
+
+def _stepwise_run(injector: GlitchInjector, max_steps: int) -> InjectionResult:
+    """The reference loop: one :meth:`GlitchInjector.step` per
+    instruction, however far the rail is from faulting."""
+    core = injector.core
+    start = core.instructions_retired
+    termination = "hung"
+    try:
+        for _ in range(max_steps):
+            if core.halted:
+                termination = "halted"
+                break
+            injector.step()
+    except BrownOutReset:
+        termination = "reset"
+    except ReproError:
+        termination = "crashed"
+    return InjectionResult(
+        termination=termination,
+        instructions=core.instructions_retired - start,
+        faults=dict(injector.fault_counts),
+        min_rail_v=injector.min_rail_v,
+    )
+
+
+def _assert_same_run(reference, windowed, reference_rng, windowed_rng):
+    assert windowed.termination == reference.termination
+    assert windowed.instructions == reference.instructions
+    assert windowed.faults == reference.faults
+    assert windowed.min_rail_v.hex() == reference.min_rail_v.hex()
+    assert (
+        windowed_rng.bit_generator.state == reference_rng.bit_generator.state
+    )
+
+
+class _TripAt:
+    """A brown-out detector stand-in that trips at a given time."""
+
+    def __init__(self, time_s: float) -> None:
+        self.time_s = time_s
+
+    def trip_time(self, waveform: GlitchWaveform) -> float:
+        return self.time_s
+
+
+#: A straight-line victim long enough to outlast every edge-case
+#: waveform below: 48 register writes, then HLT.
+LONG_PROGRAM = "".join(
+    f"    ldi  x{1 + i % 8}, #{i}\n" for i in range(48)
+) + "    hlt\n"
+
+
+class TestFaultFreeWindow:
+    """:meth:`GlitchInjector.run` steps the core directly where no fault
+    can land; every run must end as the one-``step()``-per-instruction
+    loop ends it, with the same draws taken."""
+
+    @staticmethod
+    def _pair(waveform, model, brownout, max_steps):
+        runs = []
+        for loop in (_stepwise_run, GlitchInjector.run):
+            core = _fresh_core()
+            core.load_program(assemble(LONG_PROGRAM).machine_code, CODE_ADDR)
+            rng = generator(23, "window")
+            injector = GlitchInjector(
+                core, waveform, model, rng, nanoseconds(10), brownout
+            )
+            runs.append((loop(injector, max_steps), rng))
+        (reference, reference_rng), (windowed, windowed_rng) = runs
+        _assert_same_run(reference, windowed, reference_rng, windowed_rng)
+        return windowed
+
+    @pytest.mark.parametrize("leg", ["unprotected", "brownout"])
+    def test_every_campaign_pulse_ends_as_the_stepwise_loop(self, leg):
+        from repro.glitch.campaign import (
+            CODE_ADDR as VICTIM_ADDR,
+            DEFAULT_SPEC as spec,
+            _prepared_rig,
+        )
+        from repro.glitch.waveform import GlitchPulse
+
+        brownout = spec.brownout(leg)
+        pulses = spec.grid_points() + spec.random_pulses(2022)
+        terminations = set()
+        for index, point in enumerate(pulses):
+            pulse = GlitchPulse(*point)
+            runs = []
+            for loop in (_stepwise_run, GlitchInjector.run):
+                board, code, waveform, model = _prepared_rig(2022, pulse, spec)
+                core = Core(board.soc.core(0), board.soc.memory_map)
+                core.load_program(code, VICTIM_ADDR)
+                rng = generator(2022, "window", leg, f"pulse{index}")
+                injector = GlitchInjector(
+                    core, waveform, model, rng,
+                    spec.instruction_period_s, brownout,
+                )
+                runs.append((loop(injector, spec.max_steps), rng))
+            (reference, reference_rng), (windowed, windowed_rng) = runs
+            _assert_same_run(reference, windowed, reference_rng, windowed_rng)
+            terminations.add(windowed.termination)
+        expected = {"halted", "crashed"} | (
+            {"reset"} if leg == "brownout" else set()
+        )
+        assert expected <= terminations
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_brownout_trip_on_an_instruction_boundary(self, ulps):
+        """A trip exactly at ``k * period`` resets before instruction
+        ``k``; one ulp later it resets before ``k + 1``."""
+        boundary = 7 * nanoseconds(10)
+        trip_s = boundary
+        for _ in range(abs(ulps)):
+            trip_s = np.nextafter(trip_s, np.inf if ulps > 0 else -np.inf)
+        result = self._pair(
+            _flat_waveform(0.7),  # above the 0.64 V onset: no step faults
+            default_fault_model(0.8),
+            _TripAt(float(trip_s)),
+            max_steps=64,
+        )
+        assert result.termination == "reset"
+        assert result.instructions == (8 if ulps > 0 else 7)
+
+    @pytest.mark.parametrize("end_instructions", [4.75, 5])
+    @pytest.mark.parametrize("nominal_v", [0.8, 0.6])
+    def test_waveform_ending_mid_instruction(
+        self, end_instructions, nominal_v
+    ):
+        """The waveform ends inside instruction 4's period or exactly
+        at instruction 5.  The last rails inside it can fault; past its
+        end the rail is nominal, which cannot fault at 0.8 V and can at
+        0.6 V (below the 0.64 V onset)."""
+        end_s = end_instructions * nanoseconds(10)
+        time_s = np.linspace(0.0, end_s, 96)
+        assert float(time_s[-1]) == end_s
+        voltage_v = np.where(time_s < nanoseconds(30), nominal_v, 0.5)
+        waveform = GlitchWaveform(
+            time_s=time_s, voltage_v=voltage_v, nominal_v=nominal_v
+        )
+        result = self._pair(
+            waveform, default_fault_model(0.8), None, max_steps=64
+        )
+        assert sum(result.faults.values()) > 0
+        assert result.instructions > 6  # ran past the waveform's end
+
+    def test_the_rail_at_the_waveform_end_is_nominal(self):
+        """A waveform whose last sample lands on instruction 5: the rail
+        there is nominal, not the last sample, so a ramp that ends at
+        its lowest point leaves ``min_rail_v`` at instruction 4."""
+        end_s = 5 * nanoseconds(10)
+        time_s = np.linspace(0.0, end_s, 96)
+        waveform = GlitchWaveform(
+            time_s=time_s,
+            voltage_v=np.linspace(0.8, 0.66, 96),  # never below onset
+            nominal_v=0.8,
+        )
+        result = self._pair(
+            waveform, default_fault_model(0.8), None, max_steps=64
+        )
+        assert result.termination == "halted"
+        assert result.min_rail_v == waveform.voltage_at(4 * nanoseconds(10))
+        assert result.min_rail_v > 0.66

@@ -1,8 +1,12 @@
 """Glitch pulse shapes and the RC-filtered die-seen waveform."""
 
-import pytest
+import math
 
-from repro.circuits.passives import DecouplingNetwork
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.circuits.passives import DecouplingNetwork, SupplyLineParasitics
 from repro.circuits.supply import BenchSupply
 from repro.errors import CalibrationError
 from repro.glitch.waveform import GlitchPulse, die_waveform
@@ -87,3 +91,83 @@ class TestDieWaveform:
         pulse = GlitchPulse(0.0, nanoseconds(30), 0.9)
         with pytest.raises(CalibrationError):
             die_waveform(pulse, _supply(), _decoupling())
+
+
+#: A power-of-two sample spacing: pulse edges drawn as whole multiples
+#: of it land exactly on samples, so every branch boundary of
+#: :meth:`GlitchPulse.drive_voltage` is sampled.
+_EXACT_RESOLUTION_S = 2.0**-30
+
+
+def _aligned_pulses() -> st.SearchStrategy:
+    """Pulses whose offset, edges and flat part are whole samples."""
+    steps = st.integers(min_value=1, max_value=80)
+    return st.builds(
+        lambda offset, width, rise, fall, depth: (
+            GlitchPulse(
+                offset_s=offset * _EXACT_RESOLUTION_S,
+                width_s=width * _EXACT_RESOLUTION_S,
+                depth_v=depth,
+                rise_s=rise * _EXACT_RESOLUTION_S,
+                fall_s=fall * _EXACT_RESOLUTION_S,
+            ),
+            _EXACT_RESOLUTION_S,
+        ),
+        st.integers(min_value=0, max_value=400),
+        steps,
+        steps,
+        steps,
+        st.floats(min_value=0.01, max_value=0.79),
+    )
+
+
+def _free_pulses() -> st.SearchStrategy:
+    """Pulses at arbitrary float times, sampled every nanosecond."""
+    times = st.floats(min_value=1e-11, max_value=nanoseconds(100))
+    return st.builds(
+        lambda offset, width, rise, fall, depth: (
+            GlitchPulse(offset, width, depth, rise, fall), nanoseconds(1)
+        ),
+        st.floats(min_value=0.0, max_value=nanoseconds(400)),
+        times,
+        times,
+        times,
+        st.floats(min_value=0.01, max_value=0.79),
+    )
+
+
+class TestDieWaveformIdentity:
+    @given(
+        st.one_of(_aligned_pulses(), _free_pulses()),
+        st.floats(min_value=1e-9, max_value=4e-6),
+    )
+    def test_equals_the_scalar_drive_through_a_per_sample_filter(
+        self, pulse_and_resolution, capacitance_f
+    ):
+        pulse, resolution_s = pulse_and_resolution
+        supply = _supply()
+        decoupling = _decoupling(capacitance_f)
+        wave = die_waveform(pulse, supply, decoupling, resolution_s=resolution_s)
+        if resolution_s == _EXACT_RESOLUTION_S:
+            flat_end_s = pulse.offset_s + pulse.rise_s + pulse.width_s
+            for edge_s in (
+                pulse.offset_s,
+                pulse.offset_s + pulse.rise_s,
+                flat_end_s,
+                pulse.end_s,
+            ):
+                assert edge_s in wave.time_s
+
+        nominal_v = supply.voltage_v
+        tau = decoupling.capacitance_f * (
+            decoupling.esr_ohm
+            + SupplyLineParasitics().resistance_ohm
+            + supply.source_resistance_ohm
+        )
+        alpha = 1.0 - math.exp(-resolution_s / tau)
+        expected = []
+        level = nominal_v
+        for t_s in wave.time_s.tolist():
+            level += alpha * (pulse.drive_voltage(t_s, nominal_v) - level)
+            expected.append(level)
+        assert np.array_equal(wave.voltage_v, np.array(expected))

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.rng import (
     DEFAULT_SEED,
+    _restore_words,
     SeedSequenceFactory,
     derive_seed,
     from_state,
@@ -59,6 +60,27 @@ class TestFromState:
         assert (
             original.standard_normal(8) == restored.standard_normal(8)
         ).all()
+
+    def test_a_second_restore_generates_no_seed_state(self, monkeypatch):
+        """The throwaway initial state comes from cached words: once
+        they exist, a restore runs no ``SeedSequence.generate_state``."""
+        calls = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def generate_state(self, n_words, dtype=np.uint32):
+                calls.append(n_words)
+                return super().generate_state(n_words, dtype)
+
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        _restore_words.cache_clear()
+        original = generator(7, "restore")
+        state = original.bit_generator.state
+        first = from_state(state)
+        assert len(calls) == 1
+        second = from_state(state)
+        assert len(calls) == 1
+        assert first.random() == second.random() == original.random()
+        _restore_words.cache_clear()
 
     def test_restored_stream_is_independent(self):
         original = generator(7, "restore")
