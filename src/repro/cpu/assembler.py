@@ -15,7 +15,9 @@ Source syntax, one instruction per line::
         hlt
 
 Registers are ``x0..x30`` plus ``xzr``; vector registers are ``v0..v31``.
-Immediates take ``#`` and accept decimal or ``0x`` hex.  The ``ldimm``
+Immediates take ``#`` and accept decimal or ``0x`` hex.  Each line is
+parsed against its opcode's operand shape (:class:`~repro.cpu.isa.Opcode`),
+so a missing or extra operand is an error.  The ``ldimm``
 pseudo-instruction expands into an LDI/LSLI/ORRI sequence building an
 arbitrary 64-bit constant, because the fixed 4-byte encoding only carries
 byte immediates (the same game real aarch64 plays with MOVZ/MOVK).
@@ -55,7 +57,7 @@ def _strip(line: str) -> str:
 
 
 def _parse_register(token: str, line: str) -> int:
-    token = token.lower().rstrip(",")
+    token = token.lower()
     if token == "xzr":
         return XZR
     match = re.fullmatch(r"x(\d+)", token)
@@ -65,14 +67,13 @@ def _parse_register(token: str, line: str) -> int:
 
 
 def _parse_vector(token: str, line: str) -> int:
-    match = re.fullmatch(r"v(\d+)", token.lower().rstrip(","))
+    match = re.fullmatch(r"v(\d+)", token.lower())
     if not match or not 0 <= int(match.group(1)) <= 31:
         raise AssemblerError(f"bad vector register {token!r} in {line!r}")
     return int(match.group(1))
 
 
 def _parse_imm(token: str, line: str) -> int:
-    token = token.rstrip(",")
     if not token.startswith("#"):
         raise AssemblerError(f"immediate must start with # in {line!r}")
     try:
@@ -81,19 +82,46 @@ def _parse_imm(token: str, line: str) -> int:
         raise AssemblerError(f"bad immediate {token!r} in {line!r}") from None
 
 
-def _parse_mem(tokens: list[str], line: str) -> tuple[int, int]:
-    """Parse ``[xN, #imm]`` or ``[xN]`` into (base register, immediate)."""
-    joined = " ".join(tokens)
-    match = re.fullmatch(
-        r"\[\s*(x\d+|xzr)\s*(?:[,\s]\s*(#[^\]]+?))?\s*\]", joined.strip()
-    )
+def _parse_mem(token: str, line: str) -> list[int]:
+    """Parse ``[xN, #imm]`` or ``[xN]`` into [base register, immediate]."""
+    match = re.fullmatch(r"\[\s*(x\d+|xzr)\s*(?:[,\s]\s*(#[^\]]+?))?\s*\]", token)
     if not match:
         raise AssemblerError(f"bad memory operand in {line!r}")
-    base = _parse_register(match.group(1), line)
     imm = _parse_imm(match.group(2), line) if match.group(2) else 0
-    if not 0 <= imm <= 0xFF:
-        raise AssemblerError(f"memory offset {imm} out of byte range in {line!r}")
-    return base, imm
+    return [_parse_register(match.group(1), line), imm]
+
+
+#: Operand parsers by shape token (see :class:`~repro.cpu.isa.Opcode`).
+_OPERANDS = {
+    "d": _parse_register,
+    "x": _parse_register,
+    "v": _parse_vector,
+    "#": _parse_imm,
+}
+
+#: One operand: a bracketed memory operand or a run without commas.
+_OPERAND_RE = re.compile(r"\[[^\]]*\]|[^\s,]+")
+
+
+def _parse_fields(
+    shape: str, args: list[str], line: str
+) -> tuple[list[int], str | None]:
+    """Parse ``args`` against an operand shape: the fields and any label."""
+    kinds = shape.split()
+    if len(args) != len(kinds):
+        raise AssemblerError(
+            f"expected {len(kinds)} operand(s), got {len(args)} in {line!r}"
+        )
+    fields: list[int] = []
+    label = None
+    for kind, token in zip(kinds, args):
+        if kind == "L":
+            label = token
+        elif kind == "[x#]":
+            fields += _parse_mem(token, line)
+        else:
+            fields.append(_OPERANDS[kind](token, line))
+    return fields, label
 
 
 def _expand_ldimm(rd: int, value: int) -> list[Instruction]:
@@ -108,122 +136,32 @@ def _expand_ldimm(rd: int, value: int) -> list[Instruction]:
     return out
 
 
-# Mnemonic -> (opcode, operand shape). Shapes are handled in _parse_line.
-_SIMPLE = {
-    "nop": Opcode.NOP,
-    "hlt": Opcode.HLT,
-    "dsb": Opcode.DSB,
-    "isb": Opcode.ISB,
-    "cacheen": Opcode.CACHEEN,
-    "cachedis": Opcode.CACHEDIS,
-}
-_REG_REG_REG = {
-    "add": Opcode.ADD,
-    "sub": Opcode.SUB,
-    "and": Opcode.AND,
-    "orr": Opcode.ORR,
-    "eor": Opcode.EOR,
-    "mul": Opcode.MUL,
-}
-_REG_REG_IMM = {
-    "addi": Opcode.ADDI,
-    "subi": Opcode.SUBI,
-    "lsli": Opcode.LSLI,
-    "lsri": Opcode.LSRI,
-    "orri": Opcode.ORRI,
-}
-_BRANCHES = {"b": Opcode.B, "cbz": Opcode.CBZ, "cbnz": Opcode.CBNZ}
-_MEMOPS = {
-    "ldr": Opcode.LDR,
-    "str": Opcode.STR,
-    "ldrb": Opcode.LDRB,
-    "strb": Opcode.STRB,
-}
-
-
 def _parse_line(
-    line: str, pending_branches: list[tuple[int, str, Opcode, int]],
+    line: str, pending_branches: list[tuple[int, str, Instruction]],
     instructions: list[Instruction | None],
 ) -> None:
-    tokens = line.replace(",", " , ").split()
-    tokens = [t for t in tokens if t != ","]
-    mnemonic = tokens[0].lower()
-    args = tokens[1:]
-
-    if mnemonic in _SIMPLE:
-        instructions.append(Instruction(_SIMPLE[mnemonic]))
-    elif mnemonic == "ldi":
-        instructions.append(
-            Instruction(Opcode.LDI, _parse_register(args[0], line),
-                        _parse_imm(args[1], line))
-        )
-    elif mnemonic == "ldimm":
-        instructions.extend(
-            _expand_ldimm(_parse_register(args[0], line), _parse_imm(args[1], line))
-        )
-    elif mnemonic in _REG_REG_REG:
-        instructions.append(
-            Instruction(
-                _REG_REG_REG[mnemonic],
-                _parse_register(args[0], line),
-                _parse_register(args[1], line),
-                _parse_register(args[2], line),
-            )
-        )
-    elif mnemonic in _REG_REG_IMM:
-        imm = _parse_imm(args[2], line)
-        if not 0 <= imm <= 0xFF:
-            raise AssemblerError(f"immediate {imm} out of range in {line!r}")
-        instructions.append(
-            Instruction(
-                _REG_REG_IMM[mnemonic],
-                _parse_register(args[0], line),
-                _parse_register(args[1], line),
-                imm,
-            )
-        )
-    elif mnemonic in _MEMOPS:
-        reg = _parse_register(args[0], line)
-        base, imm = _parse_mem(args[1:], line)
-        instructions.append(Instruction(_MEMOPS[mnemonic], reg, base, imm))
-    elif mnemonic in _BRANCHES:
-        opcode = _BRANCHES[mnemonic]
-        if opcode is Opcode.B:
-            reg, label = 0, args[0]
-        else:
-            reg, label = _parse_register(args[0], line), args[1]
-        # Record a fixup; offset resolved in pass two.
-        pending_branches.append((len(instructions), label, opcode, reg))
+    """Append one source line's instructions (a placeholder per branch)."""
+    mnemonic, *args = _OPERAND_RE.findall(line) or [""]
+    mnemonic = mnemonic.lower()
+    if mnemonic == "ldimm":
+        fields, _ = _parse_fields("d #", args, line)
+        instructions.extend(_expand_ldimm(*fields))
+        return
+    try:
+        opcode = Opcode[mnemonic.upper()]
+    except KeyError:
+        raise AssemblerError(f"unknown mnemonic {mnemonic!r} in {line!r}") from None
+    fields, label = _parse_fields(opcode.shape, args, line)
+    try:
+        instruction = Instruction(opcode, *fields)
+    except AssemblerError as error:
+        raise AssemblerError(f"{error} in {line!r}") from None
+    if label is not None:
+        # Record a fixup; the offset fills b:c in pass two.
+        pending_branches.append((len(instructions), label, instruction))
         instructions.append(None)  # placeholder
-    elif mnemonic == "dczva":
-        instructions.append(
-            Instruction(Opcode.DCZVA, _parse_register(args[0], line))
-        )
-    elif mnemonic == "vfill":
-        instructions.append(
-            Instruction(Opcode.VFILL, _parse_vector(args[0], line),
-                        _parse_imm(args[1], line))
-        )
-    elif mnemonic == "vins":
-        instructions.append(
-            Instruction(
-                Opcode.VINS,
-                _parse_vector(args[0], line),
-                _parse_imm(args[1], line),
-                _parse_register(args[2], line),
-            )
-        )
-    elif mnemonic == "vext":
-        instructions.append(
-            Instruction(
-                Opcode.VEXT,
-                _parse_register(args[0], line),
-                _parse_vector(args[1], line),
-                _parse_imm(args[2], line),
-            )
-        )
     else:
-        raise AssemblerError(f"unknown mnemonic {mnemonic!r} in {line!r}")
+        instructions.append(instruction)
 
 
 def assemble(source: str) -> AssembledProgram:
@@ -234,7 +172,7 @@ def assemble(source: str) -> AssembledProgram:
     """
     instructions: list[Instruction | None] = []
     labels: dict[str, int] = {}
-    pending: list[tuple[int, str, Opcode, int]] = []
+    pending: list[tuple[int, str, Instruction]] = []
 
     for raw_line in source.splitlines():
         line = _strip(raw_line)
@@ -254,12 +192,12 @@ def assemble(source: str) -> AssembledProgram:
         if line:
             _parse_line(line, pending, instructions)
 
-    for position, label, opcode, reg in pending:
+    for position, label, branch in pending:
         if label not in labels:
             raise AssemblerError(f"undefined label {label!r}")
         offset = labels[label] // 4 - position
         b, c = branch_fields(offset)
-        instructions[position] = Instruction(opcode, reg, b, c)
+        instructions[position] = Instruction(branch.opcode, branch.a, b, c)
 
     machine_code = b"".join(encode(i) for i in instructions)  # type: ignore[arg-type]
     return AssembledProgram(machine_code=machine_code, labels=labels, source=source)

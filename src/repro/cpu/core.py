@@ -14,6 +14,9 @@ the buffer (flushed by branches landing outside it and by ``ISB``).
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Callable
+
 from ..errors import CpuFault
 from ..soc.memory_map import MemoryMap
 from ..soc.soc import CoreUnit
@@ -130,100 +133,8 @@ class Core:
         if self.halted:
             raise CpuFault("core is halted")
         instr = self._fetch()
-        next_pc = self.pc + 4
-        op = instr.opcode
-
-        if op is Opcode.NOP:
-            pass
-        elif op is Opcode.HLT:
-            self.halted = True
-        elif op is Opcode.LDI:
-            self.write_x(instr.a, instr.b)
-        elif op is Opcode.LSLI:
-            self.write_x(instr.a, self.read_x(instr.b) << instr.c)
-        elif op is Opcode.LSRI:
-            self.write_x(instr.a, self.read_x(instr.b) >> instr.c)
-        elif op is Opcode.ORRI:
-            self.write_x(instr.a, self.read_x(instr.b) | instr.c)
-        elif op is Opcode.ADD:
-            self.write_x(instr.a, self.read_x(instr.b) + self.read_x(instr.c))
-        elif op is Opcode.ADDI:
-            self.write_x(instr.a, self.read_x(instr.b) + instr.c)
-        elif op is Opcode.SUB:
-            self.write_x(instr.a, self.read_x(instr.b) - self.read_x(instr.c))
-        elif op is Opcode.SUBI:
-            self.write_x(instr.a, self.read_x(instr.b) - instr.c)
-        elif op is Opcode.AND:
-            self.write_x(instr.a, self.read_x(instr.b) & self.read_x(instr.c))
-        elif op is Opcode.ORR:
-            self.write_x(instr.a, self.read_x(instr.b) | self.read_x(instr.c))
-        elif op is Opcode.EOR:
-            self.write_x(instr.a, self.read_x(instr.b) ^ self.read_x(instr.c))
-        elif op is Opcode.MUL:
-            self.write_x(instr.a, self.read_x(instr.b) * self.read_x(instr.c))
-        elif op is Opcode.LDR:
-            addr = self.read_x(instr.b) + instr.c * 8
-            self.write_x(instr.a, int.from_bytes(self._dread(addr, 8), "little"))
-        elif op is Opcode.STR:
-            addr = self.read_x(instr.b) + instr.c * 8
-            self._dwrite(addr, (self.read_x(instr.a) & _MASK64).to_bytes(8, "little"))
-        elif op is Opcode.LDRB:
-            addr = self.read_x(instr.b) + instr.c
-            self.write_x(instr.a, self._dread(addr, 1)[0])
-        elif op is Opcode.STRB:
-            addr = self.read_x(instr.b) + instr.c
-            self._dwrite(addr, bytes([self.read_x(instr.a) & 0xFF]))
-        elif op is Opcode.B:
-            next_pc = self.pc + instr.simm16 * 4
-            self._btb_record(self.pc, next_pc)
-        elif op is Opcode.CBZ:
-            if self.read_x(instr.a) == 0:
-                next_pc = self.pc + instr.simm16 * 4
-                self._btb_record(self.pc, next_pc)
-        elif op is Opcode.CBNZ:
-            if self.read_x(instr.a) != 0:
-                next_pc = self.pc + instr.simm16 * 4
-                self._btb_record(self.pc, next_pc)
-        elif op is Opcode.DCZVA:
-            self.unit.l1d.zero_line(self.read_x(instr.a))
-        elif op is Opcode.DSB:
-            self.unit.cp15.dsb()
-        elif op is Opcode.ISB:
-            self.unit.cp15.isb()
-            self.flush_fetch_buffer()
-        elif op is Opcode.VFILL:
-            self.unit.vreg.write_bytes(instr.a, bytes([instr.b]) * 16)
-        elif op is Opcode.VINS:
-            if instr.b not in (0, 1):
-                raise CpuFault(f"VINS: lane {instr.b} out of range")
-            current = bytearray(self.unit.vreg.read_bytes(instr.a))
-            lane = self.read_x(instr.c).to_bytes(8, "little")
-            current[instr.b * 8 : instr.b * 8 + 8] = lane
-            self.unit.vreg.write_bytes(instr.a, bytes(current))
-        elif op is Opcode.VEXT:
-            if instr.c not in (0, 1):
-                raise CpuFault(f"VEXT: lane {instr.c} out of range")
-            raw = self.unit.vreg.read_bytes(instr.b)
-            self.write_x(instr.a, int.from_bytes(raw[instr.c * 8 : instr.c * 8 + 8], "little"))
-        elif op is Opcode.CACHEEN:
-            # Real enable sequences invalidate first (random power-on
-            # tag state would otherwise alias); invalidation only clears
-            # valid bits — data RAM contents survive, per paper §5.2.4.
-            if not self.unit.l1d.enabled:
-                self.unit.l1d.invalidate_all()
-                self.unit.l1d.enabled = True
-            if not self.unit.l1i.enabled:
-                self.unit.l1i.invalidate_all()
-                self.unit.l1i.enabled = True
-            self.flush_fetch_buffer()
-        elif op is Opcode.CACHEDIS:
-            self.unit.l1d.enabled = False
-            self.unit.l1i.enabled = False
-            self.flush_fetch_buffer()
-        else:  # pragma: no cover - the decoder rejects unknown opcodes
-            raise CpuFault(f"unimplemented opcode {op!r}")
-
-        self.pc = next_pc
+        target = _EXECUTE[instr.opcode](self, instr)
+        self.pc = self.pc + 4 if target is None else target
         self.instructions_retired += 1
 
     def run(self, max_steps: int = 1_000_000) -> int:
@@ -233,6 +144,144 @@ class Core:
             if self.halted:
                 break
             self.step()
-        else:
+        if not self.halted:
             raise CpuFault(f"program exceeded {max_steps} steps without HLT")
         return self.instructions_retired - start
+
+
+# ----------------------------------------------------------------------
+# Instruction handlers: ``_EXECUTE`` gives every opcode one.  A handler
+# returns its branch target, or ``None`` to fall through to pc + 4.
+# ----------------------------------------------------------------------
+
+_Handler = Callable[[Core, Instruction], int | None]
+
+
+def _alu(fn: Callable[[int, int], int], immediate: bool) -> _Handler:
+    """``x[a] = fn(x[b], c)``, with ``x[c]`` for ``c`` unless ``immediate``."""
+
+    def execute(core: Core, instr: Instruction) -> None:
+        lhs = core.read_x(instr.b)
+        rhs = instr.c if immediate else core.read_x(instr.c)
+        core.write_x(instr.a, fn(lhs, rhs))
+
+    return execute
+
+
+def _load(size: int) -> _Handler:
+    """``x[a] = mem[x[b] + c * size]``, ``size`` bytes little-endian."""
+
+    def execute(core: Core, instr: Instruction) -> None:
+        addr = core.read_x(instr.b) + instr.c * size
+        core.write_x(instr.a, int.from_bytes(core._dread(addr, size), "little"))
+
+    return execute
+
+
+def _store(size: int) -> _Handler:
+    """``mem[x[b] + c * size] = x[a]``, its low ``size`` bytes."""
+    mask = (1 << 8 * size) - 1
+
+    def execute(core: Core, instr: Instruction) -> None:
+        addr = core.read_x(instr.b) + instr.c * size
+        core._dwrite(addr, (core.read_x(instr.a) & mask).to_bytes(size, "little"))
+
+    return execute
+
+
+def _branch(taken: Callable[[int], bool] | None) -> _Handler:
+    """``pc += simm16`` instructions, always or when ``taken(x[a])``."""
+
+    def execute(core: Core, instr: Instruction) -> int | None:
+        if taken is not None and not taken(core.read_x(instr.a)):
+            return None
+        target = core.pc + instr.simm16 * 4
+        core._btb_record(core.pc, target)
+        return target
+
+    return execute
+
+
+def _halt(core: Core, instr: Instruction) -> None:
+    core.halted = True
+
+
+def _isb(core: Core, instr: Instruction) -> None:
+    core.unit.cp15.isb()
+    core.flush_fetch_buffer()
+
+
+def _vfill(core: Core, instr: Instruction) -> None:
+    core.unit.vreg.write_bytes(instr.a, bytes([instr.b]) * 16)
+
+
+def _vins(core: Core, instr: Instruction) -> None:
+    if instr.b not in (0, 1):
+        raise CpuFault(f"VINS: lane {instr.b} out of range")
+    current = bytearray(core.unit.vreg.read_bytes(instr.a))
+    lane = core.read_x(instr.c).to_bytes(8, "little")
+    current[instr.b * 8 : instr.b * 8 + 8] = lane
+    core.unit.vreg.write_bytes(instr.a, bytes(current))
+
+
+def _vext(core: Core, instr: Instruction) -> None:
+    if instr.c not in (0, 1):
+        raise CpuFault(f"VEXT: lane {instr.c} out of range")
+    raw = core.unit.vreg.read_bytes(instr.b)
+    core.write_x(instr.a, int.from_bytes(raw[instr.c * 8 : instr.c * 8 + 8], "little"))
+
+
+def _cache_control(enable: bool) -> _Handler:
+    """Enable or disable both L1 caches, then refetch.
+
+    Real enable sequences invalidate first (random power-on tag state
+    would otherwise alias); invalidation only clears valid bits — data
+    RAM contents survive, per paper §5.2.4.
+    """
+
+    def execute(core: Core, instr: Instruction) -> None:
+        for cache in (core.unit.l1d, core.unit.l1i):
+            if enable and not cache.enabled:
+                cache.invalidate_all()
+            cache.enabled = enable
+        core.flush_fetch_buffer()
+
+    return execute
+
+
+#: The ALU opcodes' operations; an immediate shape's right operand is ``c``.
+_ALU = {
+    Opcode.LSLI: operator.lshift,
+    Opcode.LSRI: operator.rshift,
+    Opcode.ORRI: operator.or_,
+    Opcode.ADD: operator.add,
+    Opcode.ADDI: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.SUBI: operator.sub,
+    Opcode.AND: operator.and_,
+    Opcode.ORR: operator.or_,
+    Opcode.EOR: operator.xor,
+    Opcode.MUL: operator.mul,
+}
+
+_EXECUTE: dict[Opcode, _Handler] = {
+    **{op: _alu(fn, op.shape.endswith("#")) for op, fn in _ALU.items()},
+    Opcode.NOP: lambda core, instr: None,
+    Opcode.HLT: _halt,
+    Opcode.LDI: lambda core, instr: core.write_x(instr.a, instr.b),
+    Opcode.LDR: _load(8),
+    Opcode.LDRB: _load(1),
+    Opcode.STR: _store(8),
+    Opcode.STRB: _store(1),
+    Opcode.B: _branch(None),
+    Opcode.CBZ: _branch(operator.not_),
+    Opcode.CBNZ: _branch(bool),
+    Opcode.DCZVA: lambda core, instr: core.unit.l1d.zero_line(core.read_x(instr.a)),
+    Opcode.DSB: lambda core, instr: core.unit.cp15.dsb(),
+    Opcode.ISB: _isb,
+    Opcode.VFILL: _vfill,
+    Opcode.VINS: _vins,
+    Opcode.VEXT: _vext,
+    Opcode.CACHEEN: _cache_control(True),
+    Opcode.CACHEDIS: _cache_control(False),
+}

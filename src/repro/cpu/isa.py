@@ -29,37 +29,60 @@ XZR = 31
 
 
 class Opcode(enum.IntEnum):
-    """Binary opcodes (byte 0 of each instruction)."""
+    """Binary opcodes (byte 0 of each instruction) and their operand shapes.
 
-    NOP = 0x00
-    HLT = 0x01
-    LDI = 0x02     # rd = imm8
-    LSLI = 0x03    # rd = rn << imm8
-    LSRI = 0x04    # rd = rn >> imm8
-    ORRI = 0x05    # rd = rn | imm8
-    ADD = 0x06     # rd = rn + rm
-    ADDI = 0x07    # rd = rn + imm8
-    SUB = 0x08     # rd = rn - rm
-    SUBI = 0x09    # rd = rn - imm8
-    AND = 0x0A     # rd = rn & rm
-    ORR = 0x0B     # rd = rn | rm
-    EOR = 0x0C     # rd = rn ^ rm
-    MUL = 0x0D     # rd = rn * rm
-    LDR = 0x0E     # rd = mem64[rn + imm8*8]
-    STR = 0x0F     # mem64[rn + imm8*8] = rd
-    LDRB = 0x10    # rd = mem8[rn + imm8]
-    STRB = 0x11    # mem8[rn + imm8] = rd
-    B = 0x12       # pc += simm16 instructions
-    CBZ = 0x13     # if ra == 0: pc += simm16 instructions
-    CBNZ = 0x14    # if ra != 0: pc += simm16 instructions
-    DCZVA = 0x15   # zero the cache line containing [ra]
-    DSB = 0x16     # data synchronisation barrier
-    ISB = 0x17     # instruction synchronisation barrier
-    VFILL = 0x18   # v[a] = imm8 repeated over 16 bytes
-    VINS = 0x19    # v[a].d[b] = x[c]  (64-bit lane insert)
-    VEXT = 0x1A    # x[a] = v[b].d[c]  (64-bit lane extract)
-    CACHEEN = 0x1B # enable L1 caches (SCTLR.C/I stand-in)
-    CACHEDIS = 0x1C  # disable L1 caches
+    The one place an opcode is declared.  Its mnemonic is
+    ``name.lower()``; its ``shape`` lists the assembly operands, which
+    fill the fields ``a``, ``b``, ``c`` in order:
+
+    * ``d`` — destination x register; ``x`` — source x register;
+    * ``v`` — vector register; ``#`` — byte immediate;
+    * ``[x#]`` — base x register plus byte offset (two fields);
+    * ``L`` — branch label, the signed offset in ``b:c``.
+    """
+
+    shape: str
+
+    def __new__(cls, value: int, shape: str) -> Opcode:
+        member = int.__new__(cls, value)
+        member._value_ = value
+        member.shape = shape
+        return member
+
+    @property
+    def writes_x(self) -> bool:
+        """Whether field ``a`` is a general-purpose destination register."""
+        return self.shape.startswith("d")
+
+    NOP = 0x00, ""
+    HLT = 0x01, ""
+    LDI = 0x02, "d #"        # rd = imm8
+    LSLI = 0x03, "d x #"     # rd = rn << imm8
+    LSRI = 0x04, "d x #"     # rd = rn >> imm8
+    ORRI = 0x05, "d x #"     # rd = rn | imm8
+    ADD = 0x06, "d x x"      # rd = rn + rm
+    ADDI = 0x07, "d x #"     # rd = rn + imm8
+    SUB = 0x08, "d x x"      # rd = rn - rm
+    SUBI = 0x09, "d x #"     # rd = rn - imm8
+    AND = 0x0A, "d x x"      # rd = rn & rm
+    ORR = 0x0B, "d x x"      # rd = rn | rm
+    EOR = 0x0C, "d x x"      # rd = rn ^ rm
+    MUL = 0x0D, "d x x"      # rd = rn * rm
+    LDR = 0x0E, "d [x#]"     # rd = mem64[rn + imm8*8]
+    STR = 0x0F, "x [x#]"     # mem64[rn + imm8*8] = rd
+    LDRB = 0x10, "d [x#]"    # rd = mem8[rn + imm8]
+    STRB = 0x11, "x [x#]"    # mem8[rn + imm8] = rd
+    B = 0x12, "L"            # pc += simm16 instructions
+    CBZ = 0x13, "x L"        # if ra == 0: pc += simm16 instructions
+    CBNZ = 0x14, "x L"       # if ra != 0: pc += simm16 instructions
+    DCZVA = 0x15, "x"        # zero the cache line containing [ra]
+    DSB = 0x16, ""           # data synchronisation barrier
+    ISB = 0x17, ""           # instruction synchronisation barrier
+    VFILL = 0x18, "v #"      # v[a] = imm8 repeated over 16 bytes
+    VINS = 0x19, "v # x"     # v[a].d[b] = x[c]  (64-bit lane insert)
+    VEXT = 0x1A, "d v #"     # x[a] = v[b].d[c]  (64-bit lane extract)
+    CACHEEN = 0x1B, ""       # enable L1 caches (SCTLR.C/I stand-in)
+    CACHEDIS = 0x1C, ""      # disable L1 caches
 
 
 @dataclass(frozen=True)

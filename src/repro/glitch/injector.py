@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cpu.core import Core
-from ..cpu.isa import Opcode, XZR, decode
+from ..cpu.isa import XZR, decode
 from ..errors import BrownOutReset, CpuFault, GlitchError, ReproError
 from ..obs import OBS
 from ..osim.process import InterpretedProcess
@@ -43,29 +43,6 @@ from .waveform import GlitchWaveform
 #: Default instruction period: a 100 MHz embedded-class clock, so a
 #: handful of instructions spans the nanosecond-scale glitch widths.
 DEFAULT_INSTRUCTION_PERIOD_S = nanoseconds(10)
-
-#: Opcodes whose field ``a`` is a general-purpose destination register —
-#: the writeback targets a corrupt-result fault can flip.
-_REGISTER_WRITERS = frozenset(
-    {
-        Opcode.LDI,
-        Opcode.LSLI,
-        Opcode.LSRI,
-        Opcode.ORRI,
-        Opcode.ADD,
-        Opcode.ADDI,
-        Opcode.SUB,
-        Opcode.SUBI,
-        Opcode.AND,
-        Opcode.ORR,
-        Opcode.EOR,
-        Opcode.MUL,
-        Opcode.LDR,
-        Opcode.LDRB,
-        Opcode.VEXT,
-    }
-)
-
 
 @dataclass
 class InjectionResult:
@@ -193,11 +170,10 @@ class GlitchInjector:
         n_rails = len(quiet_rails)
         quiet_end = self._quiet_end
         termination = "hung"
-        detail = ""
+        detail = f"no HLT within {max_steps} steps"
         try:
             for _ in range(max_steps):
                 if core.halted:
-                    termination = "halted"
                     break
                 index = core.instructions_retired - start
                 if index < n_rails:
@@ -211,8 +187,8 @@ class GlitchInjector:
                     core.step()
                     continue
                 self.step()
-            else:
-                detail = f"no HLT within {max_steps} steps"
+            if core.halted:
+                termination, detail = "halted", ""
         except BrownOutReset as reset:
             termination = "reset"
             detail = str(reset)
@@ -258,7 +234,7 @@ class GlitchInjector:
         if raw is None:
             return
         instr = decode(raw)
-        if instr.opcode in _REGISTER_WRITERS and instr.a != XZR:
+        if instr.opcode.writes_x and instr.a != XZR:
             flipped = self.core.read_x(instr.a) ^ (1 << bit)
             self.core.write_x(instr.a, flipped)
 

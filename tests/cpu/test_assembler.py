@@ -75,6 +75,28 @@ class TestOperandForms:
             assemble("ldr x1, [x2, #300]")
 
 
+class TestOperandCount:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "add x0, x1",
+            "ldi x0",
+            "cbnz x1",
+            "vins v0, #0",
+            "ldimm x0",
+            "str x1",
+            "b",
+            "nop x1",
+            "hlt #0",
+            "add x0, x1, x2, x3",
+            "ldr x1, [x2], #8",
+        ],
+    )
+    def test_wrong_operand_count_rejected(self, line):
+        with pytest.raises(AssemblerError, match="operand"):
+            assemble(f"target: {line}\nhlt")
+
+
 class TestLabels:
     def test_forward_branch(self):
         program = assemble("b end\nnop\nend: hlt")

@@ -147,6 +147,19 @@ class TestControlFlow:
         with pytest.raises(CpuFault):
             core.run(max_steps=100)
 
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_halting_on_the_last_budgeted_step_returns(self, budget):
+        core, _ = make_rig()
+        core.load_program(assemble("nop\nnop\nhlt").machine_code, 0x1000)
+        assert core.run(max_steps=budget) == 3
+        assert core.halted
+
+    def test_one_step_short_of_hlt_faults(self):
+        core, _ = make_rig()
+        core.load_program(assemble("nop\nnop\nhlt").machine_code, 0x1000)
+        with pytest.raises(CpuFault, match="exceeded 2 steps"):
+            core.run(max_steps=2)
+
     def test_step_after_halt_faults(self):
         core = run_source("hlt")
         with pytest.raises(CpuFault):

@@ -1,5 +1,7 @@
 """Canned victim programs: structure and effects."""
 
+import hashlib
+
 import pytest
 
 from repro.cpu.assembler import assemble
@@ -10,6 +12,7 @@ from repro.cpu.programs import (
     element_value,
     nop_fill,
     pattern_array,
+    pin_check,
     vector_fill,
 )
 from repro.errors import AssemblerError
@@ -67,3 +70,24 @@ class TestProgramBuilders:
             dczva_wipe(0x4000, 128),
         ):
             assert assemble(source).n_instructions > 0
+
+
+#: The first 16 hex digits of each canned program's machine-code
+#: sha256, as the assembler emitted them before it parsed operands by
+#: the ISA table's shapes.
+CANNED_DIGESTS = [
+    (lambda: nop_fill(4096), "b781b29ecc0b01b8"),
+    (lambda: pattern_array(0x20000, 300, 2), "c2261d5142e91cc3"),
+    (lambda: vector_fill(), "c1df8c1b6f4f1349"),
+    (lambda: vector_fill((1, 2, 3)), "5e6b946267087850"),
+    (lambda: byte_pattern_store(0x30000, 512, 0x5A), "21bb8b02dc18fa7b"),
+    (lambda: pin_check(0x4000, 0x1A2B3C, 0x5E77C0), "aef5954dca2b76b2"),
+    (lambda: pin_check(0x4000, 7, 7, 3), "1ebd2c8e6c1be36c"),
+    (lambda: dczva_wipe(0x8000, 1024), "4ac2d3c7b460db75"),
+]
+
+
+@pytest.mark.parametrize("build, digest", CANNED_DIGESTS)
+def test_canned_programs_assemble_to_the_same_bytes(build, digest):
+    code = assemble(build()).machine_code
+    assert hashlib.sha256(code).hexdigest()[:16] == digest

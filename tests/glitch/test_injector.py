@@ -71,6 +71,17 @@ class TestGlitchInjector:
         }
         assert core.read_x(1) == 12
 
+    def test_halting_on_the_last_budgeted_step_is_halted(self):
+        # ADD_PROGRAM retires four instructions, the last its HLT.
+        result = _injector(_fresh_core(), 0.8).run(max_steps=4)
+        assert (result.termination, result.instructions) == ("halted", 4)
+        assert result.detail == ""
+
+    def test_one_step_short_of_hlt_is_hung(self):
+        result = _injector(_fresh_core(), 0.8).run(max_steps=3)
+        assert (result.termination, result.instructions) == ("hung", 3)
+        assert result.detail == "no HLT within 3 steps"
+
     def test_deep_undervolt_faults_every_instruction(self):
         core = _fresh_core()
         result = _injector(core, 0.2).run(max_steps=64)
@@ -283,9 +294,10 @@ def _stepwise_run(injector: GlitchInjector, max_steps: int) -> InjectionResult:
     try:
         for _ in range(max_steps):
             if core.halted:
-                termination = "halted"
                 break
             injector.step()
+        if core.halted:
+            termination = "halted"
     except BrownOutReset:
         termination = "reset"
     except ReproError:
