@@ -33,53 +33,22 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every table and figure.
 """
 
-from . import analysis, circuits, cpu, crypto, devices, glitch, osim, power, soc
-from .core import (
-    AttackReport,
-    ColdBootAttack,
-    ColdBootResult,
-    ProbePlan,
-    VoltBootAttack,
-    VoltBootResult,
-    plan_probe,
-)
-from .errors import (
-    AccessViolation,
-    AttackError,
-    BootError,
-    CircuitError,
-    CpuFault,
-    PowerError,
-    ProbeError,
-    ReproError,
-)
+from .lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "circuits",
-    "cpu",
-    "crypto",
-    "devices",
-    "glitch",
-    "osim",
-    "power",
-    "soc",
-    "VoltBootAttack",
-    "VoltBootResult",
-    "ColdBootAttack",
-    "ColdBootResult",
-    "ProbePlan",
-    "plan_probe",
-    "AttackReport",
-    "ReproError",
-    "CircuitError",
-    "PowerError",
-    "ProbeError",
-    "AccessViolation",
-    "CpuFault",
-    "BootError",
-    "AttackError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".": (
+        "analysis", "circuits", "cpu", "crypto", "devices", "glitch",
+        "osim", "power", "soc",
+    ),
+    ".core": (
+        "VoltBootAttack", "VoltBootResult", "ColdBootAttack",
+        "ColdBootResult", "ProbePlan", "plan_probe", "AttackReport",
+    ),
+    ".errors": (
+        "ReproError", "CircuitError", "PowerError", "ProbeError",
+        "AccessViolation", "CpuFault", "BootError", "AttackError",
+    ),
+})
+__all__ += ["__version__"]

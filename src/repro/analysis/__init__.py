@@ -15,40 +15,20 @@ Everything the paper does with a dumped memory image lives here:
   stored into the i.MX53 iRAM (Figures 9/10).
 """
 
-from .bitmap import test_bitmap_bytes, test_bitmap_matrix
-from .hamming import (
-    bit_error_percent,
-    block_hamming_profile,
-    fractional_hamming_distance,
-    hamming_distance,
-)
-from .imaging import ascii_bit_image, bit_matrix, ones_fraction, write_pgm
-from .keysearch import KeyScheduleHit, search_aes128_schedules
-from .patterns import (
-    count_pattern_lines,
-    elements_present,
-    find_aligned,
-    find_all,
-)
-from .statistics import TrialStats, summarize_trials
+from ..lazy import attach
 
-__all__ = [
-    "hamming_distance",
-    "fractional_hamming_distance",
-    "bit_error_percent",
-    "block_hamming_profile",
-    "bit_matrix",
-    "ascii_bit_image",
-    "ones_fraction",
-    "write_pgm",
-    "find_all",
-    "find_aligned",
-    "elements_present",
-    "count_pattern_lines",
-    "KeyScheduleHit",
-    "search_aes128_schedules",
-    "TrialStats",
-    "summarize_trials",
-    "test_bitmap_bytes",
-    "test_bitmap_matrix",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".bitmap": ("test_bitmap_bytes", "test_bitmap_matrix"),
+    ".hamming": (
+        "hamming_distance", "fractional_hamming_distance", "bit_error_percent",
+        "block_hamming_profile",
+    ),
+    ".imaging": (
+        "bit_matrix", "ascii_bit_image", "ones_fraction", "write_pgm",
+    ),
+    ".keysearch": ("KeyScheduleHit", "search_aes128_schedules"),
+    ".patterns": (
+        "find_all", "find_aligned", "elements_present", "count_pattern_lines",
+    ),
+    ".statistics": ("TrialStats", "summarize_trials"),
+})

@@ -15,17 +15,13 @@ on.  This package implements both sides:
   identification (paper ref [20]).
 """
 
-from .drv_fingerprint import DrvFingerprint, identify_chip, measure_drv_fingerprint
-from .imprinting import ImprintingAttack, imprint_recovery_accuracy
-from .puf import SramPuf
-from .trng import PowerUpTrng
+from ..lazy import attach
 
-__all__ = [
-    "SramPuf",
-    "PowerUpTrng",
-    "ImprintingAttack",
-    "imprint_recovery_accuracy",
-    "DrvFingerprint",
-    "measure_drv_fingerprint",
-    "identify_chip",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".drv_fingerprint": (
+        "DrvFingerprint", "measure_drv_fingerprint", "identify_chip",
+    ),
+    ".imprinting": ("ImprintingAttack", "imprint_recovery_accuracy"),
+    ".puf": ("SramPuf",),
+    ".trng": ("PowerUpTrng",),
+})

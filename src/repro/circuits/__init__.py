@@ -22,38 +22,18 @@ This package models the physics the Volt Boot paper exploits:
   graph (rails, pins, test pads) the attacker walks to find probe points.
 """
 
-from .engine import VectorEngine
-from .leakage import ArrheniusDecay, DRAM_DECAY, SRAM_DECAY
-from .sram import SramArray, SramParameters
-from .dram import DramArray, DramParameters
-from .passives import DecouplingNetwork, DisconnectSurge, SupplyLineParasitics
-from .pmic import BuckConverter, Ldo, Pmic, Regulator
-from .supply import BenchSupply, VoltageProbe
-from .waveform import RailWaveform, disconnect_waveform
-from .pdn import NetKind, PdnNet, PowerDeliveryNetwork, TestPad
+from ..lazy import attach
 
-__all__ = [
-    "VectorEngine",
-    "ArrheniusDecay",
-    "SRAM_DECAY",
-    "DRAM_DECAY",
-    "SramArray",
-    "SramParameters",
-    "DramArray",
-    "DramParameters",
-    "DecouplingNetwork",
-    "DisconnectSurge",
-    "SupplyLineParasitics",
-    "Regulator",
-    "Ldo",
-    "BuckConverter",
-    "Pmic",
-    "BenchSupply",
-    "VoltageProbe",
-    "RailWaveform",
-    "disconnect_waveform",
-    "PowerDeliveryNetwork",
-    "PdnNet",
-    "NetKind",
-    "TestPad",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".engine": ("VectorEngine",),
+    ".leakage": ("ArrheniusDecay", "SRAM_DECAY", "DRAM_DECAY"),
+    ".sram": ("SramArray", "SramParameters"),
+    ".dram": ("DramArray", "DramParameters"),
+    ".passives": (
+        "DecouplingNetwork", "DisconnectSurge", "SupplyLineParasitics",
+    ),
+    ".pmic": ("Regulator", "Ldo", "BuckConverter", "Pmic"),
+    ".supply": ("BenchSupply", "VoltageProbe"),
+    ".waveform": ("RailWaveform", "disconnect_waveform"),
+    ".pdn": ("PowerDeliveryNetwork", "PdnNet", "NetKind", "TestPad"),
+})

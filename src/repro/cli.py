@@ -44,7 +44,7 @@ from .exec import (
     incidents,
     supervised,
 )
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, load
 from .soc.bootrom import BootMedia
 
 #: Process exit codes (documented in docs/robustness.md).
@@ -330,7 +330,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    module = EXPERIMENTS[args.name]
+    module = load(args.name)
     observed = _wants_observability(args)
     if observed and not _configure_observability(args):
         return 2

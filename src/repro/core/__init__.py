@@ -15,27 +15,15 @@ The attack pipeline follows §6.1 exactly:
 baseline the paper shows to be ineffective on SRAM (§3).
 """
 
-from .coldboot import ColdBootAttack, ColdBootResult
-from .extraction import (
-    extract_iram,
-    extract_l1_images,
-    extract_vector_registers,
-    CacheImages,
-)
-from .probe import ProbePlan, plan_probe
-from .report import AttackReport
-from .voltboot import VoltBootAttack, VoltBootResult
+from ..lazy import attach
 
-__all__ = [
-    "VoltBootAttack",
-    "VoltBootResult",
-    "ColdBootAttack",
-    "ColdBootResult",
-    "ProbePlan",
-    "plan_probe",
-    "CacheImages",
-    "extract_l1_images",
-    "extract_iram",
-    "extract_vector_registers",
-    "AttackReport",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".coldboot": ("ColdBootAttack", "ColdBootResult"),
+    ".extraction": (
+        "CacheImages", "extract_l1_images", "extract_iram",
+        "extract_vector_registers",
+    ),
+    ".probe": ("ProbePlan", "plan_probe"),
+    ".report": ("AttackReport",),
+    ".voltboot": ("VoltBootAttack", "VoltBootResult"),
+})

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AttackError
-from ..obs import OBS, RunManifest
+from ..obs import OBS
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from .extraction import CacheImages, attacker_context, extract_l1_images
@@ -97,6 +97,8 @@ class ColdBootAttack:
                         self.board, attacker_context(self.board)
                     )
         if OBS.enabled:
+            from ..obs.manifest import RunManifest
+
             mean_retained = {
                 domain: sum(loads.values()) / len(loads)
                 for domain, loads in retained.items()

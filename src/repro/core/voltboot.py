@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from ..circuits.supply import BenchSupply
 from ..errors import AttackError
-from ..obs import OBS, RunManifest
+from ..obs import OBS
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..soc.jtag import JtagProbe
@@ -201,6 +201,8 @@ class VoltBootAttack:
             self.reboot()
             result = self.extract()
         if OBS.enabled:
+            from ..obs.manifest import RunManifest
+
             OBS.record_manifest(
                 RunManifest(
                     kind="attack",

@@ -9,18 +9,11 @@ ground truth), and an interpreter that drives every fetch and data access
 through the SRAM-backed cache hierarchy.
 """
 
-from .assembler import AssembledProgram, assemble
-from .core import Core
-from .isa import Instruction, Opcode, decode, encode
-from . import programs
+from ..lazy import attach
 
-__all__ = [
-    "AssembledProgram",
-    "assemble",
-    "Core",
-    "Instruction",
-    "Opcode",
-    "decode",
-    "encode",
-    "programs",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".": ("programs",),
+    ".assembler": ("AssembledProgram", "assemble"),
+    ".core": ("Core",),
+    ".isa": ("Instruction", "Opcode", "decode", "encode"),
+})

@@ -13,24 +13,12 @@ This package implements:
   (CaSE-style).
 """
 
-from .aes import (
-    AES_BLOCK_BYTES,
-    decrypt_block,
-    encrypt_block,
-    expand_key,
-    rounds_for_key,
-    schedule_bytes,
-)
-from .onchip import CacheLockedAes, IramAes, RegisterAes
+from ..lazy import attach
 
-__all__ = [
-    "AES_BLOCK_BYTES",
-    "expand_key",
-    "schedule_bytes",
-    "rounds_for_key",
-    "encrypt_block",
-    "decrypt_block",
-    "RegisterAes",
-    "CacheLockedAes",
-    "IramAes",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".aes": (
+        "AES_BLOCK_BYTES", "expand_key", "schedule_bytes", "rounds_for_key",
+        "encrypt_block", "decrypt_block",
+    ),
+    ".onchip": ("RegisterAes", "CacheLockedAes", "IramAes"),
+})

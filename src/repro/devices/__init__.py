@@ -18,24 +18,15 @@ Each accepts countermeasure toggles (TrustZone enforcement, MBIST,
 authenticated-boot fusing) used by the §8 experiments.
 """
 
-from .builders import (
-    build_device,
-    glitch_rig,
-    imx53_qsb,
-    raspberry_pi_3,
-    raspberry_pi_4,
-)
-from .registry import DEVICES, DeviceInfo, device_info, platform_table, probe_table
+from ..lazy import attach
 
-__all__ = [
-    "raspberry_pi_4",
-    "raspberry_pi_3",
-    "imx53_qsb",
-    "glitch_rig",
-    "build_device",
-    "DEVICES",
-    "DeviceInfo",
-    "device_info",
-    "platform_table",
-    "probe_table",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".builders": (
+        "raspberry_pi_4", "raspberry_pi_3", "imx53_qsb", "glitch_rig",
+        "build_device",
+    ),
+    ".registry": (
+        "DEVICES", "DeviceInfo", "device_info", "platform_table",
+        "probe_table",
+    ),
+})

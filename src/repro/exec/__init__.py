@@ -22,46 +22,18 @@ See ``docs/determinism.md`` for the full contract and
 ``docs/architecture.md`` for how the layer fits the system.
 """
 
-from __future__ import annotations
+from ..lazy import attach
 
-from ..errors import CampaignInterrupted, CheckpointError, ExecError, ShardError
-from .engine import execute
-from .journal import CheckpointJournal, UnitRecord, plan_fingerprint
-from .plan import CHUNKS_PER_JOB, ShardPlan, WorkUnit, shard_unit
-from .runtime import (
-    CheckpointPolicy,
-    Incident,
-    SupervisionPolicy,
-    booted_board,
-    checkpoint_policy,
-    checkpointing,
-    clear_incidents,
-    incidents,
-    supervised,
-    supervision_policy,
-)
-
-__all__ = [
-    "CHUNKS_PER_JOB",
-    "CampaignInterrupted",
-    "CheckpointError",
-    "CheckpointJournal",
-    "CheckpointPolicy",
-    "ExecError",
-    "Incident",
-    "ShardError",
-    "ShardPlan",
-    "SupervisionPolicy",
-    "UnitRecord",
-    "WorkUnit",
-    "booted_board",
-    "checkpoint_policy",
-    "checkpointing",
-    "clear_incidents",
-    "execute",
-    "incidents",
-    "plan_fingerprint",
-    "shard_unit",
-    "supervised",
-    "supervision_policy",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    "..errors": (
+        "CampaignInterrupted", "CheckpointError", "ExecError", "ShardError",
+    ),
+    ".engine": ("execute",),
+    ".journal": ("CheckpointJournal", "UnitRecord", "plan_fingerprint"),
+    ".plan": ("CHUNKS_PER_JOB", "ShardPlan", "WorkUnit", "shard_unit"),
+    ".runtime": (
+        "CheckpointPolicy", "Incident", "SupervisionPolicy", "booted_board",
+        "checkpoint_policy", "checkpointing", "clear_incidents", "incidents",
+        "supervised", "supervision_policy",
+    ),
+})

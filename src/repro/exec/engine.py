@@ -56,7 +56,7 @@ from ..errors import (
 )
 from ..obs import OBS
 from ..obs.timing import wall_clock
-from . import runtime, supervise
+from . import runtime
 from .journal import CheckpointJournal, UnitRecord, plan_fingerprint
 from .plan import ShardPlan, WorkUnit
 from .runtime import SupervisionPolicy
@@ -177,6 +177,8 @@ def execute(
                     _ShardTask(i, chunk, capture)
                     for i, chunk in enumerate(chunks)
                 ]
+                from . import supervise
+
                 try:
                     failed = supervise.run_supervised(
                         tasks,

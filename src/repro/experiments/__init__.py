@@ -27,47 +27,37 @@ the paper-shaped tables and assert on the result shapes.
 | :mod:`~repro.experiments.noisy_rig` | ``repro.resilience`` — naive vs resilient driver on a flaky bench |
 """
 
-from . import (
-    accessibility,
-    countermeasures,
-    dram_coldboot,
-    figure3,
-    figure7,
-    figure8,
-    figure9,
-    figure10,
-    glitch_campaign,
-    microarch_leak,
-    noisy_rig,
-    platforms,
-    policy_ablation,
-    probe_sweep,
-    registers,
-    retention_sweep,
-    standby_retention,
-    table1,
-    table4,
+from __future__ import annotations
+
+import importlib
+from types import ModuleType
+
+#: The experiment names, read by the CLI.  ``name`` is the module
+#: ``repro.experiments.<name with "-" replaced by "_">``, imported only
+#: when it is run (:func:`load`).
+EXPERIMENTS = (
+    "table1",
+    "figure3",
+    "table4",
+    "figure7",
+    "figure8",
+    "figure9",
+    "figure10",
+    "registers",
+    "accessibility",
+    "retention-sweep",
+    "probe-sweep",
+    "countermeasures",
+    "platforms",
+    "dram-coldboot",
+    "microarch-leak",
+    "standby-retention",
+    "policy-ablation",
+    "glitch-campaign",
+    "noisy-rig",
 )
 
-#: Experiment name -> module: the one registry, read by the CLI.
-EXPERIMENTS = {
-    "table1": table1,
-    "figure3": figure3,
-    "table4": table4,
-    "figure7": figure7,
-    "figure8": figure8,
-    "figure9": figure9,
-    "figure10": figure10,
-    "registers": registers,
-    "accessibility": accessibility,
-    "retention-sweep": retention_sweep,
-    "probe-sweep": probe_sweep,
-    "countermeasures": countermeasures,
-    "platforms": platforms,
-    "dram-coldboot": dram_coldboot,
-    "microarch-leak": microarch_leak,
-    "standby-retention": standby_retention,
-    "policy-ablation": policy_ablation,
-    "glitch-campaign": glitch_campaign,
-    "noisy-rig": noisy_rig,
-}
+
+def load(name: str) -> ModuleType:
+    """Import the module of experiment ``name``."""
+    return importlib.import_module(f"{__name__}.{name.replace('-', '_')}")

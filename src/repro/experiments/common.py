@@ -18,8 +18,7 @@ from ..cpu.assembler import assemble
 from ..cpu.core import Core
 from ..cpu.programs import nop_fill, vector_fill
 from ..exec import runtime as exec_runtime
-from ..obs import OBS, RunManifest
-from ..obs.export import _jsonable
+from ..obs import OBS
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..soc.soc import CoreUnit
@@ -161,6 +160,9 @@ def manifested(
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             if not OBS.enabled:
                 return run_fn(*args, **kwargs)
+            from ..obs.export import _jsonable
+            from ..obs.manifest import RunManifest
+
             exec_runtime.clear_incidents()
             bound = signature.bind_partial(*args, **kwargs)
             bound.apply_defaults()

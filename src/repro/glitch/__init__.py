@@ -14,54 +14,20 @@ exploitable parameters, with a brown-out-detector countermeasure leg.
 analysis of the on-chip AES recovers key bytes from faulty ciphertexts.
 """
 
-from .campaign import (
-    DEFAULT_SPEC,
-    LEGS,
-    OUTCOMES,
-    CampaignResult,
-    CampaignSpec,
-    GlitchAttempt,
-    run_os_attempt,
-    run_point,
-    shard_plan,
-)
-from .dfa import DfaResult, aes_glitch_dfa, recover_last_round_key
-from .faultmodel import (
-    BrownOutDetector,
-    FaultKind,
-    FaultModel,
-    default_fault_model,
-)
-from .injector import (
-    DEFAULT_INSTRUCTION_PERIOD_S,
-    GlitchedInterpretedProcess,
-    GlitchInjector,
-    InjectionResult,
-)
-from .waveform import GlitchPulse, GlitchWaveform, die_waveform
+from ..lazy import attach
 
-__all__ = [
-    "GlitchPulse",
-    "GlitchWaveform",
-    "die_waveform",
-    "FaultKind",
-    "FaultModel",
-    "default_fault_model",
-    "BrownOutDetector",
-    "GlitchInjector",
-    "GlitchedInterpretedProcess",
-    "InjectionResult",
-    "DEFAULT_INSTRUCTION_PERIOD_S",
-    "CampaignSpec",
-    "CampaignResult",
-    "GlitchAttempt",
-    "DEFAULT_SPEC",
-    "LEGS",
-    "OUTCOMES",
-    "shard_plan",
-    "run_point",
-    "run_os_attempt",
-    "DfaResult",
-    "aes_glitch_dfa",
-    "recover_last_round_key",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".campaign": (
+        "CampaignSpec", "CampaignResult", "GlitchAttempt", "DEFAULT_SPEC",
+        "LEGS", "OUTCOMES", "shard_plan", "run_point", "run_os_attempt",
+    ),
+    ".dfa": ("DfaResult", "aes_glitch_dfa", "recover_last_round_key"),
+    ".faultmodel": (
+        "FaultKind", "FaultModel", "default_fault_model", "BrownOutDetector",
+    ),
+    ".injector": (
+        "GlitchInjector", "GlitchedInterpretedProcess", "InjectionResult",
+        "DEFAULT_INSTRUCTION_PERIOD_S",
+    ),
+    ".waveform": ("GlitchPulse", "GlitchWaveform", "die_waveform"),
+})

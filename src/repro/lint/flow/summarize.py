@@ -38,6 +38,9 @@ _UNIT_MARKER = "shard_unit"
 #: timing module counts.
 _TIMING_MODULE = "repro.obs.timing"
 
+#: The package-export helper whose literal table declares re-exports.
+_LAZY_ATTACH = "repro.lazy.attach"
+
 #: Mutating method names that count as a write when called on a
 #: module-level binding (RL007).  Deliberately conservative: read-like
 #: or ambiguous names stay off the list.
@@ -177,20 +180,67 @@ def _package_of(module: str, is_package: bool) -> str:
 
 
 def _resolve_import_from(
-    node: ast.ImportFrom, package: str
+    level: int, module: str | None, package: str
 ) -> str | None:
     """Absolute dotted base of a ``from X import ...`` statement."""
-    if node.level == 0:
-        return node.module or None
+    if level == 0:
+        return module or None
     base_parts = package.split(".") if package else []
-    drop = node.level - 1
+    drop = level - 1
     if drop > len(base_parts):
         return None
     if drop:
         base_parts = base_parts[: len(base_parts) - drop]
-    if node.module:
-        base_parts.extend(node.module.split("."))
+    if module:
+        base_parts.extend(module.split("."))
     return ".".join(base_parts) if base_parts else None
+
+
+def _import_bindings(node: ast.AST, package: str) -> dict[str, str]:
+    """Local name -> absolute dotted target of one import statement."""
+    bindings: dict[str, str] = {}
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            head = alias.name.split(".")[0]
+            bindings[alias.asname or head] = (
+                alias.name if alias.asname else head
+            )
+    elif isinstance(node, ast.ImportFrom):
+        base = _resolve_import_from(node.level, node.module, package)
+        if base is not None:
+            for alias in node.names:
+                if alias.name != "*":
+                    bindings[alias.asname or alias.name] = (
+                        f"{base}.{alias.name}"
+                    )
+    return bindings
+
+
+def _lazy_exports(table: ast.AST, package: str) -> dict[str, str]:
+    """Re-exports declared by a :func:`repro.lazy.attach` table.
+
+    ``table`` is the literal ``{".module": ("Name", ...), ...}``; each
+    name binds to ``<module>.<Name>``, and a name under ``"."`` to the
+    submodule ``<package>.<Name>``.
+    """
+    exports: dict[str, str] = {}
+    if not isinstance(table, ast.Dict):
+        return exports
+    for key, names in zip(table.keys, table.values):
+        if not (
+            isinstance(key, ast.Constant) and isinstance(key.value, str)
+            and isinstance(names, (ast.Tuple, ast.List))
+        ):
+            continue
+        relative = key.value.lstrip(".")
+        level = len(key.value) - len(relative)
+        base = _resolve_import_from(level, relative or None, package)
+        if base is None:
+            continue
+        for name in names.elts:
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                exports[name.value] = f"{base}.{name.value}"
+    return exports
 
 
 # ----------------------------------------------------------------------
@@ -233,28 +283,16 @@ class _Extractor:
 
     def _collect_bindings(self) -> None:
         for node in self.tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else alias.name.split(".")[0]
-                    self.bindings[local] = target
-                    self.summary.imports[local] = target
-            elif isinstance(node, ast.ImportFrom):
-                base = _resolve_import_from(node, self.package)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    target = f"{base}.{alias.name}"
-                    self.bindings[local] = target
-                    self.summary.imports[local] = target
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported = _import_bindings(node, self.package)
+                self.bindings.update(imported)
+                self.summary.imports.update(imported)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                    ast.ClassDef)):
                 self.bindings[node.name] = f"{self.module}.{node.name}"
                 self.summary.toplevel.append(node.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                self._bind_lazy_exports(node.value)
                 targets = (
                     node.targets if isinstance(node, ast.Assign)
                     else [node.target]
@@ -266,6 +304,18 @@ class _Extractor:
                                 name_node.id, f"{self.module}.{name_node.id}"
                             )
                             self.summary.toplevel.append(name_node.id)
+
+    def _bind_lazy_exports(self, value: ast.AST | None) -> None:
+        """Bind an ``attach(__name__, {...})`` table's names as re-exports,
+        as ``from .module import Name`` would."""
+        if not (isinstance(value, ast.Call) and len(value.args) == 2):
+            return
+        func = dotted_name(value.func)
+        if func is None or self._substitute(func) != _LAZY_ATTACH:
+            return
+        for local, target in _lazy_exports(value.args[1], self.package).items():
+            self.bindings.setdefault(local, target)
+            self.summary.imports.setdefault(local, target)
 
     def _add_class(self, node: ast.ClassDef) -> None:
         cls = ClassSummary(name=node.name)
@@ -343,6 +393,8 @@ class _FunctionWalker:
         self.class_name = class_name
         self.is_module_body = fn.qualname == "<module>"
         self.locals: set[str] = set()
+        #: name imported inside the function -> absolute dotted target.
+        self.imports: dict[str, str] = {}
         self.globals_declared: set[str] = set()
         #: local var -> resolved constructor dotted name ("...Tracer").
         self.ctor_types: dict[str, str] = {}
@@ -405,6 +457,8 @@ class _FunctionWalker:
                                 self.locals.add(name.id)
             elif isinstance(sub, ast.ExceptHandler) and sub.name:
                 self.locals.add(sub.name)
+            elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+                self.imports.update(_import_bindings(sub, self.x.package))
             elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if sub is not self.node:
                     self.locals.add(sub.name)
@@ -412,8 +466,20 @@ class _FunctionWalker:
         if self.is_module_body:
             # Module-level names are the module's bindings, not locals.
             self.locals = set()
+            self.imports = {}
+        # A function-level import binds a local that resolves to its
+        # target, like a module binding does.
+        self.locals -= self.imports.keys()
 
     # -- name resolution inside this function --------------------------
+
+    def _substitute(self, dotted: str) -> str:
+        """Like the module's substitution, with function imports first."""
+        head, _, rest = dotted.partition(".")
+        target = self.imports.get(head)
+        if target is None:
+            return self.x._substitute(dotted)
+        return f"{target}.{rest}" if rest else target
 
     def _resolve(self, dotted: str) -> str | None:
         """Resolve a dotted reference to an absolute-ish name.
@@ -430,7 +496,7 @@ class _FunctionWalker:
             if ctor and rest and "." not in rest:
                 return f"{ctor}.{rest}"
             return None
-        substituted = self.x._substitute(dotted)
+        substituted = self._substitute(dotted)
         if substituted == dotted and "." not in dotted:
             # A bare, unbound name: builtins stay as-is; anything else
             # is unknown.
@@ -636,11 +702,10 @@ class _FunctionWalker:
         head = base.split(".")[0]
         if head in ("self", "cls") or head in self.locals:
             return None
-        resolved = self.x._substitute(base)
+        resolved = self._substitute(base)
         if resolved == base and "." not in base:
-            if base not in self.x.bindings:
+            if base not in self.x.bindings and base not in self.imports:
                 return None  # unknown bare name (builtin, etc.)
-            resolved = self.x.bindings[base]
         return resolved
 
     # -- RL009 subscript sinks ------------------------------------------

@@ -29,41 +29,26 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator
 
-from . import names
-from .export import (
-    SCHEMA_VERSION,
-    JsonlWriter,
-    SchemaError,
-    dumps,
-    read_jsonl,
-    validate_manifest,
-    write_json,
-)
-from .manifest import RunManifest, manifest_fingerprint
+from ..lazy import attach
 from .metrics import MetricsRegistry
 from .trace import NULL_SPAN, Span, Tracer
 
 if TYPE_CHECKING:
     from ..power.events import PowerEvent
+    from .export import JsonlWriter
+    from .manifest import RunManifest
 
-__all__ = [
-    "OBS",
-    "Observability",
-    "names",
-    "RunManifest",
-    "MetricsRegistry",
-    "Tracer",
-    "Span",
-    "JsonlWriter",
-    "SchemaError",
-    "SCHEMA_VERSION",
-    "capture",
-    "dumps",
-    "read_jsonl",
-    "manifest_fingerprint",
-    "validate_manifest",
-    "write_json",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".": ("names",),
+    ".manifest": ("RunManifest", "manifest_fingerprint"),
+    ".metrics": ("MetricsRegistry",),
+    ".trace": ("Tracer", "Span"),
+    ".export": (
+        "JsonlWriter", "SchemaError", "SCHEMA_VERSION", "dumps", "read_jsonl",
+        "validate_manifest", "write_json",
+    ),
+})
+__all__ += ["OBS", "Observability", "capture"]
 
 
 class _NullSpanContext:
@@ -106,6 +91,8 @@ class Observability:
         Reconfiguring an enabled registry resets it first (closing any
         open trace file).
         """
+        from .export import JsonlWriter
+
         if self.enabled or self._writer is not None:
             self.reset()
         self._writer = JsonlWriter(trace_path) if trace_path else None

@@ -14,15 +14,10 @@ cache lines".  This package reproduces that dynamic behaviour:
   victim quanta with kernel noise on each core.
 """
 
-from .kernel import SimKernel
-from .noise import KernelNoise, NoiseProfile
-from .process import ArrayFillProcess, InterpretedProcess, Process
+from ..lazy import attach
 
-__all__ = [
-    "SimKernel",
-    "KernelNoise",
-    "NoiseProfile",
-    "ArrayFillProcess",
-    "InterpretedProcess",
-    "Process",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".kernel": ("SimKernel",),
+    ".noise": ("KernelNoise", "NoiseProfile"),
+    ".process": ("ArrayFillProcess", "InterpretedProcess", "Process"),
+})

@@ -13,16 +13,10 @@ weaponises:
   experiments can reconstruct exactly what happened to each rail.
 """
 
-from .domain import PowerDomain, PowerLoad
-from .events import PowerEvent, PowerEventKind, PowerEventLog, SimClock
-from .pmu import PowerManagementUnit
+from ..lazy import attach
 
-__all__ = [
-    "PowerDomain",
-    "PowerLoad",
-    "PowerEvent",
-    "PowerEventKind",
-    "PowerEventLog",
-    "SimClock",
-    "PowerManagementUnit",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".domain": ("PowerDomain", "PowerLoad"),
+    ".events": ("PowerEvent", "PowerEventKind", "PowerEventLog", "SimClock"),
+    ".pmu": ("PowerManagementUnit",),
+})

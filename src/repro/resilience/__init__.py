@@ -16,26 +16,16 @@ anyway:
   retries, votes, and degrades gracefully to a partial report.
 """
 
-from .driver import (
-    SUPPORTED_TARGETS,
-    AttemptRecord,
-    RecoveryReport,
-    ResilientVoltBoot,
-)
-from .retry import RetryPolicy
-from .rig import DEFAULT_NOISY_RIG, IDEAL_RIG, RigNoiseProfile, RigStreams
-from .vote import VoteResult, majority_vote
+from ..lazy import attach
 
-__all__ = [
-    "AttemptRecord",
-    "DEFAULT_NOISY_RIG",
-    "IDEAL_RIG",
-    "RecoveryReport",
-    "ResilientVoltBoot",
-    "RetryPolicy",
-    "RigNoiseProfile",
-    "RigStreams",
-    "SUPPORTED_TARGETS",
-    "VoteResult",
-    "majority_vote",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".driver": (
+        "AttemptRecord", "RecoveryReport", "ResilientVoltBoot",
+        "SUPPORTED_TARGETS",
+    ),
+    ".retry": ("RetryPolicy",),
+    ".rig": (
+        "DEFAULT_NOISY_RIG", "IDEAL_RIG", "RigNoiseProfile", "RigStreams",
+    ),
+    ".vote": ("VoteResult", "majority_vote"),
+})

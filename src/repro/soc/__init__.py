@@ -7,48 +7,25 @@ hold or drop whole power domains as physical units, exactly as the
 paper's attack does.
 """
 
-from .board import Board
-from .bootrom import BootMedia, BootRom, ClobberRegion
-from .cache import CacheGeometry, SetAssociativeCache
-from .context import EL0_NS, EL1_NS, EL2_NS, EL3_SECURE, ExecutionContext
-from .cp15 import Cp15Interface, RamId
-from .iram import Iram
-from .jtag import JtagProbe
-from .mbist import MbistEngine
-from .memory_map import MainMemory, MemoryMap, MemoryPort, Region, RomWindow
-from .regfile import RegisterFile, WordRam, general_purpose_file, vector_file
-from .soc import CoreUnit, DomainSpec, Soc, SocConfig
-from .videocore import VideoCore
+from ..lazy import attach
 
-__all__ = [
-    "Board",
-    "BootMedia",
-    "BootRom",
-    "ClobberRegion",
-    "CacheGeometry",
-    "SetAssociativeCache",
-    "ExecutionContext",
-    "EL0_NS",
-    "EL1_NS",
-    "EL2_NS",
-    "EL3_SECURE",
-    "Cp15Interface",
-    "RamId",
-    "Iram",
-    "JtagProbe",
-    "MbistEngine",
-    "MainMemory",
-    "MemoryMap",
-    "MemoryPort",
-    "Region",
-    "RomWindow",
-    "RegisterFile",
-    "WordRam",
-    "general_purpose_file",
-    "vector_file",
-    "CoreUnit",
-    "DomainSpec",
-    "Soc",
-    "SocConfig",
-    "VideoCore",
-]
+__getattr__, __dir__, __all__ = attach(__name__, {
+    ".board": ("Board",),
+    ".bootrom": ("BootMedia", "BootRom", "ClobberRegion"),
+    ".cache": ("CacheGeometry", "SetAssociativeCache"),
+    ".context": (
+        "ExecutionContext", "EL0_NS", "EL1_NS", "EL2_NS", "EL3_SECURE",
+    ),
+    ".cp15": ("Cp15Interface", "RamId"),
+    ".iram": ("Iram",),
+    ".jtag": ("JtagProbe",),
+    ".mbist": ("MbistEngine",),
+    ".memory_map": (
+        "MainMemory", "MemoryMap", "MemoryPort", "Region", "RomWindow",
+    ),
+    ".regfile": (
+        "RegisterFile", "WordRam", "general_purpose_file", "vector_file",
+    ),
+    ".soc": ("CoreUnit", "DomainSpec", "Soc", "SocConfig"),
+    ".videocore": ("VideoCore",),
+})

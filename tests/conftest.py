@@ -7,6 +7,8 @@ full paper devices.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -37,6 +39,24 @@ class DictBacking:
     def write_block(self, addr: int, data: bytes) -> None:
         self.writes += 1
         self.data[addr : addr + len(data)] = data
+
+
+@pytest.fixture
+def register_experiment(monkeypatch):
+    """``register(name, module)``: run ``module`` as CLI experiment ``name``.
+
+    The CLI imports ``repro.experiments.<name with - as _>`` by name, so
+    the module is installed under that import path for the test.
+    """
+    from repro import cli
+
+    def register(name: str, module) -> None:
+        monkeypatch.setattr(cli, "EXPERIMENTS", (*cli.EXPERIMENTS, name))
+        monkeypatch.setitem(
+            sys.modules, f"repro.experiments.{name.replace('-', '_')}", module
+        )
+
+    return register
 
 
 @pytest.fixture

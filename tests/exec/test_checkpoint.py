@@ -337,12 +337,10 @@ def _fragile_experiment(workdir: str) -> types.ModuleType:
 
 class TestSigintContract:
     def test_interrupt_exits_with_code_3_and_resume_hint(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, register_experiment, capsys
     ):
         ckpt = str(tmp_path / "ckpt")
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "fragile", _fragile_experiment(str(tmp_path))
-        )
+        register_experiment("fragile", _fragile_experiment(str(tmp_path)))
         rc = cli.main(
             ["experiment", "fragile", "--seed", "7", "--checkpoint", ckpt]
         )
@@ -366,13 +364,11 @@ class TestSigintContract:
         assert "fragile campaign: [0, 1, 4, 9]" in capsys.readouterr().out
 
     def test_interrupt_without_checkpoint_still_raises_cleanly(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, register_experiment, capsys
     ):
         # Without --checkpoint there is no journal to bank into; the
         # interrupt surfaces as the raw KeyboardInterrupt (Ctrl-C
         # semantics are untouched outside checkpointed campaigns).
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "fragile", _fragile_experiment(str(tmp_path))
-        )
+        register_experiment("fragile", _fragile_experiment(str(tmp_path)))
         with pytest.raises(KeyboardInterrupt):
             cli.main(["experiment", "fragile", "--seed", "7"])

@@ -41,8 +41,8 @@ PROBE_FP = (
 
 
 @pytest.fixture(autouse=True)
-def _probe(monkeypatch):
-    monkeypatch.setitem(cli.EXPERIMENTS, "fault-probe", fault_probe)
+def _probe(register_experiment):
+    register_experiment("fault-probe", fault_probe)
     with runtime.supervised(SupervisionPolicy(hang_timeout_s=2.0)):
         yield
     runtime.clear_incidents()
@@ -172,7 +172,8 @@ from repro import cli
 from tests.exec import fault_probe
 
 fault_probe.FAULT = ("slow", None, None)
-cli.EXPERIMENTS["fault-probe"] = fault_probe
+cli.EXPERIMENTS = (*cli.EXPERIMENTS, "fault-probe")
+sys.modules["repro.experiments.fault_probe"] = fault_probe
 sys.exit(cli.main(["experiment", "fault-probe", "--checkpoint", sys.argv[1]]))
 """
 

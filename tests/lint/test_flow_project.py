@@ -71,6 +71,65 @@ class TestImportResolution:
         assert project.resolve_function("pkg.helper") == "pkg.a.helper"
         assert project.call_graph()["user.use"] == {"pkg.a.helper"}
 
+    def test_lazy_export_table_is_read_as_reexports(self, make_tree):
+        # A package that declares its exports through repro.lazy.attach
+        # re-exports them as ``from .mod import work`` would.
+        root = make_tree({
+            "pkg/__init__.py": "",
+            "pkg/a.py": "def helper():\n    return 1\n",
+            "pkg/sub/__init__.py": (
+                "from repro.lazy import attach\n"
+                "__getattr__, __dir__, __all__ = attach(__name__, {\n"
+                "    '.': ('mod',),\n"
+                "    '.mod': ('work',),\n"
+                "    '..a': ('helper',),\n"
+                "})\n"
+            ),
+            "pkg/sub/mod.py": "def work():\n    return 0\n",
+            "user.py": (
+                "from pkg.sub import helper, mod, work\n"
+                "def use():\n"
+                "    return helper() + work() + mod.work()\n"
+            ),
+        })
+        project = project_over(root)
+        assert project.modules["pkg.sub"].imports == {
+            "attach": "repro.lazy.attach",
+            "mod": "pkg.sub.mod",
+            "work": "pkg.sub.mod.work",
+            "helper": "pkg.a.helper",
+        }
+        assert project.call_graph()["user.use"] == {
+            "pkg.a.helper", "pkg.sub.mod.work",
+        }
+
+    def test_function_level_imports_bind_to_their_targets(self, make_tree):
+        root = make_tree({
+            "pkg/__init__.py": "",
+            "pkg/low.py": (
+                "STATE = []\n"
+                "class Kernel:\n"
+                "    def run(self):\n"
+                "        return 0\n"
+                "def work():\n"
+                "    return 0\n"
+            ),
+            "pkg/high.py": (
+                "def drive():\n"
+                "    from .low import Kernel, work\n"
+                "    import pkg.low as low\n"
+                "    low.STATE.append(1)\n"
+                "    kernel = Kernel()\n"
+                "    return kernel.run() + work() + low.work()\n"
+            ),
+        })
+        project = project_over(root)
+        assert project.call_graph()["pkg.high.drive"] == {
+            "pkg.low.Kernel.run", "pkg.low.work",
+        }
+        drive = project.modules["pkg.high"].functions["drive"]
+        assert [w.target for w in drive.writes] == ["pkg.low.STATE"]
+
 
 class TestCallGraph:
     def test_cross_module_edges_resolve(self, make_tree):

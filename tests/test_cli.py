@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.cli import EXPERIMENTS, main
+from repro.experiments import load
 
 
 class TestInventory:
@@ -84,7 +85,7 @@ class TestExperimentCommand:
 
         from repro import experiments
 
-        registered = {module.__name__ for module in EXPERIMENTS.values()}
+        registered = {load(name).__name__ for name in EXPERIMENTS}
         available = {
             f"repro.experiments.{info.name}"
             for info in pkgutil.iter_modules(experiments.__path__)
