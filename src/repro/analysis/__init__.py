@@ -20,7 +20,7 @@ from ..lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     ".bitmap": ("test_bitmap_bytes", "test_bitmap_matrix"),
     ".hamming": (
-        "hamming_distance", "fractional_hamming_distance", "bit_error_percent",
+        "fractional_hamming_distance", "bit_error_percent",
         "block_hamming_profile",
     ),
     ".imaging": (

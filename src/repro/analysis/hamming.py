@@ -53,11 +53,6 @@ def _compare(
     return differing, 8 * len(bytes_a)
 
 
-def hamming_distance(a: bytes | np.ndarray, b: bytes | np.ndarray) -> int:
-    """Number of differing bits between two equal-length images."""
-    return _compare(a, b)[0]
-
-
 def fractional_hamming_distance(
     a: bytes | np.ndarray, b: bytes | np.ndarray
 ) -> float:

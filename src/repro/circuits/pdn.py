@@ -166,10 +166,6 @@ class PowerDeliveryNetwork:
                 return net
         raise PowerError(f"no net feeds domain {domain_name!r}")
 
-    def pads_for_domain(self, domain_name: str) -> list[TestPad]:
-        """Probe-able pads on the net feeding ``domain_name``."""
-        return list(self.net_for_domain(domain_name).pads)
-
     def nominal_voltage(self, net_name: str) -> float:
         """Design voltage of a net (its rail's set-point)."""
         return self.pmic.rail(self.net(net_name).rail_name).nominal_v
@@ -177,20 +173,3 @@ class PowerDeliveryNetwork:
     def live_voltage(self, net_name: str) -> float:
         """Present voltage of a net as driven by the PMIC alone."""
         return self.pmic.rail_voltage(self.net(net_name).rail_name)
-
-    def describe_pads(self) -> list[dict[str, object]]:
-        """Tabular pad inventory (paper Table 3 shape)."""
-        rows = []
-        for net in self._nets.values():
-            for pad in net.pads:
-                rows.append(
-                    {
-                        "pad": pad.name,
-                        "net": net.name,
-                        "kind": net.kind.value,
-                        "nominal_v": self.nominal_voltage(net.name),
-                        "domains": list(net.domain_names),
-                        "description": pad.description,
-                    }
-                )
-        return rows

@@ -9,7 +9,7 @@ impedance — a ">3 A bench supply" succeeds; a feeble probe loses bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,20 +118,6 @@ class SupplyNoise:
         )
         realised = nominal_v + error_v + drift_rate * hold_s
         return max(realised, 1e-6)
-
-    def apply(
-        self,
-        supply: "BenchSupply",
-        rng: np.random.Generator,
-        hold_s: float = 0.0,
-    ) -> "BenchSupply":
-        """A copy of ``supply`` at the realised (imperfect) set-point."""
-        return replace(
-            supply,
-            voltage_v=self.sample_setpoint_v(
-                supply.voltage_v, rng, hold_s=hold_s
-            ),
-        )
 
 
 @dataclass

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import AttackError
 from ..obs import OBS
 from ..soc.board import Board
 from ..soc.bootrom import BootMedia
@@ -34,13 +33,6 @@ class ColdBootResult:
     off_time_s: float
     cache_images: CacheImages | None = None
     retained_fractions: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def domain_retention(self, domain: str) -> float:
-        """Mean retained-bit fraction across one domain's loads."""
-        loads = self.retained_fractions.get(domain)
-        if not loads:
-            raise AttackError(f"no retention data for domain {domain!r}")
-        return sum(loads.values()) / len(loads)
 
 
 class ColdBootAttack:

@@ -42,11 +42,6 @@ class AssembledProgram:
     labels: dict[str, int]  # label -> byte offset from program start
     source: str
 
-    @property
-    def n_instructions(self) -> int:
-        """Number of 4-byte instructions."""
-        return len(self.machine_code) // 4
-
 
 def _strip(line: str) -> str:
     for marker in (";", "//"):

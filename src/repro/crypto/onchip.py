@@ -72,12 +72,6 @@ class RegisterAes:
         """
         return self._schedule_from_registers()
 
-    def registers_used(self) -> list[int]:
-        """Indices of the vector registers holding round keys."""
-        return list(
-            range(self.first_register, self.first_register + self._n_round_keys)
-        )
-
 
 class IramAes:
     """Sentry-style AES keyed from on-chip iRAM (paper refs [8], [9]).

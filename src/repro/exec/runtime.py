@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..circuits.manufacture import Snapshot
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ExecError
 from ..obs import OBS, MetricsRegistry, Tracer
 
 
@@ -108,7 +108,7 @@ class SupervisionPolicy:
 
     def __post_init__(self) -> None:
         if self.hang_timeout_s <= 0.0:
-            raise CheckpointError("hang_timeout_s must be positive")
+            raise ExecError("hang_timeout_s must be positive")
 
 
 #: The default when nothing is installed: supervision on, quarantine off.

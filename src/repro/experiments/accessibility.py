@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis.hamming import fractional_hamming_distance
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..devices import imx53_qsb, raspberry_pi_4
 from ..devices.builders import IMX53_IRAM_BASE, IMX53_IRAM_SIZE
@@ -26,10 +25,6 @@ from ..rng import DEFAULT_SEED, from_entropy
 from ..soc.jtag import JtagProbe
 from .common import ATTACKER_MEDIA, VICTIM_MEDIA, fill_dcache, snapshot_l1d
 from .common import manifested
-
-#: A recovered region counts as "available" when its bits survive boot;
-#: clobbered regions approach 50 % mismatch against the stored pattern.
-_CLOBBER_THRESHOLD = 0.05
 
 
 @dataclass
@@ -128,6 +123,8 @@ def run(seed: int = DEFAULT_SEED) -> list[AccessibilityRow]:
 
 def report(rows: list[AccessibilityRow]) -> AttackReport:
     """Render the §6.2 summary."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Section 6.2: post-boot SRAM availability (paper: L1 100%, L2 0%, "
         "iRAM ~95%)"

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from ..analysis.patterns import count_pattern_lines
 from ..core.extraction import attacker_context, extract_l1_images
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..cpu.assembler import assemble
 from ..cpu.core import Core
@@ -177,6 +176,8 @@ def run(seed: int = DEFAULT_SEED) -> list[DefenseOutcome]:
 
 def report(outcomes: list[DefenseOutcome]) -> AttackReport:
     """Render the defense matrix."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Section 8: countermeasure survey (victim: 0xAA d-cache fill + "
         "CaSE-style secure AES schedule on a Pi 4)"

@@ -24,7 +24,6 @@ import numpy as np
 from ..analysis.imaging import ones_fraction
 from ..analysis.keycorrect import reconstruct_with_decay_model
 from ..circuits.dram import DramArray
-from ..core.report import AttackReport
 from ..crypto.aes import schedule_bytes
 from ..rng import DEFAULT_SEED, generator
 from ..soc.memory_map import MainMemory
@@ -128,6 +127,8 @@ def run(seed: int = DEFAULT_SEED) -> DramColdBootResult:
 
 def report(result: DramColdBootResult) -> AttackReport:
     """Render the sweep plus the mitigation row."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "DRAM cold boot baseline (Halderman-style) and the scrambler "
         "mitigation (paper section 9.1)"

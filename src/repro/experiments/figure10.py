@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis.hamming import block_hamming_profile
-from ..core.report import AttackReport
 from ..devices.builders import IMX53_IRAM_BASE
 from ..exec import ShardPlan, WorkUnit, execute, shard_unit
 from ..rng import DEFAULT_SEED
@@ -122,6 +121,8 @@ def run(seed: int = DEFAULT_SEED, jobs: int = 1) -> Figure10Result:
 
 def report(result: Figure10Result) -> AttackReport:
     """Summarise the spatial error structure."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Figure 10: Hamming distance between stored and recovered iRAM at "
         "512-bit granularity (paper: clusters at start+end; largest run "

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from ..analysis.imaging import ascii_bit_image, ones_fraction, write_pgm
 from ..core.coldboot import ColdBootAttack
-from ..core.report import AttackReport
 from ..devices import raspberry_pi_4
 from ..rng import DEFAULT_SEED
 from ..units import milliseconds
@@ -67,6 +66,8 @@ def run(seed: int = DEFAULT_SEED, temperature_c: float = -40.0) -> Figure3Result
 
 def report(result: Figure3Result) -> AttackReport:
     """Summarise the snapshot the way the figure caption does."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Figure 3: d-cache WAY0 after a cold boot at "
         f"{result.temperature_c:g}C (paper: ~equal 1s and 0s)"

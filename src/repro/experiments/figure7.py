@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 from ..analysis.hamming import fractional_hamming_distance
 from ..analysis.imaging import ones_fraction
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..devices import raspberry_pi_3, raspberry_pi_4
 from ..rng import DEFAULT_SEED
@@ -77,6 +76,8 @@ def run(seed: int = DEFAULT_SEED) -> list[Figure7Result]:
 
 def report(results: list[Figure7Result]) -> AttackReport:
     """Render the figure's headline numbers."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Figure 7: i-cache retention after Volt Boot, bare-metal NOP "
         "victim (paper: 100% on all cores of both SoCs)"

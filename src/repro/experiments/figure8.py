@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.patterns import count_pattern_lines, find_all
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..cpu.assembler import assemble
 from ..cpu.programs import byte_pattern_store
@@ -99,6 +98,8 @@ def run(seed: int = DEFAULT_SEED) -> Figure8Result:
 
 def report(result: Figure8Result) -> AttackReport:
     """Summarise the two Figure 8 observations."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Figure 8: caches of a general-purpose (OS) system after Volt "
         "Boot (paper: 0xAA pattern + all app instructions recovered)"

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from ..analysis.bitmap import BITMAP_BYTES, test_bitmap_bytes
 from ..analysis.hamming import fractional_hamming_distance
 from ..analysis.imaging import ascii_bit_image, write_pgm
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..devices import imx53_qsb
 from ..devices.builders import IMX53_IRAM_BASE, IMX53_IRAM_SIZE
@@ -89,6 +88,8 @@ def run(seed: int = DEFAULT_SEED) -> Figure9Result:
 
 def report(result: Figure9Result) -> AttackReport:
     """Summarise the recovery in the figure's terms."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Figure 9: iRAM bitmap extraction on i.MX535 (paper: 2.7% overall "
         "error, ~95% of iRAM available)"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.report import AttackReport
 from ..exec import ShardPlan, execute
 from ..glitch.campaign import (
     DEFAULT_SPEC,
@@ -53,6 +52,8 @@ def run(
 
 def report(result: CampaignResult) -> AttackReport:
     """Outcome rates per leg, plus the exploitable parameter region."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Voltage-glitch campaign: PIN-check guard vs. brown-out detector "
         "(offset x width x depth search on the bench glitch rig)"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..cpu.assembler import assemble
 from ..cpu.core import Core
@@ -128,6 +127,8 @@ def run(seed: int = DEFAULT_SEED) -> MicroarchLeakResult:
 
 def report(result: MicroarchLeakResult) -> AttackReport:
     """Render the footprint-leak summary."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Extension: TLB/BTB execution-footprint leakage (victim wiped its "
         "data with DC ZVA before the cut)"

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..analysis.bitmap import BITMAP_BYTES, test_bitmap_bytes
 from ..analysis.hamming import fractional_hamming_distance
-from ..core.report import AttackReport
 from ..devices import imx53_qsb, raspberry_pi_4
 from ..devices.builders import IMX53_IRAM_BASE
 from ..exec import ShardPlan, execute, shard_unit
@@ -215,6 +214,8 @@ def run(seed: int = DEFAULT_SEED, jobs: int = 1) -> list[NoisyRigLeg]:
 
 def report(legs: list[NoisyRigLeg]) -> AttackReport:
     """Render the comparison as a driver-vs-scenario table."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Noisy rig: recovered bit fraction, naive single-shot vs "
         "resilient retry+vote driver (default noisy bench)"

@@ -9,7 +9,6 @@ the documentation cannot drift from the models.
 from __future__ import annotations
 
 from ..core.probe import plan_probe
-from ..core.report import AttackReport
 from ..devices import DEVICES, build_device
 from ..rng import DEFAULT_SEED
 from .common import manifested
@@ -42,6 +41,8 @@ def run(seed: int = DEFAULT_SEED) -> list[dict[str, object]]:
 
 def report(rows: list[dict[str, object]]) -> AttackReport:
     """Render the combined Tables 2+3 inventory."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Tables 2 & 3: evaluation platforms, probe pads, and rails "
         "(cross-checked against the simulated hardware)"

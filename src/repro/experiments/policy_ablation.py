@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.patterns import elements_present
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..cpu.programs import element_value
 from ..devices import raspberry_pi_4
@@ -99,6 +98,8 @@ def run(seed: int = DEFAULT_SEED) -> list[PolicyPoint]:
 
 def report(points: list[PolicyPoint]) -> AttackReport:
     """Render the ablation."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Ablation: L1 replacement policy vs Table 4 recovery (32 KiB "
         "array, core 0)"

@@ -26,7 +26,6 @@ import numpy as np
 from ..analysis.hamming import fractional_hamming_distance
 from ..circuits.sram import SramArray
 from ..circuits.supply import BenchSupply
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..devices import raspberry_pi_4
 from ..errors import ProbeError
@@ -152,6 +151,8 @@ def run(seed: int = DEFAULT_SEED, jobs: int = 1) -> list[ProbePoint]:
 
 def report(points: list[ProbePoint]) -> AttackReport:
     """Render all sweeps."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Probe adequacy sweeps (paper: >3A supply at the measured pad "
         "voltage gives 100%; retention only needs V > per-cell DRV)"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..devices import raspberry_pi_3, raspberry_pi_4
 from ..rng import DEFAULT_SEED
@@ -74,6 +73,8 @@ def run(seed: int = DEFAULT_SEED) -> list[RegisterResult]:
 
 def report(results: list[RegisterResult]) -> AttackReport:
     """Summarise register retention per device."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Section 7.2: vector register (v0..v31) retention under Volt Boot "
         "(paper: fully retained on BCM2711 and BCM2837)"

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..circuits.dram import DramArray
 from ..circuits.sram import SramArray
-from ..core.report import AttackReport
 from ..exec import ShardPlan, WorkUnit, execute, shard_unit
 from ..rng import DEFAULT_SEED, generator
 from ..units import celsius_to_kelvin, microseconds, milliseconds
@@ -173,6 +172,8 @@ def run(seed: int = DEFAULT_SEED, jobs: int = 1) -> RetentionSweep:
 
 def report(sweep: RetentionSweep) -> AttackReport:
     """Render the grid with one row per (temperature, off-time)."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Retention sweep: intrinsic SRAM/DRAM remanence vs the Volt Boot "
         "hold (paper 3/5: SRAM dies in ms even at -40C; DRAM survives; "

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.patterns import count_pattern_lines
-from ..core.report import AttackReport
 from ..devices import raspberry_pi_4
 from ..rng import DEFAULT_SEED
 from .common import VICTIM_MEDIA, fill_dcache
@@ -71,6 +70,8 @@ def run(seed: int = DEFAULT_SEED) -> list[StandbyPoint]:
 
 def report(points: list[StandbyPoint]) -> AttackReport:
     """Render the standby trade-off table."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Extension: standby voltage scaling vs retention on the Pi 4 core "
         "domain (paper section 2.1's leakage/retention trade-off)"

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 from ..analysis.hamming import bit_error_percent, fractional_hamming_distance
 from ..core.coldboot import ColdBootAttack
-from ..core.report import AttackReport
 from ..devices import raspberry_pi_4
 from ..exec import ShardPlan, execute, shard_unit
 from ..rng import DEFAULT_SEED
@@ -120,6 +119,8 @@ def run(seed: int = DEFAULT_SEED, jobs: int = 1) -> list[Table1Row]:
 
 def report(rows: list[Table1Row]) -> AttackReport:
     """Render the sweep in the paper's Table 1 shape."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Table 1: d-cache error after cold boot on BCM2711 (paper: ~50% at "
         "0/-5/-40C; fHD to power-on state ~0.10)"

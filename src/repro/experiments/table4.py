@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.report import AttackReport
 from ..core.voltboot import VoltBootAttack
 from ..analysis.patterns import elements_present
 from ..cpu.programs import element_value
@@ -149,6 +148,8 @@ def run(
 
 def report(cells: list[Table4Cell]) -> AttackReport:
     """Render the sweep in the paper's Table 4 shape."""
+    from ..core.report import AttackReport
+
     out = AttackReport(
         "Table 4: d-cache elements extracted by Volt Boot on BCM2711 "
         "(paper: 100% at 4-16KB, ~86-92% at 32KB)"

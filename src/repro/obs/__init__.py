@@ -45,7 +45,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".trace": ("Tracer", "Span"),
     ".export": (
         "JsonlWriter", "SchemaError", "SCHEMA_VERSION", "dumps", "read_jsonl",
-        "validate_manifest", "write_json",
+        "validate_manifest",
     ),
 })
 __all__ += ["OBS", "Observability", "capture"]

@@ -70,13 +70,6 @@ def dumps(payload: dict[str, Any], indent: int | None = 2) -> str:
     return json.dumps(_jsonable(stamp(dict(payload))), indent=indent)
 
 
-def write_json(path: str | Path, payload: dict[str, Any]) -> Path:
-    """Write one stamped JSON document to ``path``; returns the path."""
-    path = Path(path)
-    path.write_text(dumps(payload) + "\n")
-    return path
-
-
 def validate_manifest(doc: dict[str, Any]) -> dict[str, Any]:
     """Check a manifest dict against the schema; returns it unchanged.
 

@@ -59,10 +59,6 @@ class VoteResult:
             self.confidence.size
         )
 
-    def disagreeing_bits(self) -> int:
-        """Bits where at least one read dissented from the majority."""
-        return int(np.count_nonzero(self.confidence < 1.0))
-
 
 def majority_vote(reads: Sequence[bytes]) -> VoteResult:
     """Decode ``reads`` (equal-length dumps of one image) bit-by-bit.

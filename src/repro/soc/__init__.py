@@ -13,9 +13,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".board": ("Board",),
     ".bootrom": ("BootMedia", "BootRom", "ClobberRegion"),
     ".cache": ("CacheGeometry", "SetAssociativeCache"),
-    ".context": (
-        "ExecutionContext", "EL0_NS", "EL1_NS", "EL2_NS", "EL3_SECURE",
-    ),
+    ".context": ("ExecutionContext", "EL2_NS", "EL3_SECURE"),
     ".cp15": ("Cp15Interface", "RamId"),
     ".iram": ("Iram",),
     ".jtag": ("JtagProbe",),

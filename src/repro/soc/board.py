@@ -222,10 +222,6 @@ class Board:
                 domain.cut_power()
         self.log.record(PowerEventKind.PROBE_DETACHED, pad_name)
 
-    def probes(self) -> dict[str, VoltageProbe]:
-        """Currently attached probes keyed by net name."""
-        return dict(self._probes)
-
     # ------------------------------------------------------------------
     # Boot flow
     # ------------------------------------------------------------------

@@ -471,22 +471,6 @@ class SetAssociativeCache:
         if OBS.enabled:
             OBS.counter_inc("cache.lines_zeroed", 1, cache=self.name)
 
-    def zero_all_lines(self, base_addr: int = 0) -> None:
-        """Zero the entire data RAM with a DC ZVA sweep.
-
-        Sweeps ``ways * sets`` distinct lines whose indices cover every
-        set in every way — the software mitigation loop from §8.
-        """
-        g = self.geometry
-        for way_pass in range(g.ways):
-            for index in range(g.sets):
-                addr = (
-                    base_addr
-                    + way_pass * g.way_bytes * 2  # distinct tags per pass
-                    + index * g.line_bytes
-                )
-                self.zero_line(addr)
-
     # ------------------------------------------------------------------
     # Raw access (debug interface path)
     # ------------------------------------------------------------------
@@ -514,7 +498,3 @@ class SetAssociativeCache:
     def raw_tag_entry(self, index: int, way: int) -> tuple[int, bool, bool, bool]:
         """Dump one raw tag entry (tag, valid, dirty, ns)."""
         return decode_tag(self.tags.read(self._entry(index, way)))
-
-    def line_security(self, index: int, way: int) -> bool:
-        """Whether a line is marked secure (NS bit clear)."""
-        return not self.tags.read(self._entry(index, way)) & _NS_BIT

@@ -33,12 +33,6 @@ class ExecutionContext:
             )
 
 
-#: The context a victim application runs in (userspace).
-EL0_NS = ExecutionContext(el=0, secure=False)
-
-#: A non-secure OS kernel.
-EL1_NS = ExecutionContext(el=1, secure=False)
-
 #: Firmware / secure monitor — what an attacker-controlled boot image
 #: gets on a device without enforced secure boot.
 EL3_SECURE = ExecutionContext(el=3, secure=True)

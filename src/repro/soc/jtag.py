@@ -37,10 +37,6 @@ class JtagProbe:
         """Whether the debug port is usable (not fused off)."""
         return self._enabled
 
-    def fuse_off(self) -> None:
-        """Permanently disable the debug port (OEM production fuse)."""
-        self._enabled = False
-
     def _check(self) -> None:
         if not self._enabled:
             raise AccessViolation("JTAG port is fused off")

@@ -24,11 +24,6 @@ class MbistEngine:
         """Register SRAM macros under this engine's reset domain."""
         self._arrays.extend(arrays)
 
-    @property
-    def covered_arrays(self) -> list[SramArray]:
-        """Macros wired to the engine."""
-        return list(self._arrays)
-
     def run_boot_reset(self) -> int:
         """Zero every covered macro if the feature is enabled.
 

@@ -74,10 +74,3 @@ class BitErrorModel:
             OBS.counter_inc("rig.bits_read", raw.size * 8)
             OBS.counter_inc("rig.bit_flips", flipped)
         return (raw ^ mask).tobytes()
-
-    @property
-    def observed_rate(self) -> float:
-        """Measured flip fraction so far (0.0 before any read)."""
-        if not self.bits_read:
-            return 0.0
-        return self.bits_flipped / self.bits_read

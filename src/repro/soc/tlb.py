@@ -183,11 +183,3 @@ class Btb(_EntryRam):
         slot = self._slot(branch_pc)
         self.write(slot, self._encode(branch_pc, target_pc))
         return slot
-
-    def predict(self, branch_pc: int) -> int | None:
-        """The predicted target for a branch, if any."""
-        word = self.read(self._slot(branch_pc))
-        if not word & _VALID_BIT:
-            return None
-        entry = self._decode(word)
-        return entry.target_pc if entry.branch_pc == branch_pc else None

@@ -16,9 +16,6 @@ from .errors import CalibrationError
 #: Absolute zero in degrees Celsius.
 ABSOLUTE_ZERO_CELSIUS = -273.15
 
-#: Boltzmann constant (J/K); used by leakage models.
-BOLTZMANN = 1.380649e-23
-
 #: Conventional room temperature (kelvin).
 ROOM_TEMPERATURE_K = 298.15
 

@@ -9,29 +9,28 @@ from repro.analysis.hamming import (
     bit_error_percent,
     block_hamming_profile,
     fractional_hamming_distance,
-    hamming_distance,
 )
 from repro.errors import ReproError
 
 
 class TestHammingDistance:
     def test_identical_is_zero(self):
-        assert hamming_distance(b"abc", b"abc") == 0
+        assert fractional_hamming_distance(b"abc", b"abc") == 0.0
 
     def test_single_bit(self):
-        assert hamming_distance(b"\x00", b"\x01") == 1
+        assert fractional_hamming_distance(b"\x00", b"\x01") == 1 / 8
 
     def test_full_byte(self):
-        assert hamming_distance(b"\x00", b"\xff") == 8
+        assert fractional_hamming_distance(b"\x00", b"\xff") == 1.0
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ReproError):
-            hamming_distance(b"a", b"ab")
+            fractional_hamming_distance(b"a", b"ab")
 
     def test_accepts_bit_arrays(self):
         a = np.array([1, 0, 1], dtype=np.uint8)
         b = np.array([1, 1, 1], dtype=np.uint8)
-        assert hamming_distance(a, b) == 1
+        assert fractional_hamming_distance(a, b) == pytest.approx(1 / 3)
 
     def test_fractional_range(self):
         assert fractional_hamming_distance(b"\x00", b"\x0f") == pytest.approx(0.5)
@@ -65,14 +64,14 @@ class TestBlockProfile:
         a = rng.integers(0, 256, 512, dtype=np.uint8).tobytes()
         b = rng.integers(0, 256, 512, dtype=np.uint8).tobytes()
         profile = block_hamming_profile(a, b, 512)
-        assert profile.sum() == hamming_distance(a, b)
+        assert profile.sum() == fractional_hamming_distance(a, b) * 8 * 512
 
 
 class TestPropertyBased:
     @given(data=st.binary(min_size=1, max_size=64))
     @settings(max_examples=30, deadline=None)
     def test_self_distance_is_zero(self, data):
-        assert hamming_distance(data, data) == 0
+        assert fractional_hamming_distance(data, data) == 0.0
 
     @given(
         a=st.binary(min_size=32, max_size=32),
@@ -80,7 +79,9 @@ class TestPropertyBased:
     )
     @settings(max_examples=30, deadline=None)
     def test_symmetry(self, a, b):
-        assert hamming_distance(a, b) == hamming_distance(b, a)
+        assert fractional_hamming_distance(a, b) == fractional_hamming_distance(
+            b, a
+        )
 
     @given(
         a=st.binary(min_size=16, max_size=16),
@@ -89,8 +90,8 @@ class TestPropertyBased:
     )
     @settings(max_examples=30, deadline=None)
     def test_triangle_inequality(self, a, b, c):
-        assert hamming_distance(a, c) <= (
-            hamming_distance(a, b) + hamming_distance(b, c)
+        assert fractional_hamming_distance(a, c) <= (
+            fractional_hamming_distance(a, b) + fractional_hamming_distance(b, c)
         )
 
     @given(
@@ -111,12 +112,13 @@ class TestPropertyBased:
             np.unpackbits(np.frombuffer(x, dtype=np.uint8), bitorder="little")
             for x in (a, b, b + extra)
         ]
-        assert hamming_distance(a, b) == hamming_distance(bits[0], bits[1])
-        assert hamming_distance(bytearray(a), b) == hamming_distance(a, b)
         if a:
             assert fractional_hamming_distance(a, b) == (
                 fractional_hamming_distance(bits[0], bits[1])
             )
+            assert fractional_hamming_distance(bytearray(a), b) == (
+                fractional_hamming_distance(a, b)
+            )
         for mismatched in ((a, b + extra), (bits[0], bits[2])):
             with pytest.raises(ReproError):
-                hamming_distance(*mismatched)
+                fractional_hamming_distance(*mismatched)

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.keycorrect import (
     SCHEDULE_BYTES,
-    reconstruct_aes128_key,
     reconstruct_with_decay_model,
 )
 from repro.crypto.aes import schedule_bytes
@@ -41,49 +38,6 @@ def decayed_window(seed: int, fraction: float) -> tuple[bytes, bytes]:
         np.packbits(decayed, bitorder="little").tobytes(),
         np.packbits(ground, bitorder="little").tobytes(),
     )
-
-
-class TestUnbiasedReconstruction:
-    def test_clean_window(self):
-        assert reconstruct_aes128_key(schedule_bytes(KEY)) == KEY
-
-    def test_errors_outside_key(self):
-        rng = np.random.default_rng(1)
-        window = flip_bits(
-            schedule_bytes(KEY),
-            rng.choice(np.arange(128, SCHEDULE_BYTES * 8), 12, replace=False),
-        )
-        assert reconstruct_aes128_key(window) == KEY
-
-    def test_errors_inside_key(self):
-        rng = np.random.default_rng(2)
-        window = flip_bits(
-            schedule_bytes(KEY),
-            list(rng.choice(128, 4, replace=False))
-            + list(
-                rng.choice(np.arange(128, SCHEDULE_BYTES * 8), 6, replace=False)
-            ),
-        )
-        assert reconstruct_aes128_key(window) == KEY
-
-    def test_random_data_rejected(self):
-        rng = np.random.default_rng(3)
-        noise = rng.integers(0, 256, SCHEDULE_BYTES, dtype=np.uint8).tobytes()
-        assert reconstruct_aes128_key(noise) is None
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ReproError):
-            reconstruct_aes128_key(b"short")
-
-    @given(seed=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=8, deadline=None)
-    def test_one_percent_errors_always_recovered(self, seed):
-        rng = np.random.default_rng(seed)
-        window = flip_bits(
-            schedule_bytes(KEY),
-            rng.choice(SCHEDULE_BYTES * 8, 14, replace=False),
-        )
-        assert reconstruct_aes128_key(window) == KEY
 
 
 class TestDecayReconstruction:

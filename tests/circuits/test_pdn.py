@@ -51,7 +51,7 @@ class TestQueries:
             make_pdn().net_for_domain("gpu-domain")
 
     def test_pads_for_domain(self):
-        pads = make_pdn().pads_for_domain("core-domain")
+        pads = make_pdn().net_for_domain("core-domain").pads
         assert [pad.name for pad in pads] == ["TP15"]
 
     def test_unknown_pad_rejected(self):
@@ -66,9 +66,3 @@ class TestQueries:
         assert pdn.live_voltage("VDD_CORE") == 0.0
         pdn.pmic.connect_input()
         assert pdn.live_voltage("VDD_CORE") == pytest.approx(0.8)
-
-    def test_describe_pads_rows(self):
-        rows = make_pdn().describe_pads()
-        assert rows[0]["pad"] == "TP15"
-        assert rows[0]["domains"] == ["core-domain"]
-        assert rows[0]["nominal_v"] == pytest.approx(0.8)

@@ -14,7 +14,6 @@ from repro.core.voltboot import VoltBootAttack
 from repro.devices import imx53_qsb, raspberry_pi_4
 from repro.errors import AttackError
 from repro.soc.bootrom import BootMedia
-from repro.soc.jtag import JtagProbe
 
 MEDIA = BootMedia("attacker-usb")
 
@@ -54,7 +53,8 @@ class TestVoltBootPipeline:
         attack = VoltBootAttack(board, target="l1-caches", boot_media=MEDIA)
         attack.execute()
         attack.cleanup()
-        assert not board.probes()
+        # The pad is free again: a second probe lands without a clash.
+        board.attach_probe("TP15", BenchSupply(0.8))
 
     def test_unknown_target_extraction_rejected(self):
         board = victim_pi4(seed=605)
@@ -115,14 +115,12 @@ class TestExtractionGuards:
             extract_iram(board)
 
     def test_fused_jtag_blocks_iram_dump(self):
-        board = imx53_qsb(seed=610)
+        board = imx53_qsb(seed=610, jtag_fused=True)
         board.boot()
-        probe = JtagProbe(board.soc.memory_map)
-        probe.fuse_off()
         from repro.errors import AccessViolation
 
         with pytest.raises(AccessViolation):
-            extract_iram(board, probe)
+            extract_iram(board)
 
 
 class TestColdBootPipeline:
@@ -131,14 +129,15 @@ class TestColdBootPipeline:
         attack = ColdBootAttack(board, temperature_c=-40.0, boot_media=MEDIA)
         result = attack.execute()
         assert b"\xaa" * 64 not in result.cache_images.dcache(0)
-        assert result.domain_retention("VDD_CORE") < 0.05
+        loads = result.retained_fractions["VDD_CORE"]
+        assert sum(loads.values()) / len(loads) < 0.05
 
     def test_domain_retention_unknown_domain(self):
         board = victim_pi4(seed=612)
         attack = ColdBootAttack(board, boot_media=MEDIA)
         result = attack.execute(extract_caches=False)
-        with pytest.raises(AttackError):
-            result.domain_retention("VDD_GPU")
+        assert "VDD_CORE" in result.retained_fractions
+        assert "VDD_GPU" not in result.retained_fractions
 
     def test_temperature_applied_to_board(self):
         board = victim_pi4(seed=613)

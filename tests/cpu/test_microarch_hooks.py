@@ -92,11 +92,11 @@ class TestCp15EntryDumps:
 
     def test_entry_dump_requires_privilege(self, rig):
         from repro.errors import PrivilegeViolation
-        from repro.soc.context import EL1_NS
+        from repro.soc.context import ExecutionContext
 
         _board, unit = rig
         with pytest.raises(PrivilegeViolation):
-            unit.cp15.dump_entry_ram(EL1_NS, RamId.TLB)
+            unit.cp15.dump_entry_ram(ExecutionContext(el=1), RamId.TLB)
 
     def test_out_of_range_entry_rejected(self, rig):
         from repro.errors import AccessViolation

@@ -35,7 +35,7 @@ class TestProgramBuilders:
     def test_nop_fill_size(self):
         program = assemble(nop_fill(1024))
         # 256 NOPs + cacheen + hlt.
-        assert program.n_instructions == 256 + 2
+        assert len(program.machine_code) // 4 == 256 + 2
 
     def test_nop_fill_rejects_unaligned(self):
         with pytest.raises(AssemblerError):
@@ -43,7 +43,7 @@ class TestProgramBuilders:
 
     def test_pattern_array_assembles(self):
         program = assemble(pattern_array(0x4000, 128, passes=2))
-        assert program.n_instructions > 10
+        assert len(program.machine_code) // 4 > 10
 
     def test_pattern_array_rejects_bad_counts(self):
         with pytest.raises(AssemblerError):
@@ -69,7 +69,7 @@ class TestProgramBuilders:
             byte_pattern_store(0x4000, 64),
             dczva_wipe(0x4000, 128),
         ):
-            assert assemble(source).n_instructions > 0
+            assert len(assemble(source).machine_code) // 4 > 0
 
 
 #: The first 16 hex digits of each canned program's machine-code

@@ -31,7 +31,8 @@ class TestRegisterAes:
         assert used == 11
         expected = schedule_bytes(KEY)
         observed = b"".join(
-            unit.vreg.read_bytes(i) for i in runtime.registers_used()
+            unit.vreg.read_bytes(i)
+            for i in range(runtime.first_register, runtime.first_register + used)
         )
         assert observed == expected
 
@@ -63,7 +64,7 @@ class TestCacheLockedAes:
         cache = unit.l1d
         tag, index, _ = cache.geometry.split(0x71000)
         secure = [
-            cache.line_security(index, way)
+            not cache.raw_tag_entry(index, way)[3]
             for way in range(cache.geometry.ways)
         ]
         assert any(secure)

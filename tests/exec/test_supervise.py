@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import (
+    CheckpointError,
+    ExecError,
     PoolUnavailable,
     WorkerCrash,
     WorkerHang,
@@ -61,6 +63,14 @@ def _run(tasks, jobs=4, policy=_FAST):
         worker_fn=_worker, on_outcome=landed.append,
     )
     return dict(landed), failures
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
+    def test_non_positive_hang_timeout_is_an_exec_error(self, timeout_s):
+        with pytest.raises(ExecError) as raised:
+            SupervisionPolicy(hang_timeout_s=timeout_s)
+        assert not isinstance(raised.value, CheckpointError)
 
 
 class TestHealthyPool:

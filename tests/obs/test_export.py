@@ -13,7 +13,6 @@ from repro.obs.export import (
     read_jsonl,
     stamp,
     validate_manifest,
-    write_json,
 )
 from repro.obs.manifest import RunManifest, manifest_fingerprint
 
@@ -46,10 +45,9 @@ class TestSchemaVersion:
 
 
 class TestJsonRoundTrip:
-    def test_manifest_survives_write_and_reload_field_by_field(self, tmp_path):
+    def test_manifest_survives_write_and_reload_field_by_field(self):
         manifest = _manifest()
-        path = write_json(tmp_path / "manifest.json", manifest.to_dict())
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(dumps(manifest.to_dict()))
         original = manifest.to_dict()
         assert set(loaded) == set(original)
         for field in original:
@@ -60,10 +58,9 @@ class TestJsonRoundTrip:
         doc = json.loads(dumps({"image": b"\xaa\xbb"}))
         assert doc["image"] == "aabb"
 
-    def test_reloaded_manifest_fingerprint_matches(self, tmp_path):
+    def test_reloaded_manifest_fingerprint_matches(self):
         manifest = _manifest()
-        path = write_json(tmp_path / "m.json", manifest.to_dict())
-        loaded = json.loads(path.read_text())
+        loaded = json.loads(dumps(manifest.to_dict()))
         rebuilt = RunManifest(
             kind=loaded["kind"],
             name=loaded["name"],

@@ -96,7 +96,7 @@ class TestBitErrorModel:
         flipped = sum(bin(b).count("1") for b in out)
         assert model.bits_flipped == flipped
         assert model.bits_read == len(data) * 8
-        assert model.observed_rate == pytest.approx(0.02, rel=0.15)
+        assert flipped / model.bits_read == pytest.approx(0.02, rel=0.15)
 
     def test_each_read_draws_fresh_noise(self):
         model = BitErrorModel(0.02, generator(3))

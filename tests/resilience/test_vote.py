@@ -50,14 +50,14 @@ class TestContract:
     def test_unanimous_reads_are_fully_confident(self):
         vote = majority_vote([b"\x0f" * 8] * 5)
         assert vote.decoded == b"\x0f" * 8
-        assert vote.disagreeing_bits() == 0
+        assert (vote.confidence == 1.0).all()
         assert vote.mean_confidence == 1.0
 
     def test_minority_flip_is_outvoted(self):
         truth = b"\x00" * 4
         vote = majority_vote([truth, truth, b"\xff" * 4])
         assert vote.decoded == truth
-        assert vote.disagreeing_bits() == 32
+        assert int((vote.confidence < 1.0).sum()) == 32
         assert vote.mean_confidence == pytest.approx(2.0 / 3.0)
 
     def test_even_split_ties_decode_as_zero_at_half_confidence(self):

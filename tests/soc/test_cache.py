@@ -149,15 +149,6 @@ class TestMaintenance:
         with pytest.raises(CircuitError):
             cache.zero_line(0x40)
 
-    def test_zero_all_lines_clears_every_way(self, small_cache):
-        small_cache.write(0x0, b"\xee" * 64)
-        small_cache.write(small_cache.geometry.way_bytes, b"\xee" * 64)
-        small_cache.zero_all_lines()
-        for way in range(small_cache.geometry.ways):
-            assert small_cache.raw_way_image(way) == bytes(
-                small_cache.geometry.way_bytes
-            )
-
 
 class RecordingBacking:
     """A backing store that logs every write-back, in order."""
@@ -434,7 +425,7 @@ class TestRawAccess:
         secure_ways = [
             way
             for way in range(small_cache.geometry.ways)
-            if small_cache.line_security(index, way)
+            if not small_cache.raw_tag_entry(index, way)[3]
         ]
         assert secure_ways
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.circuits.sram import SramParameters
 from repro.errors import AccessViolation, PrivilegeViolation, SecureAccessViolation
-from repro.soc.context import EL1_NS, EL2_NS, EL3_SECURE
+from repro.soc.context import EL2_NS, EL3_SECURE, ExecutionContext
 from repro.soc.cp15 import Cp15Interface, RamId
 from repro.soc.tlb import Btb, Tlb
 
@@ -27,7 +27,7 @@ class TestPrivilege:
     def test_el1_cannot_ramindex(self):
         cp15, _, _ = make_cp15()
         with pytest.raises(PrivilegeViolation):
-            cp15.ramindex(EL1_NS, RamId.L1D_DATA, 0, 0)
+            cp15.ramindex(ExecutionContext(el=1), RamId.L1D_DATA, 0, 0)
 
     def test_el3_can_ramindex(self):
         cp15, _, _ = make_cp15()
@@ -40,7 +40,7 @@ class TestPrivilege:
     def test_data_register_needs_privilege_too(self):
         cp15, _, _ = make_cp15()
         with pytest.raises(PrivilegeViolation):
-            cp15.read_data_register(EL1_NS)
+            cp15.read_data_register(ExecutionContext(el=1))
 
     def test_bad_way_rejected(self):
         cp15, _, _ = make_cp15()

@@ -6,7 +6,7 @@ import pytest
 from repro.circuits.dram import DramArray
 from repro.circuits.sram import SramArray
 from repro.errors import AccessViolation, PrivilegeViolation
-from repro.soc.context import EL0_NS, EL3_SECURE, ExecutionContext
+from repro.soc.context import EL2_NS, EL3_SECURE, ExecutionContext
 from repro.soc.jtag import JtagProbe
 from repro.soc.mbist import MbistEngine
 from repro.soc.memory_map import MainMemory, MemoryMap
@@ -30,8 +30,7 @@ class TestJtag:
         assert probe.read_block(0x10, 7) == b"dapdata"
 
     def test_fused_off_port_rejects(self):
-        probe = JtagProbe(make_memmap())
-        probe.fuse_off()
+        probe = JtagProbe(make_memmap(), enabled=False)
         with pytest.raises(AccessViolation):
             probe.read_block(0, 1)
         with pytest.raises(AccessViolation):
@@ -115,8 +114,8 @@ class TestExecutionContext:
     def test_require_el(self):
         EL3_SECURE.require_el(3, "x")
         with pytest.raises(PrivilegeViolation):
-            EL0_NS.require_el(1, "x")
+            ExecutionContext(el=0).require_el(1, "x")
 
     def test_canned_contexts(self):
         assert EL3_SECURE.secure and EL3_SECURE.el == 3
-        assert not EL0_NS.secure and EL0_NS.el == 0
+        assert not EL2_NS.secure and EL2_NS.el == 2

@@ -8,7 +8,7 @@ from repro.circuits.sram import SramArray, SramParameters
 from repro.errors import MemoryMapError
 from repro.soc.memory_map import MainMemory
 from repro.soc.scrambler import ScrambledMemory
-from repro.soc.tlb import Btb, Tlb
+from repro.soc.tlb import Btb, BtbEntry, Tlb
 
 
 def make_scrambled(seed=1):
@@ -125,16 +125,19 @@ class TestBtb:
     def test_record_and_predict(self):
         btb = make_btb()
         btb.record(branch_pc=0x8004, target_pc=0x8000)
-        assert btb.predict(0x8004) == 0x8000
+        assert BtbEntry(0x8004, 0x8000) in btb.valid_entries()
 
     def test_unknown_branch_unpredicted(self):
-        assert make_btb().predict(0x9000) is None
+        entries = make_btb().valid_entries()
+        assert all(entry.branch_pc != 0x9000 for entry in entries)
 
     def test_direct_mapped_collision_evicts(self):
         btb = make_btb(entries=16)
         btb.record(0x8004, 0x8000)
         btb.record(0x8004 + 16 * 4, 0x9000)  # same slot
-        assert btb.predict(0x8004) is None
+        entries = btb.valid_entries()
+        assert BtbEntry(0x8004 + 16 * 4, 0x9000) in entries
+        assert all(entry.branch_pc != 0x8004 for entry in entries)
 
     def test_power_of_two_entries_required(self):
         rng = np.random.default_rng(0)
