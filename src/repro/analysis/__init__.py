@@ -10,7 +10,6 @@ Everything the paper does with a dumped memory image lives here:
   array elements in raw way images (Table 4's accounting);
 * :mod:`~repro.analysis.keysearch` — AES key-schedule search over memory
   images, the Halderman-style payoff step;
-* :mod:`~repro.analysis.statistics` — trial aggregation helpers;
 * :mod:`~repro.analysis.bitmap` — the deterministic 512×512 test bitmap
   stored into the i.MX53 iRAM (Figures 9/10).
 """
@@ -30,5 +29,4 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".patterns": (
         "find_all", "find_aligned", "elements_present", "count_pattern_lines",
     ),
-    ".statistics": ("TrialStats", "summarize_trials"),
 })

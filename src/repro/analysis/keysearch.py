@@ -34,11 +34,6 @@ class KeyScheduleHit:
     key: bytes
     fraction_errors: float
 
-    @property
-    def exact(self) -> bool:
-        """Whether the observed window matched the expansion perfectly."""
-        return self.fraction_errors <= 0.0
-
 
 def search_aes128_schedules(
     image: bytes,

@@ -8,7 +8,7 @@ the Figure 8 narrative ("the d-cache contains the expected pattern").
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from ..errors import ReproError
 
@@ -72,13 +72,3 @@ def count_pattern_lines(image: bytes, pattern: int, line_bytes: int = 64) -> int
         if image[start : start + line_bytes] == needle:
             count += 1
     return count
-
-
-def coverage_fraction(
-    image: bytes, elements: Iterable[bytes], alignment: int = 8
-) -> float:
-    """Fraction of ``elements`` recovered from ``image``."""
-    elements = list(elements)
-    if not elements:
-        raise ReproError("no elements to scan for")
-    return len(elements_present(image, elements, alignment)) / len(elements)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CalibrationError
-from ..units import celsius_to_kelvin, nanoseconds
+from ..units import nanoseconds
 
 
 @dataclass(frozen=True)
@@ -75,10 +75,6 @@ class ArrheniusDecay:
             raise CalibrationError("absolute temperature must be > 0 K")
         return self.prefactor_s * float(np.exp(self.activation_k / temperature_k))
 
-    def time_constant_celsius(self, celsius: float) -> float:
-        """Convenience wrapper taking a Celsius temperature."""
-        return self.time_constant(celsius_to_kelvin(celsius))
-
     def surviving_fraction(self, off_time_s: float, temperature_k: float) -> float:
         """Fraction ``V(t)/V0 = exp(-t / tau(T))`` remaining after ``t``.
 
@@ -98,30 +94,6 @@ class ArrheniusDecay:
             raise CalibrationError("off time cannot be negative")
         tau = self.time_constant(temperature_k)
         return float(np.exp(-off_time_s / tau))
-
-    def decay_voltages(
-        self,
-        initial_v: np.ndarray | float,
-        off_time_s: float,
-        temperature_k: float,
-    ) -> np.ndarray:
-        """Vectorised node-voltage decay for an array of initial voltages.
-
-        Parameters
-        ----------
-        initial_v:
-            Initial voltages ``V0`` in volts (scalar or array).
-        off_time_s, temperature_k:
-            As for :meth:`surviving_fraction`.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``float64`` decayed voltages ``V0 * exp(-t / tau(T))``.
-        """
-        fraction = self.surviving_fraction(off_time_s, temperature_k)
-        return np.asarray(initial_v, dtype=np.float64) * fraction
-
 
 #: SRAM storage-node decay, calibrated per DESIGN.md.
 SRAM_DECAY = ArrheniusDecay(

@@ -30,26 +30,19 @@ from ..units import microseconds, milliamps, milliohms
 class SupplyLineParasitics:
     """Series parasitics of a board supply line.
 
-    ``resistance_ohm`` and ``inductance_h`` model trace + package
-    parasitics; they set how violently the rail reacts to current steps.
+    ``resistance_ohm`` models trace + package resistance; it sets how far
+    the rail drops under a current step.
     """
 
     resistance_ohm: float = milliohms(10)
-    inductance_h: float = 5e-9
 
     def __post_init__(self) -> None:
-        if self.resistance_ohm < 0.0 or self.inductance_h < 0.0:
+        if self.resistance_ohm < 0.0:
             raise CalibrationError("parasitics cannot be negative")
 
     def resistive_drop(self, current_a: float) -> float:
         """Voltage lost across the line resistance at ``current_a``."""
         return current_a * self.resistance_ohm
-
-    def inductive_kick(self, current_step_a: float, step_time_s: float) -> float:
-        """L·di/dt excursion for a current step over ``step_time_s``."""
-        if step_time_s <= 0.0:
-            raise CalibrationError("step time must be positive")
-        return self.inductance_h * current_step_a / step_time_s
 
 
 @dataclass(frozen=True)
@@ -82,14 +75,6 @@ class DecouplingNetwork:
         if deficit_a < 0.0 or duration_s < 0.0:
             raise CalibrationError("deficit and duration cannot be negative")
         return deficit_a * duration_s / self.capacitance_f + deficit_a * self.esr_ohm
-
-    def hold_up_time(self, load_a: float, allowed_sag_v: float) -> float:
-        """How long the caps alone can hold the rail within ``allowed_sag_v``."""
-        if load_a <= 0.0:
-            raise CalibrationError("load current must be positive")
-        if allowed_sag_v <= 0.0:
-            raise CalibrationError("allowed sag must be positive")
-        return allowed_sag_v * self.capacitance_f / load_a
 
 
 @dataclass(frozen=True)

@@ -231,11 +231,6 @@ class SramArray(ManufacturedArray):
         """
         return self._mutations
 
-    @property
-    def supply_voltage(self) -> float:
-        """Present supply voltage (0.0 when unpowered)."""
-        return self._supply_v if self._powered else 0.0
-
     def drv_percentile(self, percentile: float) -> float:
         """Per-cell DRV percentile of the array's manufacture field.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.hamming import bit_error_percent, fractional_hamming_distance
 from ..errors import ReproError
 
 
@@ -76,13 +75,3 @@ class AttackReport:
         for note in self.notes:
             lines.append(f"note: {note}")
         return "\n".join(lines)
-
-
-def retention_accuracy_percent(reference: bytes, observed: bytes) -> float:
-    """Data retention accuracy as the paper quotes it (100 % = perfect)."""
-    return 100.0 - bit_error_percent(reference, observed)
-
-
-def matches_exactly(reference: bytes, observed: bytes) -> bool:
-    """Whether two images are bit-identical (the 100 % claim)."""
-    return fractional_hamming_distance(reference, observed) <= 0.0

@@ -7,8 +7,6 @@ victims:
 * :func:`nop_fill` — enable caches and execute a NOP sled sized to the
   i-cache, so the attack's i-cache dump can be diffed against known
   machine code (§7.1.1);
-* :func:`pattern_array` — fill a data array with distinguishable 8-byte
-  elements and stream it through the d-cache (§7.1.2, Table 4);
 * :func:`vector_fill` — park recognisable patterns in the 128-bit vector
   registers, TRESOR-style (§7.2);
 * :func:`byte_pattern_store` — store a repeated byte (0xAA) over a
@@ -30,7 +28,8 @@ ARRAY_ELEMENT_MAGIC = 0x5EC2_E7B0_0000_0000
 
 
 def element_value(index: int) -> int:
-    """The 8-byte value stored at ``index`` by :func:`pattern_array`."""
+    """The 8-byte value of array element ``index`` in the Table 4 victim
+    (:class:`~repro.osim.process.ArrayFillProcess`)."""
     if not 0 <= index < (1 << 32):
         raise AssemblerError(f"element index {index} out of range")
     return ARRAY_ELEMENT_MAGIC | index
@@ -50,39 +49,6 @@ def nop_fill(code_bytes: int) -> str:
 ; bare-metal NOP fill ({code_bytes} bytes of sled)
     cacheen
 {sled}
-    hlt
-"""
-
-
-def pattern_array(base_addr: int, n_elements: int, passes: int = 1) -> str:
-    """Fill + re-read an array of unique 8-byte elements through the cache.
-
-    Element ``i`` holds :func:`element_value` ``(i)``.  Each pass writes
-    every element then reads it back, mimicking the paper's Linux
-    microbenchmark inner loop.  Register use: x0 cursor, x1 value, x2
-    element counter, x3 magic, x4 pass counter, x5 scratch.
-    """
-    if n_elements <= 0 or passes <= 0:
-        raise AssemblerError("element and pass counts must be positive")
-    return f"""
-; pattern-array microbenchmark: {n_elements} elements, {passes} passes
-    cacheen
-    ldimm x4, #{passes}
-pass_loop:
-    ldimm x0, #{base_addr:#x}
-    ldimm x3, #{ARRAY_ELEMENT_MAGIC:#x}
-    ldi   x2, #0
-    ldimm x6, #{n_elements}
-fill_loop:
-    orr   x1, x3, x2        ; value = magic | index
-    str   x1, [x0, #0]
-    ldr   x5, [x0, #0]      ; read back (load stream)
-    addi  x0, x0, #8
-    addi  x2, x2, #1
-    sub   x5, x6, x2
-    cbnz  x5, fill_loop
-    subi  x4, x4, #1
-    cbnz  x4, pass_loop
     hlt
 """
 

@@ -20,5 +20,5 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "AES_BLOCK_BYTES", "expand_key", "schedule_bytes", "rounds_for_key",
         "encrypt_block", "decrypt_block",
     ),
-    ".onchip": ("RegisterAes", "CacheLockedAes", "IramAes"),
+    ".onchip": ("RegisterAes", "CacheLockedAes"),
 })

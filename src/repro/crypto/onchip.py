@@ -73,49 +73,6 @@ class RegisterAes:
         return self._schedule_from_registers()
 
 
-class IramAes:
-    """Sentry-style AES keyed from on-chip iRAM (paper refs [8], [9]).
-
-    Sentry and its OCRAM successors park sensitive state in internal
-    RAM instead of DRAM, betting on the SoC package as the security
-    boundary.  The schedule is written once into iRAM and every block
-    operation reads it back from there — which is precisely the memory
-    the paper's §7.3 attack rides through a power cycle on the i.MX53.
-    """
-
-    def __init__(self, iram, schedule_offset: int = 0x4000) -> None:
-        self.iram = iram
-        self.schedule_offset = schedule_offset
-        self._schedule_len = 0
-
-    def install_key(self, key: bytes) -> int:
-        """Expand ``key`` into iRAM; returns the bytes written."""
-        schedule = b"".join(expand_key(key))
-        end = self.schedule_offset + len(schedule)
-        if end > self.iram.size_bytes:
-            raise ReproError(
-                f"schedule [{self.schedule_offset:#x}, {end:#x}) exceeds "
-                f"the {self.iram.size_bytes:#x}-byte iRAM"
-            )
-        self.iram.write_block(
-            self.iram.base_addr + self.schedule_offset, schedule
-        )
-        self._schedule_len = len(schedule)
-        return len(schedule)
-
-    def _schedule_from_iram(self) -> list[bytes]:
-        if not self._schedule_len:
-            raise ReproError("no key installed")
-        raw = self.iram.read_block(
-            self.iram.base_addr + self.schedule_offset, self._schedule_len
-        )
-        return [raw[i : i + 16] for i in range(0, len(raw), 16)]
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt one block from the iRAM-resident schedule."""
-        return encrypt_with_schedule(self._schedule_from_iram(), plaintext)
-
-
 class CacheLockedAes:
     """CaSE-style AES pinned in secure, locked L1 d-cache lines.
 

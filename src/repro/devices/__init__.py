@@ -26,7 +26,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
         "build_device",
     ),
     ".registry": (
-        "DEVICES", "DeviceInfo", "device_info", "platform_table",
+        "DEVICES", "DeviceInfo", "platform_table",
         "probe_table",
     ),
 })

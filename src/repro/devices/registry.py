@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import AttackError
-
 
 #: Maps a registry target onto the attack planner's member keyword.
 _ATTACK_TARGET = {"L1D": "l1-caches", "L1I": "l1-caches",
@@ -84,16 +82,6 @@ DEVICES: dict[str, DeviceInfo] = {
         extraction="jtag",
     ),
 }
-
-
-def device_info(key: str) -> DeviceInfo:
-    """Look up a platform record by key (``rpi4``, ``rpi3``, ``imx53``)."""
-    try:
-        return DEVICES[key]
-    except KeyError:
-        raise AttackError(
-            f"unknown device {key!r}; known: {sorted(DEVICES)}"
-        ) from None
 
 
 def platform_table() -> list[dict[str, object]]:

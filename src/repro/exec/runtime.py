@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..circuits.manufacture import Snapshot
-from ..errors import CheckpointError, ExecError
+from ..errors import ExecError
 from ..obs import OBS, MetricsRegistry, Tracer
 
 
@@ -49,7 +49,7 @@ class CheckpointPolicy:
 
     def __post_init__(self) -> None:
         if not self.directory:
-            raise CheckpointError("checkpoint policy needs a directory")
+            raise ExecError("checkpoint policy needs a directory")
 
 
 _policy: CheckpointPolicy | None = None
@@ -65,7 +65,7 @@ def claim_journal_path() -> str:
     """The next ``execute`` call's journal path (creates the dir)."""
     global _claims
     if _policy is None:
-        raise CheckpointError("no checkpoint policy installed")
+        raise ExecError("no checkpoint policy installed")
     os.makedirs(_policy.directory, exist_ok=True)
     path = os.path.join(_policy.directory, f"journal-{_claims:03d}.jsonl")
     _claims += 1

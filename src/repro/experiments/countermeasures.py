@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.patterns import count_pattern_lines
-from ..core.extraction import attacker_context, extract_l1_images
 from ..core.voltboot import VoltBootAttack
 from ..cpu.assembler import assemble
 from ..cpu.core import Core

@@ -16,7 +16,7 @@ The victim runs a loop over a secret buffer, then wipes the buffer with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.voltboot import VoltBootAttack
 from ..cpu.assembler import assemble

@@ -19,14 +19,14 @@ from ..lazy import attach
 __getattr__, __dir__, __all__ = attach(__name__, {
     ".campaign": (
         "CampaignSpec", "CampaignResult", "GlitchAttempt", "DEFAULT_SPEC",
-        "LEGS", "OUTCOMES", "shard_plan", "run_point", "run_os_attempt",
+        "LEGS", "OUTCOMES", "shard_plan", "run_point",
     ),
     ".dfa": ("DfaResult", "aes_glitch_dfa", "recover_last_round_key"),
     ".faultmodel": (
         "FaultKind", "FaultModel", "default_fault_model", "BrownOutDetector",
     ),
     ".injector": (
-        "GlitchInjector", "GlitchedInterpretedProcess", "InjectionResult",
+        "GlitchInjector", "InjectionResult",
         "DEFAULT_INSTRUCTION_PERIOD_S",
     ),
     ".waveform": ("GlitchPulse", "GlitchWaveform", "die_waveform"),

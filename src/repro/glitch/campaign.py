@@ -34,7 +34,7 @@ from ..cpu.assembler import assemble
 from ..cpu.core import Core
 from ..cpu.programs import pin_check
 from ..devices import glitch_rig
-from ..errors import CpuFault, GlitchError
+from ..errors import GlitchError
 from ..exec import ShardPlan, WorkUnit, booted_board, shard_unit
 from ..obs import OBS
 from ..rng import generator
@@ -42,11 +42,7 @@ from ..soc.board import Board
 from ..soc.bootrom import BootMedia
 from ..units import nanoseconds
 from .faultmodel import BrownOutDetector, FaultModel, default_fault_model
-from .injector import (
-    DEFAULT_INSTRUCTION_PERIOD_S,
-    GlitchInjector,
-    GlitchedInterpretedProcess,
-)
+from .injector import DEFAULT_INSTRUCTION_PERIOD_S, GlitchInjector
 from .waveform import GlitchPulse, GlitchWaveform, die_waveform
 
 #: Campaign legs: the same search with and without the countermeasure.
@@ -348,68 +344,3 @@ def shard_plan(seed: int, spec: CampaignSpec = DEFAULT_SPEC) -> ShardPlan:
                 )
             )
     return ShardPlan(units)
-
-
-# ----------------------------------------------------------------------
-# OS-level glitched victim (the osim.noise interaction surface)
-# ----------------------------------------------------------------------
-
-#: Kernel working set placed inside the rig's 64 KB DRAM.
-_OS_NOISE_BASE = 0x8000
-_OS_NOISE_SPAN = 0x4000
-
-
-def run_os_attempt(
-    seed: int, offset_s: float, width_s: float, depth_v: float
-) -> tuple[str, int, int, dict[str, int]]:
-    """One glitched victim under the toy OS scheduler.
-
-    Takes a copy of the booted rig
-    (:func:`~repro.exec.runtime.booted_board`), starts
-    :class:`~repro.osim.kernel.SimKernel` with
-    kernel cache noise, and runs the PIN-check victim as a
-    :class:`~repro.glitch.injector.GlitchedInterpretedProcess`.
-    Returns ``(outcome, unlock_flag, instructions, noise_stats)`` —
-    the jobs-equivalence suite asserts this tuple is identical however
-    the attempts are sharded.
-    """
-    from ..osim.kernel import SimKernel
-    from ..osim.noise import NoiseProfile
-
-    spec = DEFAULT_SPEC
-    pulse = GlitchPulse(offset_s=offset_s, width_s=width_s, depth_v=depth_v)
-    board, machine_code, waveform, model = _prepared_rig(seed, pulse, spec)
-    kernel = SimKernel(
-        board,
-        noise_profile=NoiseProfile(
-            kernel_base=_OS_NOISE_BASE, kernel_span=_OS_NOISE_SPAN
-        ),
-        seed_label="glitch-os",
-    )
-    kernel.enable_caches()
-    process = GlitchedInterpretedProcess(
-        "pin-check",
-        core_index=0,
-        machine_code=machine_code,
-        load_addr=CODE_ADDR,
-        waveform=waveform,
-        model=model,
-        rng=generator(seed, "glitch", "os", pulse.label()),
-        instruction_period_s=spec.instruction_period_s,
-        steps_per_quantum=16,
-    )
-    # The kernel's DMA-maintenance sweep targets the victim's buffer
-    # neighbourhood; point it at the unlock flag (the default 0x40000
-    # working set would sit outside the rig's 64 KB DRAM).
-    process.base_addr = FLAG_ADDR
-    process.array_bytes = 0x2000
-    kernel.spawn(process)
-    try:
-        kernel.run(max_rounds=spec.max_steps)
-    except CpuFault:
-        pass  # victim spun past the round budget: classified as hung
-    retired = process._core.instructions_retired if process._core else 0
-    return (
-        process.outcome or "hung", _unlock_flag(board), retired,
-        kernel.noise_stats(),
-    )

@@ -17,9 +17,6 @@ applies one architectural fault:
 A :class:`~repro.glitch.faultmodel.BrownOutDetector` hook raises
 :class:`~repro.errors.BrownOutReset` the moment execution time crosses
 the detector's trip point, so campaigns can score the countermeasure.
-
-:class:`GlitchedInterpretedProcess` runs the same injection under the
-toy OS scheduler, so kernel cache noise and glitch faults compose.
 """
 
 from __future__ import annotations
@@ -33,9 +30,6 @@ from ..cpu.core import Core
 from ..cpu.isa import XZR, decode
 from ..errors import BrownOutReset, CpuFault, GlitchError, ReproError
 from ..obs import OBS
-from ..osim.process import InterpretedProcess
-from ..soc.memory_map import MemoryMap
-from ..soc.soc import CoreUnit
 from ..units import nanoseconds
 from .faultmodel import BrownOutDetector, FaultKind, FaultModel
 from .waveform import GlitchWaveform
@@ -256,59 +250,3 @@ class GlitchInjector:
             ) from None
         self.core.fetch_override = instr
         self.core.step()
-
-
-class GlitchedInterpretedProcess(InterpretedProcess):
-    """An OS process whose instruction stream runs under the injector.
-
-    Drop-in for :class:`~repro.osim.process.InterpretedProcess`: the
-    kernel schedules it normally (and its cache noise interferes
-    normally), but every quantum is one :meth:`GlitchInjector.run` of
-    ``steps_per_quantum`` steps; a ``hung`` run has not finished yet.
-    ``outcome`` records how the victim ended: ``halted``, ``crashed``,
-    or ``reset``.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        core_index: int,
-        machine_code: bytes,
-        load_addr: int,
-        waveform: GlitchWaveform,
-        model: FaultModel,
-        rng: np.random.Generator,
-        instruction_period_s: float = DEFAULT_INSTRUCTION_PERIOD_S,
-        brownout: BrownOutDetector | None = None,
-        steps_per_quantum: int = 64,
-    ) -> None:
-        super().__init__(
-            name, core_index, machine_code, load_addr, steps_per_quantum
-        )
-        self.waveform = waveform
-        self.model = model
-        self.instruction_period_s = instruction_period_s
-        self.brownout = brownout
-        self._rng = rng
-        self._injector: GlitchInjector | None = None
-        self.outcome: str | None = None
-
-    def quantum(self, unit: CoreUnit, memory_map: MemoryMap) -> None:
-        """One scheduler quantum of glitched execution."""
-        if self.finished:
-            return
-        if self._injector is None:
-            core = self._core = Core(unit, memory_map)
-            core.load_program(self.machine_code, self.load_addr)
-            self._injector = GlitchInjector(
-                core,
-                self.waveform,
-                self.model,
-                self._rng,
-                self.instruction_period_s,
-                self.brownout,
-            )
-        result = self._injector.run(max_steps=self.steps_per_quantum)
-        if result.termination != "hung":
-            self.finished = True
-            self.outcome = result.termination

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..errors import BootError, CpuFault
 from ..rng import generator
 from ..soc.board import Board
-from .noise import IDLE_LINUX, KernelNoise, NoiseProfile
+from .noise import IDLE_LINUX, KERNEL_BASE, KernelNoise, NoiseProfile
 from .process import Process
 
 
@@ -72,9 +72,9 @@ class SimKernel:
             n_lines = geometry.sets * geometry.ways
             rng = generator(0xC0FFEE, self._rng_root, "warm", str(core.index))
             offsets = rng.permutation(n_lines * 2)[:n_lines]
-            base = self.noise_profile.kernel_base
             for offset in offsets:
-                core.l1d.read(base + int(offset) * geometry.line_bytes, 8)
+                addr = KERNEL_BASE + int(offset) * geometry.line_bytes
+                core.l1d.read(addr, 8)
 
     def spawn(self, process: Process) -> Process:
         """Register a victim process on its pinned core."""
@@ -93,11 +93,6 @@ class SimKernel:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-
-    @property
-    def processes(self) -> list[Process]:
-        """All registered processes."""
-        return list(self._processes)
 
     def all_finished(self) -> bool:
         """Whether every victim process has run to completion."""
@@ -121,10 +116,3 @@ class SimKernel:
                 return round_index
             self.run_round()
         raise CpuFault(f"workload did not finish within {max_rounds} rounds")
-
-    def noise_stats(self) -> dict[str, int]:
-        """Aggregate interference counts (for experiment reports)."""
-        return {
-            "fills": sum(n.fills_done for n in self._noise.values()),
-            "maintenance": sum(n.maintenance_done for n in self._noise.values()),
-        }

@@ -25,34 +25,25 @@ from ..errors import CalibrationError
 from ..soc.soc import CoreUnit
 
 
+#: Where the kernel's own working set sits in the address space.
+KERNEL_BASE = 0x60000
+KERNEL_SPAN = 0x10000
+
+
 @dataclass(frozen=True)
 class NoiseProfile:
     """Intensity of kernel interference per victim quantum.
 
     ``fill_lines`` / ``maintenance_lines`` are Poisson means for the two
-    mechanisms; ``kernel_base``/``kernel_span`` place the kernel's own
-    working set in the address space.
+    mechanisms.
     """
 
     fill_lines: float = 1.0
     maintenance_lines: float = 0.25
-    kernel_base: int = 0x60000
-    kernel_span: int = 0x10000
 
     def __post_init__(self) -> None:
         if self.fill_lines < 0 or self.maintenance_lines < 0:
             raise CalibrationError("noise rates cannot be negative")
-        if self.kernel_span <= 0:
-            raise CalibrationError("kernel span must be positive")
-
-    def scaled(self, factor: float) -> "NoiseProfile":
-        """A copy with both rates multiplied by ``factor``."""
-        return NoiseProfile(
-            fill_lines=self.fill_lines * factor,
-            maintenance_lines=self.maintenance_lines * factor,
-            kernel_base=self.kernel_base,
-            kernel_span=self.kernel_span,
-        )
 
 
 #: Background load of a mostly-idle Raspberry Pi OS (the paper's setup).
@@ -77,8 +68,8 @@ class KernelNoise:
         self.maintenance_done = 0
 
     def _random_kernel_addr(self) -> int:
-        offset = int(self._rng.integers(0, self.profile.kernel_span // 64)) * 64
-        return self.profile.kernel_base + offset
+        offset = int(self._rng.integers(0, KERNEL_SPAN // 64)) * 64
+        return KERNEL_BASE + offset
 
     def _random_victim_addr(self) -> int:
         offset = int(self._rng.integers(0, self._victim_span // 64)) * 64

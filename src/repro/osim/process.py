@@ -35,31 +35,29 @@ class Process(ABC):
         """Run one scheduler quantum on ``unit``."""
 
 
+#: Instructions an interpreted process retires per scheduler quantum.
+STEPS_PER_QUANTUM = 256
+
+
 class InterpretedProcess(Process):
     """A process executing real machine code through the interpreter."""
 
     def __init__(
-        self,
-        name: str,
-        core_index: int,
-        machine_code: bytes,
-        load_addr: int,
-        steps_per_quantum: int = 256,
+        self, name: str, core_index: int, machine_code: bytes, load_addr: int
     ) -> None:
         super().__init__(name, core_index)
         self.machine_code = machine_code
         self.load_addr = load_addr
-        self.steps_per_quantum = steps_per_quantum
         self._core: Core | None = None
 
     def quantum(self, unit: CoreUnit, memory_map: MemoryMap) -> None:
-        """Execute up to ``steps_per_quantum`` instructions."""
+        """Execute up to :data:`STEPS_PER_QUANTUM` instructions."""
         if self.finished:
             return
         if self._core is None:
             self._core = Core(unit, memory_map)
             self._core.load_program(self.machine_code, self.load_addr)
-        for _ in range(self.steps_per_quantum):
+        for _ in range(STEPS_PER_QUANTUM):
             if self._core.halted:
                 self.finished = True
                 return

@@ -8,7 +8,7 @@ weaponises:
 * :mod:`~repro.power.domain` — a named power domain owning a set of
   volatile loads (SRAM arrays, register files, DRAM modules);
 * :mod:`~repro.power.pmu` — the on-chip power management unit that
-  sequences and gates domains;
+  sequences domains at startup;
 * :mod:`~repro.power.events` — a simulated-time event log so attacks and
   experiments can reconstruct exactly what happened to each rail.
 """

@@ -81,17 +81,9 @@ class PowerEventLog:
             OBS.power_event(event)
         return event
 
-    def of_kind(self, kind: PowerEventKind) -> list[PowerEvent]:
-        """All events of one kind, in order."""
-        return [e for e in self.events if e.kind is kind]
-
     def last(self, kind: PowerEventKind) -> PowerEvent:
         """Most recent event of ``kind``."""
         for event in reversed(self.events):
             if event.kind is kind:
                 return event
         raise PowerError(f"no event of kind {kind.value!r} recorded")
-
-    def transcript(self) -> str:
-        """Human-readable rendering of the whole log."""
-        return "\n".join(str(e) for e in self.events)

@@ -1,11 +1,9 @@
 """The on-chip Power Management Unit.
 
-The PMU owns the SoC's power domains, sequences them at startup, and
-power-gates them at runtime (paper §2.3: domains "allow full power down
-at runtime when not needed").  Volt Boot does not subvert the PMU — it
-bypasses it entirely by driving a rail from outside — but a faithful PMU
-is needed for the boot flows and for the runtime-gating behaviours the
-countermeasures section discusses.
+The PMU owns the SoC's power domains and sequences them at startup.
+Volt Boot does not subvert the PMU — it bypasses it entirely by driving
+a rail from outside — but a faithful PMU is needed for the boot flows:
+a domain the attacker holds up is handed back, not re-powered.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from .events import PowerEventLog
 
 
 class PowerManagementUnit:
-    """Sequencer and runtime gate controller for a set of power domains."""
+    """Startup sequencer for a set of power domains."""
 
     def __init__(self, log: PowerEventLog) -> None:
         self.log = log
@@ -70,32 +68,3 @@ class PowerManagementUnit:
             domain.apply_power(voltage)
             came_up.append(domain)
         return came_up
-
-    def power_down_all(self) -> None:
-        """Collapse every still-powered, non-held domain (input cut)."""
-        for name in reversed(self._sequence):
-            domain = self._domains[name]
-            if domain.powered and not domain.held_externally:
-                domain.cut_power()
-
-    # ------------------------------------------------------------------
-    # Runtime gating
-    # ------------------------------------------------------------------
-
-    def gate(self, name: str) -> None:
-        """Power-gate one domain at runtime (software-initiated)."""
-        domain = self.domain(name)
-        if not domain.powered:
-            raise PowerError(f"{name}: cannot gate an unpowered domain")
-        if domain.held_externally:
-            raise PowerError(f"{name}: rail is externally held; gating fails")
-        domain.cut_power()
-
-    def ungate(self, name: str, voltage: float | None = None) -> None:
-        """Re-enable a gated domain; its
-        :meth:`~repro.power.domain.PowerDomain.retained_fractions` then
-        report what each load kept."""
-        domain = self.domain(name)
-        if domain.powered:
-            raise PowerError(f"{name}: domain is already powered")
-        domain.apply_power(voltage)

@@ -13,7 +13,7 @@ Nothing here reads the wall clock or draws ambient randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import ResilienceError
 from ..units import millivolts
@@ -97,7 +97,3 @@ class RetryPolicy:
             reads_per_extraction=1,
             min_confident_fraction=0.0,
         )
-
-    def with_reads(self, reads: int) -> "RetryPolicy":
-        """A copy with a different majority-vote width."""
-        return replace(self, reads_per_extraction=reads)

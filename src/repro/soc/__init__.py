@@ -18,9 +18,7 @@ __getattr__, __dir__, __all__ = attach(__name__, {
     ".iram": ("Iram",),
     ".jtag": ("JtagProbe",),
     ".mbist": ("MbistEngine",),
-    ".memory_map": (
-        "MainMemory", "MemoryMap", "MemoryPort", "Region", "RomWindow",
-    ),
+    ".memory_map": ("MainMemory", "MemoryMap", "MemoryPort", "Region"),
     ".regfile": (
         "RegisterFile", "WordRam", "general_purpose_file", "vector_file",
     ),

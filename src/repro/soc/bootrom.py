@@ -117,10 +117,3 @@ class BootRom:
                 regions=len(self.scratchpad_regions),
             )
         return clobbered
-
-    def clobbered_fraction(self, iram: Iram | None) -> float:
-        """Fraction of the iRAM the ROM overwrites at every boot."""
-        if iram is None or not self.scratchpad_regions:
-            return 0.0
-        total = sum(r.size for r in self.scratchpad_regions)
-        return total / iram.size_bytes

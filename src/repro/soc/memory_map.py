@@ -2,9 +2,9 @@
 
 The simulated CPU and the debug interfaces address one flat physical
 space; this module routes each access to the region that owns it — main
-DRAM, iRAM, or a boot ROM window.  Regions, caches and the map itself
-all expose one ``read_block``/``write_block`` port (:class:`MemoryPort`),
-so a cache's backing store can simply be the memory map.
+DRAM or iRAM.  Regions, caches and the map itself all expose one
+``read_block``/``write_block`` port (:class:`MemoryPort`), so a cache's
+backing store can simply be the memory map.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class AddressWindow:
     name: str
     base_addr: int
     size_bytes: int
-
-    def contains(self, addr: int) -> bool:
-        """Whether ``addr`` falls inside the window."""
-        return self.base_addr <= addr < self.base_addr + self.size_bytes
 
     def _offset(self, addr: int, size: int) -> int:
         """Offset of ``[addr, addr + size)``, which must lie in the window."""
@@ -65,25 +61,6 @@ class MainMemory(AddressWindow):
     def write_block(self, addr: int, data: bytes) -> None:
         """Write to DRAM at an absolute physical address."""
         self.dram.write_bytes(self._offset(addr, len(data)), data)
-
-
-class RomWindow(AddressWindow):
-    """A read-only region (boot ROM image)."""
-
-    def __init__(self, base_addr: int, image: bytes, name: str = "rom") -> None:
-        self.base_addr = base_addr
-        self.image_bytes = bytes(image)
-        self.size_bytes = len(self.image_bytes)
-        self.name = name
-
-    def read_block(self, addr: int, size: int) -> bytes:
-        """Read from the ROM image."""
-        offset = self._offset(addr, size)
-        return self.image_bytes[offset : offset + size]
-
-    def write_block(self, addr: int, data: bytes) -> None:
-        """ROMs reject writes."""
-        raise MemoryMapError(f"{self.name}: ROM is read-only")
 
 
 @dataclass(frozen=True)
@@ -122,10 +99,6 @@ class MemoryMap:
         self._regions.append(new)
         self._regions.sort(key=lambda r: r.base_addr)
         return new
-
-    def regions(self) -> list[Region]:
-        """All regions, sorted by base address."""
-        return list(self._regions)
 
     def region_for(self, addr: int, size: int = 1) -> Region:
         """Find the region containing ``[addr, addr + size)``."""

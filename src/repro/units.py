@@ -2,8 +2,7 @@
 
 The library stores quantities in SI base units: volts, amperes, seconds,
 farads, ohms, kelvins.  This module provides the small set of helpers and
-constants used to build and check those quantities, plus human-readable
-formatting for reports.
+constants used to build and check those quantities.
 
 All converters are trivially invertible; they exist to make call sites
 self-documenting (``milliseconds(20)`` rather than a bare ``0.02``).
@@ -80,31 +79,3 @@ def nanofarads(value: float) -> float:
 def kib(value: float) -> int:
     """Express ``value`` kibibytes in bytes."""
     return int(value * 1024)
-
-
-def format_voltage(volts: float) -> str:
-    """Render a voltage the way board schematics do (``0.8V``, ``800mV``)."""
-    if abs(volts) >= 1.0:
-        return f"{volts:g}V"
-    return f"{volts * 1e3:g}mV"
-
-
-def format_duration(seconds: float) -> str:
-    """Render a duration with an auto-selected unit (s / ms / us / ns)."""
-    magnitude = abs(seconds)
-    if magnitude >= 1.0:
-        return f"{seconds:g}s"
-    if magnitude >= 1e-3:
-        return f"{seconds * 1e3:g}ms"
-    if magnitude >= 1e-6:
-        return f"{seconds * 1e6:g}us"
-    return f"{seconds * 1e9:g}ns"
-
-
-def format_bytes(count: int) -> str:
-    """Render a byte count using binary units (B / KiB / MiB)."""
-    if count >= 1024 * 1024 and count % (1024 * 1024) == 0:
-        return f"{count // (1024 * 1024)}MiB"
-    if count >= 1024 and count % 1024 == 0:
-        return f"{count // 1024}KiB"
-    return f"{count}B"

@@ -29,7 +29,7 @@ class TestExactSearch:
         assert len(hits) == 1
         assert hits[0].offset == 256
         assert hits[0].key == KEY
-        assert hits[0].exact
+        assert hits[0].fraction_errors == 0.0
 
     def test_no_false_positives_in_noise(self):
         rng = np.random.default_rng(3)
@@ -57,7 +57,7 @@ class TestNoisySearch:
             bytes(image), max_fraction_errors=0.01
         )
         assert hits and hits[0].key == KEY
-        assert not hits[0].exact
+        assert hits[0].fraction_errors > 0.0
 
     def test_best_candidate_first(self):
         image = bytearray(image_with_schedule(0, size=512))

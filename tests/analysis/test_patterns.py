@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.patterns import (
     count_pattern_lines,
-    coverage_fraction,
     elements_present,
     find_aligned,
     find_all,
@@ -51,11 +50,6 @@ class TestElements:
         image = b"\x00" * 3 + b"AAAAAAAA" + b"\x00" * 5
         assert elements_present(image, elements) == set()
 
-    def test_coverage_fraction(self):
-        elements = [b"AAAAAAAA", b"BBBBBBBB"]
-        image = b"AAAAAAAA" + b"\x00" * 8
-        assert coverage_fraction(image, elements) == pytest.approx(0.5)
-
     def test_empty_needle_rejected(self):
         with pytest.raises(ReproError):
             elements_present(b"abcdefgh", [b"abcdefgh", b""])
@@ -64,10 +58,6 @@ class TestElements:
     def test_bad_alignment_rejected(self, alignment):
         with pytest.raises(ReproError):
             elements_present(b"abcdefgh", [b"abcdefgh"], alignment)
-
-    def test_coverage_of_nothing_rejected(self):
-        with pytest.raises(ReproError):
-            coverage_fraction(b"", [])
 
 
 class TestPatternLines:

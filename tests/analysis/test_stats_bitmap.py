@@ -1,4 +1,4 @@
-"""Trial statistics and the synthetic test bitmap."""
+"""The synthetic test bitmap."""
 
 import numpy as np
 import pytest
@@ -8,30 +8,7 @@ import pytest
 from repro.analysis.bitmap import BITMAP_BYTES, BITMAP_SIDE
 from repro.analysis.bitmap import test_bitmap_bytes as bitmap_bytes
 from repro.analysis.bitmap import test_bitmap_matrix as bitmap_matrix
-from repro.analysis.statistics import summarize_trials
 from repro.errors import ReproError
-
-
-class TestStatistics:
-    def test_single_value(self):
-        stats = summarize_trials([3.0])
-        assert stats.mean == 3.0
-        assert stats.stddev == 0.0
-        assert stats.n == 1
-
-    def test_mean_min_max(self):
-        stats = summarize_trials([1.0, 2.0, 3.0])
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.minimum == 1.0
-        assert stats.maximum == 3.0
-
-    def test_sample_stddev(self):
-        stats = summarize_trials([1.0, 3.0])
-        assert stats.stddev == pytest.approx(np.std([1.0, 3.0], ddof=1))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            summarize_trials([])
 
 
 class TestBitmap:

@@ -38,19 +38,6 @@ class TestArrheniusBasics:
         with pytest.raises(CalibrationError):
             ArrheniusDecay(prefactor_s=1e-8, activation_k=-5.0)
 
-    def test_decay_voltages_vectorised(self):
-        import numpy as np
-
-        out = SRAM_DECAY.decay_voltages(
-            np.array([0.8, 0.4]), 10e-6, celsius_to_kelvin(25.0)
-        )
-        assert out[0] == pytest.approx(2 * out[1])
-
-    def test_celsius_wrapper_matches_kelvin(self):
-        assert SRAM_DECAY.time_constant_celsius(25.0) == pytest.approx(
-            SRAM_DECAY.time_constant(celsius_to_kelvin(25.0))
-        )
-
 
 class TestCalibration:
     """DESIGN.md calibration targets from the remanence literature."""

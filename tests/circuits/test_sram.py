@@ -70,12 +70,6 @@ class TestPowerStates:
         with pytest.raises(CircuitError):
             fresh_array().elapse_unpowered(1.0, 300.0)
 
-    def test_supply_voltage_reported(self):
-        array = fresh_array()
-        assert array.supply_voltage == pytest.approx(0.8)
-        array.power_down()
-        assert array.supply_voltage == 0.0
-
 
 class TestPowerUpFingerprint:
     def test_two_powerups_are_similar_but_not_identical(self):

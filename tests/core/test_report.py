@@ -1,12 +1,8 @@
-"""Attack report rendering and accuracy helpers."""
+"""Attack report rendering."""
 
 import pytest
 
-from repro.core.report import (
-    AttackReport,
-    matches_exactly,
-    retention_accuracy_percent,
-)
+from repro.core.report import AttackReport
 from repro.errors import ReproError
 
 
@@ -45,16 +41,3 @@ class TestReport:
         positions = {line.index("1") for line in data_lines if "1" in line}
         # Value column starts at the same offset in every row.
         assert len({line.split()[-1] for line in data_lines}) == 2
-
-
-class TestAccuracyHelpers:
-    def test_perfect_match(self):
-        assert retention_accuracy_percent(b"abc", b"abc") == 100.0
-        assert matches_exactly(b"abc", b"abc")
-
-    def test_total_mismatch(self):
-        assert retention_accuracy_percent(b"\x00", b"\xff") == 0.0
-        assert not matches_exactly(b"\x00", b"\xff")
-
-    def test_partial(self):
-        assert retention_accuracy_percent(b"\x00", b"\x0f") == pytest.approx(50.0)

@@ -11,7 +11,6 @@ from repro.cpu.programs import (
     dczva_wipe,
     element_value,
     nop_fill,
-    pattern_array,
     pin_check,
     vector_fill,
 )
@@ -41,14 +40,6 @@ class TestProgramBuilders:
         with pytest.raises(AssemblerError):
             nop_fill(1023)
 
-    def test_pattern_array_assembles(self):
-        program = assemble(pattern_array(0x4000, 128, passes=2))
-        assert len(program.machine_code) // 4 > 10
-
-    def test_pattern_array_rejects_bad_counts(self):
-        with pytest.raises(AssemblerError):
-            pattern_array(0x4000, 0)
-
     def test_vector_fill_touches_all_registers(self):
         source = vector_fill()
         assert source.count("vfill") == 32
@@ -64,7 +55,6 @@ class TestProgramBuilders:
     def test_all_builders_produce_valid_assembly(self):
         for source in (
             nop_fill(256),
-            pattern_array(0x4000, 16),
             vector_fill(),
             byte_pattern_store(0x4000, 64),
             dczva_wipe(0x4000, 128),
@@ -77,7 +67,6 @@ class TestProgramBuilders:
 #: the ISA table's shapes.
 CANNED_DIGESTS = [
     (lambda: nop_fill(4096), "b781b29ecc0b01b8"),
-    (lambda: pattern_array(0x20000, 300, 2), "c2261d5142e91cc3"),
     (lambda: vector_fill(), "c1df8c1b6f4f1349"),
     (lambda: vector_fill((1, 2, 3)), "5e6b946267087850"),
     (lambda: byte_pattern_store(0x30000, 512, 0x5A), "21bb8b02dc18fa7b"),

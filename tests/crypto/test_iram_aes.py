@@ -1,16 +1,14 @@
-"""Sentry-style iRAM AES runtime and its exposure to Volt Boot."""
+"""A Sentry-style AES key schedule parked in iRAM, and its exposure to
+Volt Boot."""
 
 import pytest
 
 from repro.analysis.keysearch import search_aes128_schedules
 from repro.core.voltboot import VoltBootAttack
-from repro.crypto.aes import encrypt_block, schedule_bytes
-from repro.crypto.onchip import IramAes
+from repro.crypto.aes import schedule_bytes
 from repro.devices import imx53_qsb
-from repro.errors import ReproError
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
 
 
 @pytest.fixture
@@ -21,32 +19,11 @@ def booted_imx53():
 
 
 class TestIramAes:
-    def test_matches_reference_aes(self, booted_imx53):
-        runtime = IramAes(booted_imx53.soc.iram)
-        runtime.install_key(KEY)
-        assert runtime.encrypt(PLAINTEXT) == encrypt_block(KEY, PLAINTEXT)
-
-    def test_schedule_lives_in_iram(self, booted_imx53):
-        runtime = IramAes(booted_imx53.soc.iram, schedule_offset=0x5000)
-        written = runtime.install_key(KEY)
-        assert written == 176
-        assert schedule_bytes(KEY) in booted_imx53.soc.iram.image()
-
-    def test_encrypt_without_key_rejected(self, booted_imx53):
-        with pytest.raises(ReproError):
-            IramAes(booted_imx53.soc.iram).encrypt(PLAINTEXT)
-
-    def test_overflowing_schedule_rejected(self, booted_imx53):
-        iram = booted_imx53.soc.iram
-        runtime = IramAes(iram, schedule_offset=iram.size_bytes - 10)
-        with pytest.raises(ReproError):
-            runtime.install_key(KEY)
-
     def test_volt_boot_steals_the_iram_schedule(self, booted_imx53):
-        """The §7.3 payoff applied to a Sentry-style victim."""
-        runtime = IramAes(booted_imx53.soc.iram, schedule_offset=0x6000)
-        runtime.install_key(KEY)
-        runtime.encrypt(PLAINTEXT)
+        """The §7.3 payoff applied to a Sentry-style victim, which keeps
+        its expanded key in internal RAM instead of DRAM."""
+        iram = booted_imx53.soc.iram
+        iram.write_block(iram.base_addr + 0x6000, schedule_bytes(KEY))
         result = VoltBootAttack(booted_imx53, target="iram").execute()
         hits = search_aes128_schedules(result.iram_image)
         assert any(hit.key == KEY for hit in hits)

@@ -14,9 +14,9 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.exec import ShardPlan, WorkUnit, execute, runtime, shard_unit
+from repro.exec import runtime
 from repro.experiments import figure10, glitch_campaign, retention_sweep
-from repro.glitch.campaign import CampaignSpec, run_os_attempt
+from repro.glitch.campaign import CampaignSpec
 from repro.units import nanoseconds
 
 #: Small but non-trivial campaign: offsets bracket the PIN guard so all
@@ -28,12 +28,6 @@ GLITCH_SPEC = CampaignSpec(
     repeats=2,
     random_points=2,
 )
-
-
-@shard_unit
-def _os_attempt(*args):
-    """:func:`run_os_attempt` as a shard unit."""
-    return run_os_attempt(*args)
 
 
 class TestExperimentEquivalence:
@@ -71,53 +65,6 @@ class TestExperimentEquivalence:
         serial = glitch_campaign.run(seed=41, jobs=1, spec=GLITCH_SPEC)
         parallel = glitch_campaign.run(seed=41, jobs=4, spec=GLITCH_SPEC)
         assert serial.attempts == parallel.attempts
-
-
-class TestOsGlitchEquivalence:
-    """osim.noise × injector: a glitched victim under the kernel's cache
-    noise must stay deterministic however its attempts are sharded."""
-
-    @staticmethod
-    def _plan() -> ShardPlan:
-        pulses = [
-            (0.0, nanoseconds(40), 0.4),
-            (nanoseconds(350), nanoseconds(40), 0.55),
-            (nanoseconds(360), nanoseconds(40), 0.55),
-            (nanoseconds(200), nanoseconds(120), 0.5),
-        ]
-        return ShardPlan(
-            [
-                WorkUnit(
-                    index=i,
-                    fn=_os_attempt,
-                    args=(41, offset, width, depth),
-                    label=f"os-glitch[{i}]",
-                )
-                for i, (offset, width, depth) in enumerate(pulses)
-            ]
-        )
-
-    #: ``run_os_attempt`` results for ``_plan``'s pulses at seed 41, as
-    #: recorded when every unit deep-copied the booted rig.  A clone bug
-    #: that hit serial and sharded runs alike would keep them equal to
-    #: each other but not to these.
-    OS_RESULTS = [
-        ("crashed", 5811468618234911997, 4, {"fills": 1, "maintenance": 0}),
-        ("crashed", 0, 39, {"fills": 2, "maintenance": 0}),
-        ("crashed", 0, 39, {"fills": 2, "maintenance": 0}),
-        ("halted", 0, 39, {"fills": 2, "maintenance": 0}),
-    ]
-
-    def test_os_attempts_are_jobs_invariant(self):
-        serial = execute(self._plan(), jobs=1)
-        parallel = execute(self._plan(), jobs=4)
-        assert serial == parallel
-        # Kernel noise actually ran: at least one attempt saw cache
-        # fills from the interfering kernel.
-        assert any(stats["fills"] > 0 for _, _, _, stats in serial)
-
-    def test_os_attempts_are_pinned(self):
-        assert execute(self._plan(), jobs=1) == self.OS_RESULTS
 
 
 class TestManifestEquivalence:

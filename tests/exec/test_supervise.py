@@ -20,7 +20,7 @@ from repro.errors import (
     WorkerHang,
     failure_class,
 )
-from repro.exec import SupervisionPolicy, supervise
+from repro.exec import SupervisionPolicy, runtime, supervise
 
 #: A tight policy so hang/death detection lands in test time.
 _FAST = SupervisionPolicy(hang_timeout_s=0.5)
@@ -66,10 +66,28 @@ def _run(tasks, jobs=4, policy=_FAST):
 
 
 class TestPolicy:
-    @pytest.mark.parametrize("timeout_s", [0.0, -1.0])
-    def test_non_positive_hang_timeout_is_an_exec_error(self, timeout_s):
+    @pytest.mark.parametrize(
+        "misuse",
+        [
+            pytest.param(
+                lambda: SupervisionPolicy(hang_timeout_s=0.0), id="0.0"
+            ),
+            pytest.param(
+                lambda: SupervisionPolicy(hang_timeout_s=-1.0), id="-1.0"
+            ),
+            pytest.param(
+                lambda: runtime.CheckpointPolicy(""), id="no-directory"
+            ),
+            pytest.param(runtime.claim_journal_path, id="no-policy"),
+        ],
+    )
+    def test_non_positive_hang_timeout_is_an_exec_error(self, misuse):
+        """Policy misuse is an :class:`ExecError`, never the
+        :class:`CheckpointError` kept for journal failures: a
+        non-positive hang timeout, a checkpoint policy with no
+        directory, or a journal claimed with no policy installed."""
         with pytest.raises(ExecError) as raised:
-            SupervisionPolicy(hang_timeout_s=timeout_s)
+            misuse()
         assert not isinstance(raised.value, CheckpointError)
 
 

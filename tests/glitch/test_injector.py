@@ -7,17 +7,13 @@ from repro.cpu.assembler import assemble
 from repro.cpu.core import Core
 from repro.cpu.isa import decode
 from repro.devices import glitch_rig
-from repro.errors import BrownOutReset, CpuFault, GlitchError, ReproError
+from repro.errors import BrownOutReset, GlitchError, ReproError
 from repro.glitch.faultmodel import (
     BrownOutDetector,
     FaultModel,
     default_fault_model,
 )
-from repro.glitch.injector import (
-    GlitchInjector,
-    GlitchedInterpretedProcess,
-    InjectionResult,
-)
+from repro.glitch.injector import GlitchInjector, InjectionResult
 from repro.glitch.waveform import GlitchWaveform
 from repro.rng import generator
 from repro.soc.bootrom import BootMedia
@@ -177,112 +173,6 @@ class TestGlitchInjector:
                 (result.termination, result.instructions, result.faults)
             )
         assert outcomes[0] == outcomes[1]
-
-
-class TestGlitchedInterpretedProcess:
-    def test_process_reports_outcome(self):
-        from repro.osim.kernel import SimKernel
-        from repro.osim.noise import NoiseProfile
-
-        board = glitch_rig(seed=5)
-        board.boot(BootMedia("victim-os"))
-        kernel = SimKernel(
-            board,
-            noise_profile=NoiseProfile(kernel_base=0x8000, kernel_span=0x4000),
-            seed_label="glitch-test",
-        )
-        kernel.enable_caches()
-        process = GlitchedInterpretedProcess(
-            "victim",
-            core_index=0,
-            machine_code=assemble(ADD_PROGRAM).machine_code,
-            load_addr=CODE_ADDR,
-            waveform=_flat_waveform(0.8),
-            model=default_fault_model(0.8),
-            rng=generator(5, "proc"),
-        )
-        process.base_addr = CODE_ADDR
-        process.array_bytes = 0x1000
-        kernel.spawn(process)
-        kernel.run()
-        assert process.finished
-        assert process.outcome == "halted"
-        assert process._core.read_x(1) == 12
-
-    @pytest.mark.parametrize("leg", ["unprotected", "brownout"])
-    def test_a_scheduled_victim_ends_like_a_bare_run(self, leg, monkeypatch):
-        """Under the scheduler, ``max_rounds`` quanta of
-        ``steps_per_quantum`` steps end every campaign pulse as one
-        :meth:`GlitchInjector.run` of the same budget does, from the
-        same stream: same termination, instructions and faults.  They
-        also end as they do with the one-``step()``-per-instruction
-        loop in place of ``run``, with the same rail minimum, draws and
-        kernel noise."""
-        from repro.cpu.core import Core
-        from repro.glitch.campaign import (
-            CODE_ADDR as VICTIM_ADDR,
-            DEFAULT_SPEC as spec,
-            FLAG_ADDR,
-            _prepared_rig,
-        )
-        from repro.glitch.waveform import GlitchPulse
-        from repro.osim.kernel import SimKernel
-        from repro.osim.noise import NoiseProfile
-
-        steps_per_quantum = 16
-        max_rounds, leftover = divmod(spec.max_steps, steps_per_quantum)
-        assert leftover == 0
-        brownout = spec.brownout(leg)
-        pulses = [GlitchPulse(*point) for point in spec.grid_points()]
-
-        def scheduled(index, pulse):
-            board, code, waveform, model = _prepared_rig(19, pulse, spec)
-            kernel = SimKernel(
-                board,
-                noise_profile=NoiseProfile(
-                    kernel_base=0x8000, kernel_span=0x4000
-                ),
-            )
-            kernel.enable_caches()
-            rng = generator(19, "loop", leg, f"grid{index}")
-            process = GlitchedInterpretedProcess(
-                "pin-check", 0, code, VICTIM_ADDR, waveform, model, rng,
-                spec.instruction_period_s, brownout, steps_per_quantum,
-            )
-            process.base_addr = FLAG_ADDR
-            process.array_bytes = 0x2000
-            kernel.spawn(process)
-            try:
-                kernel.run(max_rounds=max_rounds)
-            except CpuFault:
-                pass
-            injector = process._injector
-            return (
-                process.outcome or "hung",
-                process._core.instructions_retired,
-                injector.fault_counts,
-                injector.min_rail_v.hex(),
-                rng.bit_generator.state,
-                kernel.noise_stats(),
-            )
-
-        runs = [scheduled(index, pulse) for index, pulse in enumerate(pulses)]
-        for index, (pulse, run) in enumerate(zip(pulses, runs)):
-            board, code, waveform, model = _prepared_rig(19, pulse, spec)
-            core = Core(board.soc.core(0), board.soc.memory_map)
-            core.load_program(code, VICTIM_ADDR)
-            bare = GlitchInjector(
-                core, waveform, model, generator(19, "loop", leg, f"grid{index}"),
-                spec.instruction_period_s, brownout,
-            ).run(max_steps=spec.max_steps)
-            outcome, instructions, faults = run[:3]
-            assert outcome == bare.termination, pulse
-            assert instructions == bare.instructions
-            assert faults == bare.faults, pulse
-        monkeypatch.setattr(GlitchInjector, "run", _stepwise_run)
-        assert [
-            scheduled(index, pulse) for index, pulse in enumerate(pulses)
-        ] == runs
 
 
 def _stepwise_run(injector: GlitchInjector, max_steps: int) -> InjectionResult:

@@ -9,8 +9,9 @@ from repro.cpu.programs import byte_pattern_store, element_value
 from repro.devices import raspberry_pi_4
 from repro.errors import BootError, CpuFault
 from repro.osim.kernel import SimKernel
-from repro.osim.noise import NoiseProfile
+from repro.osim.noise import KernelNoise, NoiseProfile
 from repro.osim.process import ArrayFillProcess, InterpretedProcess
+from repro.rng import generator
 from repro.soc.bootrom import BootMedia
 
 
@@ -27,12 +28,6 @@ class TestNoiseProfile:
 
         with pytest.raises(CalibrationError):
             NoiseProfile(fill_lines=-1.0)
-
-    def test_scaled(self):
-        profile = NoiseProfile(fill_lines=2.0, maintenance_lines=1.0)
-        doubled = profile.scaled(2.0)
-        assert doubled.fill_lines == 4.0
-        assert doubled.maintenance_lines == 2.0
 
 
 class TestKernelLifecycle:
@@ -192,16 +187,17 @@ class TestNoiseEffects:
     def test_noise_statistics_accumulate(self):
         board = raspberry_pi_4(seed=305)
         board.boot(BootMedia("os"))
-        kernel = SimKernel(
-            board,
-            noise_profile=NoiseProfile(fill_lines=4.0, maintenance_lines=1.0),
-            seed_label="t-noise",
+        SimKernel(board).enable_caches()
+        noise = KernelNoise(
+            NoiseProfile(fill_lines=4.0, maintenance_lines=1.0),
+            generator(305, "t-noise"),
+            victim_base=0x40000,
+            victim_span=0x800,
         )
-        kernel.enable_caches()
-        kernel.spawn(ArrayFillProcess("p", 0, 0x40000, 256, passes=2))
-        kernel.run()
-        stats = kernel.noise_stats()
-        assert stats["fills"] > 0
+        for _ in range(32):
+            noise.interfere(board.soc.core(0))
+        assert noise.fills_done > 0
+        assert noise.maintenance_done > 0
 
     def test_warm_caches_fills_every_line(self):
         board = raspberry_pi_4(seed=306)

@@ -28,14 +28,6 @@ class TestLog:
         event = log.record(PowerEventKind.BOOT, "board")
         assert event.time_s == pytest.approx(0.25)
 
-    def test_of_kind_filters(self):
-        log = PowerEventLog()
-        log.record(PowerEventKind.BOOT, "a")
-        log.record(PowerEventKind.NOTE, "b")
-        log.record(PowerEventKind.BOOT, "c")
-        boots = log.of_kind(PowerEventKind.BOOT)
-        assert [e.subject for e in boots] == ["a", "c"]
-
     def test_last_returns_most_recent(self):
         log = PowerEventLog()
         log.record(PowerEventKind.BOOT, "first")
@@ -45,12 +37,3 @@ class TestLog:
     def test_last_missing_kind_rejected(self):
         with pytest.raises(PowerError):
             PowerEventLog().last(PowerEventKind.BOOT)
-
-    def test_transcript_renders_every_event(self):
-        log = PowerEventLog()
-        log.record(PowerEventKind.BOOT, "board", "usb")
-        log.record(PowerEventKind.NOTE, "board")
-        transcript = log.transcript()
-        assert "boot" in transcript
-        assert "usb" in transcript
-        assert len(transcript.splitlines()) == 2

@@ -1,4 +1,4 @@
-"""PMU sequencing and runtime gating."""
+"""PMU registration and startup sequencing."""
 
 import numpy as np
 import pytest
@@ -57,41 +57,3 @@ class TestSequencing:
         assert came_up == [pmu.domain("VDD_MEM")]
         assert loads["VDD_CORE"].read_bytes(0, 4) == b"\xaa" * 4
         assert not pmu.domain("VDD_CORE").held_externally
-
-    def test_power_down_all_skips_held(self):
-        pmu, _ = make_pmu()
-        pmu.power_up_sequence({})
-        pmu.domain("VDD_CORE").hold_external(0.8, 0.6)
-        pmu.power_down_all()
-        assert pmu.domain("VDD_CORE").powered
-        assert not pmu.domain("VDD_MEM").powered
-
-
-class TestGating:
-    def test_gate_and_ungate(self):
-        pmu, _ = make_pmu()
-        pmu.power_up_sequence({})
-        pmu.gate("VDD_MEM")
-        assert not pmu.domain("VDD_MEM").powered
-        assert pmu.ungate("VDD_MEM") is None
-        assert pmu.domain("VDD_MEM").powered
-        assert "m1" in pmu.domain("VDD_MEM").retained_fractions()
-
-    def test_gate_unpowered_rejected(self):
-        pmu, _ = make_pmu()
-        with pytest.raises(PowerError):
-            pmu.gate("VDD_MEM")
-
-    def test_gate_held_domain_rejected(self):
-        """An attacker's probe defeats software power gating."""
-        pmu, _ = make_pmu()
-        pmu.power_up_sequence({})
-        pmu.domain("VDD_CORE").hold_external(0.8, 0.6)
-        with pytest.raises(PowerError):
-            pmu.gate("VDD_CORE")
-
-    def test_ungate_powered_rejected(self):
-        pmu, _ = make_pmu()
-        pmu.power_up_sequence({})
-        with pytest.raises(PowerError):
-            pmu.ungate("VDD_MEM")

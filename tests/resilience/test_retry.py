@@ -148,8 +148,3 @@ class TestVariants:
         assert naive.max_attempts == 1
         assert naive.reads_per_extraction == 1
         assert naive.min_confident_fraction == 0.0
-
-    def test_with_reads_changes_only_the_vote_width(self):
-        policy = RetryPolicy().with_reads(9)
-        assert policy.reads_per_extraction == 9
-        assert policy.max_attempts == RetryPolicy().max_attempts

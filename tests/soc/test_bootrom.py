@@ -73,12 +73,6 @@ class TestScratchpad:
         with pytest.raises(BootError):
             rom.run_scratchpad(make_iram(), np.random.default_rng(1))
 
-    def test_clobbered_fraction(self):
-        rom = BootRom(
-            name="r", scratchpad_regions=[ClobberRegion(0, 1024)]
-        )
-        assert rom.clobbered_fraction(make_iram(4096)) == pytest.approx(0.25)
-
     def test_clobber_differs_per_boot_rng(self):
         iram = make_iram()
         rom = BootRom(

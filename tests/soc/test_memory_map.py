@@ -1,4 +1,4 @@
-"""Memory map routing, main memory, and ROM windows."""
+"""Memory map routing, main memory, and iRAM windows."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from repro.circuits.dram import DramArray
 from repro.errors import MemoryMapError
 from repro.soc.iram import Iram
 from repro.circuits.sram import SramParameters
-from repro.soc.memory_map import MainMemory, MemoryMap, RomWindow
+from repro.soc.memory_map import MainMemory, MemoryMap
 
 
 def make_map():
@@ -32,22 +32,6 @@ class TestMainMemory:
         assert memory.read_block(0x8010, 2) == b"hi"
         with pytest.raises(MemoryMapError):
             memory.read_block(0x0, 1)
-
-
-class TestRomWindow:
-    def test_read(self):
-        rom = RomWindow(0x1000, b"bootcode")
-        assert rom.read_block(0x1004, 4) == b"code"
-
-    def test_write_rejected(self):
-        rom = RomWindow(0x1000, b"bootcode")
-        with pytest.raises(MemoryMapError):
-            rom.write_block(0x1000, b"x")
-
-    def test_out_of_window_rejected(self):
-        rom = RomWindow(0x1000, b"bootcode")
-        with pytest.raises(MemoryMapError):
-            rom.read_block(0x1006, 4)
 
 
 class TestRouting:
@@ -76,21 +60,23 @@ class TestRouting:
         assert memmap.read_block(0xF8000010, 6) == b"onchip"
 
     def test_regions_sorted_by_base(self):
-        memmap, dram = make_map()
+        memmap, _ = make_map()
         memmap.add_region("high", 0x20000, 64, MainMemory(
-            dram if False else DramArray(8 * 64, rng=np.random.default_rng(3)),
+            DramArray(8 * 64, rng=np.random.default_rng(3)),
             base_addr=0x20000,
         ))
-        names = [r.name for r in memmap.regions()]
-        assert names == ["dram", "high"]
+        assert memmap.region_for(0x0).name == "dram"
+        assert memmap.region_for(0x20000, 64).name == "high"
 
 
 class TestIram:
     def test_contains(self):
         iram = Iram("i", 0x1000, 256, SramParameters(), np.random.default_rng(4))
-        assert iram.contains(0x1000)
-        assert iram.contains(0x10FF)
-        assert not iram.contains(0x1100)
+        iram.sram.power_up()
+        assert len(iram.read_block(0x1000, 1)) == 1
+        assert len(iram.read_block(0x10FF, 1)) == 1
+        with pytest.raises(MemoryMapError):
+            iram.read_block(0x1100, 1)
 
     def test_out_of_window_rejected(self):
         iram = Iram("i", 0x1000, 256, SramParameters(), np.random.default_rng(4))

@@ -10,9 +10,6 @@ from repro.errors import CalibrationError
 from repro.units import (
     ABSOLUTE_ZERO_CELSIUS,
     celsius_to_kelvin,
-    format_bytes,
-    format_duration,
-    format_voltage,
     kelvin_to_celsius,
     kib,
     microfarads,
@@ -193,32 +190,3 @@ class TestScalars:
 
     def test_kib(self):
         assert kib(32) == 32768
-
-
-class TestFormatting:
-    def test_volts(self):
-        assert format_voltage(1.2) == "1.2V"
-
-    def test_millivolt_range(self):
-        assert format_voltage(0.8) == "800mV"
-
-    def test_duration_seconds(self):
-        assert format_duration(2.0) == "2s"
-
-    def test_duration_milliseconds(self):
-        assert format_duration(0.004) == "4ms"
-
-    def test_duration_microseconds(self):
-        assert format_duration(26e-6) == "26us"
-
-    def test_duration_nanoseconds(self):
-        assert format_duration(5e-9) == "5ns"
-
-    def test_bytes_plain(self):
-        assert format_bytes(100) == "100B"
-
-    def test_bytes_kib(self):
-        assert format_bytes(32768) == "32KiB"
-
-    def test_bytes_mib(self):
-        assert format_bytes(1024 * 1024) == "1MiB"
